@@ -10,10 +10,10 @@ SHELL := /bin/bash
 # The benchmark pairs the regression gate watches: join pipeline, the five
 # row-vs-columnar learner pairs, the serving paths, the GEMM-vs-scalar
 # compute-kernel pairs (SVM Gram build, batched ANN serving), the zone-map
-# skip pairs, the segmented-vs-slab parity pairs, and the concurrent-serving
+# skip pairs, the segmented-vs-slab parity pair, and the concurrent-serving
 # quartet (uncoalesced vs coalesced vs factorized-linear vs the hardened
 # entry — admission gate + panic recovery — under 64 clients).
-BENCH_REGEX = Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)(RowAtATime|Columnar)|SVMFitErrorCache|ANNFitFusedAdam|Serve(Factorized|Joined)|SVMKernelCache(Scalar|Gemm)|ServeBatch(Scalar|Gemm)|SelectEqSeg(FullScan|ZoneSkip)|TreeSplitZone(FullSearch|Skip)|SegParScan(Slab|Seg)|(NBFit|TreeSplit)Segmented|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$$
+BENCH_REGEX = Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)(RowAtATime|Columnar)|SVMFitErrorCache|ANNFitFusedAdam|Serve(Factorized|Joined)|SVMKernelCache(Scalar|Gemm)|ServeBatch(Scalar|Gemm)|SelectEqSeg(FullScan|ZoneSkip)|TreeSplitZone(FullSearch|Skip)|SegParScan(Slab|Seg)|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$$
 # Time-based benchtime so every bench accumulates several iterations per
 # sample — the nanosecond-scale Serve* benches get millions, the ~100ms Fit
 # benches get a handful — and -count 5 gives benchgate a median that shrugs
@@ -44,8 +44,8 @@ bench-baseline:
 # regression on any gated benchmark vs bench_baseline.txt fails, as does any
 # pair group without a winner — some iterative learner >=1.5x columnar, a
 # >=1.5x compute-kernel win (SVMFit / ANNFit / the SVM Gram-build pair), a
-# >=1.5x zone-map skip win, segmented-engine parity at >=0.95x vs the
-# monolithic slab, a >=2x coalesced-vs-scalar concurrent-serving win, and 0
+# >=1.5x zone-map skip win, segment-per-task scan parity at >=0.95x vs
+# the single-slab scan, a >=2x coalesced-vs-scalar concurrent-serving win, and 0
 # allocs/op on the coalesced and factorized-linear serving paths.
 #
 # BENCH_JSON=<path> additionally writes the gated medians (ns/op, allocs/op)

@@ -370,7 +370,7 @@ func BenchmarkJoinView(b *testing.B) { benchJoinPipeline(b, true) }
 // --- Columnar-engine benchmarks: row-at-a-time vs batched column training. ---
 
 // benchTrainSplit prepares the Movies JoinAll training split on the chosen
-// storage engine. Env construction (including, for the columnar engine, the
+// storage engine. Env construction (including, for the segmented engine, the
 // one-time join materialization) is setup, not measurement: the paper's
 // pipelines tune hyper-parameters with grid search, so one prepared split is
 // trained on many times.
@@ -398,11 +398,11 @@ func benchTrainSplit(b *testing.B, engine core.Engine) *ml.Dataset {
 // benchNBFit measures one Naive Bayes Fit — the paper's cheapest learner,
 // where data access dominates arithmetic — under the row-at-a-time counting
 // loop on the zero-copy row engine vs the batched column path on the
-// columnar engine.
+// segmented engine.
 func benchNBFit(b *testing.B, columnar bool) {
 	engine := core.EngineRow
 	if columnar {
-		engine = core.EngineColumnar
+		engine = core.EngineSegmented
 	}
 	train := benchTrainSplit(b, engine)
 	cfg := nb.Config{RowAtATime: !columnar}
@@ -424,33 +424,13 @@ func BenchmarkNBFitRowAtATime(b *testing.B) { benchNBFit(b, false) }
 // column scans over width-narrowed columnar storage.
 func BenchmarkNBFitColumnar(b *testing.B) { benchNBFit(b, true) }
 
-// BenchmarkNBFitSegmented re-runs the columnar fit on EngineSegmented: the
-// same morsel fan-out, but spans aligned to segment boundaries and reads
-// routed per segment. Paired against the single-slab Columnar bench at
-// parity (the gate requires segmented >= 0.95x slab, not a speedup):
-// segmentation buys spill capability and skip statistics, and this pair
-// proves it does not tax the hot loops. It sits directly after its pair
-// sibling so the two run back to back — within-run pair ratios stay
-// meaningful even when a long sweep drifts with machine load.
-func BenchmarkNBFitSegmented(b *testing.B) {
-	train := benchTrainSplit(b, core.EngineSegmented)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := nb.New(nb.Config{})
-		if err := m.Fit(train); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchTreeFit measures one decision-tree Fit — dominated by the per-node
 // split search — under the per-cell map-tally search on the row engine vs
-// the morsel-parallel columnar search on the columnar engine.
+// the morsel-parallel columnar search on the segmented engine.
 func benchTreeFit(b *testing.B, columnar bool) {
 	engine := core.EngineRow
 	if columnar {
-		engine = core.EngineColumnar
+		engine = core.EngineSegmented
 	}
 	train := benchTrainSplit(b, engine)
 	cfg := tree.Config{Criterion: tree.Gini, MinSplit: 10, CP: 1e-3, RowAtATime: !columnar}
@@ -470,21 +450,6 @@ func BenchmarkTreeSplitRowAtATime(b *testing.B) { benchTreeFit(b, false) }
 // BenchmarkTreeSplitColumnar is the batched column-scan split search.
 func BenchmarkTreeSplitColumnar(b *testing.B) { benchTreeFit(b, true) }
 
-// BenchmarkTreeSplitSegmented is the segmented parity sibling of
-// BenchmarkTreeSplitColumnar (see BenchmarkNBFitSegmented).
-func BenchmarkTreeSplitSegmented(b *testing.B) {
-	train := benchTrainSplit(b, core.EngineSegmented)
-	cfg := tree.Config{Criterion: tree.Gini, MinSplit: 10, CP: 1e-3}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := tree.New(cfg)
-		if err := tr.Fit(train); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Iterative-learner benchmarks: row-at-a-time vs columnar epochs. ---
 //
 // The iterative gradient learners re-read every feature every epoch, so the
@@ -493,11 +458,11 @@ func BenchmarkTreeSplitSegmented(b *testing.B) {
 
 // benchLogRegFit measures one logistic-regression Fit (30 SGD epochs) under
 // the per-example row gathers on the row engine vs the one-pass active-index
-// materialization on the columnar engine.
+// materialization on the segmented engine.
 func benchLogRegFit(b *testing.B, columnar bool) {
 	engine := core.EngineRow
 	if columnar {
-		engine = core.EngineColumnar
+		engine = core.EngineSegmented
 	}
 	train := benchTrainSplit(b, engine)
 	cfg := linear.LogRegConfig{Lambda: 1e-3, Seed: 7, RowAtATime: !columnar}
@@ -526,7 +491,7 @@ func BenchmarkLogRegFitColumnar(b *testing.B) { benchLogRegFit(b, true) }
 func benchSVMFit(b *testing.B, columnar, errorCache bool) {
 	engine := core.EngineRow
 	if columnar {
-		engine = core.EngineColumnar
+		engine = core.EngineSegmented
 	}
 	train := benchTrainSplit(b, engine)
 	cfg := svm.Config{
@@ -574,7 +539,7 @@ func BenchmarkSVMFitErrorCache(b *testing.B) { benchSVMFit(b, true, true) }
 func benchANNFit(b *testing.B, columnar, fusedAdam bool) {
 	engine := core.EngineRow
 	if columnar {
-		engine = core.EngineColumnar
+		engine = core.EngineSegmented
 	}
 	train := benchTrainSplit(b, engine)
 	cfg := ann.Config{
@@ -618,7 +583,7 @@ func BenchmarkANNFitFusedAdam(b *testing.B) { benchANNFit(b, true, true) }
 // i-blocks fanned across ml.ParallelFor). Both builds produce bit-identical
 // caches; only the schedule differs.
 func benchKernelCache(b *testing.B, blocked bool) {
-	train := benchTrainSplit(b, core.EngineColumnar)
+	train := benchTrainSplit(b, core.EngineSegmented)
 	n := train.NumExamples()
 	if cap := envInt("REPRO_SVMCAP", 1024); n > cap {
 		perm := rng.New(7).Perm(n)
@@ -1122,7 +1087,12 @@ func benchSegParScan(b *testing.B, parallel bool) {
 			block = block[:0]
 		}
 	}
-	ct := relational.MaterializeColumnar(st, "slab")
+	// The slab is the same cells as one n-row segment: one contiguous
+	// vector per column.
+	ct, err := relational.MaterializeSegmented(st, "slab", relational.SegmentOptions{SegmentSize: n})
+	if err != nil {
+		b.Fatal(err)
+	}
 	want := int64(0)
 	buf := make([]relational.Value, segSize)
 	for from := 0; from < n; {
@@ -1174,7 +1144,7 @@ func benchSegParScan(b *testing.B, parallel bool) {
 	}
 }
 
-// BenchmarkSegParScanSlab scans the monolithic columnar slab sequentially.
+// BenchmarkSegParScanSlab scans the one-segment slab table sequentially.
 func BenchmarkSegParScanSlab(b *testing.B) { benchSegParScan(b, false) }
 
 // BenchmarkSegParScanSeg fans one scan task per segment and reduces the

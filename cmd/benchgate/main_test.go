@@ -19,8 +19,8 @@ PASS
 `
 
 // segPairLines satisfies the zone-map, segmented-parity, and approximate-tier
-// groups the default gate includes: zone skips clear 1.5x, the parity pairs
-// sit at 1.0 (enough for the group's @0.95 bar), and the error-cache SMO /
+// groups the default gate includes: zone skips clear 1.5x, the parity pair
+// sits at 1.0 (enough for the group's @0.95 bar), and the error-cache SMO /
 // fused-Adam kernels beat their exact columnar siblings at 2.5x.
 const segPairLines = `
 BenchmarkSVMFitErrorCache      	      10	   400000 ns/op
@@ -31,10 +31,6 @@ BenchmarkTreeSplitZoneFullSearch	      10	  2000000 ns/op
 BenchmarkTreeSplitZoneSkip     	      10	  1200000 ns/op
 BenchmarkSegParScanSlab        	      10	  1000000 ns/op
 BenchmarkSegParScanSeg         	      10	  1000000 ns/op
-BenchmarkNBFitColumnar         	      10	   300000 ns/op
-BenchmarkNBFitSegmented        	      10	   300000 ns/op
-BenchmarkTreeSplitColumnar     	      10	  1000000 ns/op
-BenchmarkTreeSplitSegmented    	      10	  1000000 ns/op
 BenchmarkServeConcurrentScalar 	      10	  2000000 ns/op	    1056 B/op	       2 allocs/op
 BenchmarkServeConcurrentCoalesced	      10	   900000 ns/op	      44 B/op	       0 allocs/op
 BenchmarkServeConcurrentFactorized	     100	       20 ns/op	       0 B/op	       0 allocs/op

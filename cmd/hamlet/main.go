@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	hamlet -table 2 [-scale 64] [-effort fast|full] [-svmcap 400] [-seed 1] [-engine col|row]
+//	hamlet -table 2 [-scale 64] [-effort fast|full] [-svmcap 400] [-seed 1] [-engine seg|row]
 //	hamlet -figure 1
 //	hamlet -all
 //
@@ -17,9 +17,10 @@
 //	hamlet -train -dataset Movies -spec "NaiveBayes(BFS)" -model m.bin [-scale 64 -seed 1]
 //	hamlet -eval -model m.bin [-dataset Movies -scale 64 -seed 1]
 //
-// The segmented engine (-engine seg) materializes the join into fixed-size
-// columnar segments; -segsize tunes the partition and -spilldir/-cachebytes
-// enable the out-of-core tier (segments on disk, LRU cache in memory). Two
+// The default segmented engine (-engine seg) materializes the join into
+// fixed-size columnar segments; -segsize tunes the partition and
+// -spilldir/-cachebytes enable the out-of-core tier (segments on disk, LRU
+// cache in memory); -engine row keeps the join a zero-copy view instead. Two
 // artifacts can be compared ignoring provenance metadata — the CI proof that
 // an out-of-core run trains bit-identically to an in-memory one:
 //
@@ -42,7 +43,7 @@
 // -verify runs a named verification tier. The only tier today is
 // "accuracy": every registered approximate training kernel (error-cache
 // SMO, fused Adam) trains against its bit-exact reference across the
-// Flights/Yelp/Expedia × row/col/seg matrix, and held-out accuracy,
+// Flights/Yelp/Expedia × row/seg matrix, and held-out accuracy,
 // prediction-disagreement, and log-loss deltas must stay within the
 // calibrated tolerances — the same gate CI and the test suite run:
 //
@@ -89,7 +90,7 @@ func run(args []string) error {
 	effort := fs.String("effort", "fast", "hyper-parameter grids: fast or full (paper-exact)")
 	svmCap := fs.Int("svmcap", 400, "SMO training-set cap (0 = unbounded)")
 	seed := fs.Uint64("seed", 1, "random seed")
-	engine := fs.String("engine", "col", "storage engine for experiment data: col (columnar, the default), row (zero-copy join view), or seg (segmented columnar)")
+	engine := fs.String("engine", "seg", "storage engine for experiment data: seg (segmented columnar, the default) or row (zero-copy join view)")
 	segSize := fs.Int("segsize", 0, "segmented engine: rows per segment (0 = default)")
 	spillDir := fs.String("spilldir", "", "segmented engine: spill sealed segments to a heap file in this directory (out-of-core)")
 	cacheBytes := fs.Int64("cachebytes", 0, "segmented engine: LRU cache budget in bytes for resident spilled segments (0 = never evict)")

@@ -117,44 +117,38 @@ func Advise(ss *relational.StarSchema, f Family) ([]Advice, error) {
 }
 
 // Engine selects the physical storage strategy an experiment Env reads its
-// joined relation through. All engines produce bit-identical experiment
+// joined relation through. Both engines produce bit-identical experiment
 // results (same split permutation, same cell values); they differ in memory
 // layout and therefore in which access pattern is fast. The zero value is
-// EngineColumnar: with every learner training column-at-a-time (NB, tree,
+// EngineSegmented: with every learner training column-at-a-time (NB, tree,
 // logreg, SVM, ANN), sequential narrow-column scans are the hot access
 // pattern, so columnar storage is the default engine.
 type Engine int
 
 const (
-	// EngineColumnar (the default) evaluates the join once into a
-	// width-narrowed struct-of-arrays ColumnarTable. It trades one
-	// O(n_S · width) materialization pass (into storage that is typically
-	// *smaller* than the fact table's row-major block, since dictionary
-	// codes narrow to uint8/uint16) for sequential single-column scans on
-	// the learners' batch training path.
-	EngineColumnar Engine = iota
+	// EngineSegmented (the default) evaluates the join once into a
+	// relational.SegmentedTable: width-narrowed struct-of-arrays storage,
+	// typically *smaller* than the fact table's row-major block since
+	// dictionary codes narrow to uint8/uint16, partitioned into fixed-size
+	// immutable segments with per-segment zone maps. A table that fits in
+	// one segment is one contiguous slab per column. Training morsels fan
+	// out segment-per-task, selective scans skip segments their zone maps
+	// prove irrelevant, and — with SegmentDefaults.SpillDir set — sealed
+	// segments spill to a heap file under an LRU cache budget so fact
+	// tables larger than RAM still train, bit-identically.
+	EngineSegmented Engine = iota
 	// EngineRow keeps the factorized zero-copy pipeline: the join stays a
 	// JoinView over the row-major base tables, nothing is materialized, and
 	// cell accesses resolve the FK indirection lazily. It remains the right
 	// choice when data is scanned only a bounded number of times and the
 	// one-time columnar materialization would dominate.
 	EngineRow
-	// EngineSegmented evaluates the join into a relational.SegmentedTable:
-	// the same width-narrowed columnar storage as EngineColumnar, partitioned
-	// into fixed-size immutable segments with per-segment zone maps. Training
-	// morsels fan out segment-per-task, selective scans skip segments their
-	// zone maps prove irrelevant, and — with SegmentDefaults.SpillDir set —
-	// sealed segments spill to a heap file under an LRU cache budget so fact
-	// tables larger than RAM still train, bit-identically.
-	EngineSegmented
 )
 
 func (e Engine) String() string {
 	switch e {
 	case EngineRow:
 		return "row"
-	case EngineColumnar:
-		return "col"
 	case EngineSegmented:
 		return "seg"
 	default:
@@ -162,54 +156,53 @@ func (e Engine) String() string {
 	}
 }
 
-// ParseEngine parses the -engine flag values "row", "col", and "seg".
+// ParseEngine parses the -engine flag values "row" and "seg".
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "row":
 		return EngineRow, nil
-	case "col", "columnar":
-		return EngineColumnar, nil
 	case "seg", "segmented":
 		return EngineSegmented, nil
 	default:
-		return EngineColumnar, fmt.Errorf("core: unknown storage engine %q (want row, col, or seg)", s)
+		return EngineSegmented, fmt.Errorf("core: unknown storage engine %q (want row or seg)", s)
 	}
 }
 
-// SegmentDefaults configures every SegmentedTable the EngineSegmented env
-// constructor builds: segment size, spill directory, and cache budget.
-// cmd/hamlet's -segsize / -spilldir / -cachebytes flags write it before any
-// env exists; the zero value means in-memory segments of
-// relational.DefaultSegmentSize rows.
+// SegmentDefaults configures every SegmentedTable NewEnvEngine builds for
+// EngineSegmented: segment size, spill directory, and cache budget. cmd/hamlet's -segsize / -spilldir /
+// -cachebytes flags write it before any env exists; the zero value means
+// in-memory segments of relational.DefaultSegmentSize rows. NewEnv ignores
+// it.
 var SegmentDefaults relational.SegmentOptions
 
 // Env is a dataset prepared for experiments: the (factorized) join of a
 // star schema and the paper's fixed 50/25/25 train/validation/test split of
-// it. Since the columnar flip Joined is a relational.ColumnarTable by
-// default — the factorized join is evaluated once into width-narrowed
-// struct-of-arrays storage; the split parts are index views over it and
-// every batched ScanFeature a learner issues bottoms out in a sequential
-// scan of one narrow column. NewEnvRow keeps the zero-copy JoinView pipeline
-// (the joined table never exists physically, FK indirection resolves per
-// access); NewEnvMaterialized restores the historical eager row-major
-// pipeline. All three yield bit-identical results.
+// it. By default Joined is a relational.SegmentedTable — the factorized
+// join is evaluated once into width-narrowed columnar segments; the split
+// parts are index views over it and every batched ScanFeature a learner
+// issues bottoms out in a sequential scan of one narrow column. NewEnvRow
+// keeps the zero-copy JoinView pipeline (the joined table never exists
+// physically, FK indirection resolves per access). Both yield bit-identical
+// results.
 type Env struct {
 	Star      *relational.StarSchema
 	Joined    relational.Relation
 	TargetCol int
 	Split     relational.Split
 
-	// spillDir/fs are set by NewEnvSegmented when the out-of-core tier is
-	// active; Close sweeps the directory for orphaned heap files with them.
+	// spillDir/fs are set when the out-of-core tier is active; Close
+	// sweeps the directory for orphaned heap files with them.
 	spillDir string
 	fs       fault.FS
 }
 
-// NewEnv prepares the experiment Env on the default storage engine
-// (EngineColumnar). The split is seeded and retained, mirroring the paper's
+// NewEnv prepares the experiment Env on the default storage engine: the
+// join is materialized into an in-memory SegmentedTable of
+// relational.DefaultSegmentSize rows per segment, whatever SegmentDefaults
+// holds. The split is seeded and retained, mirroring the paper's
 // "pre-split, retained as is" protocol.
 func NewEnv(ss *relational.StarSchema, seed uint64) (*Env, error) {
-	return NewEnvColumnar(ss, seed)
+	return newEnvSegmented(ss, seed, relational.SegmentOptions{})
 }
 
 // NewEnvRow builds the factorized zero-copy pipeline: the join stays a
@@ -223,74 +216,39 @@ func NewEnvRow(ss *relational.StarSchema, seed uint64) (*Env, error) {
 	return newEnvOver(ss, joined, seed)
 }
 
-// NewEnvColumnar builds the Env on the columnar storage engine: the
-// factorized join is evaluated once into a relational.ColumnarTable and the
-// lazy split views sit on top of it, so every ScanFeature a learner issues
-// bottoms out in a sequential scan of one narrow column vector.
-func NewEnvColumnar(ss *relational.StarSchema, seed uint64) (*Env, error) {
+// newEnvSegmented evaluates the factorized join once,
+// segment-chunk-at-a-time, into a relational.SegmentedTable configured by
+// opts. With a spill directory the env's joined relation lives mostly on
+// disk; the caller owns the table's lifetime (Env.Close releases the heap
+// file and sweeps the spill directory for orphans). A failure after the
+// table exists closes it, so no error path strands a heap file.
+func newEnvSegmented(ss *relational.StarSchema, seed uint64, opts relational.SegmentOptions) (*Env, error) {
 	jv, err := relational.NewJoinView(ss)
 	if err != nil {
 		return nil, err
 	}
-	joined := relational.MaterializeColumnar(jv, ss.Fact.Name+"_joined")
-	return newEnvOver(ss, joined, seed)
-}
-
-// NewEnvSegmented builds the Env on the segmented columnar engine: the
-// factorized join is evaluated once, segment-chunk-at-a-time, into a
-// relational.SegmentedTable configured by SegmentDefaults. With a spill
-// directory the env's joined relation lives mostly on disk; the caller owns
-// the table's lifetime (Env.Close releases the heap file and sweeps the
-// spill directory for orphans). A failure after the table exists closes it,
-// so no error path strands a heap file.
-func NewEnvSegmented(ss *relational.StarSchema, seed uint64) (env *Env, err error) {
-	jv, err := relational.NewJoinView(ss)
-	if err != nil {
-		return nil, err
-	}
-	joined, err := relational.MaterializeSegmented(jv, ss.Fact.Name+"_joined", SegmentDefaults)
-	if err != nil {
-		return nil, err
-	}
-	env, err = newEnvOver(ss, joined, seed)
-	if err != nil {
-		joined.Close()
-		return nil, err
-	}
-	env.spillDir = SegmentDefaults.SpillDir
-	env.fs = SegmentDefaults.FS
-	return env, nil
-}
-
-// NewEnvEngine dispatches on the engine choice — the seam cmd/hamlet's
-// -engine flag plugs into.
-func NewEnvEngine(ss *relational.StarSchema, seed uint64, engine Engine) (*Env, error) {
-	switch engine {
-	case EngineRow:
-		return NewEnvRow(ss, seed)
-	case EngineSegmented:
-		return NewEnvSegmented(ss, seed)
-	default:
-		return NewEnvColumnar(ss, seed)
-	}
-}
-
-// NewEnvMaterialized is NewEnv with the historical eager pipeline: the join
-// output and all three split parts are physical tables. It exists for
-// A/B-testing the factorized path (the equivalence tests run one experiment
-// config both ways) and for workloads that rescan the splits so many times
-// that per-access indirection dominates.
-func NewEnvMaterialized(ss *relational.StarSchema, seed uint64) (*Env, error) {
-	joined, err := relational.Join(ss)
+	joined, err := relational.MaterializeSegmented(jv, ss.Fact.Name+"_joined", opts)
 	if err != nil {
 		return nil, err
 	}
 	env, err := newEnvOver(ss, joined, seed)
 	if err != nil {
+		joined.Close()
 		return nil, err
 	}
-	env.Split = env.Split.Materialize(joined.Name)
+	env.spillDir = opts.SpillDir
+	env.fs = opts.FS
 	return env, nil
+}
+
+// NewEnvEngine dispatches on the engine choice — the seam cmd/hamlet's
+// -engine flag plugs into. EngineSegmented builds its table as
+// SegmentDefaults configures it.
+func NewEnvEngine(ss *relational.StarSchema, seed uint64, engine Engine) (*Env, error) {
+	if engine == EngineRow {
+		return NewEnvRow(ss, seed)
+	}
+	return newEnvSegmented(ss, seed, SegmentDefaults)
 }
 
 // newEnvOver splits any joined relation. The seeded permutation depends only
@@ -307,8 +265,8 @@ func newEnvOver(ss *relational.StarSchema, joined relational.Relation, seed uint
 // Close releases resources the joined relation holds — the segmented
 // engine's spill heap file — and, when a spill directory is configured,
 // sweeps it for orphaned heap and temp files left by error-aborted or
-// crashed earlier runs. Envs on the other engines need no Close and treat
-// it as a no-op. The env must not be read afterwards.
+// crashed earlier runs. In-memory envs need no Close and treat it as a
+// no-op. The env must not be read afterwards.
 func (e *Env) Close() error {
 	var err error
 	if st, ok := e.Joined.(*relational.SegmentedTable); ok {

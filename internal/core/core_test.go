@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -343,56 +344,78 @@ func TestNewEnvDeterministicSplit(t *testing.T) {
 	_ = rng.New(1) // keep import
 }
 
-func TestFactorizedPipelineMatchesMaterialized(t *testing.T) {
-	// Acceptance check for the zero-copy refactor: the JoinView +
-	// view-backed-Dataset pipeline must produce bit-identical accuracies to
-	// the historical materialized pipeline — same seeds, same split
-	// permutation, same grid winner.
+// requireSameRuns runs every (spec, view) experiment cell on both envs and
+// requires bit-identical accuracies and grid winners.
+func requireSameRuns(t *testing.T, a, b *Env, specs []Spec, views ...ml.View) {
+	t.Helper()
+	for _, mspec := range specs {
+		for _, v := range views {
+			ares, err := Run(a, v, mspec, 11)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", mspec.Name, v, err)
+			}
+			bres, err := Run(b, v, mspec, 11)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", mspec.Name, v, err)
+			}
+			if ares.TestAcc != bres.TestAcc || ares.TrainAcc != bres.TrainAcc || ares.ValAcc != bres.ValAcc {
+				t.Fatalf("%s/%v diverged: (test %v train %v val %v) vs (test %v train %v val %v)",
+					mspec.Name, v, ares.TestAcc, ares.TrainAcc, ares.ValAcc,
+					bres.TestAcc, bres.TrainAcc, bres.ValAcc)
+			}
+			for k, pv := range ares.BestPoint {
+				if bres.BestPoint[k] != pv {
+					t.Fatalf("%s/%v picked different grid points: %v vs %v",
+						mspec.Name, v, ares.BestPoint, bres.BestPoint)
+				}
+			}
+		}
+	}
+}
+
+// walmartStar generates the Walmart schema at the given scale.
+func walmartStar(t *testing.T, scale int) *relational.StarSchema {
+	t.Helper()
 	spec, err := dataset.SpecByName("Walmart")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := dataset.Generate(spec, 256, 5)
+	ss, err := dataset.Generate(spec, scale, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ss
+}
+
+// withSegmentDefaults sets SegmentDefaults for the rest of the test.
+func withSegmentDefaults(t *testing.T, opts relational.SegmentOptions) {
+	old := SegmentDefaults
+	SegmentDefaults = opts
+	t.Cleanup(func() { SegmentDefaults = old })
+}
+
+func TestFactorizedPipelineMatchesMaterialized(t *testing.T) {
+	// Acceptance check for the zero-copy refactor: the JoinView +
+	// view-backed-Dataset pipeline must produce bit-identical accuracies to
+	// the materialized pipeline — same seeds, same split permutation, same
+	// grid winner.
+	ss := walmartStar(t, 256)
 	lazy, err := NewEnvRow(ss, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager, err := NewEnvMaterialized(ss, 7)
+	eager, err := NewEnv(ss, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := lazy.Joined.(*relational.JoinView); !ok {
 		t.Fatalf("lazy env joined is %T, want *relational.JoinView", lazy.Joined)
 	}
-	if _, ok := eager.Joined.(*relational.Table); !ok {
-		t.Fatalf("eager env joined is %T, want *relational.Table", eager.Joined)
+	if _, ok := eager.Joined.(*relational.SegmentedTable); !ok {
+		t.Fatalf("eager env joined is %T, want *relational.SegmentedTable", eager.Joined)
 	}
-	for _, mspec := range []Spec{TreeSpec(tree.Gini, EffortFast), OneNNSpec(), NaiveBayesBFSSpec()} {
-		for _, v := range []ml.View{ml.JoinAll, ml.NoJoin} {
-			lres, err := Run(lazy, v, mspec, 11)
-			if err != nil {
-				t.Fatalf("lazy %s/%v: %v", mspec.Name, v, err)
-			}
-			eres, err := Run(eager, v, mspec, 11)
-			if err != nil {
-				t.Fatalf("eager %s/%v: %v", mspec.Name, v, err)
-			}
-			if lres.TestAcc != eres.TestAcc || lres.TrainAcc != eres.TrainAcc || lres.ValAcc != eres.ValAcc {
-				t.Fatalf("%s/%v diverged: lazy (test %v train %v val %v) vs eager (test %v train %v val %v)",
-					mspec.Name, v, lres.TestAcc, lres.TrainAcc, lres.ValAcc,
-					eres.TestAcc, eres.TrainAcc, eres.ValAcc)
-			}
-			for k, pv := range lres.BestPoint {
-				if eres.BestPoint[k] != pv {
-					t.Fatalf("%s/%v picked different grid points: %v vs %v",
-						mspec.Name, v, lres.BestPoint, eres.BestPoint)
-				}
-			}
-		}
-	}
+	requireSameRuns(t, lazy, eager, []Spec{TreeSpec(tree.Gini, EffortFast), OneNNSpec(), NaiveBayesBFSSpec()},
+		ml.JoinAll, ml.NoJoin)
 }
 
 func TestPartialJoinSweep(t *testing.T) {
@@ -446,97 +469,69 @@ func TestPrunedTreeSpec(t *testing.T) {
 }
 
 func TestColumnarEngineMatchesRowEngine(t *testing.T) {
-	// Acceptance check for the columnar storage engine: running the same
-	// experiment cells against EngineColumnar must produce bit-identical
-	// accuracies and grid winners to the zero-copy row engine — the engines
-	// differ only in physical layout, never in cell values or split
-	// permutation.
-	spec, err := dataset.SpecByName("Walmart")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := dataset.Generate(spec, 256, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Acceptance check for the columnar storage engine: the same experiment
+	// cells run against a multi-segment EngineSegmented env must produce
+	// bit-identical accuracies and grid winners to the zero-copy row engine
+	// — the engines differ only in physical layout, never in cell values or
+	// split permutation.
+	ss := walmartStar(t, 256)
+	withSegmentDefaults(t, relational.SegmentOptions{SegmentSize: 256})
 	row, err := NewEnvEngine(ss, 7, EngineRow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := NewEnvEngine(ss, 7, EngineColumnar)
+	seg, err := NewEnvEngine(ss, 7, EngineSegmented)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := row.Joined.(*relational.JoinView); !ok {
 		t.Fatalf("row env joined is %T, want *relational.JoinView", row.Joined)
 	}
-	if _, ok := col.Joined.(*relational.ColumnarTable); !ok {
-		t.Fatalf("columnar env joined is %T, want *relational.ColumnarTable", col.Joined)
+	if st, ok := seg.Joined.(*relational.SegmentedTable); !ok || st.NumSegments() < 2 {
+		t.Fatalf("segmented env joined is %T, want a multi-segment *relational.SegmentedTable", seg.Joined)
 	}
-	for _, mspec := range []Spec{TreeSpec(tree.Gini, EffortFast), NaiveBayesBFSSpec()} {
-		for _, v := range []ml.View{ml.JoinAll, ml.NoJoin} {
-			rres, err := Run(row, v, mspec, 11)
-			if err != nil {
-				t.Fatalf("row %s/%v: %v", mspec.Name, v, err)
-			}
-			cres, err := Run(col, v, mspec, 11)
-			if err != nil {
-				t.Fatalf("col %s/%v: %v", mspec.Name, v, err)
-			}
-			if rres.TestAcc != cres.TestAcc || rres.TrainAcc != cres.TrainAcc || rres.ValAcc != cres.ValAcc {
-				t.Fatalf("%s/%v diverged across engines: row (test %v train %v val %v) vs col (test %v train %v val %v)",
-					mspec.Name, v, rres.TestAcc, rres.TrainAcc, rres.ValAcc,
-					cres.TestAcc, cres.TrainAcc, cres.ValAcc)
-			}
-			for k, pv := range rres.BestPoint {
-				if cres.BestPoint[k] != pv {
-					t.Fatalf("%s/%v picked different grid points: %v vs %v",
-						mspec.Name, v, rres.BestPoint, cres.BestPoint)
-				}
-			}
-		}
-	}
+	requireSameRuns(t, row, seg, []Spec{TreeSpec(tree.Gini, EffortFast), NaiveBayesBFSSpec()}, ml.JoinAll, ml.NoJoin)
 }
 
 func TestParseEngine(t *testing.T) {
 	for s, want := range map[string]Engine{
-		"row": EngineRow, "col": EngineColumnar, "columnar": EngineColumnar,
-		"seg": EngineSegmented, "segmented": EngineSegmented,
+		"row": EngineRow, "seg": EngineSegmented, "segmented": EngineSegmented,
 	} {
 		got, err := ParseEngine(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseEngine("paper"); err == nil {
-		t.Fatal("ParseEngine must reject unknown engines")
+	for _, bad := range []string{"paper", "col"} {
+		if _, err := ParseEngine(bad); err == nil {
+			t.Fatalf("ParseEngine(%q) must reject unknown engines", bad)
+		}
 	}
-	if EngineRow.String() != "row" || EngineColumnar.String() != "col" || EngineSegmented.String() != "seg" {
-		t.Fatalf("engine names: %v %v %v", EngineRow, EngineColumnar, EngineSegmented)
+	if EngineRow.String() != "row" || EngineSegmented.String() != "seg" {
+		t.Fatalf("engine names: %v %v", EngineRow, EngineSegmented)
 	}
 }
 
 func TestColumnarIsDefaultEngine(t *testing.T) {
-	// The default flip: the Engine zero value, NewEnv, and NewEnvEngine's
-	// fallback must all select columnar storage; NewEnvRow keeps the
-	// zero-copy join view.
-	if Engine(0) != EngineColumnar {
-		t.Fatal("Engine zero value must be EngineColumnar")
+	// The Engine zero value and NewEnv select columnar storage: an
+	// in-memory SegmentedTable of the default segment size, whatever
+	// SegmentDefaults holds. NewEnvRow keeps the zero-copy join view.
+	if Engine(0) != EngineSegmented {
+		t.Fatal("Engine zero value must be EngineSegmented")
 	}
-	spec, err := dataset.SpecByName("Walmart")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := dataset.Generate(spec, 512, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := walmartStar(t, 512)
+	withSegmentDefaults(t, relational.SegmentOptions{SegmentSize: 64, SpillDir: t.TempDir()})
 	env, err := NewEnv(ss, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := env.Joined.(*relational.ColumnarTable); !ok {
-		t.Fatalf("NewEnv joined is %T, want *relational.ColumnarTable", env.Joined)
+	st, ok := env.Joined.(*relational.SegmentedTable)
+	if !ok {
+		t.Fatalf("NewEnv joined is %T, want *relational.SegmentedTable", env.Joined)
+	}
+	if st.Spilled() || st.SegmentSize() != relational.DefaultSegmentSize {
+		t.Fatalf("NewEnv table spilled=%v segsize=%d; want in-memory, %d rows per segment",
+			st.Spilled(), st.SegmentSize(), relational.DefaultSegmentSize)
 	}
 	rowEnv, err := NewEnvRow(ss, 7)
 	if err != nil {
@@ -548,10 +543,10 @@ func TestColumnarIsDefaultEngine(t *testing.T) {
 }
 
 // TestIterativeLearnersEngineEquivalence is the acceptance check for the
-// columnar epoch paths: the three newly-columnar iterative learners (logreg
-// SGD, SMO, the MLP) must produce bit-identical accuracies and grid winners
-// on the row and columnar engines across the Flights/Yelp/Expedia schema
-// shapes (three dims with pairs sweep, two closed FKs, an open FK).
+// columnar epoch paths: the three iterative learners (logreg SGD, SMO, the
+// MLP) must produce bit-identical accuracies and grid winners on the row
+// and segmented engines across the Flights/Yelp/Expedia schema shapes
+// (three dims with pairs sweep, two closed FKs, an open FK).
 func TestIterativeLearnersEngineEquivalence(t *testing.T) {
 	for dsName, scale := range map[string]int{"Flights": 192, "Yelp": 320, "Expedia": 512} {
 		spec, err := dataset.SpecByName(dsName)
@@ -566,35 +561,15 @@ func TestIterativeLearnersEngineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		col, err := NewEnvEngine(ss, 7, EngineColumnar)
+		seg, err := NewEnvEngine(ss, 7, EngineSegmented)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mspec := range []Spec{
+		requireSameRuns(t, row, seg, []Spec{
 			LogRegSpec(EffortFast),
 			SVMSpec(svm.Linear, EffortFast, 120),
 			ANNSpec(EffortFast),
-		} {
-			rres, err := Run(row, ml.JoinAll, mspec, 11)
-			if err != nil {
-				t.Fatalf("%s row %s: %v", dsName, mspec.Name, err)
-			}
-			cres, err := Run(col, ml.JoinAll, mspec, 11)
-			if err != nil {
-				t.Fatalf("%s col %s: %v", dsName, mspec.Name, err)
-			}
-			if rres.TestAcc != cres.TestAcc || rres.TrainAcc != cres.TrainAcc || rres.ValAcc != cres.ValAcc {
-				t.Fatalf("%s %s diverged across engines: row (test %v train %v val %v) vs col (test %v train %v val %v)",
-					dsName, mspec.Name, rres.TestAcc, rres.TrainAcc, rres.ValAcc,
-					cres.TestAcc, cres.TrainAcc, cres.ValAcc)
-			}
-			for k, pv := range rres.BestPoint {
-				if cres.BestPoint[k] != pv {
-					t.Fatalf("%s %s picked different grid points: %v vs %v",
-						dsName, mspec.Name, rres.BestPoint, cres.BestPoint)
-				}
-			}
-		}
+		}, ml.JoinAll)
 	}
 }
 
@@ -619,23 +594,66 @@ func TestArtifactBytesIdenticalAcrossEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 		var encoded [][]byte
-		for _, engine := range []Engine{EngineRow, EngineColumnar} {
+		for _, engine := range []Engine{EngineRow, EngineSegmented} {
 			env, err := NewEnvEngine(ss, 7, engine)
 			if err != nil {
 				t.Fatal(err)
 			}
-			artifact, _, err := BuildArtifact(env, spec, 7, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var raw bytes.Buffer
-			if err := model.Encode(&raw, artifact); err != nil {
-				t.Fatal(err)
-			}
-			encoded = append(encoded, raw.Bytes())
+			encoded = append(encoded, artifactBytes(t, env, spec))
 		}
 		if !bytes.Equal(encoded[0], encoded[1]) {
-			t.Fatalf("%s: row- and columnar-trained artifacts differ", specName)
+			t.Fatalf("%s: row- and segmented-trained artifacts differ", specName)
+		}
+	}
+}
+
+// artifactBytes trains spec's artifact on env and returns its encoding.
+func artifactBytes(t *testing.T, env *Env, spec Spec) []byte {
+	t.Helper()
+	artifact, _, err := BuildArtifact(env, spec, 7, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	var raw bytes.Buffer
+	if err := model.Encode(&raw, artifact); err != nil {
+		t.Fatal(err)
+	}
+	return raw.Bytes()
+}
+
+// TestTrainingIdenticalAcrossCoreCounts pins the determinism contract
+// against the worker count: over 64-row segments the morsel fan-out groups
+// segments differently per core count (segmentCuts), and the partial
+// results must still reduce to byte-identical artifacts for every learner
+// family at GOMAXPROCS 1 and 8.
+func TestTrainingIdenticalAcrossCoreCounts(t *testing.T) {
+	dspec, err := dataset.SpecByName("Movies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := dataset.Generate(dspec, 512, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withSegmentDefaults(t, relational.SegmentOptions{SegmentSize: 64})
+	env, err := NewEnvEngine(ss, 7, EngineSegmented)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, specName := range []string{
+		"DecisionTree(gini)", "NaiveBayes(BFS)", "ANN(MLP)", "SVM(rbf)", "LogisticRegression(L1)",
+	} {
+		spec, err := SpecByName(specName, EffortFast, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GOMAXPROCS(1)
+		one := artifactBytes(t, env, spec)
+		runtime.GOMAXPROCS(8)
+		eight := artifactBytes(t, env, spec)
+		if !bytes.Equal(one, eight) {
+			t.Fatalf("%s: artifacts trained at GOMAXPROCS 1 and 8 differ", specName)
 		}
 	}
 }

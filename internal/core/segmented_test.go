@@ -6,75 +6,42 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ml"
-	"repro/internal/model"
 	"repro/internal/relational"
 	"repro/internal/tree"
 )
 
-// TestSegmentedEngineMatchesColumnar is the acceptance check for the
-// segmented storage engine: the same experiment cells run against
-// EngineSegmented must produce bit-identical accuracies and grid winners to
-// the single-slab columnar engine — segmentation changes morsel boundaries
-// and adds zone maps, never cell values or reduction order.
+// TestSegmentedEngineMatchesColumnar is the acceptance check for segment
+// partitioning: the same experiment cells run against a multi-segment env
+// must produce bit-identical accuracies and grid winners to the default
+// env's single columnar slab — segmentation changes morsel boundaries and
+// adds zone maps, never cell values or reduction order.
 func TestSegmentedEngineMatchesColumnar(t *testing.T) {
-	spec, err := dataset.SpecByName("Walmart")
+	ss := walmartStar(t, 256)
+	slab, err := NewEnv(ss, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := dataset.Generate(spec, 256, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := NewEnvEngine(ss, 7, EngineColumnar)
-	if err != nil {
-		t.Fatal(err)
+	if st, ok := slab.Joined.(*relational.SegmentedTable); !ok || st.NumSegments() != 1 {
+		t.Fatalf("default env joined is %T, want a one-segment *relational.SegmentedTable", slab.Joined)
 	}
 	// A small segment size forces multi-segment routing on this tiny env.
-	old := SegmentDefaults
-	SegmentDefaults = relational.SegmentOptions{SegmentSize: 128}
-	defer func() { SegmentDefaults = old }()
+	withSegmentDefaults(t, relational.SegmentOptions{SegmentSize: 128})
 	seg, err := NewEnvEngine(ss, 7, EngineSegmented)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	st, ok := seg.Joined.(*relational.SegmentedTable)
-	if !ok {
-		t.Fatalf("segmented env joined is %T, want *relational.SegmentedTable", seg.Joined)
+	if st, ok := seg.Joined.(*relational.SegmentedTable); !ok || st.NumSegments() < 2 {
+		t.Fatalf("segmented env joined is %T, want a multi-segment *relational.SegmentedTable", seg.Joined)
 	}
-	if st.NumSegments() < 2 {
-		t.Fatalf("only %d segments; the routing paths are untested", st.NumSegments())
-	}
-	for _, mspec := range []Spec{TreeSpec(tree.Gini, EffortFast), NaiveBayesBFSSpec()} {
-		for _, v := range []ml.View{ml.JoinAll, ml.NoJoin} {
-			cres, err := Run(col, v, mspec, 11)
-			if err != nil {
-				t.Fatalf("col %s/%v: %v", mspec.Name, v, err)
-			}
-			sres, err := Run(seg, v, mspec, 11)
-			if err != nil {
-				t.Fatalf("seg %s/%v: %v", mspec.Name, v, err)
-			}
-			if cres.TestAcc != sres.TestAcc || cres.TrainAcc != sres.TrainAcc || cres.ValAcc != sres.ValAcc {
-				t.Fatalf("%s/%v diverged across engines: col (test %v train %v val %v) vs seg (test %v train %v val %v)",
-					mspec.Name, v, cres.TestAcc, cres.TrainAcc, cres.ValAcc,
-					sres.TestAcc, sres.TrainAcc, sres.ValAcc)
-			}
-			for k, pv := range cres.BestPoint {
-				if sres.BestPoint[k] != pv {
-					t.Fatalf("%s/%v picked different grid points: %v vs %v",
-						mspec.Name, v, cres.BestPoint, sres.BestPoint)
-				}
-			}
-		}
-	}
+	requireSameRuns(t, slab, seg, []Spec{TreeSpec(tree.Gini, EffortFast), NaiveBayesBFSSpec()}, ml.JoinAll, ml.NoJoin)
 }
 
 // TestOutOfCoreArtifactsBitIdentical is the out-of-core acceptance pin: a
 // spilled segmented env whose cache budget holds only a few segments must
-// train NB and tree artifacts byte-identical to the fully in-memory columnar
-// engine — paging segments through disk mid-training must be invisible at
-// the artifact boundary.
+// train NB and tree artifacts byte-identical to the in-memory default env
+// — paging segments through disk mid-training must be invisible at the
+// artifact boundary.
 func TestOutOfCoreArtifactsBitIdentical(t *testing.T) {
 	dspec, err := dataset.SpecByName("Movies")
 	if err != nil {
@@ -84,44 +51,28 @@ func TestOutOfCoreArtifactsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := SegmentDefaults
-	SegmentDefaults = relational.SegmentOptions{
+	withSegmentDefaults(t, relational.SegmentOptions{
 		SegmentSize: 256,
 		SpillDir:    t.TempDir(),
 		CacheBytes:  16 << 10,
+	})
+	mem, err := NewEnv(ss, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer func() { SegmentDefaults = old }()
+	spilled, err := NewEnvEngine(ss, 7, EngineSegmented)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := spilled.Joined.(*relational.SegmentedTable); !ok || !st.Spilled() {
+		t.Fatalf("joined is %T, want a spilled *relational.SegmentedTable", spilled.Joined)
+	}
 	for _, mspec := range []Spec{TreeSpec(tree.Gini, EffortFast), NaiveBayesBFSSpec()} {
-		var encoded [][]byte
-		for _, engine := range []Engine{EngineColumnar, EngineSegmented} {
-			env, err := NewEnvEngine(ss, 7, engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if engine == EngineSegmented {
-				st, ok := env.Joined.(*relational.SegmentedTable)
-				if !ok {
-					t.Fatalf("joined is %T, want *relational.SegmentedTable", env.Joined)
-				}
-				if !st.Spilled() {
-					t.Fatal("segmented env did not spill; out-of-core path untested")
-				}
-			}
-			artifact, _, err := BuildArtifact(env, mspec, 7, nil)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", mspec.Name, engine, err)
-			}
-			var raw bytes.Buffer
-			if err := model.Encode(&raw, artifact); err != nil {
-				t.Fatal(err)
-			}
-			encoded = append(encoded, raw.Bytes())
-			if err := env.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !bytes.Equal(encoded[0], encoded[1]) {
+		if !bytes.Equal(artifactBytes(t, mem, mspec), artifactBytes(t, spilled, mspec)) {
 			t.Fatalf("%s: in-memory and out-of-core artifacts differ", mspec.Name)
 		}
+	}
+	if err := spilled.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -108,7 +108,7 @@ func VerifyDatasets() []string { return []string{"Flights", "Yelp", "Expedia"} }
 
 // VerifyEngines is the standard engine axis: every storage engine feeds the
 // same training kernels, so the gate exercises each scan path.
-func VerifyEngines() []Engine { return []Engine{EngineRow, EngineColumnar, EngineSegmented} }
+func VerifyEngines() []Engine { return []Engine{EngineRow, EngineSegmented} }
 
 // VerifyCell is one (kernel, dataset, engine) accuracy-gate measurement.
 type VerifyCell struct {

@@ -17,7 +17,7 @@ func (c fixedClass) Predict([]relational.Value) int8 { return int8(c) }
 
 // TestAccuracyGateApproxKernels runs the full accuracy-level verification
 // matrix — every registered approximate kernel against its bit-exact
-// reference on Flights/Yelp/Expedia under all three storage engines — and
+// reference on Flights/Yelp/Expedia under both storage engines — and
 // requires every cell inside tolerance. This is the test-suite face of the
 // same harness `hamlet -verify accuracy` and the CI accuracy-gate job run.
 func TestAccuracyGateApproxKernels(t *testing.T) {
@@ -66,7 +66,7 @@ func TestVerifyAccuracyReportsViolations(t *testing.T) {
 	cells, err := VerifyAccuracy(VerifyOptions{
 		Scale:    1024,
 		Datasets: []string{"Flights"},
-		Engines:  []Engine{EngineColumnar},
+		Engines:  []Engine{EngineSegmented},
 		Kernels:  []ApproxKernel{k},
 	})
 	if err == nil {

@@ -35,7 +35,7 @@ type Options struct {
 	// Seed fixes all randomness.
 	Seed uint64
 	// Engine selects the physical storage the experiment Envs read through
-	// (core.EngineColumnar, the default since every learner trains
+	// (core.EngineSegmented, the default since every learner trains
 	// column-at-a-time, or core.EngineRow for the zero-copy join view).
 	// Results are engine-independent; runtime and memory layout are not.
 	Engine core.Engine

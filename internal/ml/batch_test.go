@@ -33,7 +33,10 @@ func batchBackings(t *testing.T) map[string]*Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := relational.MaterializeColumnar(jv, "ct")
+	ct, err := relational.MaterializeSegmented(jv, "ct", relational.SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	overColumnar, err := FromRelation(ct, cols, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 )
 
 // randomWideTable builds a table whose column domains force all three
-// storage widths (u8, u16, u32) in the columnar engine.
+// storage widths (u8, u16, u32) in the segmented engine's columns.
 func randomWideTable(t testing.TB, n int, seed uint64) *Table {
 	t.Helper()
 	r := rng.New(seed)
@@ -103,24 +103,24 @@ func requireSameRelation(t *testing.T, want, got Relation) {
 	}
 }
 
-// TestColumnarTableMatchesTable is the storage-engine equivalence property:
-// a ColumnarTable filled with the same rows as a row-major Table is
-// bit-identical under every read API, across all three column widths.
+// TestColumnarTableMatchesTable is the one-slab equivalence property: a
+// default-size SegmentedTable filled with the same rows as a row-major
+// Table holds them in a single columnar segment and is bit-identical under
+// every read API, across all three column widths.
 func TestColumnarTableMatchesTable(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 99} {
 		tab := randomWideTable(t, 257, seed)
-		ct := NewColumnarTable("wide_col", tab.Schema(), 0)
-		row := make([]Value, tab.Schema().Width())
-		for i := 0; i < tab.NumRows(); i++ {
-			tab.CopyRow(row, i)
-			if err := ct.AppendRow(row); err != nil {
-				t.Fatal(err)
-			}
+		st := segmentedFromTable(t, tab, SegmentOptions{})
+		requireSameRelation(t, tab, st)
+		if got := st.NumSegments(); got != 1 {
+			t.Fatalf("default-size table of 257 rows has %d segments, want 1", got)
 		}
-		requireSameRelation(t, tab, ct)
 	}
 }
 
+// TestColumnarAppendRowsMatchesAppendRow checks the bulk path of both
+// layouts — the row-major Table and a one-slab SegmentedTable — against the
+// row-at-a-time source.
 func TestColumnarAppendRowsMatchesAppendRow(t *testing.T) {
 	tab := randomWideTable(t, 100, 3)
 	w := tab.Schema().Width()
@@ -129,11 +129,15 @@ func TestColumnarAppendRowsMatchesAppendRow(t *testing.T) {
 	for i := 0; i < tab.NumRows(); i++ {
 		block = append(block, tab.CopyRow(row, i)...)
 	}
-	ct := NewColumnarTable("bulk", tab.Schema(), tab.NumRows())
-	if err := ct.AppendRows(block); err != nil {
+	st, err := NewSegmentedTable("bulk", tab.Schema(), SegmentOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameRelation(t, tab, ct)
+	st.Reserve(tab.NumRows())
+	if err := st.AppendRows(block); err != nil {
+		t.Fatal(err)
+	}
+	requireSameRelation(t, tab, st)
 
 	rt := NewTable("bulk_row", tab.Schema(), tab.NumRows())
 	if err := rt.AppendRows(block); err != nil {
@@ -142,6 +146,9 @@ func TestColumnarAppendRowsMatchesAppendRow(t *testing.T) {
 	requireSameRelation(t, tab, rt)
 }
 
+// TestAppendRowsRejectsBadInput pins the bulk-validation contract of both
+// layouts: a bad block errors and appends nothing, on a one-slab and on a
+// multi-segment SegmentedTable alike.
 func TestAppendRowsRejectsBadInput(t *testing.T) {
 	schema := MustSchema(
 		Column{Name: "Y", Kind: KindTarget, Domain: NewDomain("Y", 2)},
@@ -163,12 +170,17 @@ func TestAppendRowsRejectsBadInput(t *testing.T) {
 		if rt.NumRows() != 0 {
 			t.Fatalf("%s: failed append must not add rows", tt.name)
 		}
-		ct := NewColumnarTable("t", schema, 1)
-		if err := ct.AppendRows(tt.block); err == nil || !strings.Contains(err.Error(), tt.want) {
-			t.Fatalf("%s: ColumnarTable.AppendRows err = %v, want %q", tt.name, err, tt.want)
-		}
-		if ct.NumRows() != 0 {
-			t.Fatalf("%s: failed append must not add rows", tt.name)
+		for _, segSize := range []int{0, 1} {
+			st, err := NewSegmentedTable("t", schema, SegmentOptions{SegmentSize: segSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.AppendRows(tt.block); err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("%s: segsize %d: SegmentedTable.AppendRows err = %v, want %q", tt.name, segSize, err, tt.want)
+			}
+			if st.NumRows() != 0 || st.NumSegments() != 0 {
+				t.Fatalf("%s: segsize %d: failed append must not add rows", tt.name, segSize)
+			}
 		}
 	}
 }
@@ -176,7 +188,7 @@ func TestAppendRowsRejectsBadInput(t *testing.T) {
 // TestViewStackScanColumn pins the tentpole contract: ScanColumn through the
 // whole view stack — JoinView (FK gather), SelectView (row remap),
 // ProjectView (column remap), stacked combinations — agrees with At on the
-// same relation, for both physical engines underneath the split views.
+// same relation, for both physical layouts underneath the split views.
 func TestViewStackScanColumn(t *testing.T) {
 	ss := testStar(t, 300, 17, 29, 11)
 	jv, err := NewJoinView(ss)
@@ -196,7 +208,10 @@ func TestViewStackScanColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := MaterializeColumnar(jv, "cols")
+	cols, err := MaterializeSegmented(jv, "cols", SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	selCol, err := NewSelectView(cols, idx)
 	if err != nil {
 		t.Fatal(err)
@@ -230,9 +245,10 @@ func TestViewStackScanColumn(t *testing.T) {
 	}
 }
 
-// TestMaterializeColumnarMatchesMaterialize checks the two Materialize
-// variants agree on a lazy join, and that the row-at-a-time fallback path
-// (source without ScanColumn) agrees too.
+// TestMaterializeColumnarMatchesMaterialize checks that a default-size
+// MaterializeSegmented of a lazy join — one slab whose open tail holds
+// exactly its rows — agrees with Materialize, on the scanner path and on
+// the row-at-a-time fallback path (source without ScanColumn).
 func TestMaterializeColumnarMatchesMaterialize(t *testing.T) {
 	ss := testStar(t, 200, 13, 7, 21)
 	jv, err := NewJoinView(ss)
@@ -240,12 +256,17 @@ func TestMaterializeColumnarMatchesMaterialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowT := Materialize(jv, "rows")
-	colT := MaterializeColumnar(jv, "cols")
-	requireSameRelation(t, rowT, colT)
-
-	// Strip the scanner interface to force the CopyRow fallback.
-	colT2 := MaterializeColumnar(noScan{jv}, "cols2")
-	requireSameRelation(t, rowT, colT2)
+	for _, src := range []Relation{jv, noScan{jv}} {
+		colT, err := MaterializeSegmented(src, "cols", SegmentOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRelation(t, rowT, colT)
+		if colT.NumSegments() != 1 || tailCap(colT) != rowT.NumRows() {
+			t.Fatalf("%T: %d segments, tail capacity %d rows; want 1 segment of %d",
+				src, colT.NumSegments(), tailCap(colT), rowT.NumRows())
+		}
+	}
 }
 
 // TestMaterializeColumnarEmpty pins the empty-relation edge on both the
@@ -253,11 +274,15 @@ func TestMaterializeColumnarMatchesMaterialize(t *testing.T) {
 func TestMaterializeColumnarEmpty(t *testing.T) {
 	schema := MustSchema(Column{Name: "x", Kind: KindFeature, Domain: NewDomain("x", 4)})
 	empty := NewTable("empty", schema, 0)
-	if got := MaterializeColumnar(empty, "e1").NumRows(); got != 0 {
-		t.Fatalf("scanner path: %d rows, want 0", got)
-	}
-	if got := MaterializeColumnar(noScan{empty}, "e2").NumRows(); got != 0 {
-		t.Fatalf("fallback path: %d rows, want 0", got)
+	for _, src := range []Relation{empty, noScan{empty}} {
+		st, err := MaterializeSegmented(src, "e", SegmentOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.NumRows() != 0 || st.NumSegments() != 0 || tailCap(st) != 0 {
+			t.Fatalf("empty materialize of %T: %d rows, %d segments, tail capacity %d",
+				src, st.NumRows(), st.NumSegments(), tailCap(st))
+		}
 	}
 }
 
@@ -299,58 +324,15 @@ func TestSelectViewScanFallback(t *testing.T) {
 	requireSameRelation(t, pFast, pSlow)
 }
 
-// FuzzColumnarEquivalence feeds arbitrary row bytes into both storage
-// engines and requires every accepted row set to read back identically.
+// FuzzColumnarEquivalence feeds arbitrary row bytes into the row-major
+// Table and a one-slab SegmentedTable and requires every accepted row set
+// to read back identically (FuzzSegmentedEquivalence adds the segment size
+// as a fuzzed input).
 func FuzzColumnarEquivalence(f *testing.F) {
-	schema := MustSchema(
-		Column{Name: "Y", Kind: KindTarget, Domain: NewDomain("Y", 2)},
-		Column{Name: "a", Kind: KindFeature, Domain: NewDomain("a", 300)},
-		Column{Name: "b", Kind: KindFeature, Domain: NewDomain("b", 5)},
-	)
 	f.Add([]byte{0, 1, 2, 1, 0, 4})
 	f.Add([]byte{1, 255, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		w := schema.Width()
-		n := len(raw) / w
-		rt := NewTable("rt", schema, n)
-		ct := NewColumnarTable("ct", schema, n)
-		row := make([]Value, w)
-		for i := 0; i < n; i++ {
-			for j := 0; j < w; j++ {
-				row[j] = Value(raw[i*w+j])
-			}
-			errR := rt.AppendRow(row)
-			errC := ct.AppendRow(row)
-			if (errR == nil) != (errC == nil) {
-				t.Fatalf("engines disagree on row %v: row-major err %v, columnar err %v", row, errR, errC)
-			}
-		}
-		if rt.NumRows() != ct.NumRows() {
-			t.Fatalf("row counts diverged: %d vs %d", rt.NumRows(), ct.NumRows())
-		}
-		for i := 0; i < rt.NumRows(); i++ {
-			for j := 0; j < w; j++ {
-				if rt.At(i, j) != ct.At(i, j) {
-					t.Fatalf("At(%d,%d) diverged", i, j)
-				}
-			}
-		}
-		bufR := make([]Value, 3)
-		bufC := make([]Value, 3)
-		for j := 0; j < w; j++ {
-			for from := 0; from <= rt.NumRows(); from += 2 {
-				mR := rt.ScanColumn(j, from, bufR)
-				mC := ct.ScanColumn(j, from, bufC)
-				if mR != mC {
-					t.Fatalf("scan lengths diverged at (%d,%d): %d vs %d", j, from, mR, mC)
-				}
-				for k := 0; k < mR; k++ {
-					if bufR[k] != bufC[k] {
-						t.Fatalf("scan values diverged at (%d,%d)[%d]", j, from, k)
-					}
-				}
-			}
-		}
+		requireEquivalentAppends(t, 0, raw)
 	})
 }

@@ -8,7 +8,7 @@ import "repro/internal/obs"
 //   - segment cache: per-process totals of the out-of-core tier's LRU cache.
 //     Only the pager path records here — an in-memory SegmentedTable has no
 //     cache to hit or miss, so the non-spilled acquire fast path stays
-//     untouched (the SegParScan/NBFitSegmented parity benches prove no tax).
+//     untouched (the SegParScan parity bench proves no tax).
 //   - zone maps: segments skipped vs scanned by zone-map-pruned equality
 //     scans. Recorded in two batched adds per SelectEq, not per segment.
 //

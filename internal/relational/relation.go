@@ -128,8 +128,6 @@ func (v *SelectView) GatherColumn(dst []Value, col int, rows []int) {
 	switch s := v.src.(type) {
 	case *Table:
 		s.GatherColumnVia(dst, col, v.idx, rows)
-	case *ColumnarTable:
-		s.GatherColumnVia(dst, col, v.idx, rows)
 	case *SegmentedTable:
 		s.GatherColumnVia(dst, col, v.idx, rows)
 	case *JoinView:

@@ -35,9 +35,9 @@ type SegmentOptions struct {
 	FS fault.FS
 }
 
-// segment is one immutable columnar chunk of a SegmentedTable: the same
-// width-narrowed colData vectors as a ColumnarTable, capped at the table's
-// segment size. Sealed segments are never written again, which is what makes
+// segment is one immutable columnar chunk of a SegmentedTable: one
+// width-narrowed colData vector per column, capped at the table's segment
+// size. Sealed segments are never written again, which is what makes
 // eviction and concurrent reads safe without per-cell locks.
 type segment struct {
 	n    int
@@ -69,10 +69,12 @@ type segEntry struct {
 	lastUse atomic.Int64
 }
 
-// SegmentedTable is the third physical relation: a ColumnarTable partitioned
-// into fixed-size immutable columnar segments. It serves the same
+// SegmentedTable is the columnar physical relation, next to the row-major
+// *Table: struct-of-arrays storage, one width-narrowed vector per column,
+// partitioned into fixed-size immutable segments. It serves the same
 // Relation/ColumnScanner/ColumnGatherer surface with bit-identical cell
-// values, and adds three capabilities the monolithic slab cannot offer:
+// values. A table that fits in one segment is a single contiguous slab per
+// column; larger tables add three capabilities:
 //
 //   - per-segment ZoneMaps, so selective scans and split searches can prove
 //     segments (or whole columns) irrelevant and skip them;
@@ -116,8 +118,19 @@ type SegmentedTable struct {
 // NewSegmentedTable creates an empty segmented table. An error is returned
 // only when the spill heap file cannot be created.
 func NewSegmentedTable(name string, schema *Schema, opts SegmentOptions) (*SegmentedTable, error) {
+	return newSegmentedTable(name, schema, opts, -1)
+}
+
+// newSegmentedTable is NewSegmentedTable for a table that will hold rows
+// rows (negative when unknown): the open tail is sized to min(segment, rows)
+// instead of a full segment.
+func newSegmentedTable(name string, schema *Schema, opts SegmentOptions, rows int) (*SegmentedTable, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
+	}
+	tailCap := opts.SegmentSize
+	if rows >= 0 && rows < tailCap {
+		tailCap = rows
 	}
 	t := &SegmentedTable{
 		Name:       name,
@@ -146,15 +159,15 @@ func NewSegmentedTable(name string, schema *Schema, opts SegmentOptions) (*Segme
 		}
 		t.pager = p
 	}
-	t.tail = t.newSegment()
+	t.tail = t.newSegment(tailCap)
 	return t, nil
 }
 
-// newSegment allocates an empty open segment with full-segment capacity.
-func (t *SegmentedTable) newSegment() *segment {
+// newSegment allocates an empty open segment with capacity for capRows rows.
+func (t *SegmentedTable) newSegment(capRows int) *segment {
 	s := &segment{cols: make([]colData, t.schema.Width())}
 	for j := range s.cols {
-		s.cols[j] = newColData(t.schema.Cols[j].Domain.Size, t.segSize)
+		s.cols[j] = newColData(t.schema.Cols[j].Domain.Size, capRows)
 	}
 	return s
 }
@@ -248,8 +261,9 @@ func (t *SegmentedTable) ResidentBytes() int64 {
 }
 
 // seal freezes the full tail: zone maps are computed, the segment is
-// (optionally) written to the heap file, and a fresh tail is opened.
-func (t *SegmentedTable) seal() error {
+// (optionally) written to the heap file, and a fresh tail with capacity for
+// nextCap rows is opened.
+func (t *SegmentedTable) seal(nextCap int) error {
 	s := t.tail
 	e := &segEntry{
 		zmaps: make([]ZoneMap, len(s.cols)),
@@ -276,7 +290,7 @@ func (t *SegmentedTable) seal() error {
 	} else {
 		t.entries = append(t.entries, e)
 	}
-	t.tail = t.newSegment()
+	t.tail = t.newSegment(nextCap)
 	return nil
 }
 
@@ -388,6 +402,12 @@ func (t *SegmentedTable) release(si int) {
 // one segment; batch readers should prefer ScanColumn / GatherColumn, which
 // pin once per segment run.
 func (t *SegmentedTable) At(row, col int) Value {
+	if len(t.entries) == 0 {
+		// Whole table still in the open tail (never evictable): a direct
+		// read of the single slab, as in GatherColumn. Split views and
+		// per-example scoring read cells one at a time through here.
+		return t.tail.cols[col].at(row)
+	}
 	si, off := t.locate(row)
 	s := t.acquire(si)
 	v := s.cols[col].at(off)
@@ -436,7 +456,7 @@ func (t *SegmentedTable) GatherColumn(dst []Value, col int, rows []int) {
 	dst = dst[:len(rows)]
 	if len(t.entries) == 0 {
 		// Whole table still in the open tail (never evictable): the
-		// width-specialized single-slab gather, same speed as ColumnarTable.
+		// width-specialized single-slab gather.
 		t.tail.cols[col].gather(dst, rows)
 		return
 	}
@@ -524,7 +544,7 @@ func (t *SegmentedTable) AppendRow(row []Value) error {
 	t.tail.n++
 	t.n++
 	if t.tail.n == t.segSize {
-		return t.seal()
+		return t.seal(t.segSize)
 	}
 	return nil
 }
@@ -572,7 +592,7 @@ func (t *SegmentedTable) AppendRows(block []Value) error {
 		t.n += take
 		done += take
 		if t.tail.n == t.segSize {
-			if err := t.seal(); err != nil {
+			if err := t.seal(t.segSize); err != nil {
 				return err
 			}
 		}
@@ -588,58 +608,72 @@ func (t *SegmentedTable) MustAppendRows(block []Value) {
 }
 
 // MaterializeSegmented evaluates any relation into a SegmentedTable — the
-// segmented sibling of MaterializeColumnar, and the path core.NewEnvSegmented
-// uses to turn the factorized join into sealed, skippable, spillable
-// segments. ColumnScanner sources are drained one segment chunk at a time
+// columnar sibling of Materialize, and the path every core env but the
+// row engine uses to turn the factorized join into sealed, skippable,
+// spillable segments. Like Materialize the result is an independent
+// snapshot. ColumnScanner sources are drained one segment chunk at a time
 // (each chunk reads every column sequentially, then seals), so ingestion's
 // resident working set is one open segment regardless of table size; other
-// sources fall back to row-at-a-time appends. Like MaterializeColumnar,
-// source cell values outside their column's domain indicate a corrupted
-// relation and panic.
+// sources fall back to row-at-a-time appends. Each open tail is sized to
+// the rows it will hold, so a table smaller than one segment is exactly one
+// slab per column.
+//
+// A source cell outside its column's domain indicates a corrupted relation
+// and is returned as an error; on every error path the partly-written heap
+// file is closed and removed.
 func MaterializeSegmented(r Relation, name string, opts SegmentOptions) (*SegmentedTable, error) {
-	out, err := NewSegmentedTable(name, r.Schema(), opts)
+	out, err := newSegmentedTable(name, r.Schema(), opts, r.NumRows())
 	if err != nil {
 		return nil, err
 	}
-	// A panic while draining the source (domain violation, or corruption
-	// faulted in from the source relation) must not strand the heap file.
+	// A panic while draining the source (corruption faulted in from a
+	// spilled source relation) must not strand the heap file.
 	defer func() {
 		if r := recover(); r != nil {
 			out.Close()
 			panic(r)
 		}
 	}()
+	if err := out.drain(r); err != nil {
+		out.Close() // remove the partly-written heap file
+		return nil, err
+	}
+	return out, nil
+}
+
+// drain appends every row of r to the empty table t; on the batched path
+// each new tail is sized to the rows still to come.
+func (t *SegmentedTable) drain(r Relation) error {
 	schema := r.Schema()
 	w := schema.Width()
 	n := r.NumRows()
 	if w == 0 || n == 0 {
-		return out, nil
+		return nil
 	}
 	cs, batched := r.(ColumnScanner)
 	if !batched {
 		row := make([]Value, w)
 		for i := 0; i < n; i++ {
 			r.CopyRow(row, i)
-			if err := out.AppendRow(row); err != nil {
-				out.Close() // remove the partly-written heap file
-				return nil, err
+			if err := t.AppendRow(row); err != nil {
+				return err
 			}
 		}
-		return out, nil
+		return nil
 	}
-	buf := make([]Value, min(n, out.segSize))
-	for base := 0; base < n; base += out.segSize {
-		m := min(out.segSize, n-base)
+	buf := make([]Value, min(n, t.segSize))
+	for base := 0; base < n; base += t.segSize {
+		m := min(t.segSize, n-base)
 		for j := 0; j < w; j++ {
 			size := Value(schema.Cols[j].Domain.Size)
-			c := &out.tail.cols[j]
-			lo, hi := out.colLo[j], out.colHi[j]
+			c := &t.tail.cols[j]
+			lo, hi := t.colLo[j], t.colHi[j]
 			for from := base; from < base+m; {
 				got := cs.ScanColumn(j, from, buf[:base+m-from])
-				for _, v := range buf[:got] {
+				for k, v := range buf[:got] {
 					if v < 0 || v >= size {
-						panic(fmt.Sprintf("relational: materialize segmented %q column %q: value %d outside domain of size %d",
-							name, schema.Cols[j].Name, v, size))
+						return fmt.Errorf("relational: materialize segmented %q column %q row %d: value %d outside domain of size %d",
+							t.Name, schema.Cols[j].Name, from+k, v, size)
 					}
 					c.append(v)
 					if v < lo {
@@ -651,16 +685,15 @@ func MaterializeSegmented(r Relation, name string, opts SegmentOptions) (*Segmen
 				}
 				from += got
 			}
-			out.colLo[j], out.colHi[j] = lo, hi
+			t.colLo[j], t.colHi[j] = lo, hi
 		}
-		out.tail.n = m
-		out.n += m
-		if m == out.segSize {
-			if err := out.seal(); err != nil {
-				out.Close() // remove the partly-written heap file
-				return nil, err
+		t.tail.n = m
+		t.n += m
+		if m == t.segSize {
+			if err := t.seal(min(t.segSize, n-t.n)); err != nil {
+				return err
 			}
 		}
 	}
-	return out, nil
+	return nil
 }

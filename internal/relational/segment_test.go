@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/rng"
 )
 
@@ -66,7 +67,8 @@ func TestSegmentedSpilledMatchesTable(t *testing.T) {
 }
 
 // TestSegmentedAppendRowsMatchesAppendRow checks the bulk path seals the
-// same segments as row-at-a-time appends, including the validation contract.
+// same segments as row-at-a-time appends (TestAppendRowsRejectsBadInput
+// covers its validation contract).
 func TestSegmentedAppendRowsMatchesAppendRow(t *testing.T) {
 	const segSize = 32
 	tab := randomWideTable(t, 3*segSize+5, 3)
@@ -85,31 +87,6 @@ func TestSegmentedAppendRowsMatchesAppendRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRelation(t, tab, st)
-
-	schema := MustSchema(
-		Column{Name: "Y", Kind: KindTarget, Domain: NewDomain("Y", 2)},
-		Column{Name: "x", Kind: KindFeature, Domain: NewDomain("x", 4)},
-	)
-	for _, tt := range []struct {
-		name  string
-		block []Value
-		want  string
-	}{
-		{"ragged", []Value{0, 1, 0}, "multiple of width"},
-		{"negative", []Value{0, -1}, "outside domain"},
-		{"toobig", []Value{0, 1, 1, 4}, "outside domain"},
-	} {
-		bad, err := NewSegmentedTable("t", schema, SegmentOptions{SegmentSize: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bad.AppendRows(tt.block); err == nil || !strings.Contains(err.Error(), tt.want) {
-			t.Fatalf("%s: AppendRows err = %v, want %q", tt.name, err, tt.want)
-		}
-		if bad.NumRows() != 0 {
-			t.Fatalf("%s: failed append must not add rows", tt.name)
-		}
-	}
 }
 
 // TestSegmentedZoneMaps pins the zone-map semantics: exact min/max per
@@ -192,8 +169,17 @@ func TestSelectEqZoneSkipMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestMaterializeSegmented checks the chunked scanner drain, the CopyRow
-// fallback, and the empty edge against Materialize.
+// tailCap returns the row capacity of the open tail's first column.
+func tailCap(st *SegmentedTable) int {
+	c := &st.tail.cols[0]
+	return max(cap(c.u8), cap(c.u16), cap(c.u32))
+}
+
+// TestMaterializeSegmented checks the chunked scanner drain and the CopyRow
+// fallback against Materialize across several segments, and that the open
+// tail is sized to the rows it holds rather than to a full segment
+// (TestMaterializeColumnarMatchesMaterialize and TestMaterializeColumnarEmpty
+// cover the one-slab and empty cases).
 func TestMaterializeSegmented(t *testing.T) {
 	ss := testStar(t, 200, 13, 7, 21)
 	jv, err := NewJoinView(ss)
@@ -201,25 +187,80 @@ func TestMaterializeSegmented(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowT := Materialize(jv, "rows")
-	segT, err := MaterializeSegmented(jv, "segs", SegmentOptions{SegmentSize: 37})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		segSize, wantTail int
+	}{
+		{37, 200 - 5*37}, // five sealed segments and a partial tail
+		{40, 0},          // exact fill: the tail after the last seal is empty
+	} {
+		opts := SegmentOptions{SegmentSize: tc.segSize}
+		segT, err := MaterializeSegmented(jv, "segs", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRelation(t, rowT, segT)
+		if got := tailCap(segT); got != tc.wantTail {
+			t.Fatalf("segsize %d: tail capacity %d rows, want %d", tc.segSize, got, tc.wantTail)
+		}
+		// Strip the scanner interface to force the CopyRow fallback.
+		seg2, err := MaterializeSegmented(noScan{jv}, "segs2", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRelation(t, rowT, seg2)
 	}
-	requireSameRelation(t, rowT, segT)
+}
 
-	seg2, err := MaterializeSegmented(noScan{jv}, "segs2", SegmentOptions{SegmentSize: 37})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRelation(t, rowT, seg2)
+// badCell wraps a relation and reports one cell outside its column's
+// domain, through ScanColumn and At alike — a corrupted source.
+type badCell struct {
+	Relation
+	row, col int
+}
 
-	schema := MustSchema(Column{Name: "x", Kind: KindFeature, Domain: NewDomain("x", 4)})
-	empty, err := MaterializeSegmented(NewTable("empty", schema, 0), "e", SegmentOptions{})
-	if err != nil {
-		t.Fatal(err)
+func (b badCell) At(i, j int) Value {
+	if i == b.row && j == b.col {
+		return Value(b.Schema().Cols[j].Domain.Size)
 	}
-	if empty.NumRows() != 0 || empty.NumSegments() != 0 {
-		t.Fatalf("empty materialize: %d rows, %d segments", empty.NumRows(), empty.NumSegments())
+	return b.Relation.At(i, j)
+}
+
+func (b badCell) CopyRow(dst []Value, i int) []Value {
+	dst = b.Relation.CopyRow(dst, i)
+	if i == b.row {
+		dst[b.col] = b.At(i, b.col)
+	}
+	return dst
+}
+
+func (b badCell) ScanColumn(col, from int, dst []Value) int {
+	m := b.Relation.(ColumnScanner).ScanColumn(col, from, dst)
+	if col == b.col && b.row >= from && b.row < from+m {
+		dst[b.row-from] = b.At(b.row, col)
+	}
+	return m
+}
+
+// TestMaterializeSegmentedDomainError checks that a source cell outside its
+// domain is a returned error, not a panic, on the scanner and the CopyRow
+// paths, and that the heap file of the segments already spilled is removed:
+// the spill directory fscks clean and holds no heap file.
+func TestMaterializeSegmentedDomainError(t *testing.T) {
+	tab := randomWideTable(t, 100, 5)
+	bad := badCell{Relation: tab, row: 70, col: 2}
+	for name, src := range map[string]Relation{"scan": bad, "copyrow": noScan{bad}} {
+		dir := t.TempDir()
+		st, err := MaterializeSegmented(src, "bad", SegmentOptions{SegmentSize: 16, SpillDir: dir})
+		if err == nil || st != nil || !strings.Contains(err.Error(), "outside domain") {
+			t.Fatalf("%s: MaterializeSegmented = %v, %v; want an out-of-domain error", name, st, err)
+		}
+		rep, err := FsckDir(fault.OS, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() || rep.Files != 0 {
+			t.Fatalf("%s: spill dir after the failed materialize: %d heap files, issues %v", name, rep.Files, rep.Issues)
+		}
 	}
 }
 
@@ -391,16 +432,9 @@ func TestSegmentCodecRejectsCorruption(t *testing.T) {
 
 // FuzzSegmentedEquivalence feeds arbitrary row bytes and an arbitrary
 // segment size into the segmented engine and requires every accepted row
-// set to read back identically to the monolithic ColumnarTable — the seeds
-// pin the boundary cases (empty, single row, segsize±1, exact fill,
-// multi-segment).
+// set to read back identically to the row-major Table — the seeds pin the
+// boundary cases (empty, single row, segsize±1, exact fill, multi-segment).
 func FuzzSegmentedEquivalence(f *testing.F) {
-	schema := MustSchema(
-		Column{Name: "Y", Kind: KindTarget, Domain: NewDomain("Y", 2)},
-		Column{Name: "a", Kind: KindFeature, Domain: NewDomain("a", 300)},
-		Column{Name: "b", Kind: KindFeature, Domain: NewDomain("b", 5)},
-	)
-	w := schema.Width()
 	rowsOf := func(rows ...[]byte) []byte {
 		var out []byte
 		for _, r := range rows {
@@ -418,62 +452,78 @@ func FuzzSegmentedEquivalence(f *testing.F) {
 	f.Add(uint8(1), rowsOf(valid, valid, valid))                      // row-per-segment
 	f.Add(uint8(0), rowsOf(valid, valid))                             // default size
 	f.Fuzz(func(t *testing.T, segSize uint8, raw []byte) {
-		n := len(raw) / w
-		ct := NewColumnarTable("ct", schema, n)
-		st, err := NewSegmentedTable("st", schema, SegmentOptions{SegmentSize: int(segSize)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		row := make([]Value, w)
-		for i := 0; i < n; i++ {
-			for j := 0; j < w; j++ {
-				row[j] = Value(raw[i*w+j])
-			}
-			errC := ct.AppendRow(row)
-			errS := st.AppendRow(row)
-			if (errC == nil) != (errS == nil) {
-				t.Fatalf("engines disagree on row %v: columnar err %v, segmented err %v", row, errC, errS)
-			}
-		}
-		if ct.NumRows() != st.NumRows() {
-			t.Fatalf("row counts diverged: %d vs %d", ct.NumRows(), st.NumRows())
-		}
-		for i := 0; i < ct.NumRows(); i++ {
-			for j := 0; j < w; j++ {
-				if ct.At(i, j) != st.At(i, j) {
-					t.Fatalf("At(%d,%d) diverged", i, j)
-				}
-			}
-		}
-		bufC := make([]Value, 3)
-		bufS := make([]Value, 3)
-		for j := 0; j < w; j++ {
-			for from := 0; from <= ct.NumRows(); from += 2 {
-				mC := ct.ScanColumn(j, from, bufC)
-				mS := st.ScanColumn(j, from, bufS)
-				if mC != mS {
-					t.Fatalf("scan lengths diverged at (%d,%d): %d vs %d", j, from, mC, mS)
-				}
-				for k := 0; k < mC; k++ {
-					if bufC[k] != bufS[k] {
-						t.Fatalf("scan values diverged at (%d,%d)[%d]", j, from, k)
-					}
-				}
-			}
-			// Sealed zone maps must be consistent with the data they cover.
-			for s := 0; s < st.NumSegments(); s++ {
-				z, ok := st.SegmentZone(s, j)
-				if !ok {
-					continue
-				}
-				lo, hi := st.SegmentRows(s)
-				for i := lo; i < hi; i++ {
-					v := st.At(i, j)
-					if !z.MayContain(v) {
-						t.Fatalf("zone map %+v of segment %d column %d excludes present value %d", z, s, j, v)
-					}
-				}
-			}
-		}
+		requireEquivalentAppends(t, int(segSize), raw)
 	})
+}
+
+// fuzzSchema is the three-column schema of the equivalence fuzzers: one
+// u16-width column between two u8-width ones.
+var fuzzSchema = MustSchema(
+	Column{Name: "Y", Kind: KindTarget, Domain: NewDomain("Y", 2)},
+	Column{Name: "a", Kind: KindFeature, Domain: NewDomain("a", 300)},
+	Column{Name: "b", Kind: KindFeature, Domain: NewDomain("b", 5)},
+)
+
+// requireEquivalentAppends appends the rows encoded in raw (one byte per
+// cell of fuzzSchema) to a row-major Table and to a SegmentedTable of the
+// given segment size, and requires both to accept the same rows and read
+// them back identically; sealed zone maps must cover the values they
+// summarize.
+func requireEquivalentAppends(t *testing.T, segSize int, raw []byte) {
+	w := fuzzSchema.Width()
+	n := len(raw) / w
+	rt := NewTable("rt", fuzzSchema, n)
+	st, err := NewSegmentedTable("st", fuzzSchema, SegmentOptions{SegmentSize: segSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]Value, w)
+	for i := 0; i < n; i++ {
+		for j := 0; j < w; j++ {
+			row[j] = Value(raw[i*w+j])
+		}
+		errR := rt.AppendRow(row)
+		errS := st.AppendRow(row)
+		if (errR == nil) != (errS == nil) {
+			t.Fatalf("engines disagree on row %v: row-major err %v, segmented err %v", row, errR, errS)
+		}
+	}
+	if rt.NumRows() != st.NumRows() {
+		t.Fatalf("row counts diverged: %d vs %d", rt.NumRows(), st.NumRows())
+	}
+	for i := 0; i < rt.NumRows(); i++ {
+		for j := 0; j < w; j++ {
+			if rt.At(i, j) != st.At(i, j) {
+				t.Fatalf("At(%d,%d) diverged", i, j)
+			}
+		}
+	}
+	bufR := make([]Value, 3)
+	bufS := make([]Value, 3)
+	for j := 0; j < w; j++ {
+		for from := 0; from <= rt.NumRows(); from += 2 {
+			mR := rt.ScanColumn(j, from, bufR)
+			mS := st.ScanColumn(j, from, bufS)
+			if mR != mS {
+				t.Fatalf("scan lengths diverged at (%d,%d): %d vs %d", j, from, mR, mS)
+			}
+			for k := 0; k < mR; k++ {
+				if bufR[k] != bufS[k] {
+					t.Fatalf("scan values diverged at (%d,%d)[%d]", j, from, k)
+				}
+			}
+		}
+		for s := 0; s < st.NumSegments(); s++ {
+			z, ok := st.SegmentZone(s, j)
+			if !ok {
+				continue
+			}
+			lo, hi := st.SegmentRows(s)
+			for i := lo; i < hi; i++ {
+				if v := st.At(i, j); !z.MayContain(v) {
+					t.Fatalf("zone map %+v of segment %d column %d excludes present value %d", z, s, j, v)
+				}
+			}
+		}
+	}
 }

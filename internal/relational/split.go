@@ -52,15 +52,3 @@ func SplitFractions(r Relation, trainFrac, valFrac float64, rnd *rng.RNG) (Split
 func PaperSplit(r Relation, rnd *rng.RNG) (Split, error) {
 	return SplitFractions(r, 0.50, 0.25, rnd)
 }
-
-// Materialize evaluates all three parts into contiguous tables named
-// "<base>_train" / "<base>_val" / "<base>_test" — the historical eager
-// behaviour, used by the pipeline-equivalence tests and by callers that
-// rescan splits many times.
-func (s Split) Materialize(base string) Split {
-	return Split{
-		Train:      Materialize(s.Train, base+"_train"),
-		Validation: Materialize(s.Validation, base+"_val"),
-		Test:       Materialize(s.Test, base+"_test"),
-	}
-}

@@ -255,14 +255,9 @@ func TestSplitIsLazyAndMaterializes(t *testing.T) {
 	if total != jv.NumRows() {
 		t.Fatalf("split covers %d of %d rows", total, jv.NumRows())
 	}
-	mat := split.Materialize("S")
-	tr, ok := mat.Train.(*Table)
-	if !ok || tr.Name != "S_train" {
-		t.Fatalf("materialized train is %T %q", mat.Train, tr.Name)
+	for _, part := range []Relation{split.Train, split.Validation, split.Test} {
+		sameRelation(t, part, Materialize(part, "S"))
 	}
-	sameRelation(t, split.Train, mat.Train)
-	sameRelation(t, split.Validation, mat.Validation)
-	sameRelation(t, split.Test, mat.Test)
 }
 
 // FuzzJoinViewMatchesMaterialized drives randomized star schemas and checks
