@@ -367,14 +367,14 @@ func BenchmarkJoinMaterialized(b *testing.B) { benchJoinPipeline(b, false) }
 // every access resolves through the FK indirection.
 func BenchmarkJoinView(b *testing.B) { benchJoinPipeline(b, true) }
 
-// --- Columnar-engine benchmarks: row-at-a-time vs batched column training. ---
+// --- Learner benchmarks: one Fit on the segmented engine. ---
 
-// benchTrainSplit prepares the Movies JoinAll training split on the chosen
-// storage engine. Env construction (including, for the segmented engine, the
-// one-time join materialization) is setup, not measurement: the paper's
-// pipelines tune hyper-parameters with grid search, so one prepared split is
-// trained on many times.
-func benchTrainSplit(b *testing.B, engine core.Engine) *ml.Dataset {
+// benchTrainSplit prepares the Movies JoinAll training split on the
+// segmented engine. Env construction (including the one-time join
+// materialization) is setup, not measurement: the paper's pipelines tune
+// hyper-parameters with grid search, so one prepared split is trained on
+// many times.
+func benchTrainSplit(b *testing.B) *ml.Dataset {
 	b.Helper()
 	spec, err := dataset.SpecByName("Movies")
 	if err != nil {
@@ -384,7 +384,7 @@ func benchTrainSplit(b *testing.B, engine core.Engine) *ml.Dataset {
 	if err != nil {
 		b.Fatal(err)
 	}
-	env, err := core.NewEnvEngine(ss, 7, engine)
+	env, err := core.NewEnvEngine(ss, 7, core.EngineSegmented)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -395,45 +395,26 @@ func benchTrainSplit(b *testing.B, engine core.Engine) *ml.Dataset {
 	return train
 }
 
-// benchNBFit measures one Naive Bayes Fit — the paper's cheapest learner,
-// where data access dominates arithmetic — under the row-at-a-time counting
-// loop on the zero-copy row engine vs the batched column path on the
-// segmented engine.
-func benchNBFit(b *testing.B, columnar bool) {
-	engine := core.EngineRow
-	if columnar {
-		engine = core.EngineSegmented
-	}
-	train := benchTrainSplit(b, engine)
-	cfg := nb.Config{RowAtATime: !columnar}
+// BenchmarkNBFitColumnar measures one Naive Bayes Fit — the paper's
+// cheapest learner, where data access dominates arithmetic: a label scan
+// plus per-feature column scans.
+func BenchmarkNBFitColumnar(b *testing.B) {
+	train := benchTrainSplit(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := nb.New(cfg)
+		m := nb.New(nb.Config{})
 		if err := m.Fit(train); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkNBFitRowAtATime is the historical path: example-at-a-time
-// counting through the lazy join view.
-func BenchmarkNBFitRowAtATime(b *testing.B) { benchNBFit(b, false) }
-
-// BenchmarkNBFitColumnar is the batch path: label scan + per-feature
-// column scans over width-narrowed columnar storage.
-func BenchmarkNBFitColumnar(b *testing.B) { benchNBFit(b, true) }
-
-// benchTreeFit measures one decision-tree Fit — dominated by the per-node
-// split search — under the per-cell map-tally search on the row engine vs
-// the morsel-parallel columnar search on the segmented engine.
-func benchTreeFit(b *testing.B, columnar bool) {
-	engine := core.EngineRow
-	if columnar {
-		engine = core.EngineSegmented
-	}
-	train := benchTrainSplit(b, engine)
-	cfg := tree.Config{Criterion: tree.Gini, MinSplit: 10, CP: 1e-3, RowAtATime: !columnar}
+// BenchmarkTreeSplitColumnar measures one decision-tree Fit — dominated by
+// the per-node batched column-scan split search.
+func BenchmarkTreeSplitColumnar(b *testing.B) {
+	train := benchTrainSplit(b)
+	cfg := tree.Config{Criterion: tree.Gini, MinSplit: 10, CP: 1e-3}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -444,28 +425,12 @@ func benchTreeFit(b *testing.B, columnar bool) {
 	}
 }
 
-// BenchmarkTreeSplitRowAtATime is the historical per-cell split search.
-func BenchmarkTreeSplitRowAtATime(b *testing.B) { benchTreeFit(b, false) }
-
-// BenchmarkTreeSplitColumnar is the batched column-scan split search.
-func BenchmarkTreeSplitColumnar(b *testing.B) { benchTreeFit(b, true) }
-
-// --- Iterative-learner benchmarks: row-at-a-time vs columnar epochs. ---
-//
-// The iterative gradient learners re-read every feature every epoch, so the
-// columnar win compounds: one batched column pass per Fit (into the
-// active-index matrix / column block) replaces an n×d row-gather per epoch.
-
-// benchLogRegFit measures one logistic-regression Fit (30 SGD epochs) under
-// the per-example row gathers on the row engine vs the one-pass active-index
-// materialization on the segmented engine.
-func benchLogRegFit(b *testing.B, columnar bool) {
-	engine := core.EngineRow
-	if columnar {
-		engine = core.EngineSegmented
-	}
-	train := benchTrainSplit(b, engine)
-	cfg := linear.LogRegConfig{Lambda: 1e-3, Seed: 7, RowAtATime: !columnar}
+// BenchmarkLogRegFitColumnar measures one logistic-regression Fit (30 SGD
+// epochs): every feature is scanned once into the active-index matrix and
+// the pass is amortized over all epochs.
+func BenchmarkLogRegFitColumnar(b *testing.B) {
+	train := benchTrainSplit(b)
+	cfg := linear.LogRegConfig{Lambda: 1e-3, Seed: 7}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -476,31 +441,17 @@ func benchLogRegFit(b *testing.B, columnar bool) {
 	}
 }
 
-// BenchmarkLogRegFitRowAtATime is the historical epoch loop: one row gather
-// plus Encoder.ActiveIndices per example per epoch through the join view.
-func BenchmarkLogRegFitRowAtATime(b *testing.B) { benchLogRegFit(b, false) }
-
-// BenchmarkLogRegFitColumnar scans every feature once into the active-index
-// matrix and amortizes the pass over all epochs.
-func BenchmarkLogRegFitColumnar(b *testing.B) { benchLogRegFit(b, true) }
-
-// benchSVMFit measures one SMO Fit — row pinning plus the n×n kernel-cache
-// build plus the optimization loop — under per-row materialization and
-// row-pair match counts vs batched column scans and the morsel-parallel
-// columnar cache build.
-func benchSVMFit(b *testing.B, columnar, errorCache bool) {
-	engine := core.EngineRow
-	if columnar {
-		engine = core.EngineSegmented
-	}
-	train := benchTrainSplit(b, engine)
+// benchSVMFit measures one SMO Fit — batched column scans into the pinned
+// row block, the morsel-parallel kernel-cache build, and the optimization
+// loop — with or without the error-cache SMO loop.
+func benchSVMFit(b *testing.B, errorCache bool) {
+	train := benchTrainSplit(b)
 	cfg := svm.Config{
 		Kernel:       svm.RBF,
 		C:            10,
 		Gamma:        0.1,
 		SubsampleCap: envInt("REPRO_SVMCAP", 1024),
 		Seed:         7,
-		RowAtATime:   !columnar,
 		ErrorCache:   errorCache,
 	}
 	b.ReportAllocs()
@@ -516,13 +467,8 @@ func benchSVMFit(b *testing.B, columnar, errorCache bool) {
 	}
 }
 
-// BenchmarkSVMFitRowAtATime is the historical path: MaterializedRows plus a
-// sequential row-pair kernel cache.
-func BenchmarkSVMFitRowAtATime(b *testing.B) { benchSVMFit(b, false, false) }
-
-// BenchmarkSVMFitColumnar pulls each feature in one batched column scan and
-// builds the kernel cache from column-at-a-time match counts in parallel.
-func BenchmarkSVMFitColumnar(b *testing.B) { benchSVMFit(b, true, false) }
+// BenchmarkSVMFitColumnar is the bit-exact SMO loop.
+func BenchmarkSVMFitColumnar(b *testing.B) { benchSVMFit(b, false) }
 
 // BenchmarkSVMFitErrorCache is the approximate-tier sibling of
 // BenchmarkSVMFitColumnar: identical data, engine, and hyper-parameters,
@@ -530,25 +476,19 @@ func BenchmarkSVMFitColumnar(b *testing.B) { benchSVMFit(b, true, false) }
 // by incremental E-vector maintenance and max-violating-pair selection.
 // Accuracy-gated (not bit-identical); benchgate holds it to ≥1.5× over the
 // Columnar default.
-func BenchmarkSVMFitErrorCache(b *testing.B) { benchSVMFit(b, true, true) }
+func BenchmarkSVMFitErrorCache(b *testing.B) { benchSVMFit(b, true) }
 
-// benchANNFit measures one MLP Fit (mini-batch Adam) under per-example row
-// gathers vs the one-pass active-index materialization. Network sizes match
-// the EffortFast grid so the bench isolates data access against a realistic
-// arithmetic load.
-func benchANNFit(b *testing.B, columnar, fusedAdam bool) {
-	engine := core.EngineRow
-	if columnar {
-		engine = core.EngineSegmented
-	}
-	train := benchTrainSplit(b, engine)
+// benchANNFit measures one MLP Fit (mini-batch Adam) fed from the one-pass
+// active-index matrix. Network sizes match the EffortFast grid so the bench
+// measures data access against a realistic arithmetic load.
+func benchANNFit(b *testing.B, fusedAdam bool) {
+	train := benchTrainSplit(b)
 	cfg := ann.Config{
 		Hidden1:      32,
 		Hidden2:      16,
 		LearningRate: 1e-2,
 		Epochs:       10,
 		Seed:         7,
-		RowAtATime:   !columnar,
 		FusedAdam:    fusedAdam,
 	}
 	b.ReportAllocs()
@@ -561,42 +501,30 @@ func benchANNFit(b *testing.B, columnar, fusedAdam bool) {
 	}
 }
 
-// BenchmarkANNFitRowAtATime is the historical epoch loop: one row gather per
-// example per epoch.
-func BenchmarkANNFitRowAtATime(b *testing.B) { benchANNFit(b, false, false) }
-
-// BenchmarkANNFitColumnar feeds the sparse input layer from the one-pass
-// active-index matrix.
-func BenchmarkANNFitColumnar(b *testing.B) { benchANNFit(b, true, false) }
+// BenchmarkANNFitColumnar is the bit-exact sparse-Adam epoch loop.
+func BenchmarkANNFitColumnar(b *testing.B) { benchANNFit(b, false) }
 
 // BenchmarkANNFitFusedAdam is the approximate-tier sibling of
 // BenchmarkANNFitColumnar: identical data, engine, and hyper-parameters,
 // with Config.FusedAdam replacing the sparse per-row Adam chains by one
 // fused mat.AdamStep pass per contiguous slab. Accuracy-gated (not
 // bit-identical); benchgate holds it to ≥1.5× over the Columnar default.
-func BenchmarkANNFitFusedAdam(b *testing.B) { benchANNFit(b, true, true) }
+func BenchmarkANNFitFusedAdam(b *testing.B) { benchANNFit(b, true) }
 
-// benchKernelCache measures one n×n SVM Gram-matrix build at the SVMFit
-// bench scale — the dominant arithmetic of a capped SMO fit — as the per-pair
-// scalar build (one Kernel.Eval call per row pair) vs the blocked compute
-// kernel (mat.MatchCounts X·Xᵀ per i-block + match-count lookup table,
-// i-blocks fanned across ml.ParallelFor). Both builds produce bit-identical
-// caches; only the schedule differs.
-func benchKernelCache(b *testing.B, blocked bool) {
-	train := benchTrainSplit(b, core.EngineSegmented)
+// BenchmarkSVMKernelCacheGemm measures one n×n SVM Gram-matrix build at the
+// SVMFit bench scale — the dominant arithmetic of a capped SMO fit: match
+// counts as a blocked one-hot X·Xᵀ per i-block, kernel values from a
+// (d+1)-entry LUT, i-blocks fanned across ml.ParallelFor.
+func BenchmarkSVMKernelCacheGemm(b *testing.B) {
+	train := benchTrainSplit(b)
 	n := train.NumExamples()
 	if cap := envInt("REPRO_SVMCAP", 1024); n > cap {
 		perm := rng.New(7).Perm(n)
 		train = train.Subset(perm[:cap])
 		n = cap
 	}
-	d := train.NumFeatures()
 	block, _ := ml.ScanRowMajor(train)
-	rows := make([][]relational.Value, n)
-	for i := range rows {
-		rows[i] = block[i*d : (i+1)*d]
-	}
-	k, err := svm.NewKernel(svm.RBF, 0.1, d)
+	k, err := svm.NewKernel(svm.RBF, 0.1, train.NumFeatures())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -604,21 +532,9 @@ func benchKernelCache(b *testing.B, blocked bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if blocked {
-			k.GramBlocked(dst, block, n)
-		} else {
-			k.GramRows(dst, rows)
-		}
+		k.GramBlocked(dst, block, n)
 	}
 }
-
-// BenchmarkSVMKernelCacheScalar is the historical build: one kernel
-// evaluation (function call + match-count loop + exp) per row pair.
-func BenchmarkSVMKernelCacheScalar(b *testing.B) { benchKernelCache(b, false) }
-
-// BenchmarkSVMKernelCacheGemm is the blocked build: match counts as a
-// blocked one-hot X·Xᵀ, kernel values from a (d+1)-entry LUT.
-func BenchmarkSVMKernelCacheGemm(b *testing.B) { benchKernelCache(b, true) }
 
 // benchServeEngine trains Naive Bayes on the Movies JoinAll view, binds a
 // serving engine, and precomputes a request stream from the fact table —
@@ -1005,11 +921,11 @@ func BenchmarkSelectEqSegFullScan(b *testing.B) { benchSelectEqSeg(b, false) }
 // touches only the segments whose [min, max] admits the value.
 func BenchmarkSelectEqSegZoneSkip(b *testing.B) { benchSelectEqSeg(b, true) }
 
-// benchTreeSplitZone measures a tree fit over a segmented dataset padded
-// with constant columns — the shape zone-map feature skipping targets: the
-// skip proves each constant feature irrelevant from its folded [min, max]
-// and never gathers it during split search.
-func benchTreeSplitZone(b *testing.B, skip bool) {
+// BenchmarkTreeSplitZoneSkip measures a tree fit over a segmented dataset
+// padded with constant columns — the shape zone-map feature skipping
+// targets: the split search proves each constant feature irrelevant from
+// its folded [min, max] and never gathers it.
+func BenchmarkTreeSplitZoneSkip(b *testing.B) {
 	const n, nConst = 40000, 6
 	cols := []relational.Column{
 		{Name: "Y", Kind: relational.KindTarget, Domain: relational.NewDomain("Y", 2)},
@@ -1042,7 +958,7 @@ func benchTreeSplitZone(b *testing.B, skip bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := tree.Config{Criterion: tree.Gini, MinSplit: 10, CP: 1e-3, NoZoneSkip: !skip}
+	cfg := tree.Config{Criterion: tree.Gini, MinSplit: 10, CP: 1e-3}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1052,14 +968,6 @@ func benchTreeSplitZone(b *testing.B, skip bool) {
 		}
 	}
 }
-
-// BenchmarkTreeSplitZoneFullSearch tallies every feature at every node,
-// constant columns included.
-func BenchmarkTreeSplitZoneFullSearch(b *testing.B) { benchTreeSplitZone(b, false) }
-
-// BenchmarkTreeSplitZoneSkip prunes provably-constant features from the
-// split search via the dataset's zone-map range.
-func BenchmarkTreeSplitZoneSkip(b *testing.B) { benchTreeSplitZone(b, true) }
 
 // benchSegParScan pins the segment-per-morsel fan-out against the
 // single-slab sequential scan it replaces: both sides fold the same column

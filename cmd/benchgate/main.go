@@ -7,16 +7,14 @@
 //     missing from the current run; or
 //  2. any -pairs group lacks a pair whose fast side is at least -min-speedup
 //     (default 1.5x) faster than its slow side *within the current run* —
-//     the machine-independent check that the batched paths actually pay for
-//     themselves. Groups are ';'-separated lists of pairs; a pair is either
-//     a bare name (Benchmark<name>RowAtATime vs Benchmark<name>Columnar, the
-//     storage-engine convention) or name/slowSuffix/fastSuffix for custom
-//     A/B suffixes (e.g. SVMKernelCache/Scalar/Gemm). A group may override
-//     the required speedup with an @<ratio> suffix (e.g. `A,B@0.95` — used
-//     by the segmented-engine parity group, whose bar is "no tax vs the
-//     slab", not a speedup). Every group must produce at least one winner,
-//     so a logreg-only speedup can no longer carry the gate — the
-//     compute-kernel group requires the win on an ANN or SVM pair.
+//     the machine-independent check that an optional mechanism actually pays
+//     for itself. Groups are ';'-separated lists of pairs; a pair is
+//     name/slowSuffix/fastSuffix, naming Benchmark<name><slowSuffix> and
+//     Benchmark<name><fastSuffix> (e.g. SVMFit/Columnar/ErrorCache). A group
+//     may override the required speedup with an @<ratio> suffix (e.g.
+//     `A/B/C@0.95` — used by the segmented-engine parity group, whose bar is
+//     "no tax vs the slab", not a speedup). Every group must produce at
+//     least one winner, so no group's win can carry another.
 //
 // Medians are taken across repetitions (`-count=N`), mirroring benchstat's
 // robustness to scheduler noise; run benchstat alongside for the
@@ -36,28 +34,25 @@ import (
 	"strings"
 )
 
-// defaultGate covers the storage-engine, compute-kernel, serving, and
-// segmented-engine pairs that guard the repository's headline wins: join
-// pipeline, NB fit, tree split search, the iterative-learner pairs, the
-// factorized serving path, the GEMM-vs-scalar kernel pairs (SVM Gram build,
-// batch serving), the zone-map skip pairs, and the segmented-vs-slab parity
-// pair.
-const defaultGate = `^Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)(RowAtATime|Columnar)|SVMFitErrorCache|ANNFitFusedAdam|Serve(Factorized|Joined)|SVMKernelCache(Scalar|Gemm)|ServeBatch(Scalar|Gemm)|SelectEqSeg(FullScan|ZoneSkip)|TreeSplitZone(FullSearch|Skip)|SegParScan(Slab|Seg)|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$`
+// defaultGate covers the benchmarks that guard the repository's headline
+// wins: join pipeline, the five learner fits and the approximate-tier
+// kernels, the factorized serving path, the SVM Gram build, the
+// GEMM-vs-scalar batch-serving pair, the zone-map skips, the
+// segmented-vs-slab parity pair, and the concurrent serving paths.
+const defaultGate = `^Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|SVMFitErrorCache|ANNFitFusedAdam|Serve(Factorized|Joined)|SVMKernelCacheGemm|ServeBatch(Scalar|Gemm)|SelectEqSeg(FullScan|ZoneSkip)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$`
 
-// defaultPairs is the speedup requirement: the first group keeps the PR 4
-// storage-engine bar (some iterative learner ≥ min-speedup columnar vs row),
-// the second is the compute-kernel bar — the win must land on an ANN or SVM
-// pair (full fit or the Gram-build kernel), not just logreg. The third is
-// the zone-map bar: skipping provably-irrelevant segments or features must
-// beat the full scan. The fourth is the segmented-scan parity bar at
-// @0.95: a segment-per-task scan must not lose to one sequential pass over
-// the single-slab table (within noise on one core; the pair scales with
-// cores). The last two are the approximate-training-tier bars — the
-// error-cache SMO and fused-Adam kernels must each beat their bit-exact
-// Columnar reference; each is its own group so neither win can carry the
-// other (both paths are additionally held to held-out equivalence by the
-// accuracy gate, `hamlet -verify accuracy`).
-const defaultPairs = `LogRegFit,SVMFit,ANNFit;SVMFit,ANNFit,SVMKernelCache/Scalar/Gemm;SelectEqSeg/FullScan/ZoneSkip,TreeSplitZone/FullSearch/Skip;SegParScan/Slab/Seg@0.95;ServeConcurrent/Scalar/Coalesced@2.0;SVMFit/Columnar/ErrorCache;ANNFit/Columnar/FusedAdam`
+// defaultPairs is the speedup requirement. The first group is the zone-map
+// bar: skipping provably-irrelevant segments must beat the full scan. The
+// second is the segmented-scan parity bar at @0.95: a segment-per-task scan
+// must not lose to one sequential pass over the single-slab table (within
+// noise on one core; the pair scales with cores). The third is the
+// request coalescer's bar over uncoalesced concurrent serving. The last two
+// are the approximate-training-tier bars — the error-cache SMO and
+// fused-Adam kernels must each beat their bit-exact Columnar reference;
+// each is its own group so neither win can carry the other (both paths are
+// additionally held to held-out equivalence by the accuracy gate, `hamlet
+// -verify accuracy`).
+const defaultPairs = `SelectEqSeg/FullScan/ZoneSkip;SegParScan/Slab/Seg@0.95;ServeConcurrent/Scalar/Coalesced@2.0;SVMFit/Columnar/ErrorCache;ANNFit/Columnar/FusedAdam`
 
 // defaultZeroAlloc names the benchmarks whose steady state must allocate
 // nothing: the factorized-linear serving path end to end, the coalesced
@@ -81,7 +76,7 @@ func run(args []string, out io.Writer) error {
 	currentPath := fs.String("current", "", "current go-bench output file (required)")
 	gate := fs.String("gate", defaultGate, "regexp of benchmark names the regression check gates")
 	maxRegress := fs.Float64("max-regress", 0.20, "maximum tolerated ns/op regression vs baseline (0.20 = +20%)")
-	pairs := fs.String("pairs", defaultPairs, "';'-separated groups of comma-separated pairs for the speedup check; a pair is <name> (RowAtATime vs Columnar) or <name>/<slow>/<fast> (empty skips)")
+	pairs := fs.String("pairs", defaultPairs, "';'-separated groups of comma-separated pairs for the speedup check; a pair is <name>/<slow>/<fast> (empty skips)")
 	minSpeedup := fs.Float64("min-speedup", 1.5, "required slow/fast speedup on at least one pair per group")
 	zeroAlloc := fs.String("zero-alloc", defaultZeroAlloc, "regexp of current-run benchmarks that must report 0 allocs/op (empty disables)")
 	jsonPath := fs.String("json", "", "write the gated medians (ns/op, allocs/op, sample counts) as JSON to this path")
@@ -267,18 +262,14 @@ func groupBar(group string, def float64) (spec string, bar float64, err error) {
 	return spec, bar, nil
 }
 
-// pairNames resolves one -pairs entry to its slow and fast benchmark names:
-// a bare name uses the RowAtATime/Columnar storage-engine convention, and
-// name/slowSuffix/fastSuffix names the suffixes explicitly.
+// pairNames resolves one -pairs entry, name/slowSuffix/fastSuffix, to its
+// slow and fast benchmark names.
 func pairNames(p string) (slow, fast string, err error) {
-	switch parts := strings.Split(p, "/"); len(parts) {
-	case 1:
-		return "Benchmark" + p + "RowAtATime", "Benchmark" + p + "Columnar", nil
-	case 3:
-		return "Benchmark" + parts[0] + parts[1], "Benchmark" + parts[0] + parts[2], nil
-	default:
-		return "", "", fmt.Errorf("bad pair %q: want <name> or <name>/<slow>/<fast>", p)
+	parts := strings.Split(p, "/")
+	if len(parts) != 3 {
+		return "", "", fmt.Errorf("bad pair %q: want <name>/<slow>/<fast>", p)
 	}
+	return "Benchmark" + parts[0] + parts[1], "Benchmark" + parts[0] + parts[2], nil
 }
 
 // checkPairSpeedup requires at least one pair of the group whose fast side
@@ -306,7 +297,7 @@ func checkPairSpeedup(out io.Writer, current map[string][]float64, pairs []strin
 		fmt.Fprintf(out, "pair %s: fast side %.2fx vs slow\n", p, speedup)
 	}
 	if best < minSpeedup {
-		fmt.Fprintf(out, "FAIL pairs: best columnar speedup %.2fx < required %.2fx in group\n", best, minSpeedup)
+		fmt.Fprintf(out, "FAIL pairs: best speedup %.2fx < required %.2fx in group\n", best, minSpeedup)
 		return false, nil
 	}
 	return true, nil

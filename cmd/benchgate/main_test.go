@@ -10,24 +10,25 @@ import (
 
 const baselineText = `goos: linux
 cpu: whatever
-BenchmarkNBFitRowAtATime-8    	      10	  1000000 ns/op	  100 B/op	 1 allocs/op
-BenchmarkNBFitRowAtATime-8    	      10	  1200000 ns/op	  100 B/op	 1 allocs/op
-BenchmarkNBFitRowAtATime-8    	      10	  1100000 ns/op	  100 B/op	 1 allocs/op
-BenchmarkNBFitColumnar-8      	      10	   300000 ns/op	  100 B/op	 1 allocs/op
+BenchmarkNBFitColumnar-8      	      10	  1000000 ns/op	  100 B/op	 1 allocs/op
+BenchmarkNBFitColumnar-8      	      10	  1200000 ns/op	  100 B/op	 1 allocs/op
+BenchmarkNBFitColumnar-8      	      10	  1100000 ns/op	  100 B/op	 1 allocs/op
+BenchmarkLogRegFitColumnar-8  	      10	   300000 ns/op	  100 B/op	 1 allocs/op
 BenchmarkServeFactorized-8    	     100	      500 ns/op	    0 B/op	 0 allocs/op
 PASS
 `
 
-// segPairLines satisfies the zone-map, segmented-parity, and approximate-tier
-// groups the default gate includes: zone skips clear 1.5x, the parity pair
-// sits at 1.0 (enough for the group's @0.95 bar), and the error-cache SMO /
-// fused-Adam kernels beat their exact columnar siblings at 2.5x.
-const segPairLines = `
+// pairLines satisfies every group of the default pair gate: zone skip at
+// 20x, the parity pair at 1.0 (enough for the group's @0.95 bar), the
+// coalescer at 2.2x, and the error-cache SMO / fused-Adam kernels beating
+// their exact Columnar siblings at 2.5x.
+const pairLines = `
+BenchmarkSVMFitColumnar        	      10	  1000000 ns/op
 BenchmarkSVMFitErrorCache      	      10	   400000 ns/op
+BenchmarkANNFitColumnar        	      10	  1000000 ns/op
 BenchmarkANNFitFusedAdam       	      10	   400000 ns/op
 BenchmarkSelectEqSegFullScan   	      10	  2000000 ns/op
 BenchmarkSelectEqSegZoneSkip   	      10	   100000 ns/op
-BenchmarkTreeSplitZoneFullSearch	      10	  2000000 ns/op
 BenchmarkTreeSplitZoneSkip     	      10	  1200000 ns/op
 BenchmarkSegParScanSlab        	      10	  1000000 ns/op
 BenchmarkSegParScanSeg         	      10	  1000000 ns/op
@@ -50,16 +51,16 @@ func TestParseBenchMediansAndSuffixStripping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := median(allocs["BenchmarkNBFitRowAtATime"]); got != 1 {
+	if got := median(allocs["BenchmarkNBFitColumnar"]); got != 1 {
 		t.Fatalf("allocs median = %v, want 1", got)
 	}
-	if got := median(m["BenchmarkNBFitRowAtATime"]); got != 1100000 {
+	if got := median(m["BenchmarkNBFitColumnar"]); got != 1100000 {
 		t.Fatalf("median = %v, want 1100000", got)
 	}
 	if got := median(m["BenchmarkServeFactorized"]); got != 500 {
 		t.Fatalf("serve median = %v", got)
 	}
-	if _, ok := m["BenchmarkNBFitRowAtATime-8"]; ok {
+	if _, ok := m["BenchmarkNBFitColumnar-8"]; ok {
 		t.Fatal("GOMAXPROCS suffix must be stripped")
 	}
 	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
@@ -70,69 +71,49 @@ func TestParseBenchMediansAndSuffixStripping(t *testing.T) {
 func TestGatePassesWithinTolerance(t *testing.T) {
 	base := writeTemp(t, "base.txt", baselineText)
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkNBFitRowAtATime-4    	      10	  1150000 ns/op
-BenchmarkNBFitColumnar-4      	      10	   310000 ns/op
+BenchmarkNBFitColumnar-4      	      10	  1150000 ns/op
+BenchmarkLogRegFitColumnar-4  	      10	   310000 ns/op
 BenchmarkServeFactorized-4    	     100	      510 ns/op
-BenchmarkLogRegFitRowAtATime-4	      10	  2000000 ns/op
-BenchmarkLogRegFitColumnar-4  	      10	  1000000 ns/op
-BenchmarkSVMFitRowAtATime-4   	      10	  1000000 ns/op
-BenchmarkSVMFitColumnar-4     	      10	  1000000 ns/op
-BenchmarkANNFitRowAtATime-4   	      10	  1000000 ns/op
-BenchmarkANNFitColumnar-4     	      10	  1000000 ns/op
-BenchmarkSVMKernelCacheScalar-4	      10	  2000000 ns/op
-BenchmarkSVMKernelCacheGemm-4 	      10	   800000 ns/op
-`+segPairLines)
+`+pairLines)
 	var sb strings.Builder
 	if err := run([]string{"-baseline", base, "-current", cur}, &sb); err != nil {
 		t.Fatalf("gate failed: %v\n%s", err, sb.String())
 	}
-	if !strings.Contains(sb.String(), "pair LogRegFit: fast side 2.00x") {
-		t.Fatalf("missing pair report:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "pair SVMKernelCache/Scalar/Gemm: fast side 2.50x") {
-		t.Fatalf("missing custom-suffix pair report:\n%s", sb.String())
+	for _, want := range []string{
+		"ok   BenchmarkNBFitColumnar: 1100000 -> 1150000 ns/op",
+		"pair SVMFit/Columnar/ErrorCache: fast side 2.50x",
+		"pair SelectEqSeg/FullScan/ZoneSkip: fast side 20.00x",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("missing %q:\n%s", want, sb.String())
+		}
 	}
 }
 
 func TestPairGroupsEachRequireAWinner(t *testing.T) {
-	// LogReg clears 1.5x but the ANN/SVM compute-kernel group does not —
-	// the gate must fail: a logreg-only speedup can no longer carry it.
-	cur := writeTemp(t, "cur.txt", `
-BenchmarkLogRegFitRowAtATime	      10	  2000000 ns/op
-BenchmarkLogRegFitColumnar  	      10	  1000000 ns/op
-BenchmarkSVMFitRowAtATime   	      10	  1000000 ns/op
-BenchmarkSVMFitColumnar     	      10	  1000000 ns/op
-BenchmarkANNFitRowAtATime   	      10	  1000000 ns/op
-BenchmarkANNFitColumnar     	      10	  1000000 ns/op
-BenchmarkSVMKernelCacheScalar	      10	  1000000 ns/op
-BenchmarkSVMKernelCacheGemm 	      10	   900000 ns/op
-`+segPairLines)
-	var sb strings.Builder
-	err := run([]string{"-current", cur}, &sb)
-	if err == nil || !strings.Contains(sb.String(), "FAIL pairs") {
-		t.Fatalf("compute-kernel group at 1.11x must fail (err %v):\n%s", err, sb.String())
+	// Every other group clears its bar but fused Adam sits at 1.11x — the
+	// gate must fail: another group's win cannot carry it.
+	slowFused := strings.Replace(pairLines, "BenchmarkANNFitFusedAdam       \t      10\t   400000", "BenchmarkANNFitFusedAdam       \t      10\t   900000", 1)
+	if slowFused == pairLines {
+		t.Fatal("fixture edit missed")
 	}
-	// With the SVM Gram build at 2.5x the same run passes: the second group
-	// has its ANN/SVM winner.
-	cur2 := writeTemp(t, "cur2.txt", `
-BenchmarkLogRegFitRowAtATime	      10	  2000000 ns/op
-BenchmarkLogRegFitColumnar  	      10	  1000000 ns/op
-BenchmarkSVMFitRowAtATime   	      10	  1000000 ns/op
-BenchmarkSVMFitColumnar     	      10	  1000000 ns/op
-BenchmarkANNFitRowAtATime   	      10	  1000000 ns/op
-BenchmarkANNFitColumnar     	      10	  1000000 ns/op
-BenchmarkSVMKernelCacheScalar	      10	  2500000 ns/op
-BenchmarkSVMKernelCacheGemm 	      10	  1000000 ns/op
-`+segPairLines)
+	var sb strings.Builder
+	err := run([]string{"-current", writeTemp(t, "cur.txt", slowFused)}, &sb)
+	if err == nil || !strings.Contains(sb.String(), "FAIL pairs") {
+		t.Fatalf("fused-Adam group at 1.11x must fail (err %v):\n%s", err, sb.String())
+	}
+	// With fused Adam back at 2.5x the same run passes.
 	sb.Reset()
-	if err := run([]string{"-current", cur2}, &sb); err != nil {
-		t.Fatalf("gate must pass with an SVM kernel win: %v\n%s", err, sb.String())
+	if err := run([]string{"-current", writeTemp(t, "cur2.txt", pairLines)}, &sb); err != nil {
+		t.Fatalf("gate must pass with a winner in every group: %v\n%s", err, sb.String())
 	}
 }
 
 func TestPairNamesSyntax(t *testing.T) {
-	if _, _, err := pairNames("A/B"); err == nil {
-		t.Fatal("two-part pair spec must be rejected")
+	for _, bad := range []string{"A/B", "LogRegFit", "A/B/C/D"} {
+		if _, _, err := pairNames(bad); err == nil {
+			t.Fatalf("pair spec %q must be rejected", bad)
+		}
 	}
 	slow, fast, err := pairNames("ServeBatch/Scalar/Gemm")
 	if err != nil || slow != "BenchmarkServeBatchScalar" || fast != "BenchmarkServeBatchGemm" {
@@ -143,8 +124,8 @@ func TestPairNamesSyntax(t *testing.T) {
 func TestGateFailsOnRegression(t *testing.T) {
 	base := writeTemp(t, "base.txt", baselineText)
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkNBFitRowAtATime    	      10	  2000000 ns/op
-BenchmarkNBFitColumnar      	      10	   310000 ns/op
+BenchmarkNBFitColumnar      	      10	  2000000 ns/op
+BenchmarkLogRegFitColumnar  	      10	   310000 ns/op
 BenchmarkServeFactorized    	     100	      500 ns/op
 `)
 	var sb strings.Builder
@@ -152,7 +133,7 @@ BenchmarkServeFactorized    	     100	      500 ns/op
 	if err == nil {
 		t.Fatalf("gate must fail on an 82%% regression:\n%s", sb.String())
 	}
-	if !strings.Contains(sb.String(), "FAIL BenchmarkNBFitRowAtATime") {
+	if !strings.Contains(sb.String(), "FAIL BenchmarkNBFitColumnar") {
 		t.Fatalf("missing failure line:\n%s", sb.String())
 	}
 }
@@ -160,8 +141,8 @@ BenchmarkServeFactorized    	     100	      500 ns/op
 func TestGateWarnsOnCurrentOnlyBenchmark(t *testing.T) {
 	base := writeTemp(t, "base.txt", baselineText)
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkNBFitRowAtATime    	      10	  1000000 ns/op
-BenchmarkNBFitColumnar      	      10	   300000 ns/op
+BenchmarkNBFitColumnar      	      10	  1000000 ns/op
+BenchmarkLogRegFitColumnar  	      10	   300000 ns/op
 BenchmarkServeFactorized    	     100	      500 ns/op
 BenchmarkTreeSplitColumnar  	      10	   100000 ns/op
 `)
@@ -177,7 +158,7 @@ BenchmarkTreeSplitColumnar  	      10	   100000 ns/op
 func TestGateFailsOnMissingBenchmark(t *testing.T) {
 	base := writeTemp(t, "base.txt", baselineText)
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkNBFitRowAtATime    	      10	  1000000 ns/op
+BenchmarkNBFitColumnar      	      10	  1000000 ns/op
 BenchmarkServeFactorized    	     100	      500 ns/op
 `)
 	var sb strings.Builder
@@ -189,17 +170,13 @@ BenchmarkServeFactorized    	     100	      500 ns/op
 
 func TestGateFailsWithoutPairSpeedup(t *testing.T) {
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkLogRegFitRowAtATime	      10	  1000000 ns/op
-BenchmarkLogRegFitColumnar  	      10	   900000 ns/op
-BenchmarkSVMFitRowAtATime   	      10	  1000000 ns/op
-BenchmarkSVMFitColumnar     	      10	  1000000 ns/op
-BenchmarkANNFitRowAtATime   	      10	  1000000 ns/op
-BenchmarkANNFitColumnar     	      10	  1100000 ns/op
-BenchmarkSVMKernelCacheScalar	      10	  1000000 ns/op
-BenchmarkSVMKernelCacheGemm 	      10	  1000000 ns/op
-`+segPairLines)
+BenchmarkSVMFitColumnar  	      10	  1000000 ns/op
+BenchmarkSVMFitErrorCache	      10	   900000 ns/op
+BenchmarkANNFitColumnar  	      10	  1000000 ns/op
+BenchmarkANNFitFusedAdam 	      10	  1100000 ns/op
+`)
 	var sb strings.Builder
-	err := run([]string{"-current", cur}, &sb)
+	err := run([]string{"-current", cur, "-pairs", "SVMFit/Columnar/ErrorCache,ANNFit/Columnar/FusedAdam"}, &sb)
 	if err == nil || !strings.Contains(sb.String(), "FAIL pairs") {
 		t.Fatalf("pair gate must fail at 1.11x best speedup (err %v):\n%s", err, sb.String())
 	}
@@ -207,11 +184,11 @@ BenchmarkSVMKernelCacheGemm 	      10	  1000000 ns/op
 
 func TestPairGateErrorsOnMissingSibling(t *testing.T) {
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkLogRegFitRowAtATime	      10	  1000000 ns/op
+BenchmarkSVMFitColumnar	      10	  1000000 ns/op
 `)
 	var sb strings.Builder
-	if err := run([]string{"-current", cur, "-pairs", "LogRegFit"}, &sb); err == nil {
-		t.Fatal("missing columnar sibling must error")
+	if err := run([]string{"-current", cur, "-pairs", "SVMFit/Columnar/ErrorCache"}, &sb); err == nil {
+		t.Fatal("missing fast sibling must error")
 	}
 }
 
@@ -289,7 +266,7 @@ func TestCurrentRequired(t *testing.T) {
 // TestJSONSummary pins the -json artifact: gated benchmarks only, median
 // ns/op, allocs/op where the run sampled them, and repetition counts.
 func TestJSONSummary(t *testing.T) {
-	cur := writeTemp(t, "cur.txt", baselineText+segPairLines)
+	cur := writeTemp(t, "cur.txt", baselineText+pairLines)
 	jsonPath := filepath.Join(t.TempDir(), "bench.json")
 	var sb strings.Builder
 	// Pairs and zero-alloc checks are irrelevant here; the summary must be
@@ -312,12 +289,12 @@ func TestJSONSummary(t *testing.T) {
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
-	nb, ok := got.Benchmarks["BenchmarkNBFitRowAtATime"]
+	nb, ok := got.Benchmarks["BenchmarkNBFitColumnar"]
 	if !ok {
 		t.Fatalf("summary missing gated benchmark: %s", raw)
 	}
 	if nb.NsPerOp != 1100000 || nb.Samples != 3 || nb.AllocsPerOp == nil || *nb.AllocsPerOp != 1 {
-		t.Fatalf("NBFitRowAtATime summary %+v", nb)
+		t.Fatalf("NBFitColumnar summary %+v", nb)
 	}
 	co := got.Benchmarks["BenchmarkServeConcurrentCoalesced"]
 	if co.AllocsPerOp == nil || *co.AllocsPerOp != 0 {

@@ -37,14 +37,6 @@ type Config struct {
 	BatchSize int
 	// Seed drives weight init and shuffling.
 	Seed uint64
-	// RowAtATime forces the historical example-at-a-time access path (one
-	// row gather + Encoder.ActiveIndices per example per epoch) instead of
-	// the batched column-at-a-time path, which scans every feature once per
-	// Fit into a dense active-index matrix and amortizes that pass over all
-	// epochs. Forward/backward arithmetic is unchanged, so the fitted
-	// network is bit-identical; the flag exists for A/B benchmarks and
-	// equivalence tests.
-	RowAtATime bool
 	// FusedAdam selects the approximate dense-Adam optimizer: parameters,
 	// gradients, and Adam moments live in two contiguous slabs ([w1|w2|w3]
 	// and [b1|b2|b3]) and every mini-batch updates each slab in a single
@@ -55,8 +47,7 @@ type Config struct {
 	// updated once with the summed gradient rather than once per example —
 	// so the optimization trajectory diverges from the bit-identical
 	// default and the path is gated by the accuracy-level equivalence
-	// harness (core.VerifyAccuracy), not bit-equality. Implies the batched
-	// epoch loop (RowAtATime is ignored). Default off.
+	// harness (core.VerifyAccuracy), not bit-equality. Default off.
 	FusedAdam bool
 }
 
@@ -138,20 +129,27 @@ func (m *MLP) Name() string { return "ANN(MLP)" }
 
 // Fit trains the network with mini-batch Adam.
 //
-// The default path processes each mini-batch as dense linear algebra over
+// Each mini-batch moves through the network as dense linear algebra over
 // the one-pass active-index matrix (ml.ScanActiveIndices): the forward pass
 // is one mat.SpGemmOneHot (the sparse input layer) plus one mat.Gemm and one
 // mat.Gemv, and the backward pass accumulates the weight gradients through
 // mat.GemmTA/GemvT with per-element mat.Dot for the ReLU-masked deltas. The
 // kernels keep every output element's accumulation sequential and in the
 // same order as the historical example-at-a-time loops (mat's bit-identity
-// contract), and the shared applyAdam step is untouched, so the fitted
-// network is bit-identical to the historical path, which Config.RowAtATime
-// restores.
+// contract), so the fitted network is bit-identical to that loop.
 func (m *MLP) Fit(train *ml.Dataset) error {
 	if train.NumExamples() == 0 {
 		return fmt.Errorf("ann: empty training set")
 	}
+	r, order := m.initFit(train)
+	m.fitBatched(train, r, order)
+	return nil
+}
+
+// initFit sets up the encoder, initial weights, and optimizer state for a
+// Fit on train, and returns the RNG (past the weight draws) and the
+// identity example order the epoch loop shuffles.
+func (m *MLP) initFit(train *ml.Dataset) (*rng.RNG, []int) {
 	m.enc = ml.NewEncoder(train.Features)
 	h1, h2 := m.cfg.Hidden1, m.cfg.Hidden2
 	dims := m.enc.Dims
@@ -214,165 +212,28 @@ func (m *MLP) Fit(train *ml.Dataset) error {
 		order[i] = i
 	}
 
-	if m.cfg.RowAtATime && !m.cfg.FusedAdam {
-		m.fitRows(train, r, order)
-	} else {
-		m.fitBatched(train, r, order)
-	}
-	return nil
+	return r, order
 }
 
 // sparseGrad is one pending input-layer update: the gradient w.r.t. one
-// active embedding row. The row path copies each example's delta into a
-// private slice; the batch path points every entry at its example's row of
-// the delta matrix — same values either way.
+// active embedding row. Every entry points at its example's row of the
+// batch's delta matrix.
 type sparseGrad struct {
 	row  int
 	grad []float64
 }
 
-// fitRows is the historical example-at-a-time epoch loop, preserved verbatim
-// as the Config.RowAtATime reference the batched path is pinned against.
-func (m *MLP) fitRows(train *ml.Dataset, r *rng.RNG, order []int) {
-	h1, h2 := m.cfg.Hidden1, m.cfg.Hidden2
-	n := train.NumExamples()
-
-	// exampleAt yields example ei's active one-hot indices and label through
-	// per-call scratch-row gathers.
-	exampleAt := ml.ExampleAccessor(train, m.enc, true)
-
-	// Gradient accumulators reused across batches.
-	gW2 := make([]float64, h1*h2)
-	gB2 := make([]float64, h2)
-	gW3 := make([]float64, h2)
-	gB1 := make([]float64, h1)
-	z1 := make([]float64, h1)
-	z2 := make([]float64, h2)
-	d1 := make([]float64, h1)
-	d2 := make([]float64, h2)
-	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
-		epochT0 := time.Now()
-		r.ShuffleInts(order)
-		for at := 0; at < n; at += m.cfg.BatchSize {
-			end := at + m.cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			bs := float64(end - at)
-			for i := range gW2 {
-				gW2[i] = 0
-			}
-			for i := range gB2 {
-				gB2[i] = 0
-			}
-			for i := range gW3 {
-				gW3[i] = 0
-			}
-			for i := range gB1 {
-				gB1[i] = 0
-			}
-			gB3 := 0.0
-			var sparse []sparseGrad
-			for _, ei := range order[at:end] {
-				idx, y := exampleAt(ei)
-				// Forward.
-				copy(z1, m.b1)
-				for _, k := range idx {
-					w := m.w1[int(k)*h1 : (int(k)+1)*h1]
-					for u := range z1 {
-						z1[u] += w[u]
-					}
-				}
-				for u := range z1 {
-					if z1[u] < 0 {
-						z1[u] = 0
-					}
-				}
-				copy(z2, m.b2)
-				for u := 0; u < h1; u++ {
-					if z1[u] == 0 {
-						continue
-					}
-					w := m.w2[u*h2 : (u+1)*h2]
-					a := z1[u]
-					for v := range z2 {
-						z2[v] += a * w[v]
-					}
-				}
-				for v := range z2 {
-					if z2[v] < 0 {
-						z2[v] = 0
-					}
-				}
-				z3 := m.b3
-				for v := 0; v < h2; v++ {
-					z3 += z2[v] * m.w3[v]
-				}
-				p := sigmoid(z3)
-				g3 := (p - y) / bs // dL/dz3, batch-averaged
-
-				// Backward.
-				gB3 += g3
-				for v := 0; v < h2; v++ {
-					gW3[v] += g3 * z2[v]
-					if z2[v] > 0 {
-						d2[v] = g3 * m.w3[v]
-					} else {
-						d2[v] = 0
-					}
-				}
-				for u := 0; u < h1; u++ {
-					d1u := 0.0
-					if z1[u] > 0 {
-						w := m.w2[u*h2 : (u+1)*h2]
-						for v := 0; v < h2; v++ {
-							d1u += d2[v] * w[v]
-						}
-					}
-					d1[u] = d1u
-				}
-				for u := 0; u < h1; u++ {
-					if z1[u] == 0 {
-						continue
-					}
-					a := z1[u]
-					gw := gW2[u*h2 : (u+1)*h2]
-					for v := 0; v < h2; v++ {
-						gw[v] += d2[v] * a
-					}
-				}
-				for v := 0; v < h2; v++ {
-					gB2[v] += d2[v]
-				}
-				// Input layer: gradient w.r.t. each active embedding row is
-				// d1 (the one-hot activation is 1), and b1 accumulates d1
-				// once per example.
-				for u := range gB1 {
-					gB1[u] += d1[u]
-				}
-				g := make([]float64, h1)
-				copy(g, d1)
-				for _, k := range idx {
-					sparse = append(sparse, sparseGrad{row: int(k), grad: g})
-				}
-			}
-			m.applyAdam(gW2, gB2, gW3, gB3, gB1, sparse)
-		}
-		epochSpan.ObserveSince(epochT0)
-	}
-}
-
-// fitBatched runs the default epoch loop: each mini-batch moves through the
+// fitBatched runs the epoch loop: each mini-batch moves through the
 // network as dense matrices over the one-pass active-index materialization.
 // Forward is one SpGemmOneHot (B×h1), one Gemm (B×h2), and one Gemv (B);
 // backward accumulates gW3/gW2 through GemvT/GemmTA — whose per-element sums
 // run over the batch in ascending example order, exactly as the historical
 // loop interleaved them — and the ReLU-masked deltas come from per-element
-// sequential Dots, skipping masked elements just as the row path does.
-// Gradient values and fold orders are identical to fitRows (the Gemm/GemmTA
-// full-dense sums only add exact ±0 products where the row path skipped
-// zero activations), so the trained parameters match the row path bit for
-// bit — TestColumnarMatchesRowPath pins it.
+// sequential Dots, skipping masked elements just as that loop does.
+// Gradient values and fold orders are identical to the example-at-a-time
+// loop (the Gemm/GemmTA full-dense sums only add exact ±0 products where it
+// skipped zero activations), so the trained parameters match it bit for bit
+// — TestColumnarMatchesRowPath pins it against that loop, kept in the tests.
 func (m *MLP) fitBatched(train *ml.Dataset, r *rng.RNG, order []int) {
 	h1, h2 := m.cfg.Hidden1, m.cfg.Hidden2
 	n := train.NumExamples()
@@ -546,8 +407,9 @@ func (m *MLP) fitBatched(train *ml.Dataset, r *rng.RNG, order []int) {
 }
 
 // applyAdam folds one mini-batch's accumulated gradients into the
-// parameters. Moved verbatim from the historical epoch loop; both epoch
-// paths call it, so their update arithmetic is identical by construction.
+// parameters. Moved verbatim from the historical epoch loop, which the
+// tests keep as an oracle and which calls it too, so their update
+// arithmetic is identical by construction.
 func (m *MLP) applyAdam(gW2, gB2, gW3 []float64, gB3 float64, gB1 []float64, sparse []sparseGrad) {
 	h1 := m.cfg.Hidden1
 	m.step++

@@ -2,6 +2,7 @@ package ann
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/ml"
 	"repro/internal/relational"
@@ -163,9 +164,147 @@ func TestL2ShrinksWeights(t *testing.T) {
 	}
 }
 
+// fitRows is the historical example-at-a-time epoch loop, preserved verbatim
+// as the oracle the batched path is pinned against.
+func (m *MLP) fitRows(train *ml.Dataset, r *rng.RNG, order []int) {
+	h1, h2 := m.cfg.Hidden1, m.cfg.Hidden2
+	n := train.NumExamples()
+
+	// exampleAt yields example ei's active one-hot indices and label through
+	// per-call scratch-row gathers.
+	rowBuf := make([]relational.Value, train.NumFeatures())
+	idxBuf := make([]int32, train.NumFeatures())
+	exampleAt := func(i int) ([]int32, float64) {
+		for j, v := range train.RowInto(rowBuf, i) {
+			idxBuf[j] = int32(m.enc.Index(j, v))
+		}
+		return idxBuf, float64(train.Label(i))
+	}
+
+	// Gradient accumulators reused across batches.
+	gW2 := make([]float64, h1*h2)
+	gB2 := make([]float64, h2)
+	gW3 := make([]float64, h2)
+	gB1 := make([]float64, h1)
+	z1 := make([]float64, h1)
+	z2 := make([]float64, h2)
+	d1 := make([]float64, h1)
+	d2 := make([]float64, h2)
+	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
+		epochT0 := time.Now()
+		r.ShuffleInts(order)
+		for at := 0; at < n; at += m.cfg.BatchSize {
+			end := at + m.cfg.BatchSize
+			if end > n {
+				end = n
+			}
+			bs := float64(end - at)
+			for i := range gW2 {
+				gW2[i] = 0
+			}
+			for i := range gB2 {
+				gB2[i] = 0
+			}
+			for i := range gW3 {
+				gW3[i] = 0
+			}
+			for i := range gB1 {
+				gB1[i] = 0
+			}
+			gB3 := 0.0
+			var sparse []sparseGrad
+			for _, ei := range order[at:end] {
+				idx, y := exampleAt(ei)
+				// Forward.
+				copy(z1, m.b1)
+				for _, k := range idx {
+					w := m.w1[int(k)*h1 : (int(k)+1)*h1]
+					for u := range z1 {
+						z1[u] += w[u]
+					}
+				}
+				for u := range z1 {
+					if z1[u] < 0 {
+						z1[u] = 0
+					}
+				}
+				copy(z2, m.b2)
+				for u := 0; u < h1; u++ {
+					if z1[u] == 0 {
+						continue
+					}
+					w := m.w2[u*h2 : (u+1)*h2]
+					a := z1[u]
+					for v := range z2 {
+						z2[v] += a * w[v]
+					}
+				}
+				for v := range z2 {
+					if z2[v] < 0 {
+						z2[v] = 0
+					}
+				}
+				z3 := m.b3
+				for v := 0; v < h2; v++ {
+					z3 += z2[v] * m.w3[v]
+				}
+				p := sigmoid(z3)
+				g3 := (p - y) / bs // dL/dz3, batch-averaged
+
+				// Backward.
+				gB3 += g3
+				for v := 0; v < h2; v++ {
+					gW3[v] += g3 * z2[v]
+					if z2[v] > 0 {
+						d2[v] = g3 * m.w3[v]
+					} else {
+						d2[v] = 0
+					}
+				}
+				for u := 0; u < h1; u++ {
+					d1u := 0.0
+					if z1[u] > 0 {
+						w := m.w2[u*h2 : (u+1)*h2]
+						for v := 0; v < h2; v++ {
+							d1u += d2[v] * w[v]
+						}
+					}
+					d1[u] = d1u
+				}
+				for u := 0; u < h1; u++ {
+					if z1[u] == 0 {
+						continue
+					}
+					a := z1[u]
+					gw := gW2[u*h2 : (u+1)*h2]
+					for v := 0; v < h2; v++ {
+						gw[v] += d2[v] * a
+					}
+				}
+				for v := 0; v < h2; v++ {
+					gB2[v] += d2[v]
+				}
+				// Input layer: gradient w.r.t. each active embedding row is
+				// d1 (the one-hot activation is 1), and b1 accumulates d1
+				// once per example.
+				for u := range gB1 {
+					gB1[u] += d1[u]
+				}
+				g := make([]float64, h1)
+				copy(g, d1)
+				for _, k := range idx {
+					sparse = append(sparse, sparseGrad{row: int(k), grad: g})
+				}
+			}
+			m.applyAdam(gW2, gB2, gW3, gB3, gB1, sparse)
+		}
+		epochSpan.ObserveSince(epochT0)
+	}
+}
+
 func TestColumnarMatchesRowPath(t *testing.T) {
-	// The columnar epoch path (one ScanFeature pass into the active-index
-	// matrix) must produce a bit-identical network to the historical
+	// The batched epoch path (one ScanFeature pass into the active-index
+	// matrix) must produce a bit-identical network to the fitRows oracle's
 	// example-at-a-time gathers: identical indices and labels feed an
 	// unchanged forward/backward sequence.
 	r := rng.New(41)
@@ -181,12 +320,9 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 	}
 	for name, ds := range map[string]*ml.Dataset{"dense": base, "view": base.Subset(sub)} {
 		cfg := smallCfg(43)
-		rowCfg := cfg
-		rowCfg.RowAtATime = true
-		row, col := New(rowCfg), New(cfg)
-		if err := row.Fit(ds); err != nil {
-			t.Fatal(err)
-		}
+		row, col := New(cfg), New(cfg)
+		r, order := row.initFit(ds)
+		row.fitRows(ds, r, order)
 		if err := col.Fit(ds); err != nil {
 			t.Fatal(err)
 		}

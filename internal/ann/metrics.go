@@ -2,6 +2,5 @@ package ann
 
 import "repro/internal/obs"
 
-// epochSpan times each MLP training epoch on both the batched and the
-// row-at-a-time path — same phase name, so a scrape compares them directly.
+// epochSpan times each MLP training epoch.
 var epochSpan = obs.TrainSpan("ann_epoch", "one MLP training epoch")

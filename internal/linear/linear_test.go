@@ -148,43 +148,6 @@ func TestLogRegFKOverfitsAtLowTupleRatio(t *testing.T) {
 	}
 }
 
-func TestLogRegColumnarMatchesRowPath(t *testing.T) {
-	// The columnar epoch path (one ScanFeature pass into the active-index
-	// matrix, amortized over all epochs) must produce a bit-identical model
-	// to the historical row-at-a-time gathers: same index values, same
-	// update sequence, so the same float trajectory.
-	base := &ml.Dataset{Features: feats(2, 7, 5)}
-	r := rng.New(21)
-	for i := 0; i < 600; i++ {
-		x0 := relational.Value(r.Intn(2))
-		base.X = append(base.X, x0, relational.Value(r.Intn(7)), relational.Value(r.Intn(5)))
-		base.Y = append(base.Y, int8(x0))
-	}
-	sub := make([]int, 400)
-	for i := range sub {
-		sub[i] = r.Intn(600)
-	}
-	for name, ds := range map[string]*ml.Dataset{"dense": base, "view": base.Subset(sub)} {
-		cfg := LogRegConfig{Lambda: 1e-3, L2: 1e-4, Seed: 23}
-		row := NewLogReg(LogRegConfig{Lambda: cfg.Lambda, L2: cfg.L2, Seed: cfg.Seed, RowAtATime: true})
-		col := NewLogReg(cfg)
-		if err := row.Fit(ds); err != nil {
-			t.Fatal(err)
-		}
-		if err := col.Fit(ds); err != nil {
-			t.Fatal(err)
-		}
-		if row.b != col.b {
-			t.Fatalf("%s: bias diverged: %v vs %v", name, row.b, col.b)
-		}
-		for k := range row.w {
-			if row.w[k] != col.w[k] {
-				t.Fatalf("%s: w[%d] diverged: %v vs %v", name, k, row.w[k], col.w[k])
-			}
-		}
-	}
-}
-
 func TestName(t *testing.T) {
 	if NewLogReg(LogRegConfig{}).Name() != "LogisticRegression(L1)" {
 		t.Fatal("name wrong")

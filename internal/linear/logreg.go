@@ -33,14 +33,6 @@ type LogRegConfig struct {
 	LearningRate float64
 	// Seed drives example shuffling.
 	Seed uint64
-	// RowAtATime forces the historical example-at-a-time access path (one
-	// RowInto gather per example per epoch) instead of the batched
-	// column-at-a-time path, which scans every feature once per Fit into a
-	// dense active-index matrix and amortizes that one pass over all epochs.
-	// The two paths run the identical update sequence on identical index
-	// values, so the models are bit-identical; the flag exists for A/B
-	// benchmarks and equivalence tests.
-	RowAtATime bool
 }
 
 // LogReg is an L1-regularized logistic regression classifier.
@@ -69,13 +61,12 @@ func (m *LogReg) Name() string { return "LogisticRegression(L1)" }
 // gradient step followed by the soft-thresholding proximal operator of the
 // L1 penalty.
 //
-// Feature access runs column-at-a-time by default: every feature is scanned
-// once per Fit (ml.ScanActiveIndices, (feature, span) tasks fanned across
+// Feature access runs column-at-a-time: every feature is scanned once per
+// Fit (ml.ScanActiveIndices, (feature, span) tasks fanned across
 // ml.ParallelFor) into a dense active-index matrix, and the epochs index that
 // matrix instead of re-paying a row gather per example per epoch — SGD
 // re-reads every feature every epoch, exactly the access pattern one column
-// pass amortizes. The update sequence is unchanged, so the fitted model is
-// bit-identical to the historical path, which Config.RowAtATime restores.
+// pass amortizes.
 func (m *LogReg) Fit(train *ml.Dataset) error {
 	if train.NumExamples() == 0 {
 		return fmt.Errorf("linear: empty training set")
@@ -90,10 +81,8 @@ func (m *LogReg) Fit(train *ml.Dataset) error {
 		order[i] = i
 	}
 
-	// exampleAt yields example i's active one-hot indices and label: slices
-	// of the one-pass materialization by default, per-call scratch-row
-	// gathers on the row path.
-	exampleAt := ml.ExampleAccessor(train, m.enc, m.cfg.RowAtATime)
+	d := train.NumFeatures()
+	idxMat, labels := ml.ScanActiveIndices(train, m.enc)
 
 	step := m.cfg.LearningRate
 	t := 1.0
@@ -101,7 +90,7 @@ func (m *LogReg) Fit(train *ml.Dataset) error {
 		epochT0 := time.Now()
 		r.ShuffleInts(order)
 		for _, i := range order {
-			idx, y := exampleAt(i)
+			idx, y := idxMat[i*d:(i+1)*d], float64(labels[i])
 			// The epoch score is the one-hot gather-sum kernel (SGD's
 			// sequential updates rule out batching whole epochs through
 			// SpGemmOneHot bit-identically — each example's score reads the

@@ -148,43 +148,13 @@ func ScanRowMajor(d *Dataset) (block []relational.Value, labels []int8) {
 	return block, labels
 }
 
-// ExampleAccessor returns a closure yielding example i's active one-hot
-// indices and label — the access seam the embedding-style learners run
-// example-at-a-time epochs through (logreg SGD on both paths; the MLP's
-// historical row path — its batched path consumes ScanActiveIndices'
-// matrix directly as mini-batch GEMM operands). With
-// rowAtATime false it materializes the active-index matrix once via
-// ScanActiveIndices and serves slices of it; with rowAtATime true it
-// gathers through a private scratch row per call (the historical path).
-// Both forms yield identical values, so a learner switching between them
-// trains bit-identically. The returned closure reuses internal buffers and
-// must stay on one goroutine; the indices are valid until the next call.
-func ExampleAccessor(d *Dataset, enc *Encoder, rowAtATime bool) func(i int) ([]int32, float64) {
-	k := d.NumFeatures()
-	if rowAtATime {
-		rowBuf := make([]relational.Value, k)
-		idx := make([]int32, k)
-		return func(i int) ([]int32, float64) {
-			row := d.RowInto(rowBuf, i)
-			for j, v := range row {
-				idx[j] = int32(enc.Index(j, v))
-			}
-			return idx, float64(d.Label(i))
-		}
-	}
-	idxMat, labels := ScanActiveIndices(d, enc)
-	return func(i int) ([]int32, float64) {
-		return idxMat[i*k : (i+1)*k], float64(labels[i])
-	}
-}
-
 // ScanActiveIndices materializes the one-hot active-index matrix of the
 // dataset — idx[i*d+j] = enc.Index(j, At(i, j)) — plus the label vector,
 // consuming each feature column-at-a-time through ScanFeature. The matrix is
 // what the embedding-style learners (logistic regression, the MLP's sparse
 // input layer) index their weight tables with; materializing it once per Fit
-// replaces the per-example Row gather + Encoder.ActiveIndices call every
-// epoch re-pays on the row-at-a-time path.
+// replaces a per-example Row gather + Encoder.ActiveIndices call every
+// epoch.
 //
 // Like ScanRowMajor it fans (feature, span) tasks across ml.ParallelFor
 // with disjoint writes, so the result is deterministic and bit-identical to

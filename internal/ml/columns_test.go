@@ -31,33 +31,6 @@ func TestScanRowMajorMatchesAt(t *testing.T) {
 	}
 }
 
-// TestExampleAccessorPathsAgree pins the row-at-a-time accessor to the
-// materialized one on every backing: identical indices and labels are what
-// make the learners' two paths bit-identical.
-func TestExampleAccessorPathsAgree(t *testing.T) {
-	for name, ds := range batchBackings(t) {
-		enc := NewEncoder(ds.Features)
-		rowAt := ExampleAccessor(ds, enc, true)
-		colAt := ExampleAccessor(ds, enc, false)
-		k := ds.NumFeatures()
-		for i := 0; i < ds.NumExamples(); i++ {
-			rIdx, rY := rowAt(i)
-			cIdx, cY := colAt(i)
-			if rY != cY {
-				t.Fatalf("%s: label diverged at %d: %v vs %v", name, i, rY, cY)
-			}
-			if len(rIdx) != k || len(cIdx) != k {
-				t.Fatalf("%s: index widths %d/%d, want %d", name, len(rIdx), len(cIdx), k)
-			}
-			for j := range rIdx {
-				if rIdx[j] != cIdx[j] {
-					t.Fatalf("%s: idx[%d,%d] diverged: %d vs %d", name, i, j, rIdx[j], cIdx[j])
-				}
-			}
-		}
-	}
-}
-
 // TestScanActiveIndicesMatchesEncoder pins the active-index matrix to the
 // per-row Encoder.ActiveIndices contract on every backing.
 func TestScanActiveIndicesMatchesEncoder(t *testing.T) {

@@ -481,29 +481,6 @@ func (d *Dataset) Materialize() *Dataset {
 	return out
 }
 
-// MaterializedRows returns per-example row slices. For contiguous datasets
-// the slices alias internal storage (no allocation beyond the spine); for
-// view-backed datasets the rows are copied into one fresh block. The result
-// is safe to retain and to read concurrently, unlike Row's scratch.
-func (d *Dataset) MaterializedRows() [][]relational.Value {
-	n := d.NumExamples()
-	k := len(d.Features)
-	out := make([][]relational.Value, n)
-	if d.contiguous() {
-		for i := range out {
-			out[i] = d.Row(i)
-		}
-		return out
-	}
-	block := make([]relational.Value, n*k)
-	for i := range out {
-		row := block[i*k : (i+1)*k : (i+1)*k]
-		d.RowInto(row, i)
-		out[i] = row
-	}
-	return out
-}
-
 // DropFeatures returns a view of the dataset without the features at the
 // given positions (used by backward feature selection and ablations).
 func (d *Dataset) DropFeatures(drop map[int]bool) *Dataset {

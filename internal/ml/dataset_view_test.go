@@ -212,30 +212,6 @@ func TestRowScratchAndHandles(t *testing.T) {
 	}
 }
 
-func TestMaterializedRowsAreStable(t *testing.T) {
-	ss, jv := viewStar(t, 15, 3, 13)
-	ds, err := ViewDataset(jv, ss.TargetCol, JoinAll, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := ds.MaterializedRows()
-	if len(rows) != ds.NumExamples() {
-		t.Fatalf("rows %d", len(rows))
-	}
-	// Stable: untouched by subsequent scratch use on the dataset.
-	want := append([]relational.Value(nil), rows[4]...)
-	_ = ds.Row(7)
-	_ = ds.Row(8)
-	for j := range want {
-		if rows[4][j] != want[j] {
-			t.Fatal("materialized rows must not alias scratch")
-		}
-		if rows[4][j] != ds.At(4, j) {
-			t.Fatal("materialized row content wrong")
-		}
-	}
-}
-
 func TestGridSearchParallelMatchesSequential(t *testing.T) {
 	ss, jv := viewStar(t, 80, 5, 17)
 	full, err := ViewDataset(jv, ss.TargetCol, JoinAll, nil)

@@ -10,9 +10,9 @@ import (
 // This file is the accuracy-level verification tier's measurement core.
 //
 // The repo's first tier of equivalence is bit-identity: an optimized access
-// path must reproduce the reference model's parameters exactly (the
-// RowAtATime A/B tests). Some optimizations cannot clear that bar by
-// construction — they change the optimization trajectory, not just the data
+// path must reproduce the reference model's parameters exactly (each
+// learner's tests pin its batched path to a row-at-a-time oracle). Some
+// optimizations cannot clear that bar by construction — they change the optimization trajectory, not just the data
 // movement — so the second tier asks the question that actually matters for
 // the paper's claims: does the approximate path learn a model of the same
 // held-out quality? CompareClassifiers measures that divergence and

@@ -21,11 +21,6 @@ type Config struct {
 	// Alpha is the Laplace smoothing pseudo-count (default 1, the standard
 	// "add one" smoothing cited by the paper for handling sparse counts).
 	Alpha float64
-	// RowAtATime forces the historical example-at-a-time counting loop
-	// instead of the batched column-at-a-time path. The two are bit-identical
-	// (counting is order-independent integer arithmetic); the flag exists for
-	// A/B benchmarks and equivalence tests.
-	RowAtATime bool
 }
 
 // fitMorsel is the chunk size of one ScanFeature step on the batch path:
@@ -61,15 +56,14 @@ func (nb *NaiveBayes) Name() string { return "NaiveBayes" }
 
 // Fit estimates priors and per-feature conditional tables.
 //
-// Counting runs column-at-a-time by default: the labels are scanned once
+// Counting runs column-at-a-time: the labels are scanned once
 // into a dense vector, then every feature's conditional table is filled by
 // morsel-sized ScanFeature batches, with features fanned out across
 // goroutines (each feature owns a disjoint slice of the count array, so the
 // reduction is race-free and deterministic — the counts are order-
 // independent integer sums). On a columnar storage engine each batch is a
 // sequential scan of one narrow column; on the row-major engine it is a
-// strided gather. Config.RowAtATime restores the historical per-example
-// loop; both paths produce bit-identical models.
+// strided gather.
 func (nb *NaiveBayes) Fit(train *ml.Dataset) error {
 	if train.NumExamples() == 0 {
 		return fmt.Errorf("nb: empty training set")
@@ -85,63 +79,50 @@ func (nb *NaiveBayes) Fit(train *ml.Dataset) error {
 	var classN [2]float64
 	counts := make([]float64, nb.enc.Dims*2)
 	countT0 := time.Now()
-	if nb.cfg.RowAtATime {
-		for i := 0; i < n; i++ {
-			classN[train.Label(i)]++
-		}
-		for i := 0; i < n; i++ {
-			row := train.Row(i)
-			c := int(train.Label(i))
-			for j, v := range row {
-				counts[nb.enc.Index(j, v)*2+c]++
-			}
-		}
-	} else {
-		labels := make([]int8, n)
-		train.ScanLabels(labels, 0)
-		for _, y := range labels {
-			classN[y]++
-		}
-		// Fan (feature, span) tasks across the pool: every feature's scan
-		// range is sharded into spans (ml.ScanSpans — whole morsels, snapped
-		// to segment boundaries over a segmented engine so each task pins one
-		// segment), each task tallies its span into a private slab, and the
-		// slabs merge in (feature, span) order. Counts are integer-valued
-		// sums, so the merged table is bit-identical to the historical
-		// per-feature loop while narrow feature sets (NoJoin's handful of
-		// columns) still saturate the pool.
-		cuts := ml.ScanSpans(train)
-		spans := len(cuts) - 1
-		slabs := make([][]float64, d*spans)
-		ml.ParallelFor(d*spans, func(task int) {
-			j, s := task/spans, task%spans
-			lo, hi := cuts[s], cuts[s+1]
-			if lo == hi {
-				return
-			}
-			slab := make([]float64, train.Features[j].Cardinality*2)
-			buf := make([]relational.Value, min(fitMorsel, hi-lo))
-			for from := lo; from < hi; {
-				m := train.ScanFeature(buf[:min(len(buf), hi-from)], j, from)
-				for k := 0; k < m; k++ {
-					slab[int(buf[k])*2+int(labels[from+k])]++
-				}
-				from += m
-			}
-			slabs[task] = slab
-		})
-		reduceT0 := time.Now()
-		for j := 0; j < d; j++ {
-			base := nb.enc.Offsets[j] * 2
-			for s := 0; s < spans; s++ {
-				slab := slabs[j*spans+s]
-				for i, c := range slab {
-					counts[base+i] += c
-				}
-			}
-		}
-		reduceSpan.ObserveSince(reduceT0)
+	labels := make([]int8, n)
+	train.ScanLabels(labels, 0)
+	for _, y := range labels {
+		classN[y]++
 	}
+	// Fan (feature, span) tasks across the pool: every feature's scan
+	// range is sharded into spans (ml.ScanSpans — whole morsels, snapped
+	// to segment boundaries over a segmented engine so each task pins one
+	// segment), each task tallies its span into a private slab, and the
+	// slabs merge in (feature, span) order. Counts are integer-valued
+	// sums, so the merged table is bit-identical to a per-example count
+	// while narrow feature sets (NoJoin's handful of
+	// columns) still saturate the pool.
+	cuts := ml.ScanSpans(train)
+	spans := len(cuts) - 1
+	slabs := make([][]float64, d*spans)
+	ml.ParallelFor(d*spans, func(task int) {
+		j, s := task/spans, task%spans
+		lo, hi := cuts[s], cuts[s+1]
+		if lo == hi {
+			return
+		}
+		slab := make([]float64, train.Features[j].Cardinality*2)
+		buf := make([]relational.Value, min(fitMorsel, hi-lo))
+		for from := lo; from < hi; {
+			m := train.ScanFeature(buf[:min(len(buf), hi-from)], j, from)
+			for k := 0; k < m; k++ {
+				slab[int(buf[k])*2+int(labels[from+k])]++
+			}
+			from += m
+		}
+		slabs[task] = slab
+	})
+	reduceT0 := time.Now()
+	for j := 0; j < d; j++ {
+		base := nb.enc.Offsets[j] * 2
+		for s := 0; s < spans; s++ {
+			slab := slabs[j*spans+s]
+			for i, c := range slab {
+				counts[base+i] += c
+			}
+		}
+	}
+	reduceSpan.ObserveSince(reduceT0)
 	countSpan.ObserveSince(countT0)
 	for c := 0; c < 2; c++ {
 		nb.logPrior[c] = logf((classN[c] + nb.cfg.Alpha) / (float64(n) + 2*nb.cfg.Alpha))

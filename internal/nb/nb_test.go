@@ -308,9 +308,25 @@ func TestFilterSelectKeepsTopK(t *testing.T) {
 	}
 }
 
+// rowCounts is the historical example-at-a-time counting loop, kept as the
+// oracle the batched counting path is pinned against.
+func rowCounts(train *ml.Dataset, enc *ml.Encoder) (classN [2]float64, counts []float64) {
+	counts = make([]float64, enc.Dims*2)
+	buf := make([]relational.Value, train.NumFeatures())
+	for i := 0; i < train.NumExamples(); i++ {
+		c := int(train.Label(i))
+		classN[c]++
+		for j, v := range train.RowInto(buf, i) {
+			counts[enc.Index(j, v)*2+c]++
+		}
+	}
+	return classN, counts
+}
+
 // TestBatchFitMatchesRowAtATime pins the batch counting path to the
-// historical example-at-a-time loop: identical models (priors, conditional
-// tables) and identical predictions, on dense and on subset-view datasets.
+// example-at-a-time oracle: the fitted priors and conditional tables must
+// equal the ones the oracle's counts yield, on dense and on subset-view
+// datasets.
 func TestBatchFitMatchesRowAtATime(t *testing.T) {
 	r := rng.New(17)
 	ds := &ml.Dataset{Features: feats(4, 7, 2, 300)}
@@ -340,26 +356,22 @@ func TestBatchFitMatchesRowAtATime(t *testing.T) {
 		if err := batch.Fit(train); err != nil {
 			t.Fatalf("%s: batch fit: %v", name, err)
 		}
-		rows := New(Config{RowAtATime: true})
-		if err := rows.Fit(train); err != nil {
-			t.Fatalf("%s: row fit: %v", name, err)
-		}
-		if batch.logPrior != rows.logPrior {
-			t.Fatalf("%s: priors diverged: %v vs %v", name, batch.logPrior, rows.logPrior)
-		}
-		if len(batch.logLik) != len(rows.logLik) {
-			t.Fatalf("%s: logLik sizes diverged", name)
-		}
-		for k := range batch.logLik {
-			if batch.logLik[k] != rows.logLik[k] {
-				t.Fatalf("%s: logLik[%d] diverged: %v vs %v", name, k, batch.logLik[k], rows.logLik[k])
+		classN, counts := rowCounts(train, batch.enc)
+		alpha, n := batch.cfg.Alpha, float64(train.NumExamples())
+		for c := 0; c < 2; c++ {
+			if want := logf((classN[c] + alpha) / (n + 2*alpha)); batch.logPrior[c] != want {
+				t.Fatalf("%s: logPrior[%d] = %v, oracle %v", name, c, batch.logPrior[c], want)
 			}
 		}
-		buf := make([]relational.Value, train.NumFeatures())
-		for i := 0; i < train.NumExamples(); i++ {
-			row := train.RowInto(buf, i)
-			if batch.Predict(row) != rows.Predict(row) {
-				t.Fatalf("%s: prediction %d diverged", name, i)
+		for j, f := range train.Features {
+			card := float64(f.Cardinality)
+			for v := 0; v < f.Cardinality; v++ {
+				for c, k := 0, batch.enc.Index(j, relational.Value(v)); c < 2; c++ {
+					want := logf((counts[k*2+c] + alpha) / (classN[c] + alpha*card))
+					if batch.logLik[k*2+c] != want {
+						t.Fatalf("%s: logLik[%d] = %v, oracle %v", name, k*2+c, batch.logLik[k*2+c], want)
+					}
+				}
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/ml"
+	"repro/internal/relational"
 	"repro/internal/rng"
 )
 
@@ -120,11 +121,14 @@ func oneRun(sc Scenario, learner Learner, r *rng.RNG, pinned *TrialData) (out ru
 			out.err = fmt.Errorf("view %v: %w", v, err)
 			return out
 		}
+		// The pinned test set is shared by every concurrent run, so each run
+		// reads it through its own row buffer, never the Dataset's scratch.
 		test := pinned.Test[v]
 		p := make([]int8, test.NumExamples())
 		o := make([]int8, test.NumExamples())
+		row := make([]relational.Value, test.NumFeatures())
 		for i := 0; i < test.NumExamples(); i++ {
-			p[i] = c.Predict(test.Row(i))
+			p[i] = c.Predict(test.RowInto(row, i))
 			o[i] = test.Label(i)
 		}
 		out.preds[v] = p

@@ -89,21 +89,6 @@ func (k *Kernel) OfMatch(m float64) float64 {
 	}
 }
 
-// GramRows fills the n×n row-major Gram matrix dst with k evaluated on every
-// row pair through per-pair Eval calls — the historical row-at-a-time build
-// (diagonal from Self, strict upper triangle mirrored as it is computed).
-func (k *Kernel) GramRows(dst []float32, rows [][]relational.Value) {
-	n := len(rows)
-	for i := 0; i < n; i++ {
-		dst[i*n+i] = float32(k.Self())
-		for j := i + 1; j < n; j++ {
-			v := float32(k.Eval(rows[i], rows[j]))
-			dst[i*n+j] = v
-			dst[j*n+i] = v
-		}
-	}
-}
-
 // gramBlockRows is the i-extent of one GramBlocked task: one task's match
 // counts (gramBlockRows × n int32) stay a few hundred KiB even at the 4096
 // cache cap, and a full cache build yields enough tasks to saturate the pool.
@@ -119,8 +104,8 @@ const gramBlockRows = 32
 // ranges of the strict upper triangle (deterministic regardless of
 // scheduling), and the lower triangle is mirrored afterwards.
 //
-// Each entry is float32(k.OfMatch(m)) for the same integer m the per-pair
-// build computes, so the cache is bit-identical to GramRows on the same rows.
+// Each entry is float32(k.OfMatch(m)) for the same integer m a per-pair
+// Eval computes, so the cache is bit-identical to evaluating every pair.
 func (k *Kernel) GramBlocked(dst []float32, block []relational.Value, n int) {
 	d := k.dims
 	lut := make([]float32, d+1)

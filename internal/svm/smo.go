@@ -33,13 +33,6 @@ type Config struct {
 	SubsampleCap int
 	// Seed drives SMO's second-multiplier randomization and subsampling.
 	Seed uint64
-	// RowAtATime forces the historical access path: rows pinned one at a
-	// time through MaterializedRows and the kernel cache built from
-	// row-pair match counts. The default consumes features column-at-a-time
-	// (one batched scan per feature, morsel-parallel cache build); both
-	// paths produce bit-identical models — the flag exists for A/B
-	// benchmarks and equivalence tests.
-	RowAtATime bool
 	// ErrorCache selects the approximate SMO loop: the prediction-error
 	// vector E[i] = f(i) − y[i] is maintained incrementally across α steps
 	// (two kernel rows plus the bias delta per successful update) and each
@@ -106,31 +99,16 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 	d := ds.NumFeatures()
 
 	// Pin every training row once — the kernel loops read two rows at a
-	// time and the support set must outlive Fit. On the default columnar
-	// path every feature is pulled in one batched column scan scattered
-	// straight into the row-major block (ml.ScanRowMajor; under a
-	// subsample view the scan bottoms out in the relation's column
-	// gather), replacing n×d single-cell view accesses with d sequential
-	// scans — and the block then feeds the Gram build's blocked match-count
-	// kernel directly. Config.RowAtATime restores the historical per-row
-	// materialization; cell values are identical either way.
-	columnar := !s.cfg.RowAtATime
-	var rows [][]relational.Value
-	var block []relational.Value
-	var labels []int8
-	if columnar {
-		b, l := ml.ScanRowMajor(ds)
-		block, labels = b, l
-		rows = make([][]relational.Value, n)
-		for i := range rows {
-			rows[i] = block[i*d : (i+1)*d : (i+1)*d]
-		}
-	} else {
-		rows = ds.MaterializedRows()
-		labels = make([]int8, n)
-		for i := range labels {
-			labels[i] = ds.Label(i)
-		}
+	// time and the support set must outlive Fit. Every feature is pulled in
+	// one batched column scan scattered straight into the row-major block
+	// (ml.ScanRowMajor; under a subsample view the scan bottoms out in the
+	// relation's column gather), replacing n×d single-cell view accesses
+	// with d sequential scans — and the block then feeds the Gram build's
+	// blocked match-count kernel directly.
+	block, labels := ml.ScanRowMajor(ds)
+	rows := make([][]relational.Value, n)
+	for i := range rows {
+		rows[i] = block[i*d : (i+1)*d : (i+1)*d]
 	}
 
 	k, err := NewKernel(s.cfg.Kernel, s.cfg.Gamma, d)
@@ -170,21 +148,15 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 
 	// Cache kernel rows lazily? For the paper's scales (n ≤ a few thousand
 	// after capping) a full n×n cache is affordable and much faster. The
-	// columnar build is a blocked X·Xᵀ over the pinned row-major block
+	// build is a blocked X·Xᵀ over the pinned row-major block
 	// (mat.MatchCounts per i-block, kernel values from a match-count lookup
-	// table, i-blocks fanned across ml.ParallelFor with disjoint writes);
-	// GramBlocked documents why it is bit-identical to the per-pair
-	// GramRows build the historical path keeps.
+	// table, i-blocks fanned across ml.ParallelFor with disjoint writes).
 	var kcache []float32
 	cacheOK := n <= gramCacheCap
 	if cacheOK {
 		kcache = make([]float32, n*n)
 		t0 := time.Now()
-		if columnar {
-			k.GramBlocked(kcache, block, n)
-		} else {
-			k.GramRows(kcache, rows)
-		}
+		k.GramBlocked(kcache, block, n)
 		gramSpan.ObserveSince(t0)
 	}
 	kij := func(i, j int) float64 {

@@ -246,68 +246,6 @@ func TestDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-func TestColumnarMatchesRowPath(t *testing.T) {
-	// The columnar path (batched column scans + the morsel-parallel
-	// match-count cache build) must produce a bit-identical model to the
-	// historical row-pair path: identical pinned rows, identical kernel
-	// cache floats, so an identical SMO trajectory.
-	r := rng.New(31)
-	base := &ml.Dataset{Features: feats(3, 4, 2)}
-	for i := 0; i < 500; i++ {
-		a, b, c := r.Intn(3), r.Intn(4), r.Intn(2)
-		base.X = append(base.X, relational.Value(a), relational.Value(b), relational.Value(c))
-		base.Y = append(base.Y, int8((a+b)%2))
-	}
-	sub := make([]int, 300)
-	for i := range sub {
-		sub[i] = r.Intn(500)
-	}
-	for name, ds := range map[string]*ml.Dataset{"dense": base, "view": base.Subset(sub)} {
-		for _, kind := range []KernelKind{Linear, RBF} {
-			cfg := Config{Kernel: kind, C: 10, Gamma: 0.5, SubsampleCap: 200, Seed: 33}
-			rowCfg := cfg
-			rowCfg.RowAtATime = true
-			row, err := New(rowCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			col, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := row.Fit(ds); err != nil {
-				t.Fatal(err)
-			}
-			if err := col.Fit(ds); err != nil {
-				t.Fatal(err)
-			}
-			if row.b != col.b {
-				t.Fatalf("%s/%v: bias diverged: %v vs %v", name, kind, row.b, col.b)
-			}
-			if len(row.svAlphaY) != len(col.svAlphaY) {
-				t.Fatalf("%s/%v: support set sizes diverged: %d vs %d", name, kind, len(row.svAlphaY), len(col.svAlphaY))
-			}
-			for i := range row.svAlphaY {
-				if row.svAlphaY[i] != col.svAlphaY[i] {
-					t.Fatalf("%s/%v: alpha[%d] diverged: %v vs %v", name, kind, i, row.svAlphaY[i], col.svAlphaY[i])
-				}
-				for j := range row.svRows[i] {
-					if row.svRows[i][j] != col.svRows[i][j] {
-						t.Fatalf("%s/%v: support row %d diverged", name, kind, i)
-					}
-				}
-			}
-			buf := make([]relational.Value, ds.NumFeatures())
-			for i := 0; i < ds.NumExamples(); i++ {
-				rowi := ds.RowInto(buf, i)
-				if row.Decision(rowi) != col.Decision(rowi) {
-					t.Fatalf("%s/%v: decision diverged on example %d", name, kind, i)
-				}
-			}
-		}
-	}
-}
-
 func TestNameAndKindString(t *testing.T) {
 	s, _ := New(Config{Kernel: Quadratic, C: 1, Gamma: 1})
 	if s.Name() != "SVM(quadratic)" {
@@ -315,6 +253,22 @@ func TestNameAndKindString(t *testing.T) {
 	}
 	if Linear.String() != "linear" || RBF.String() != "rbf" || KernelKind(9).String() == "" {
 		t.Fatal("kind names wrong")
+	}
+}
+
+// GramRows fills the n×n row-major Gram matrix dst with k evaluated on every
+// row pair through per-pair Eval calls — the historical row-at-a-time build
+// (diagonal from Self, strict upper triangle mirrored as it is computed),
+// kept as the oracle GramBlocked is pinned against.
+func (k *Kernel) GramRows(dst []float32, rows [][]relational.Value) {
+	n := len(rows)
+	for i := 0; i < n; i++ {
+		dst[i*n+i] = float32(k.Self())
+		for j := i + 1; j < n; j++ {
+			v := float32(k.Eval(rows[i], rows[j]))
+			dst[i*n+j] = v
+			dst[j*n+i] = v
+		}
 	}
 }
 

@@ -88,18 +88,6 @@ type Config struct {
 	MaxDepth  int // 0 means unlimited
 	Unseen    UnseenPolicy
 	Smoother  Smoother
-	// RowAtATime forces the historical cell-at-a-time split search (per-node
-	// map tallies via Dataset.At) instead of the batched column-scan path.
-	// The two are bit-identical; the flag exists for A/B benchmarks and
-	// equivalence tests.
-	RowAtATime bool
-	// NoZoneSkip disables the zone-map feature skip in the batched split
-	// search (a feature proven constant by the storage engine's statistics is
-	// never gathered — it cannot split). The skip is bit-identical to
-	// tallying the constant column, since a single-valued feature yields
-	// fewer than two distinct tallies and is discarded anyway; the flag
-	// exists for A/B benchmarks and equivalence tests.
-	NoZoneSkip bool
 }
 
 // DefaultConfig mirrors rpart defaults closely enough for tests.
@@ -129,7 +117,7 @@ type Tree struct {
 	nodes     []node
 	nFeatures int
 	// batch holds the columnar split-search scratch while Fit runs; nil
-	// afterwards (and always nil under Config.RowAtATime).
+	// afterwards.
 	batch *batchState
 	// collapseSet/collapseOrder track internal nodes temporarily treated as
 	// leaves during cost-complexity pruning; truncateCollapses bakes the
@@ -239,24 +227,19 @@ type split struct {
 // Fit grows the tree on train. It never returns an error for well-formed
 // datasets; an empty dataset is rejected.
 //
-// The split search runs on the batched column path by default (see
-// bestSplitBatch); Config.RowAtATime restores the historical per-cell
-// search. Both produce bit-identical trees — the batch path changes the
-// order work is done, not the arithmetic.
+// The split search runs on the batched column path (see bestSplit).
 func (t *Tree) Fit(train *ml.Dataset) error {
 	if train.NumExamples() == 0 {
 		return fmt.Errorf("tree: empty training set")
 	}
 	t.nFeatures = train.NumFeatures()
 	t.nodes = t.nodes[:0]
-	if !t.cfg.RowAtATime {
-		t.batch = newBatchState(train)
-	}
+	t.batch = newBatchState(train)
 	idx := make([]int, train.NumExamples())
 	for i := range idx {
 		idx[i] = i
 	}
-	rootImpurity := t.impurity(t.countPos(train, idx), len(idx))
+	rootImpurity := t.impurity(t.countPos(idx), len(idx))
 	if rootImpurity == 0 {
 		rootImpurity = 1 // degenerate pure root; cp threshold is irrelevant
 	}
@@ -268,26 +251,18 @@ func (t *Tree) Fit(train *ml.Dataset) error {
 }
 
 // countPos counts positive labels in the node's example set, reading the
-// label vector cached at Fit time when the batch path is active.
-func (t *Tree) countPos(ds *ml.Dataset, idx []int) int {
+// label vector cached at Fit time.
+func (t *Tree) countPos(idx []int) int {
 	pos := 0
-	if t.batch != nil {
-		for _, i := range idx {
-			pos += int(t.batch.labels[i])
-		}
-		return pos
-	}
 	for _, i := range idx {
-		if ds.Label(i) == 1 {
-			pos++
-		}
+		pos += int(t.batch.labels[i])
 	}
 	return pos
 }
 
-// grow recursively builds the subtree over idx and returns its node index.
+// grow recursively// grow recursively builds the subtree over idx and returns its node index.
 func (t *Tree) grow(ds *ml.Dataset, idx []int, rootImpurity float64, depth int) int {
-	pos := t.countPos(ds, idx)
+	pos := t.countPos(idx)
 	me := len(t.nodes)
 	pred := int8(0)
 	if 2*pos >= len(idx) {
@@ -320,39 +295,29 @@ func (t *Tree) grow(ds *ml.Dataset, idx []int, rootImpurity float64, depth int) 
 
 	left := make([]int, 0, best.nLeft)
 	right := make([]int, 0, len(idx)-best.nLeft)
-	if t.batch != nil {
-		// Batch path: one gather of the winning feature column, then route.
-		// Wide nodes shard the gather's morsel ranges across the pool (each
-		// span writes a disjoint slice of vals); routing itself stays a
-		// sequential order-preserving pass, so the children's example order —
-		// and therefore the fitted tree — is identical at any worker count.
-		vals := t.batch.vals[:len(idx)]
-		if n := len(idx); n >= parallelSplitThreshold {
-			spans := ml.Parallelism((n + batchMorsel - 1) / batchMorsel)
-			ml.ParallelFor(spans, func(s int) {
-				lo, hi := n*s/spans, n*(s+1)/spans
-				for m := lo; m < hi; m += batchMorsel {
-					mh := min(m+batchMorsel, hi)
-					ds.GatherFeature(vals[m:mh], best.feature, idx[m:mh])
-				}
-			})
-		} else {
-			ds.GatherFeature(vals, best.feature, idx)
-		}
-		for k, i := range idx {
-			if best.goLeft[vals[k]] {
-				left = append(left, i)
-			} else {
-				right = append(right, i)
+	// One gather of the winning feature column, then route. Wide nodes shard
+	// the gather's morsel ranges across the pool (each span writes a
+	// disjoint slice of vals); routing itself stays a sequential
+	// order-preserving pass, so the children's example order — and
+	// therefore the fitted tree — is identical at any worker count.
+	vals := t.batch.vals[:len(idx)]
+	if n := len(idx); n >= parallelSplitThreshold {
+		spans := ml.Parallelism((n + batchMorsel - 1) / batchMorsel)
+		ml.ParallelFor(spans, func(s int) {
+			lo, hi := n*s/spans, n*(s+1)/spans
+			for m := lo; m < hi; m += batchMorsel {
+				mh := min(m+batchMorsel, hi)
+				ds.GatherFeature(vals[m:mh], best.feature, idx[m:mh])
 			}
-		}
+		})
 	} else {
-		for _, i := range idx {
-			if best.goLeft[ds.At(i, best.feature)] {
-				left = append(left, i)
-			} else {
-				right = append(right, i)
-			}
+		ds.GatherFeature(vals, best.feature, idx)
+	}
+	for k, i := range idx {
+		if best.goLeft[vals[k]] {
+			left = append(left, i)
+		} else {
+			right = append(right, i)
 		}
 	}
 	if len(left) == 0 || len(right) == 0 {
@@ -377,58 +342,14 @@ type vc struct {
 	rate float64
 }
 
-// bestSplit searches all features for the best binary subset split,
-// dispatching to the batched column-scan search or the historical per-cell
-// search. Both tally identical (value → count, positives) statistics and
-// share evalFeature, so the chosen split is bit-identical either way.
-func (t *Tree) bestSplit(ds *ml.Dataset, idx []int) *split {
-	if t.batch != nil {
-		return t.bestSplitBatch(ds, idx)
-	}
-	return t.bestSplitRows(ds, idx)
-}
-
-// bestSplitRows is the row-at-a-time search: per feature, a map tally over
-// the node's examples via per-cell At.
-func (t *Tree) bestSplitRows(ds *ml.Dataset, idx []int) *split {
-	var best *split
-	nodeN := len(idx)
-	nodePos := t.countPos(ds, idx)
-	nodeImp := t.impurity(nodePos, nodeN)
-	totalN := float64(ds.NumExamples())
-
-	for j := 0; j < ds.NumFeatures(); j++ {
-		card := ds.Features[j].Cardinality
-		// Tally per-value (count, positives) over the node's examples.
-		cnt := make(map[relational.Value][2]int, min(card, nodeN))
-		for _, i := range idx {
-			v := ds.At(i, j)
-			c := cnt[v]
-			c[0]++
-			if ds.Label(i) == 1 {
-				c[1]++
-			}
-			cnt[v] = c
-		}
-		if len(cnt) < 2 {
-			continue
-		}
-		vals := make([]vc, 0, len(cnt))
-		for v, c := range cnt {
-			vals = append(vals, vc{v: v, n: c[0], pos: c[1], rate: float64(c[1]) / float64(c[0])})
-		}
-		best = t.evalFeature(j, vals, nodeN, nodePos, nodeImp, totalN, best)
-	}
-	return best
-}
-
-// bestSplitBatch is the columnar search. Per candidate feature it gathers
+// bestSplit searches all features for the best binary subset split, column
+// at a time. Per candidate feature it gathers
 // the feature's column for the node's examples in morsel-sized chunks —
 // fanned out across goroutines for wide nodes — tallies into dense
 // per-span count arrays, and merges the spans over the distinct-value list.
 // The per-(node, feature) cost is O(|node| + distinct), independent of the
 // feature's domain size, and every inner loop is a devirtualized array walk.
-func (t *Tree) bestSplitBatch(ds *ml.Dataset, idx []int) *split {
+func (t *Tree) bestSplit(ds *ml.Dataset, idx []int) *split {
 	bs := t.batch
 	nodeN := len(idx)
 	nodeY := bs.nodeY[:nodeN]
@@ -455,14 +376,12 @@ func (t *Tree) bestSplitBatch(ds *ml.Dataset, idx []int) *split {
 	var best *split
 	vals := bs.vals[:nodeN]
 	for j := 0; j < ds.NumFeatures(); j++ {
-		if !t.cfg.NoZoneSkip {
-			// Zone-map skip: a feature whose storage-level [min, max] proves
-			// it constant can never produce two tally buckets — skip the
-			// gather entirely. Same outcome as tallying (len(tallies) < 2),
-			// so the fitted tree is unchanged.
-			if lo, hi, ok := ds.FeatureRange(j); ok && lo == hi {
-				continue
-			}
+		// Zone-map skip: a feature whose storage-level [min, max] proves it
+		// constant can never produce two tally buckets — skip the gather
+		// entirely. Same outcome as tallying (len(tallies) < 2), so the
+		// fitted tree is unchanged.
+		if lo, hi, ok := ds.FeatureRange(j); ok && lo == hi {
+			continue
 		}
 		ml.ParallelFor(spans, func(s int) {
 			lo := nodeN * s / spans
@@ -512,8 +431,7 @@ func (t *Tree) bestSplitBatch(ds *ml.Dataset, idx []int) *split {
 // evalFeature sorts one feature's value tallies by P(Y=1 | v) and scans the
 // |D|−1 boundary partitions (Breiman's optimal binary subset split for a
 // binary target), returning the better of the incoming best and this
-// feature's best candidate. Shared by both search paths so their float
-// arithmetic — and therefore the fitted tree — is identical.
+// feature's best candidate.
 func (t *Tree) evalFeature(j int, vals []vc, nodeN, nodePos int, nodeImp, totalN float64, best *split) *split {
 	sort.Slice(vals, func(a, b int) bool {
 		if vals[a].rate != vals[b].rate {

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -451,8 +452,103 @@ func TestDumpDOT(t *testing.T) {
 	}
 }
 
+// oracleSplit is the historical row-at-a-time split search, kept as the
+// reference the batched bestSplit is pinned against: per feature, a map
+// tally of (count, positives) over the node's examples via per-cell At. It
+// tallies every feature, constant ones included — no zone-map skip.
+func oracleSplit(t *Tree, ds *ml.Dataset, idx []int) *split {
+	var best *split
+	nodeN, nodePos := len(idx), 0
+	for _, i := range idx {
+		nodePos += int(ds.Label(i))
+	}
+	nodeImp := t.impurity(nodePos, nodeN)
+	totalN := float64(ds.NumExamples())
+	for j := 0; j < ds.NumFeatures(); j++ {
+		cnt := make(map[relational.Value][2]int)
+		for _, i := range idx {
+			v := ds.At(i, j)
+			c := cnt[v]
+			c[0]++
+			c[1] += int(ds.Label(i))
+			cnt[v] = c
+		}
+		if len(cnt) < 2 {
+			continue
+		}
+		vals := make([]vc, 0, len(cnt))
+		for v, c := range cnt {
+			vals = append(vals, vc{v: v, n: c[0], pos: c[1], rate: float64(c[1]) / float64(c[0])})
+		}
+		best = t.evalFeature(j, vals, nodeN, nodePos, nodeImp, totalN, best)
+	}
+	return best
+}
+
+// requireOracleSplits walks tr, fitted on ds, routing ds's examples down
+// the tree, and checks at every node that the oracle search over the node's
+// examples picks exactly the split the batched search kept — and, at every
+// leaf the stopping rules did not force, that the oracle finds no split the
+// cp rule would keep. Together that pins the whole tree to the oracle.
+func requireOracleSplits(t *testing.T, tr *Tree, ds *ml.Dataset) {
+	t.Helper()
+	if tr.NumLeaves() < 2 {
+		t.Fatal("tree learned nothing; the equivalence check is vacuous")
+	}
+	countPos := func(idx []int) int {
+		pos := 0
+		for _, i := range idx {
+			pos += int(ds.Label(i))
+		}
+		return pos
+	}
+	all := make([]int, ds.NumExamples())
+	for i := range all {
+		all[i] = i
+	}
+	rootImp := tr.impurity(countPos(all), len(all))
+	if rootImp == 0 {
+		rootImp = 1
+	}
+	var walk func(at int, idx []int, depth int)
+	walk = func(at int, idx []int, depth int) {
+		nd := &tr.nodes[at]
+		if nd.n != len(idx) {
+			t.Fatalf("node %d holds %d examples, oracle routing gives %d", at, nd.n, len(idx))
+		}
+		best := oracleSplit(tr, ds, idx)
+		if nd.feature < 0 {
+			pos := countPos(idx)
+			open := pos > 0 && pos < len(idx) && len(idx) >= tr.cfg.MinSplit &&
+				(tr.cfg.MaxDepth == 0 || depth < tr.cfg.MaxDepth)
+			if open && best != nil && (tr.cfg.CP <= 0 || best.gain >= tr.cfg.CP*rootImp) {
+				t.Fatalf("leaf %d: oracle keeps a split on feature %d", at, best.feature)
+			}
+			return
+		}
+		if best == nil {
+			t.Fatalf("node %d: batched split on feature %d, oracle finds none", at, nd.feature)
+		}
+		if best.feature != nd.feature || !maps.Equal(best.goLeft, nd.goLeft) {
+			t.Fatalf("node %d: batched split on feature %d, oracle on feature %d (same partition: %v)",
+				at, nd.feature, best.feature, maps.Equal(best.goLeft, nd.goLeft))
+		}
+		var left, right []int
+		for _, i := range idx {
+			if nd.goLeft[ds.At(i, nd.feature)] {
+				left = append(left, i)
+			} else {
+				right = append(right, i)
+			}
+		}
+		walk(nd.leftChild, left, depth+1)
+		walk(nd.rightChild, right, depth+1)
+	}
+	walk(0, all, 0)
+}
+
 // TestBatchSplitMatchesRowAtATime pins the columnar split search to the
-// historical per-cell search: bit-identical trees on datasets large enough
+// row-at-a-time oracle: bit-identical trees on datasets large enough
 // to cross parallelSplitThreshold (so the morsel fan-out and its
 // deterministic reduction are exercised), over a large-cardinality FK-style
 // feature and small categoricals, for all three criteria.
@@ -476,42 +572,19 @@ func TestBatchSplitMatchesRowAtATime(t *testing.T) {
 		ds.Y = append(ds.Y, y)
 	}
 	for _, crit := range []Criterion{Gini, InfoGain, GainRatio} {
-		cfg := Config{Criterion: crit, MinSplit: 20, CP: 1e-4}
-		batch := New(cfg)
-		if err := batch.Fit(ds); err != nil {
-			t.Fatalf("%v: batch fit: %v", crit, err)
-		}
-		cfg.RowAtATime = true
-		rows := New(cfg)
-		if err := rows.Fit(ds); err != nil {
-			t.Fatalf("%v: row fit: %v", crit, err)
-		}
-		if bn, rn := len(batch.nodes), len(rows.nodes); bn != rn {
-			t.Fatalf("%v: node counts diverged: %d vs %d", crit, bn, rn)
-		}
-		for k := range batch.nodes {
-			bnd, rnd := &batch.nodes[k], &rows.nodes[k]
-			if bnd.feature != rnd.feature || bnd.leftChild != rnd.leftChild ||
-				bnd.rightChild != rnd.rightChild || bnd.prediction != rnd.prediction ||
-				bnd.n != rnd.n || bnd.nLeft != rnd.nLeft {
-				t.Fatalf("%v: node %d diverged: %+v vs %+v", crit, k, bnd, rnd)
+		t.Run(crit.String(), func(t *testing.T) {
+			tr := New(Config{Criterion: crit, MinSplit: 20, CP: 1e-4})
+			if err := tr.Fit(ds); err != nil {
+				t.Fatal(err)
 			}
-			if len(bnd.goLeft) != len(rnd.goLeft) {
-				t.Fatalf("%v: node %d goLeft sizes diverged", crit, k)
-			}
-			for v, l := range bnd.goLeft {
-				if rl, ok := rnd.goLeft[v]; !ok || rl != l {
-					t.Fatalf("%v: node %d goLeft[%d] diverged", crit, k, v)
-				}
-			}
-		}
+			requireOracleSplits(t, tr, ds)
+		})
 	}
 }
 
 // TestBatchSplitOnRelationViews runs the batch search through the full view
 // stack — a dataset over a split-style SelectView over a JoinView — and
-// checks the fitted tree matches the row-at-a-time search
-// prediction-for-prediction and in shape.
+// checks the fitted tree against the row-at-a-time oracle.
 func TestBatchSplitOnRelationViews(t *testing.T) {
 	r := rng.New(41)
 	nR := 40
@@ -558,31 +631,16 @@ func TestBatchSplitOnRelationViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Criterion: Gini, MinSplit: 5, CP: 1e-4}
-	batch := New(cfg)
-	if err := batch.Fit(train); err != nil {
+	tr := New(cfg)
+	if err := tr.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	cfg.RowAtATime = true
-	rows := New(cfg)
-	if err := rows.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]relational.Value, train.NumFeatures())
-	for i := 0; i < train.NumExamples(); i++ {
-		row := train.RowInto(buf, i)
-		if batch.Predict(row) != rows.Predict(row) {
-			t.Fatalf("prediction %d diverged", i)
-		}
-	}
-	if batch.NumLeaves() != rows.NumLeaves() || batch.Depth() != rows.Depth() {
-		t.Fatalf("tree shapes diverged: (%d,%d) vs (%d,%d)",
-			batch.NumLeaves(), batch.Depth(), rows.NumLeaves(), rows.Depth())
-	}
+	requireOracleSplits(t, tr, train)
 }
 
 // TestBatchSplitSequentialForced pins the batch path under MaxParallelism=1:
 // forcing sequential morsel processing must still match the row-at-a-time
-// search.
+// oracle.
 func TestBatchSplitSequentialForced(t *testing.T) {
 	// MaxParallelism=1 must keep the batch path deterministic and identical.
 	old := ml.MaxParallelism
@@ -599,20 +657,9 @@ func TestBatchSplitSequentialForced(t *testing.T) {
 		ds.Y = append(ds.Y, int8(int(a)%2))
 	}
 	cfg := Config{Criterion: Gini, MinSplit: 10, CP: 1e-3}
-	batch := New(cfg)
-	if err := batch.Fit(ds); err != nil {
+	tr := New(cfg)
+	if err := tr.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
-	cfg.RowAtATime = true
-	rows := New(cfg)
-	if err := rows.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]relational.Value, 2)
-	for i := 0; i < n; i++ {
-		row := ds.RowInto(buf, i)
-		if batch.Predict(row) != rows.Predict(row) {
-			t.Fatalf("prediction %d diverged", i)
-		}
-	}
+	requireOracleSplits(t, tr, ds)
 }
