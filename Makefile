@@ -8,12 +8,12 @@ SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
 # The benchmarks the regression gate watches: join pipeline, the five
-# learner fits and their approximate-tier siblings, the serving paths, the
-# SVM Gram build, the GEMM-vs-scalar batched ANN serving pair, the zone-map
-# skips, the segmented-vs-slab parity pair, and the concurrent-serving
-# quartet (uncoalesced vs coalesced vs factorized-linear vs the hardened
-# entry — admission gate + panic recovery — under 64 clients).
-BENCH_REGEX = Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|SVMFitErrorCache|ANNFitFusedAdam|Serve(Factorized|Joined)|SVMKernelCacheGemm|ServeBatch(Scalar|Gemm)|SelectEqSeg(FullScan|ZoneSkip)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$$
+# learner fits, the serving paths, the SVM Gram build, the GEMM-vs-scalar
+# batched ANN serving pair, the zone-map skips, the segmented-vs-slab parity
+# pair, and the concurrent-serving quartet (uncoalesced vs coalesced vs
+# factorized-linear vs the hardened entry — admission gate + panic recovery —
+# under 64 clients).
+BENCH_REGEX = Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|Serve(Factorized|Joined)|SVMKernelCacheGemm|ServeBatch(Scalar|Gemm)|SelectEqSeg(FullScan|ZoneSkip)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$$
 # Time-based benchtime so every bench accumulates several iterations per
 # sample — the nanosecond-scale Serve* benches get millions, the ~100ms Fit
 # benches get a handful — and -count 5 gives benchgate a median that shrugs
@@ -43,10 +43,9 @@ bench-baseline:
 # bench-gate reproduces CI's benchmark-regression gate: >20% median ns/op
 # regression on any gated benchmark vs bench_baseline.txt fails, as does any
 # pair group without a winner — a >=1.5x zone-map skip win, segment-per-task
-# scan parity at >=0.95x vs the single-slab scan, a >=2x coalesced-vs-scalar
-# concurrent-serving win, the error-cache SMO and fused-Adam kernels each
-# >=1.5x their exact Columnar sibling — and so does any non-zero allocs/op on
-# the coalesced, factorized-linear and hardened serving paths.
+# scan parity at >=0.95x vs the single-slab scan, and a >=2x
+# coalesced-vs-scalar concurrent-serving win — and so does any non-zero
+# allocs/op on the coalesced, factorized-linear and hardened serving paths.
 #
 # BENCH_JSON=<path> additionally writes the gated medians (ns/op, allocs/op)
 # as a machine-readable JSON digest — the committed BENCH_<n>.json artifacts.
@@ -83,3 +82,5 @@ fuzz-smoke:
 	go test ./internal/relational -run xxx -fuzz 'FuzzColumnarEquivalence$$' -fuzztime 20s
 	go test ./internal/relational -run xxx -fuzz 'FuzzSegmentedEquivalence$$' -fuzztime 20s
 	go test ./internal/mat -run xxx -fuzz 'FuzzMatEquivalence$$' -fuzztime 20s
+	go test ./internal/relational -run xxx -fuzz 'FuzzReadCSV$$' -fuzztime 20s
+	go test ./internal/relational -run xxx -fuzz 'FuzzJoinViewMatchesMaterialized$$' -fuzztime 20s

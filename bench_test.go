@@ -441,10 +441,10 @@ func BenchmarkLogRegFitColumnar(b *testing.B) {
 	}
 }
 
-// benchSVMFit measures one SMO Fit — batched column scans into the pinned
-// row block, the morsel-parallel kernel-cache build, and the optimization
-// loop — with or without the error-cache SMO loop.
-func benchSVMFit(b *testing.B, errorCache bool) {
+// BenchmarkSVMFitColumnar measures one SMO Fit — batched column scans into
+// the pinned row block, the morsel-parallel kernel-cache build, and the
+// optimization loop.
+func BenchmarkSVMFitColumnar(b *testing.B) {
 	train := benchTrainSplit(b)
 	cfg := svm.Config{
 		Kernel:       svm.RBF,
@@ -452,7 +452,6 @@ func benchSVMFit(b *testing.B, errorCache bool) {
 		Gamma:        0.1,
 		SubsampleCap: envInt("REPRO_SVMCAP", 1024),
 		Seed:         7,
-		ErrorCache:   errorCache,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -467,21 +466,11 @@ func benchSVMFit(b *testing.B, errorCache bool) {
 	}
 }
 
-// BenchmarkSVMFitColumnar is the bit-exact SMO loop.
-func BenchmarkSVMFitColumnar(b *testing.B) { benchSVMFit(b, false) }
-
-// BenchmarkSVMFitErrorCache is the approximate-tier sibling of
-// BenchmarkSVMFitColumnar: identical data, engine, and hyper-parameters,
-// with Config.ErrorCache replacing the full f(i) recomputation per KKT check
-// by incremental E-vector maintenance and max-violating-pair selection.
-// Accuracy-gated (not bit-identical); benchgate holds it to ≥1.5× over the
-// Columnar default.
-func BenchmarkSVMFitErrorCache(b *testing.B) { benchSVMFit(b, true) }
-
-// benchANNFit measures one MLP Fit (mini-batch Adam) fed from the one-pass
-// active-index matrix. Network sizes match the EffortFast grid so the bench
-// measures data access against a realistic arithmetic load.
-func benchANNFit(b *testing.B, fusedAdam bool) {
+// BenchmarkANNFitColumnar measures one MLP Fit (mini-batch sparse Adam) fed
+// from the one-pass active-index matrix. Network sizes match the EffortFast
+// grid so the bench measures data access against a realistic arithmetic
+// load.
+func BenchmarkANNFitColumnar(b *testing.B) {
 	train := benchTrainSplit(b)
 	cfg := ann.Config{
 		Hidden1:      32,
@@ -489,7 +478,6 @@ func benchANNFit(b *testing.B, fusedAdam bool) {
 		LearningRate: 1e-2,
 		Epochs:       10,
 		Seed:         7,
-		FusedAdam:    fusedAdam,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -500,16 +488,6 @@ func benchANNFit(b *testing.B, fusedAdam bool) {
 		}
 	}
 }
-
-// BenchmarkANNFitColumnar is the bit-exact sparse-Adam epoch loop.
-func BenchmarkANNFitColumnar(b *testing.B) { benchANNFit(b, false) }
-
-// BenchmarkANNFitFusedAdam is the approximate-tier sibling of
-// BenchmarkANNFitColumnar: identical data, engine, and hyper-parameters,
-// with Config.FusedAdam replacing the sparse per-row Adam chains by one
-// fused mat.AdamStep pass per contiguous slab. Accuracy-gated (not
-// bit-identical); benchgate holds it to ≥1.5× over the Columnar default.
-func BenchmarkANNFitFusedAdam(b *testing.B) { benchANNFit(b, true) }
 
 // BenchmarkSVMKernelCacheGemm measures one n×n SVM Gram-matrix build at the
 // SVMFit bench scale — the dominant arithmetic of a capped SMO fit: match

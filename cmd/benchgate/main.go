@@ -10,7 +10,7 @@
 //     the machine-independent check that an optional mechanism actually pays
 //     for itself. Groups are ';'-separated lists of pairs; a pair is
 //     name/slowSuffix/fastSuffix, naming Benchmark<name><slowSuffix> and
-//     Benchmark<name><fastSuffix> (e.g. SVMFit/Columnar/ErrorCache). A group
+//     Benchmark<name><fastSuffix> (e.g. SelectEqSeg/FullScan/ZoneSkip). A group
 //     may override the required speedup with an @<ratio> suffix (e.g.
 //     `A/B/C@0.95` — used by the segmented-engine parity group, whose bar is
 //     "no tax vs the slab", not a speedup). Every group must produce at
@@ -35,24 +35,18 @@ import (
 )
 
 // defaultGate covers the benchmarks that guard the repository's headline
-// wins: join pipeline, the five learner fits and the approximate-tier
-// kernels, the factorized serving path, the SVM Gram build, the
+// wins: join pipeline, the five learner fits, the factorized serving path, the SVM Gram build, the
 // GEMM-vs-scalar batch-serving pair, the zone-map skips, the
 // segmented-vs-slab parity pair, and the concurrent serving paths.
-const defaultGate = `^Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|SVMFitErrorCache|ANNFitFusedAdam|Serve(Factorized|Joined)|SVMKernelCacheGemm|ServeBatch(Scalar|Gemm)|SelectEqSeg(FullScan|ZoneSkip)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$`
+const defaultGate = `^Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|Serve(Factorized|Joined)|SVMKernelCacheGemm|ServeBatch(Scalar|Gemm)|SelectEqSeg(FullScan|ZoneSkip)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$`
 
 // defaultPairs is the speedup requirement. The first group is the zone-map
 // bar: skipping provably-irrelevant segments must beat the full scan. The
 // second is the segmented-scan parity bar at @0.95: a segment-per-task scan
 // must not lose to one sequential pass over the single-slab table (within
 // noise on one core; the pair scales with cores). The third is the
-// request coalescer's bar over uncoalesced concurrent serving. The last two
-// are the approximate-training-tier bars — the error-cache SMO and
-// fused-Adam kernels must each beat their bit-exact Columnar reference;
-// each is its own group so neither win can carry the other (both paths are
-// additionally held to held-out equivalence by the accuracy gate, `hamlet
-// -verify accuracy`).
-const defaultPairs = `SelectEqSeg/FullScan/ZoneSkip;SegParScan/Slab/Seg@0.95;ServeConcurrent/Scalar/Coalesced@2.0;SVMFit/Columnar/ErrorCache;ANNFit/Columnar/FusedAdam`
+// request coalescer's bar over uncoalesced concurrent serving.
+const defaultPairs = `SelectEqSeg/FullScan/ZoneSkip;SegParScan/Slab/Seg@0.95;ServeConcurrent/Scalar/Coalesced@2.0`
 
 // defaultZeroAlloc names the benchmarks whose steady state must allocate
 // nothing: the factorized-linear serving path end to end, the coalesced

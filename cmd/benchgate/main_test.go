@@ -19,14 +19,9 @@ PASS
 `
 
 // pairLines satisfies every group of the default pair gate: zone skip at
-// 20x, the parity pair at 1.0 (enough for the group's @0.95 bar), the
-// coalescer at 2.2x, and the error-cache SMO / fused-Adam kernels beating
-// their exact Columnar siblings at 2.5x.
+// 20x, the parity pair at 1.0 (enough for the group's @0.95 bar), and the
+// coalescer at 2.2x (enough for its @2.0 bar).
 const pairLines = `
-BenchmarkSVMFitColumnar        	      10	  1000000 ns/op
-BenchmarkSVMFitErrorCache      	      10	   400000 ns/op
-BenchmarkANNFitColumnar        	      10	  1000000 ns/op
-BenchmarkANNFitFusedAdam       	      10	   400000 ns/op
 BenchmarkSelectEqSegFullScan   	      10	  2000000 ns/op
 BenchmarkSelectEqSegZoneSkip   	      10	   100000 ns/op
 BenchmarkTreeSplitZoneSkip     	      10	  1200000 ns/op
@@ -81,7 +76,7 @@ BenchmarkServeFactorized-4    	     100	      510 ns/op
 	}
 	for _, want := range []string{
 		"ok   BenchmarkNBFitColumnar: 1100000 -> 1150000 ns/op",
-		"pair SVMFit/Columnar/ErrorCache: fast side 2.50x",
+		"pair ServeConcurrent/Scalar/Coalesced: fast side 2.22x",
 		"pair SelectEqSeg/FullScan/ZoneSkip: fast side 20.00x",
 	} {
 		if !strings.Contains(sb.String(), want) {
@@ -91,18 +86,19 @@ BenchmarkServeFactorized-4    	     100	      510 ns/op
 }
 
 func TestPairGroupsEachRequireAWinner(t *testing.T) {
-	// Every other group clears its bar but fused Adam sits at 1.11x — the
-	// gate must fail: another group's win cannot carry it.
-	slowFused := strings.Replace(pairLines, "BenchmarkANNFitFusedAdam       \t      10\t   400000", "BenchmarkANNFitFusedAdam       \t      10\t   900000", 1)
-	if slowFused == pairLines {
+	// Every other group clears its bar but the coalescer sits at 1.1x, short
+	// of its @2.0 bar — the gate must fail: another group's win cannot carry
+	// it.
+	slowCoalesced := strings.Replace(pairLines, "BenchmarkServeConcurrentCoalesced\t      10\t   900000", "BenchmarkServeConcurrentCoalesced\t      10\t  1818182", 1)
+	if slowCoalesced == pairLines {
 		t.Fatal("fixture edit missed")
 	}
 	var sb strings.Builder
-	err := run([]string{"-current", writeTemp(t, "cur.txt", slowFused)}, &sb)
+	err := run([]string{"-current", writeTemp(t, "cur.txt", slowCoalesced)}, &sb)
 	if err == nil || !strings.Contains(sb.String(), "FAIL pairs") {
-		t.Fatalf("fused-Adam group at 1.11x must fail (err %v):\n%s", err, sb.String())
+		t.Fatalf("coalescer group at 1.1x must fail (err %v):\n%s", err, sb.String())
 	}
-	// With fused Adam back at 2.5x the same run passes.
+	// With the coalescer back at 2.2x the same run passes.
 	sb.Reset()
 	if err := run([]string{"-current", writeTemp(t, "cur2.txt", pairLines)}, &sb); err != nil {
 		t.Fatalf("gate must pass with a winner in every group: %v\n%s", err, sb.String())
@@ -170,13 +166,13 @@ BenchmarkServeFactorized    	     100	      500 ns/op
 
 func TestGateFailsWithoutPairSpeedup(t *testing.T) {
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkSVMFitColumnar  	      10	  1000000 ns/op
-BenchmarkSVMFitErrorCache	      10	   900000 ns/op
-BenchmarkANNFitColumnar  	      10	  1000000 ns/op
-BenchmarkANNFitFusedAdam 	      10	  1100000 ns/op
+BenchmarkSelectEqSegFullScan     	      10	  1000000 ns/op
+BenchmarkSelectEqSegZoneSkip     	      10	   900000 ns/op
+BenchmarkServeConcurrentScalar   	      10	  1000000 ns/op
+BenchmarkServeConcurrentCoalesced	      10	  1100000 ns/op
 `)
 	var sb strings.Builder
-	err := run([]string{"-current", cur, "-pairs", "SVMFit/Columnar/ErrorCache,ANNFit/Columnar/FusedAdam"}, &sb)
+	err := run([]string{"-current", cur, "-pairs", "SelectEqSeg/FullScan/ZoneSkip,ServeConcurrent/Scalar/Coalesced"}, &sb)
 	if err == nil || !strings.Contains(sb.String(), "FAIL pairs") {
 		t.Fatalf("pair gate must fail at 1.11x best speedup (err %v):\n%s", err, sb.String())
 	}
@@ -184,10 +180,10 @@ BenchmarkANNFitFusedAdam 	      10	  1100000 ns/op
 
 func TestPairGateErrorsOnMissingSibling(t *testing.T) {
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkSVMFitColumnar	      10	  1000000 ns/op
+BenchmarkSelectEqSegFullScan	      10	  1000000 ns/op
 `)
 	var sb strings.Builder
-	if err := run([]string{"-current", cur, "-pairs", "SVMFit/Columnar/ErrorCache"}, &sb); err == nil {
+	if err := run([]string{"-current", cur, "-pairs", "SelectEqSeg/FullScan/ZoneSkip"}, &sb); err == nil {
 		t.Fatal("missing fast sibling must error")
 	}
 }

@@ -40,15 +40,6 @@
 //
 //	hamlet -train ... -engine seg -spilldir d -faults "read:eio:nth=40"
 //
-// -verify runs a named verification tier. The only tier today is
-// "accuracy": every registered approximate training kernel (error-cache
-// SMO, fused Adam) trains against its bit-exact reference across the
-// Flights/Yelp/Expedia × row/seg matrix, and held-out accuracy,
-// prediction-disagreement, and log-loss deltas must stay within the
-// calibrated tolerances — the same gate CI and the test suite run:
-//
-//	hamlet -verify accuracy [-scale 256 -seed 1]
-//
 // Scale divides every dataset cardinality so the whole study runs on one
 // core; tuple ratios — the quantity the paper's findings depend on — are
 // preserved at every scale.
@@ -106,7 +97,6 @@ func run(args []string) error {
 	timings := fs.Bool("timings", false, "print per-phase training span totals (scan, gram_build, epochs, ...) after the run and embed them in -train artifact metadata")
 	datasetName := fs.String("dataset", "", "dataset name for -train/-eval (see Table 1: Expedia, Movies, Yelp, Walmart, LastFM, Books, Flights)")
 	specName := fs.String("spec", "NaiveBayes(BFS)", "classifier spec for -train (a Tables 2-3 model name)")
-	verify := fs.String("verify", "", "run a verification tier: 'accuracy' trains every registered approximate kernel against its bit-exact reference across the Flights/Yelp/Expedia × engine matrix and holds held-out deltas to tolerance (-scale defaults to the gate's calibrated 256 here)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -180,13 +170,6 @@ func run(args []string) error {
 		return nil
 	}
 
-	if *verify != "" {
-		vscale := 0 // VerifyOptions default: the calibrated gate scale
-		if explicit["scale"] {
-			vscale = *scale
-		}
-		return runVerify(*verify, vscale, *seed, o.Out)
-	}
 	if *fsckDir != "" {
 		return runFsck(*fsckDir, o.Out)
 	}
@@ -230,38 +213,6 @@ func run(args []string) error {
 		return err
 	}
 	return fmt.Errorf("nothing to do: pass -table N, -figure 1, or -all")
-}
-
-// runVerify dispatches a verification tier by name. "accuracy" is the only
-// tier with a CLI face: the bit-identity tier lives entirely in the test
-// suite, while this one is also the CI accuracy-gate job's entry point. It
-// prints every (kernel, dataset, engine) cell's measured held-out deltas
-// and fails when any cell is outside its registered tolerance.
-func runVerify(tier string, scale int, seed uint64, w io.Writer) error {
-	if tier != "accuracy" {
-		return fmt.Errorf("unknown verification tier %q (want accuracy)", tier)
-	}
-	cells, err := core.VerifyAccuracy(core.VerifyOptions{Scale: scale, Seed: seed})
-	fmt.Fprintf(w, "%-16s %-8s %-4s %8s %8s %8s %9s %7s  %s\n",
-		"kernel", "dataset", "eng", "refAcc", "approx", "accΔ", "disagree", "lossΔ", "status")
-	for _, c := range cells {
-		status := "ok"
-		if c.Err != nil {
-			status = "FAIL"
-		}
-		loss := "      -"
-		if c.Delta.HasLoss {
-			loss = fmt.Sprintf("%7.4f", c.Delta.LossDelta())
-		}
-		fmt.Fprintf(w, "%-16s %-8s %-4s %8.4f %8.4f %8.4f %9.4f %s  %s\n",
-			c.Kernel, c.Dataset, c.Engine, c.Delta.RefAcc, c.Delta.ApproxAcc,
-			c.Delta.AccDelta(), c.Delta.Disagreement, loss, status)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "accuracy gate: all %d cells within tolerance\n", len(cells))
-	return nil
 }
 
 // printTimings renders the process-wide training-phase span totals — how much

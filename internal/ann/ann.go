@@ -37,18 +37,6 @@ type Config struct {
 	BatchSize int
 	// Seed drives weight init and shuffling.
 	Seed uint64
-	// FusedAdam selects the approximate dense-Adam optimizer: parameters,
-	// gradients, and Adam moments live in two contiguous slabs ([w1|w2|w3]
-	// and [b1|b2|b3]) and every mini-batch updates each slab in a single
-	// fused mat.AdamStep pass, with the input layer's gradient accumulated
-	// densely instead of as per-row sparse chains. This is textbook dense
-	// Adam: an embedding row untouched by the batch still sees moment decay
-	// and L2 shrinkage, and a row active for several batch examples is
-	// updated once with the summed gradient rather than once per example —
-	// so the optimization trajectory diverges from the bit-identical
-	// default and the path is gated by the accuracy-level equivalence
-	// harness (core.VerifyAccuracy), not bit-equality. Default off.
-	FusedAdam bool
 }
 
 func (c *Config) fillDefaults() {
@@ -103,19 +91,6 @@ type MLP struct {
 	a1b, a2b, a3 adamState
 	a3b          adamState
 	step         int
-
-	// slabs is non-nil only while fitting with Config.FusedAdam: the
-	// contiguous parameter/gradient/moment storage the fused updates sweep.
-	slabs *fusedSlabs
-}
-
-// fusedSlabs is the Config.FusedAdam storage layout: all weight blocks in
-// one contiguous slab ([w1|w2|w3], L2-regularized) and all biases in another
-// ([b1|b2|b3], no L2), each paired with same-shape gradient and Adam moment
-// slabs so one mat.AdamStep call per slab updates the whole network.
-type fusedSlabs struct {
-	w, gw, mw, vw []float64 // dims·h1 + h1·h2 + h2
-	b, gb, mb, vb []float64 // h1 + h2 + 1
 }
 
 // New returns an unfitted MLP.
@@ -164,42 +139,17 @@ func (m *MLP) initFit(train *ml.Dataset) (*rng.RNG, []int) {
 			w[i] = r.NormFloat64() * s
 		}
 	}
-	if m.cfg.FusedAdam {
-		// Fused storage: the weight blocks are slices of one contiguous
-		// slab (likewise the biases), so the fused optimizer sweeps each
-		// slab in a single pass while the forward/backward code reads the
-		// blocks through the same m.w1/m.w2/… names.
-		nw := dims*h1 + h1*h2 + h2
-		nb := h1 + h2 + 1
-		s := &fusedSlabs{
-			w: make([]float64, nw), gw: make([]float64, nw),
-			mw: make([]float64, nw), vw: make([]float64, nw),
-			b: make([]float64, nb), gb: make([]float64, nb),
-			mb: make([]float64, nb), vb: make([]float64, nb),
-		}
-		m.slabs = s
-		m.w1 = s.w[:dims*h1]
-		m.w2 = s.w[dims*h1 : dims*h1+h1*h2]
-		m.w3 = s.w[dims*h1+h1*h2:]
-		m.b1 = s.b[:h1]
-		m.b2 = s.b[h1 : h1+h2]
-	} else {
-		m.slabs = nil
-		m.w1 = make([]float64, dims*h1)
-		m.b1 = make([]float64, h1)
-		m.w2 = make([]float64, h1*h2)
-		m.b2 = make([]float64, h2)
-		m.w3 = make([]float64, h2)
-		m.a1 = newAdam(dims * h1)
-		m.a1b = newAdam(h1)
-		m.a2 = newAdam(h1 * h2)
-		m.a2b = newAdam(h2)
-		m.a3 = newAdam(h2)
-		m.a3b = newAdam(1)
-	}
-	// Same RNG draw order on both storage layouts, so the fused path starts
-	// from bit-identical initial weights and any divergence is the
-	// optimizer's alone.
+	m.w1 = make([]float64, dims*h1)
+	m.b1 = make([]float64, h1)
+	m.w2 = make([]float64, h1*h2)
+	m.b2 = make([]float64, h2)
+	m.w3 = make([]float64, h2)
+	m.a1 = newAdam(dims * h1)
+	m.a1b = newAdam(h1)
+	m.a2 = newAdam(h1 * h2)
+	m.a2b = newAdam(h2)
+	m.a3 = newAdam(h2)
+	m.a3b = newAdam(1)
 	initRow(m.w1, d)
 	initRow(m.w2, h1)
 	initRow(m.w3, h2)
@@ -255,28 +205,13 @@ func (m *MLP) fitBatched(train *ml.Dataset, r *rng.RNG, order []int) {
 	g3 := make([]float64, B)
 	d2 := make([]float64, B*h2)
 	d1 := make([]float64, B*h1)
-	// Gradient accumulators: on the fused path they are slices of the slab
-	// gradient storage (mat.AdamStep consumes and clears them in place); on
-	// the default path they are the historical private buffers feeding
-	// applyAdam, plus the sparse input-layer chains.
-	fused := m.slabs != nil
-	var gW1, gW2, gB2, gW3, gB1 []float64
-	var sparse []sparseGrad
-	if fused {
-		s := m.slabs
-		dims := m.enc.Dims
-		gW1 = s.gw[:dims*h1]
-		gW2 = s.gw[dims*h1 : dims*h1+h1*h2]
-		gW3 = s.gw[dims*h1+h1*h2:]
-		gB1 = s.gb[:h1]
-		gB2 = s.gb[h1 : h1+h2]
-	} else {
-		gW2 = make([]float64, h1*h2)
-		gB2 = make([]float64, h2)
-		gW3 = make([]float64, h2)
-		gB1 = make([]float64, h1)
-		sparse = make([]sparseGrad, 0, B*d)
-	}
+	// Gradient accumulators feeding applyAdam, plus the sparse input-layer
+	// chains.
+	gW2 := make([]float64, h1*h2)
+	gB2 := make([]float64, h2)
+	gW3 := make([]float64, h2)
+	gB1 := make([]float64, h1)
+	sparse := make([]sparseGrad, 0, B*d)
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
 		epochT0 := time.Now()
 		r.ShuffleInts(order)
@@ -376,31 +311,17 @@ func (m *MLP) fitBatched(train *ml.Dataset, r *rng.RNG, order []int) {
 					gB1[u] += dv
 				}
 			}
-			if fused {
-				// Dense input-layer grads: scatter-add D1 row t into the
-				// slab row of every active embedding (the slab region was
-				// cleared by the previous AdamStep's consuming pass), then
-				// update both slabs in one fused sweep each.
-				for t := 0; t < bs; t++ {
-					grad := d1[t*h1 : (t+1)*h1]
-					for _, kx := range bidx[t*d : (t+1)*d] {
-						mat.Axpy(1, grad, gW1[int(kx)*h1:(int(kx)+1)*h1])
-					}
+			// Sparse input-layer grads: D1 row t is the gradient of
+			// every embedding row active for example t, in the row
+			// path's example-major append order.
+			sparse = sparse[:0]
+			for t := 0; t < bs; t++ {
+				grad := d1[t*h1 : (t+1)*h1]
+				for _, kx := range bidx[t*d : (t+1)*d] {
+					sparse = append(sparse, sparseGrad{row: int(kx), grad: grad})
 				}
-				m.applyAdamFused(gB3)
-			} else {
-				// Sparse input-layer grads: D1 row t is the gradient of
-				// every embedding row active for example t, in the row
-				// path's example-major append order.
-				sparse = sparse[:0]
-				for t := 0; t < bs; t++ {
-					grad := d1[t*h1 : (t+1)*h1]
-					for _, kx := range bidx[t*d : (t+1)*d] {
-						sparse = append(sparse, sparseGrad{row: int(kx), grad: grad})
-					}
-				}
-				m.applyAdam(gW2, gB2, gW3, gB3, gB1, sparse)
 			}
+			m.applyAdam(gW2, gB2, gW3, gB3, gB1, sparse)
 		}
 		epochSpan.ObserveSince(epochT0)
 	}
@@ -444,28 +365,6 @@ func (m *MLP) applyAdam(gW2, gB2, gW3 []float64, gB3 float64, gB1 []float64, spa
 			w[u] -= lr * (mm[u] / c1) / (math.Sqrt(vv[u]/c2) + eps)
 		}
 	}
-}
-
-// applyAdamFused folds one mini-batch's gradients into the parameters on the
-// Config.FusedAdam path: the scalar output-bias gradient is stored into its
-// slab cell, then each slab (weights with L2, biases without) updates through
-// one mat.AdamStep pass over contiguous memory. AdamStep clears the gradient
-// slabs as it consumes them, so the next batch's accumulation starts from
-// zero. The element-wise arithmetic matches applyAdam's update closure; the
-// trajectory diverges only because the input layer is treated densely (see
-// Config.FusedAdam).
-func (m *MLP) applyAdamFused(gB3 float64) {
-	s := m.slabs
-	s.gb[len(s.gb)-1] = gB3
-	m.step++
-	lr := m.cfg.LearningRate
-	c1 := 1 - math.Pow(beta1, float64(m.step))
-	c2 := 1 - math.Pow(beta2, float64(m.step))
-	mat.AdamStep(s.w, s.gw, s.mw, s.vw, lr, m.cfg.L2, beta1, beta2, eps, c1, c2)
-	mat.AdamStep(s.b, s.gb, s.mb, s.vb, lr, 0, beta1, beta2, eps, c1, c2)
-	// The forward pass reads the scalar field; keep it synced with the
-	// slab's last cell.
-	m.b3 = s.b[len(s.b)-1]
 }
 
 // Probability returns P(Y=1 | row).

@@ -33,24 +33,12 @@ type Config struct {
 	SubsampleCap int
 	// Seed drives SMO's second-multiplier randomization and subsampling.
 	Seed uint64
-	// ErrorCache selects the approximate SMO loop: the prediction-error
-	// vector E[i] = f(i) − y[i] is maintained incrementally across α steps
-	// (two kernel rows plus the bias delta per successful update) and each
-	// iteration optimizes the maximal violating pair chosen over the cached
-	// errors (Keerthi's b_up/b_low selection), replacing the default loop's
-	// full f(i) recomputation per KKT check and randomized second choice.
-	// The optimization visits a different sequence of pairs and stops on a
-	// duality-gap criterion, so the fitted multipliers diverge from the
-	// bit-identical default; the path is gated by the accuracy-level
-	// equivalence harness (core.VerifyAccuracy), not bit-equality. Default
-	// off.
-	ErrorCache bool
 }
 
 // gramCacheCap bounds the training-set size for which Fit materializes the
-// full n×n Gram cache (n² float32 ≈ 64 MiB at the cap); beyond it both SMO
-// loops fall back to on-demand kernel evaluation. A variable so tests can
-// exercise the cacheless branches at small n.
+// full n×n Gram cache (n² float32 ≈ 64 MiB at the cap); beyond it the SMO
+// loop falls back to on-demand kernel evaluation. A variable so tests can
+// exercise the cacheless branch at small n.
 var gramCacheCap = 4096
 
 // SVM is a kernel support vector classifier. Construct with New, then Fit.
@@ -212,17 +200,6 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 		return sum + b
 	}
 
-	if s.cfg.ErrorCache {
-		// Approximate tier: incremental-E working-set loop (errorcache.go).
-		// One smoPassSpan observation covers the whole optimization — the
-		// loop has no full-sweep passes to time individually.
-		t0 := time.Now()
-		b = smoErrorCache(n, y, alpha, C, tol, maxIter, kcache, k, rows)
-		smoPassSpan.ObserveSince(t0)
-		s.retainSupport(rows, alpha, y, b)
-		return nil
-	}
-
 	passes, iter := 0, 0
 	for passes < s.cfg.MaxPasses && iter < maxIter {
 		passT0 := time.Now()
@@ -289,13 +266,7 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 		}
 	}
 
-	s.retainSupport(rows, alpha, y, b)
-	return nil
-}
-
-// retainSupport keeps the rows with nonzero multipliers as the fitted
-// support set; both the exact and the error-cache loops end here.
-func (s *SVM) retainSupport(rows [][]relational.Value, alpha, y []float64, b float64) {
+	// The rows with nonzero multipliers are the fitted support set.
 	s.svRows = s.svRows[:0]
 	s.svAlphaY = s.svAlphaY[:0]
 	for i := range rows {
@@ -305,6 +276,7 @@ func (s *SVM) retainSupport(rows [][]relational.Value, alpha, y []float64, b flo
 		}
 	}
 	s.b = b
+	return nil
 }
 
 // Decision returns the signed decision value Σ αᵢyᵢ k(xᵢ, x) + b.

@@ -147,6 +147,77 @@ func TestSingleClassDegenerate(t *testing.T) {
 	}
 }
 
+// noisyDataset builds a mostly-separable two-feature set: feature 0 carries
+// the label with flip-noise, feature 1 is irrelevant. Tiny domains and many
+// examples guarantee duplicated rows, so zero-curvature pairs occur.
+func noisyDataset(n int, seed uint64) *ml.Dataset {
+	ds := &ml.Dataset{Features: feats(2, 4)}
+	r := rng.New(seed)
+	for i := 0; i < n; i++ {
+		x0 := relational.Value(r.Intn(2))
+		y := int8(x0)
+		if r.Float64() < 0.1 {
+			y = 1 - y
+		}
+		ds.X = append(ds.X, x0, relational.Value(r.Intn(4)))
+		ds.Y = append(ds.Y, y)
+	}
+	return ds
+}
+
+// TestOnDemandKernelMatchesGramCache drops the cache threshold below n so
+// Fit evaluates kernel values on demand, and checks that fit against the
+// cached one. The cache holds float32 values and the on-demand branch
+// float64 ones, so the multipliers may differ in low bits; the predictions
+// on the training set must not.
+func TestOnDemandKernelMatchesGramCache(t *testing.T) {
+	ds := noisyDataset(200, 5)
+	fit := func(kind KernelKind) *SVM {
+		s, err := New(Config{Kernel: kind, C: 10, Gamma: 0.5, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	kinds := []KernelKind{RBF, Linear}
+	var cached []*SVM
+	for _, kind := range kinds {
+		cached = append(cached, fit(kind))
+	}
+	old := gramCacheCap
+	gramCacheCap = 8
+	defer func() { gramCacheCap = old }()
+	for k, kind := range kinds {
+		onDemand := fit(kind)
+		for i := 0; i < ds.NumExamples(); i++ {
+			row := ds.Row(i)
+			if a, b := cached[k].Predict(row), onDemand.Predict(row); a != b {
+				t.Fatalf("%v: example %d: cached fit predicts %d, on-demand fit %d", kind, i, a, b)
+			}
+		}
+	}
+}
+
+// TestMaxIterBoundsSupportSet pins the safety valve: a one-iteration budget
+// terminates at once, and one pair step moves at most two multipliers. The
+// seed is one whose first example violates KKT, so the step is taken.
+func TestMaxIterBoundsSupportSet(t *testing.T) {
+	ds := noisyDataset(100, 5)
+	s, err := New(Config{Kernel: RBF, C: 10, Gamma: 0.5, MaxIter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Fit(ds); err != nil {
+		t.Fatal(err)
+	}
+	if sv := s.NumSupportVectors(); sv > 2 {
+		t.Fatalf("MaxIter=1 retained %d support vectors, want ≤2", sv)
+	}
+}
+
 func TestEmptyTrainRejected(t *testing.T) {
 	s, err := New(Config{Kernel: Linear, C: 1})
 	if err != nil {
