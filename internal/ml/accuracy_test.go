@@ -1,0 +1,78 @@
+package ml
+
+import (
+	"testing"
+
+	"repro/internal/relational"
+)
+
+// accuracyOracle is the reference Accuracy is pinned against: one RowInto
+// and one Label per example, no batching.
+func accuracyOracle(c Classifier, ds *Dataset) float64 {
+	n := ds.NumExamples()
+	if n == 0 {
+		return 0
+	}
+	correct := 0
+	buf := make([]relational.Value, ds.NumFeatures())
+	for i := 0; i < n; i++ {
+		if c.Predict(ds.RowInto(buf, i)) == ds.Label(i) {
+			correct++
+		}
+	}
+	return float64(correct) / float64(n)
+}
+
+// parityClassifier predicts from every feature of the row, so a feature
+// read from the wrong example or column changes its answers.
+type parityClassifier struct{}
+
+func (parityClassifier) Fit(*Dataset) error { return nil }
+func (parityClassifier) Predict(row []relational.Value) int8 {
+	h := 0
+	for j, v := range row {
+		h += (j + 1) * int(v)
+	}
+	return int8(h>>1) & 1
+}
+
+// TestAccuracyMatchesPerExampleOracle pins the batched Accuracy to the
+// per-example oracle, exactly, on every batch backing and on split views
+// several scoring morsels long, in memory and spilled under a cache of a
+// few segments.
+func TestAccuracyMatchesPerExampleOracle(t *testing.T) {
+	backings := batchBackings(t)
+	_, jv := viewStar(t, 3*scoreMorsel+500, 12, 9)
+	cols := ViewColumns(jv, JoinAll, nil)
+	idx := make([]int, 0, jv.NumRows())
+	for i := jv.NumRows() - 1; i >= 0; i -= 2 {
+		idx = append(idx, i)
+	}
+	for i := 0; i < jv.NumRows(); i += 2 {
+		idx = append(idx, i)
+	}
+	for name, opts := range map[string]relational.SegmentOptions{
+		"long-split":         {SegmentSize: 256},
+		"long-spilled-split": {SegmentSize: 64, SpillDir: t.TempDir(), CacheBytes: 2048},
+	} {
+		st, err := relational.MaterializeSegmented(jv, name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		sel, err := relational.NewSelectView(st, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if backings[name], err = FromRelation(sel, cols, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, ds := range backings {
+		for _, c := range []Classifier{parityClassifier{}, &ConstantClassifier{Class: 1}} {
+			if got, want := Accuracy(c, ds), accuracyOracle(c, ds); got != want {
+				t.Fatalf("%s %T: Accuracy = %v, per-example oracle = %v", name, c, got, want)
+			}
+		}
+	}
+}

@@ -9,9 +9,10 @@ import (
 
 // batchBackings builds one logical dataset over every backing the batch
 // accessors must handle: dense storage, relation views (row-major and
-// columnar, with and without split-style select views), and composed
-// Subset/SelectFeatures remaps. All are views of the same cells, so the
-// batch reads must agree with the scalar accessors on each.
+// columnar, with and without split-style select views, in memory and
+// spilled under a cache of a few segments), and composed Subset/
+// SelectFeatures remaps. All are views of the same cells, so the batch
+// reads must agree with the scalar accessors on each.
 func batchBackings(t *testing.T) map[string]*Dataset {
 	t.Helper()
 	_, jv := viewStar(t, 400, 12, 9)
@@ -65,6 +66,21 @@ func batchBackings(t *testing.T) map[string]*Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp, err := relational.MaterializeSegmented(jv, "sp", relational.SegmentOptions{
+		SegmentSize: 32, SpillDir: t.TempDir(), CacheBytes: 1024,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sp.Close() })
+	selSpill, err := relational.NewSelectView(sp, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overSelectSpilled, err := FromRelation(selSpill, cols, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string]*Dataset{
 		"dense":                    full.Materialize(),
 		"relation":                 full,
@@ -73,6 +89,8 @@ func batchBackings(t *testing.T) map[string]*Dataset {
 		"select-over-columnar":     overSelectColumnar,
 		"segmented":                overSegmented,
 		"select-over-segmented":    overSelectSegmented,
+		"select-over-spilled":      overSelectSpilled,
+		"subset-of-select-spilled": overSelectSpilled.Subset([]int{149, 3, 3, 77, 0, 120}),
 		"subset":                   full.Subset(idx),
 		"subset-of-dense":          full.Materialize().Subset(idx),
 		"feature-remap":            full.SelectFeatures([]int{2, 0}),
@@ -82,8 +100,8 @@ func batchBackings(t *testing.T) map[string]*Dataset {
 	}
 }
 
-// TestScanFeatureMatchesAt pins ScanFeature (all offsets, short buffers) and
-// GatherFeature (repeated, unordered rows) to At on every backing.
+// TestScanFeatureMatchesAt pins ScanFeature (all offsets, short buffers) to
+// At on every backing.
 func TestScanFeatureMatchesAt(t *testing.T) {
 	for name, ds := range batchBackings(t) {
 		n := ds.NumExamples()
@@ -105,19 +123,6 @@ func TestScanFeatureMatchesAt(t *testing.T) {
 					if got, want := buf[k], ds.At(from+k, j); got != want {
 						t.Fatalf("%s: ScanFeature(%d,%d)[%d] = %d, At = %d", name, j, from, k, got, want)
 					}
-				}
-			}
-		}
-		if n < 3 {
-			t.Fatalf("%s: backing too small", name)
-		}
-		rows := []int{n - 1, 0, n / 2, 0, n - 1, 1}
-		out := make([]relational.Value, len(rows))
-		for j := 0; j < ds.NumFeatures(); j++ {
-			ds.GatherFeature(out, j, rows)
-			for k, i := range rows {
-				if got, want := out[k], ds.At(i, j); got != want {
-					t.Fatalf("%s: GatherFeature(%d)[%d] = %d, At = %d", name, j, k, got, want)
 				}
 			}
 		}
@@ -146,6 +151,72 @@ func TestScanLabelsMatchesLabel(t *testing.T) {
 					t.Fatalf("%s: ScanLabels(%d)[%d] = %d, Label = %d", name, from, k, buf[k], ds.Label(from+k))
 				}
 			}
+		}
+	}
+}
+
+// TestGatherFeaturesMatchesAt pins GatherFeatures — a strided column-major
+// block of features and labels over repeated, unordered rows — to At and
+// Label on every backing.
+func TestGatherFeaturesMatchesAt(t *testing.T) {
+	for name, ds := range batchBackings(t) {
+		n := ds.NumExamples()
+		rows := []int{n - 1, 0, n / 2, 0, n - 1, 1, n / 3}
+		feats := []int{LabelColumn}
+		for j := ds.NumFeatures() - 1; j >= 0; j-- {
+			feats = append(feats, j)
+		}
+		stride := len(rows) + 2
+		block := make([]relational.Value, len(feats)*stride)
+		ds.GatherFeatures(block, stride, feats, rows)
+		for i, j := range feats {
+			for k, r := range rows {
+				want := relational.Value(ds.Label(r))
+				if j != LabelColumn {
+					want = ds.At(r, j)
+				}
+				if got := block[i*stride+k]; got != want {
+					t.Fatalf("%s: GatherFeatures feature %d row %d = %d, want %d", name, j, r, got, want)
+				}
+			}
+		}
+	}
+}
+
+// countingRelation forwards to a source relation and counts At calls.
+type countingRelation struct {
+	*relational.SegmentedTable
+	at *int
+}
+
+func (c countingRelation) At(row, col int) relational.Value {
+	*c.at++
+	return c.SegmentedTable.At(row, col)
+}
+
+// TestScanLabelsSubsetGathers checks that ScanLabels on a row-remapped
+// dataset (a Subset, as cross-validation builds) reads the target column
+// through the relation's gather, not one At per example.
+func TestScanLabelsSubsetGathers(t *testing.T) {
+	_, jv := viewStar(t, 300, 12, 9)
+	st, err := relational.MaterializeSegmented(jv, "st", relational.SegmentOptions{SegmentSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ats int
+	ds, err := FromRelation(countingRelation{st, &ats}, ViewColumns(jv, JoinAll, nil), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := ds.Subset([]int{299, 5, 5, 140, 0, 77})
+	got := make([]int8, sub.NumExamples())
+	sub.ScanLabels(got, 0)
+	if ats != 0 {
+		t.Fatalf("ScanLabels on a Subset made %d At calls, want a gather", ats)
+	}
+	for i := range got {
+		if want := sub.Label(i); got[i] != want {
+			t.Fatalf("ScanLabels[%d] = %d, Label = %d", i, got[i], want)
 		}
 	}
 }

@@ -32,13 +32,19 @@ type BatchPredictor interface {
 	PredictBatch(ds *Dataset) []int8
 }
 
+// scoreMorsel is the example count of one Accuracy gather: the block holds
+// (features + label) × scoreMorsel codes.
+const scoreMorsel = 1024
+
 // Accuracy returns the fraction of examples in ds classified correctly by c.
-// Classifiers implementing BatchPredictor are scored in one batched pass;
-// for the rest, rows are copied into a local buffer before prediction so
-// that classifiers which internally iterate the same dataset (1-NN evaluated
-// on its own training set) never see their argument clobbered by scratch
-// reuse. The two paths count identical classes, so the choice never changes
-// an accuracy.
+// Classifiers implementing BatchPredictor are scored in one batched pass.
+// The rest are scored a morsel at a time: one GatherFeatures call reads the
+// morsel's features and labels together (on a spilled table, one pin per
+// touched segment), and each example is copied into a local row buffer
+// before Predict, so classifiers which internally iterate the same dataset
+// (1-NN evaluated on its own training set) never see their argument
+// clobbered. The two paths count identical classes, so the choice never
+// changes an accuracy.
 func Accuracy(c Classifier, ds *Dataset) float64 {
 	n := ds.NumExamples()
 	if n == 0 {
@@ -53,10 +59,30 @@ func Accuracy(c Classifier, ds *Dataset) float64 {
 		}
 		return float64(correct) / float64(n)
 	}
-	buf := make([]relational.Value, ds.NumFeatures())
-	for i := 0; i < n; i++ {
-		if c.Predict(ds.RowInto(buf, i)) == ds.Label(i) {
-			correct++
+	w := ds.NumFeatures()
+	feats := make([]int, w+1)
+	for j := range w {
+		feats[j] = j
+	}
+	feats[w] = LabelColumn
+	stride := min(n, scoreMorsel)
+	block := make([]relational.Value, (w+1)*stride)
+	rows := make([]int, stride)
+	row := make([]relational.Value, w)
+	labels := block[w*stride:]
+	for from := 0; from < n; from += stride {
+		m := min(stride, n-from)
+		for k := range rows[:m] {
+			rows[k] = from + k
+		}
+		ds.GatherFeatures(block, stride, feats, rows[:m])
+		for k := 0; k < m; k++ {
+			for j := range row {
+				row[j] = block[j*stride+k]
+			}
+			if c.Predict(row) == int8(labels[k]) {
+				correct++
+			}
 		}
 	}
 	return float64(correct) / float64(n)
@@ -65,40 +91,6 @@ func Accuracy(c Classifier, ds *Dataset) float64 {
 // Error returns the 0-1 loss of c on ds (1 − Accuracy).
 func Error(c Classifier, ds *Dataset) float64 {
 	return 1 - Accuracy(c, ds)
-}
-
-// Confusion is a 2×2 confusion matrix for binary classification.
-type Confusion struct {
-	TP, FP, TN, FN int
-}
-
-// Confuse evaluates c on ds and tallies the confusion matrix.
-func Confuse(c Classifier, ds *Dataset) Confusion {
-	var m Confusion
-	buf := make([]relational.Value, ds.NumFeatures())
-	for i := 0; i < ds.NumExamples(); i++ {
-		pred, truth := c.Predict(ds.RowInto(buf, i)), ds.Label(i)
-		switch {
-		case pred == 1 && truth == 1:
-			m.TP++
-		case pred == 1 && truth == 0:
-			m.FP++
-		case pred == 0 && truth == 0:
-			m.TN++
-		default:
-			m.FN++
-		}
-	}
-	return m
-}
-
-// Accuracy returns the accuracy implied by the confusion matrix.
-func (m Confusion) Accuracy() float64 {
-	total := m.TP + m.FP + m.TN + m.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(m.TP+m.TN) / float64(total)
 }
 
 // GridPoint is one hyper-parameter assignment: a name → value map.

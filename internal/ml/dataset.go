@@ -20,6 +20,7 @@ package ml
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/relational"
 )
@@ -231,11 +232,11 @@ func (d *Dataset) ScanFeature(dst []relational.Value, j, from int) int {
 	return m
 }
 
-// GatherFeature fills dst[k] with At(rows[k], j) for every k — the batch
-// read for non-contiguous example subsets (a decision-tree node's example
-// set). len(dst) must be >= len(rows). Like ScanFeature it routes through
+// gatherFeature fills dst[k] with At(rows[k], j) for every k — the
+// one-feature step of GatherFeatures for backings without a multi-column
+// gather. len(dst) must be >= len(rows). Like ScanFeature it routes through
 // the backing relation's gather when available.
-func (d *Dataset) GatherFeature(dst []relational.Value, j int, rows []int) {
+func (d *Dataset) gatherFeature(dst []relational.Value, j int, rows []int) {
 	dst = dst[:len(rows)]
 	if d.v == nil {
 		k := len(d.Features)
@@ -279,6 +280,70 @@ func (d *Dataset) GatherFeature(dst []relational.Value, j int, rows []int) {
 	}
 }
 
+// LabelColumn is the feature index GatherFeatures reads as the example's
+// class label (as the code 0 or 1), so a scoring pass gathers features and
+// labels in the same call.
+const LabelColumn = -1
+
+// featureScratch is GatherFeatures' pooled working memory: the source
+// column list and, for row-remapped views, the composed source rows.
+type featureScratch struct {
+	cols []int
+	rows []int
+}
+
+var featurePool = sync.Pool{New: func() any { return new(featureScratch) }}
+
+// GatherFeatures fills the column-major block dst with features feats of
+// the examples rows: feature feats[i] of example rows[k] lands at
+// dst[i*stride+k], and stride must be >= len(rows). A feats entry equal to
+// LabelColumn reads the label instead. When the backing relation implements
+// relational.ColumnsGatherer (a SegmentedTable, or a SelectView split over
+// any relation) the block is one grouped gather, so a spilled table pins
+// each touched segment once for all the features; otherwise it is one
+// one-feature gather per feature. Safe for concurrent use: it writes only into
+// dst.
+func (d *Dataset) GatherFeatures(dst []relational.Value, stride int, feats []int, rows []int) {
+	var g relational.ColumnsGatherer
+	if d.v != nil && d.v.rel != nil {
+		g, _ = d.v.rel.(relational.ColumnsGatherer)
+	}
+	if g == nil {
+		for i, j := range feats {
+			col := dst[i*stride : i*stride+len(rows)]
+			if j != LabelColumn {
+				d.gatherFeature(col, j, rows)
+				continue
+			}
+			for k, r := range rows {
+				col[k] = relational.Value(d.Label(r))
+			}
+		}
+		return
+	}
+	sc := featurePool.Get().(*featureScratch)
+	defer featurePool.Put(sc)
+	cols := sc.cols[:0]
+	for _, j := range feats {
+		switch {
+		case j == LabelColumn:
+			j = d.v.target
+		case d.v.cols != nil:
+			j = d.v.cols[j]
+		}
+		cols = append(cols, j)
+	}
+	sc.cols = cols
+	if d.v.rows != nil {
+		src := sc.rows[:0]
+		for _, r := range rows {
+			src = append(src, d.v.rows[r])
+		}
+		sc.rows, rows = src, src
+	}
+	g.GatherColumns(dst, stride, cols, rows)
+}
+
 // ScanLabels fills dst with consecutive labels starting at example from and
 // returns the count written — the label companion of ScanFeature. Learners
 // on the batch path call it once per Fit and then index the materialized
@@ -296,11 +361,20 @@ func (d *Dataset) ScanLabels(dst []int8, from int) int {
 		copy(dst, d.Y[from:from+m])
 		return m
 	}
-	if d.v.rel != nil && d.v.rows == nil {
-		if cs, ok := d.v.rel.(relational.ColumnScanner); ok {
+	if d.v.rel != nil {
+		// Batch the target column: a contiguous scan without a row remap, a
+		// gather of the remapped rows (a Subset) with one.
+		cs, scans := d.v.rel.(relational.ColumnScanner)
+		g, gathers := d.v.rel.(relational.ColumnGatherer)
+		if (d.v.rows == nil && scans) || (d.v.rows != nil && gathers) {
 			buf := make([]relational.Value, min(m, 4096))
 			for at := 0; at < m; {
-				got := cs.ScanColumn(d.v.target, from+at, buf[:min(len(buf), m-at)])
+				got := min(len(buf), m-at)
+				if d.v.rows == nil {
+					got = cs.ScanColumn(d.v.target, from+at, buf[:got])
+				} else {
+					g.GatherColumn(buf, d.v.target, d.v.rows[from+at:from+at+got])
+				}
 				for i := 0; i < got; i++ {
 					dst[at+i] = int8(buf[i])
 				}

@@ -128,13 +128,6 @@ func TestAccuracyAndConfusion(t *testing.T) {
 	if got := Error(c, d); got != 0.5 {
 		t.Fatalf("Error = %v", got)
 	}
-	m := Confuse(c, d)
-	if m.TP != 2 || m.FP != 2 || m.TN != 0 || m.FN != 0 {
-		t.Fatalf("confusion = %+v", m)
-	}
-	if m.Accuracy() != 0.5 {
-		t.Fatalf("confusion accuracy = %v", m.Accuracy())
-	}
 }
 
 func TestConstantClassifierFit(t *testing.T) {

@@ -39,6 +39,18 @@ type ColumnViaGatherer interface {
 	GatherColumnVia(dst []Value, col int, idx []int, rows []int)
 }
 
+// ColumnsGatherer is the multi-column ColumnGatherer: it fills the
+// column-major block dst with column cols[i] of the rows at
+// dst[i*stride : i*stride+len(rows)], so dst[i*stride+k] = At(rows[k],
+// cols[i]); stride must be >= len(rows). One call lets a storage engine
+// with a per-segment access cost (the spilled SegmentedTable) pay it once
+// per touched segment for all columns, instead of once per column.
+// SegmentedTable implements it, and SelectView forwards it through its row
+// remap.
+type ColumnsGatherer interface {
+	GatherColumns(dst []Value, stride int, cols []int, rows []int)
+}
+
 // scanLen clamps a ScanColumn request to the valid row range.
 func scanLen(numRows, from, dstLen int) int {
 	m := numRows - from
@@ -167,6 +179,26 @@ func (c *colData) gatherVia(dst []Value, idx []int, rows []int) {
 	default:
 		for k, r := range rows {
 			dst[k] = c.u32[idx[r]]
+		}
+	}
+}
+
+// gatherTo widens c[offs[p]] into dst[to[p]] for every p — the scatter step
+// of the grouped segment gather, which reads one segment's bucket of rows
+// and writes each value back to its request position.
+func (c *colData) gatherTo(dst []Value, offs, to []int) {
+	switch {
+	case c.u8 != nil:
+		for p, o := range offs {
+			dst[to[p]] = Value(c.u8[o])
+		}
+	case c.u16 != nil:
+		for p, o := range offs {
+			dst[to[p]] = Value(c.u16[o])
+		}
+	default:
+		for p, o := range offs {
+			dst[to[p]] = c.u32[o]
 		}
 	}
 }

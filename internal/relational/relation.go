@@ -140,6 +140,20 @@ func (v *SelectView) GatherColumn(dst []Value, col int, rows []int) {
 	}
 }
 
+// GatherColumns implements ColumnsGatherer through the view's row remap. A
+// segmented source runs its grouped kernel over the composed remap, so a
+// split view's permuted rows pin each touched segment once for all columns;
+// other sources gather column by column.
+func (v *SelectView) GatherColumns(dst []Value, stride int, cols []int, rows []int) {
+	if s, ok := v.src.(*SegmentedTable); ok {
+		s.gatherGrouped(dst, stride, cols, v.idx, rows)
+		return
+	}
+	for i, c := range cols {
+		v.GatherColumn(dst[i*stride:i*stride+len(rows)], c, rows)
+	}
+}
+
 // ColumnRange implements ColumnRanger by forwarding the source's bounds.
 // The view's rows are a subset of the source's, so the source range is a
 // sound (possibly loose) over-approximation of the view's.

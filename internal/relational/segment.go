@@ -399,8 +399,8 @@ func (t *SegmentedTable) release(si int) {
 }
 
 // At implements Relation. With an active pager every call pins and unpins
-// one segment; batch readers should prefer ScanColumn / GatherColumn, which
-// pin once per segment run.
+// one segment; batch readers should prefer ScanColumn, GatherColumn or
+// GatherColumns, which pin each touched segment once per call.
 func (t *SegmentedTable) At(row, col int) Value {
 	if len(t.entries) == 0 {
 		// Whole table still in the open tail (never evictable): a direct
@@ -448,60 +448,133 @@ func (t *SegmentedTable) ScanColumn(col int, from int, dst []Value) int {
 	return m
 }
 
-// GatherColumn implements ColumnGatherer. Consecutive rows that fall in the
-// same segment share one pin; a shuffled row set degrades to a pin per
-// transition, which is two atomic adds against an in-memory table's none —
-// the cost of evictability.
+// GatherColumn implements ColumnGatherer on the grouped gather kernel: each
+// segment the rows touch is pinned once per call, whatever their order.
 func (t *SegmentedTable) GatherColumn(dst []Value, col int, rows []int) {
-	dst = dst[:len(rows)]
-	if len(t.entries) == 0 {
-		// Whole table still in the open tail (never evictable): the
-		// width-specialized single-slab gather.
-		t.tail.cols[col].gather(dst, rows)
-		return
-	}
-	cur := -1
-	var c *colData
-	for k, r := range rows {
-		si, off := t.locate(r)
-		if si != cur {
-			if cur >= 0 {
-				t.release(cur)
-			}
-			c = &t.acquire(si).cols[col]
-			cur = si
-		}
-		dst[k] = c.at(off)
-	}
-	if cur >= 0 {
-		t.release(cur)
-	}
+	cols := [1]int{col}
+	t.gatherGrouped(dst, len(rows), cols[:], nil, rows)
 }
 
 // GatherColumnVia implements ColumnViaGatherer — the fused double-remap
-// gather a SelectView stacked on this table uses.
+// gather a SelectView stacked on this table uses — on the same kernel.
 func (t *SegmentedTable) GatherColumnVia(dst []Value, col int, idx []int, rows []int) {
-	dst = dst[:len(rows)]
-	if len(t.entries) == 0 {
-		t.tail.cols[col].gatherVia(dst, idx, rows)
+	cols := [1]int{col}
+	t.gatherGrouped(dst, len(rows), cols[:], idx, rows)
+}
+
+// GatherColumns implements ColumnsGatherer: every requested column of the
+// rows in one pass, pinning each touched segment once for all of them.
+func (t *SegmentedTable) GatherColumns(dst []Value, stride int, cols []int, rows []int) {
+	t.gatherGrouped(dst, stride, cols, nil, rows)
+}
+
+// gatherScratch is the grouped kernel's working memory, pooled because
+// gathers run concurrently inside ml.ParallelFor spans and must not
+// allocate once warm.
+type gatherScratch struct {
+	seg   []int // per request position: segment index
+	off   []int // per request position: offset inside its segment
+	start []int // bucket bounds per segment (counting sort), len segments+1
+	boff  []int // offsets in bucketed (segment-major) order
+	bdst  []int // request positions in bucketed order
+}
+
+var gatherPool = sync.Pool{New: func() any { return new(gatherScratch) }}
+
+// grow returns s resized to n, reallocating only when capacity falls short.
+func grow(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
+// gatherGrouped is the one gather kernel of the segmented engine: for every
+// i and k it sets dst[i*stride+k] to the value of column cols[i] at source
+// row rows[k] — or idx[rows[k]] when idx is non-nil. The rows are bucketed
+// by segment with a counting sort (or taken in their own order when they are
+// already segment-ordered, as a tree node over an unremapped table hands
+// them), each touched segment is acquired once, every requested column is
+// read out of it, and the values are scattered back to request order. A
+// shuffled request over S segments therefore pins S segments, not one per
+// segment transition, which is what keeps a split view's permuted rows from
+// thrashing a small cache.
+func (t *SegmentedTable) gatherGrouped(dst []Value, stride int, cols []int, idx, rows []int) {
+	n := len(rows)
+	if n == 0 || len(cols) == 0 {
 		return
 	}
-	cur := -1
-	var c *colData
-	for k, r := range rows {
-		i := idx[r]
-		si, off := t.locate(i)
-		if si != cur {
-			if cur >= 0 {
-				t.release(cur)
+	if len(t.entries) == 0 {
+		// Whole table still in the open tail (never evictable): the
+		// width-specialized single-slab gathers, no pins.
+		for i, c := range cols {
+			d := dst[i*stride : i*stride+n]
+			if idx == nil {
+				t.tail.cols[c].gather(d, rows)
+			} else {
+				t.tail.cols[c].gatherVia(d, idx, rows)
 			}
-			c = &t.acquire(si).cols[col]
-			cur = si
 		}
-		dst[k] = c.at(off)
+		return
 	}
-	if cur >= 0 {
-		t.release(cur)
+	sc := gatherPool.Get().(*gatherScratch)
+	defer gatherPool.Put(sc)
+	nseg := t.NumSegments()
+	sc.seg, sc.off = grow(sc.seg, n), grow(sc.off, n)
+	sc.start = grow(sc.start, nseg+1)
+	clear(sc.start)
+	ordered := true
+	prev := 0
+	for k, r := range rows {
+		if idx != nil {
+			r = idx[r]
+		}
+		si, off := t.locate(r)
+		sc.seg[k], sc.off[k] = si, off
+		sc.start[si+1]++
+		if si < prev {
+			ordered = false
+		}
+		prev = si
+	}
+	if ordered {
+		// Segment-ordered already: each run is one segment's bucket, in
+		// request order, so the offsets gather straight into dst.
+		for lo := 0; lo < n; {
+			si := sc.seg[lo]
+			hi := lo + sc.start[si+1]
+			s := t.acquire(si)
+			for i, c := range cols {
+				s.cols[c].gather(dst[i*stride+lo:i*stride+hi], sc.off[lo:hi])
+			}
+			t.release(si)
+			lo = hi
+		}
+		return
+	}
+	for si := 0; si < nseg; si++ {
+		sc.start[si+1] += sc.start[si]
+	}
+	sc.boff, sc.bdst = grow(sc.boff, n), grow(sc.bdst, n)
+	// Stable scatter into buckets; start[si] walks to the bucket's end, so
+	// afterwards bucket si spans [start[si-1], start[si]) with start[-1] = 0.
+	for k, si := range sc.seg {
+		p := sc.start[si]
+		sc.boff[p], sc.bdst[p] = sc.off[k], k
+		sc.start[si] = p + 1
+	}
+	lo := 0
+	for si := 0; si < nseg; si++ {
+		hi := sc.start[si]
+		if hi == lo {
+			continue
+		}
+		s := t.acquire(si)
+		for i, c := range cols {
+			s.cols[c].gatherTo(dst[i*stride:], sc.boff[lo:hi], sc.bdst[lo:hi])
+		}
+		t.release(si)
+		lo = hi
 	}
 }
 

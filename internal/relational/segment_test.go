@@ -337,8 +337,9 @@ func TestSegmentedOutOfCoreLifecycle(t *testing.T) {
 
 // TestSegmentedConcurrentSpilledReads hammers a spilled table under a cache
 // budget that holds only a fraction of the segments, from many goroutines
-// mixing scans, gathers, and point reads — the pin/unpin-vs-evict race the
-// LRU cache must survive. Run under -race this is the satellite coverage
+// mixing scans, single- and multi-column gathers, and point reads — the
+// pin/unpin-vs-evict race the LRU cache must survive, and concurrent use of
+// the grouped gather's pooled scratch. Run under -race this is the coverage
 // for concurrent pin/unpin while scans are in flight.
 func TestSegmentedConcurrentSpilledReads(t *testing.T) {
 	const segSize = 64
@@ -360,6 +361,8 @@ func TestSegmentedConcurrentSpilledReads(t *testing.T) {
 			buf := make([]Value, 200)
 			rows := make([]int, 64)
 			rowBuf := make([]Value, w)
+			cols := []int{w - 1, 0, 2}
+			block := make([]Value, len(cols)*len(rows))
 			for iter := 0; iter < 30; iter++ {
 				j := r.Intn(w)
 				from := r.Intn(n)
@@ -378,6 +381,15 @@ func TestSegmentedConcurrentSpilledReads(t *testing.T) {
 					if want := tab.At(row, j); buf[k] != want {
 						t.Errorf("g%d: GatherColumn[%d] = %d want %d", g, k, buf[k], want)
 						return
+					}
+				}
+				st.GatherColumns(block, len(rows), cols, rows)
+				for i, c := range cols {
+					for k, row := range rows {
+						if want := tab.At(row, c); block[i*len(rows)+k] != want {
+							t.Errorf("g%d: GatherColumns col %d [%d] = %d want %d", g, c, k, block[i*len(rows)+k], want)
+							return
+						}
 					}
 				}
 				i := r.Intn(n)
@@ -467,7 +479,8 @@ var fuzzSchema = MustSchema(
 // requireEquivalentAppends appends the rows encoded in raw (one byte per
 // cell of fuzzSchema) to a row-major Table and to a SegmentedTable of the
 // given segment size, and requires both to accept the same rows and read
-// them back identically; sealed zone maps must cover the values they
+// them back identically — cells, scans, and all three gathers over a
+// reversed, repeated row list; sealed zone maps must cover the values they
 // summarize.
 func requireEquivalentAppends(t *testing.T, segSize int, raw []byte) {
 	w := fuzzSchema.Width()
@@ -498,6 +511,7 @@ func requireEquivalentAppends(t *testing.T, segSize int, raw []byte) {
 			}
 		}
 	}
+	requireEquivalentGathers(t, rt, st)
 	bufR := make([]Value, 3)
 	bufS := make([]Value, 3)
 	for j := 0; j < w; j++ {
@@ -523,6 +537,55 @@ func requireEquivalentAppends(t *testing.T, segSize int, raw []byte) {
 				if v := st.At(i, j); !z.MayContain(v) {
 					t.Fatalf("zone map %+v of segment %d column %d excludes present value %d", z, s, j, v)
 				}
+			}
+		}
+	}
+}
+
+// requireEquivalentGathers compares GatherColumn, GatherColumnVia and
+// GatherColumns of st against the row-major rt on every row twice, last row
+// first. The Via remap is that list and the Via rows read it back to front,
+// so the composed rows ascend: the kernel's bucketed and segment-ordered
+// branches both run once the table spans several segments.
+func requireEquivalentGathers(t *testing.T, rt *Table, st *SegmentedTable) {
+	t.Helper()
+	n, w := rt.NumRows(), rt.Schema().Width()
+	rows := make([]int, 0, 2*n)
+	for i := n - 1; i >= 0; i-- {
+		rows = append(rows, i, i)
+	}
+	back := make([]int, len(rows))
+	for k := range back {
+		back[k] = len(rows) - 1 - k
+	}
+	want := make([]Value, len(rows))
+	got := make([]Value, len(rows))
+	cols := make([]int, w)
+	for j := range cols {
+		cols[j] = w - 1 - j
+	}
+	block := make([]Value, w*len(rows))
+	st.GatherColumns(block, len(rows), cols, rows)
+	for j := 0; j < w; j++ {
+		rt.GatherColumn(want, j, rows)
+		st.GatherColumn(got, j, rows)
+		for k := range rows {
+			if got[k] != want[k] {
+				t.Fatalf("GatherColumn(%d)[%d] = %d, want %d", j, k, got[k], want[k])
+			}
+		}
+		rt.GatherColumnVia(want, j, rows, back)
+		st.GatherColumnVia(got, j, rows, back)
+		for k := range rows {
+			if got[k] != want[k] {
+				t.Fatalf("GatherColumnVia(%d)[%d] = %d, want %d", j, k, got[k], want[k])
+			}
+		}
+	}
+	for i, c := range cols {
+		for k, row := range rows {
+			if v := block[i*len(rows)+k]; v != rt.At(row, c) {
+				t.Fatalf("GatherColumns column %d [%d] = %d, want %d", c, k, v, rt.At(row, c))
 			}
 		}
 	}

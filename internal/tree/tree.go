@@ -140,13 +140,19 @@ const (
 )
 
 // batchState is the per-Fit scratch of the columnar split search. All
-// buffers are allocated once per Fit and reused at every (node, feature)
-// pair; per-value state (cnt, seen) is cleared via the distinct-value list,
-// so a small node never pays O(domain) for a large-cardinality feature.
+// buffers are allocated once per Fit and reused at every node; per-value
+// state (cnt, seen) is cleared via the distinct-value list, so a small node
+// never pays O(domain) for a large-cardinality feature.
 type batchState struct {
-	labels   []int8             // per-example labels, scanned once per Fit
-	nodeY    []int8             // node-local labels aligned to the node's idx
-	vals     []relational.Value // gathered feature column, node-local
+	labels []int8 // per-example labels, scanned once per Fit
+	nodeY  []int8 // node-local labels aligned to the node's idx
+	// cand lists the candidate features in ascending order: every feature
+	// whose storage-level [min, max] does not prove it constant. The proof
+	// holds for the whole relation, so the list is fixed for the Fit.
+	cand []int
+	// block holds the node's candidate columns, gathered in one call:
+	// feature cand[c] of the node's k-th example at block[c*len(idx)+k].
+	block    []relational.Value
 	cnt      [][]int32          // per-span tallies: cnt[s][2v] = count, cnt[s][2v+1] = positives
 	seen     []bool             // distinct-value marks, len = max cardinality
 	distinct []relational.Value // distinct values of the current column
@@ -156,9 +162,17 @@ type batchState struct {
 func newBatchState(train *ml.Dataset) *batchState {
 	n := train.NumExamples()
 	maxCard := 2
-	for _, f := range train.Features {
+	var cand []int
+	for j, f := range train.Features {
 		if f.Cardinality > maxCard {
 			maxCard = f.Cardinality
+		}
+		// Zone-map skip: a feature whose storage-level [min, max] proves it
+		// constant can never produce two tally buckets, so it is never
+		// gathered. Same outcome as tallying it (len(tallies) < 2), so the
+		// fitted tree is unchanged.
+		if lo, hi, ok := train.FeatureRange(j); !ok || lo != hi {
+			cand = append(cand, j)
 		}
 	}
 	spans := ml.Parallelism((n + batchMorsel - 1) / batchMorsel)
@@ -168,7 +182,8 @@ func newBatchState(train *ml.Dataset) *batchState {
 	bs := &batchState{
 		labels: make([]int8, n),
 		nodeY:  make([]int8, n),
-		vals:   make([]relational.Value, n),
+		cand:   cand,
+		block:  make([]relational.Value, len(cand)*n),
 		cnt:    make([][]int32, spans),
 		seen:   make([]bool, maxCard),
 	}
@@ -260,7 +275,7 @@ func (t *Tree) countPos(idx []int) int {
 	return pos
 }
 
-// grow recursively// grow recursively builds the subtree over idx and returns its node index.
+// grow recursively builds the subtree over idx and returns its node index.
 func (t *Tree) grow(ds *ml.Dataset, idx []int, rootImpurity float64, depth int) int {
 	pos := t.countPos(idx)
 	me := len(t.nodes)
@@ -295,24 +310,13 @@ func (t *Tree) grow(ds *ml.Dataset, idx []int, rootImpurity float64, depth int) 
 
 	left := make([]int, 0, best.nLeft)
 	right := make([]int, 0, len(idx)-best.nLeft)
-	// One gather of the winning feature column, then route. Wide nodes shard
-	// the gather's morsel ranges across the pool (each span writes a
-	// disjoint slice of vals); routing itself stays a sequential
-	// order-preserving pass, so the children's example order — and
-	// therefore the fitted tree — is identical at any worker count.
-	vals := t.batch.vals[:len(idx)]
-	if n := len(idx); n >= parallelSplitThreshold {
-		spans := ml.Parallelism((n + batchMorsel - 1) / batchMorsel)
-		ml.ParallelFor(spans, func(s int) {
-			lo, hi := n*s/spans, n*(s+1)/spans
-			for m := lo; m < hi; m += batchMorsel {
-				mh := min(m+batchMorsel, hi)
-				ds.GatherFeature(vals[m:mh], best.feature, idx[m:mh])
-			}
-		})
-	} else {
-		ds.GatherFeature(vals, best.feature, idx)
-	}
+	// Route on the winning feature's column, still in the block bestSplit
+	// gathered. Routing is a sequential order-preserving pass, so the
+	// children's example order — and therefore the fitted tree — is
+	// identical at any worker count.
+	n := len(idx)
+	c := sort.SearchInts(t.batch.cand, best.feature)
+	vals := t.batch.block[c*n : (c+1)*n]
 	for k, i := range idx {
 		if best.goLeft[vals[k]] {
 			left = append(left, i)
@@ -342,13 +346,15 @@ type vc struct {
 	rate float64
 }
 
-// bestSplit searches all features for the best binary subset split, column
-// at a time. Per candidate feature it gathers
-// the feature's column for the node's examples in morsel-sized chunks —
-// fanned out across goroutines for wide nodes — tallies into dense
-// per-span count arrays, and merges the spans over the distinct-value list.
-// The per-(node, feature) cost is O(|node| + distinct), independent of the
-// feature's domain size, and every inner loop is a devirtualized array walk.
+// bestSplit searches the candidate features for the best binary subset
+// split. It first gathers every candidate column of the node's examples
+// into the block with one GatherFeatures call per morsel — fanned out
+// across goroutines for wide nodes — so a spilled table pins each touched
+// segment once per morsel for all features. Then, column at a time, it
+// tallies into dense per-span count arrays and merges the spans over the
+// distinct-value list. The per-(node, feature) cost is O(|node| + distinct),
+// independent of the feature's domain size, and every inner loop is a
+// devirtualized array walk. The block stays valid for grow's routing.
 func (t *Tree) bestSplit(ds *ml.Dataset, idx []int) *split {
 	bs := t.batch
 	nodeN := len(idx)
@@ -373,28 +379,24 @@ func (t *Tree) bestSplit(ds *ml.Dataset, idx []int) *split {
 		}
 	}
 
-	var best *split
-	vals := bs.vals[:nodeN]
-	for j := 0; j < ds.NumFeatures(); j++ {
-		// Zone-map skip: a feature whose storage-level [min, max] proves it
-		// constant can never produce two tally buckets — skip the gather
-		// entirely. Same outcome as tallying (len(tallies) < 2), so the
-		// fitted tree is unchanged.
-		if lo, hi, ok := ds.FeatureRange(j); ok && lo == hi {
-			continue
+	block := bs.block[:len(bs.cand)*nodeN]
+	ml.ParallelFor(spans, func(s int) {
+		lo, hi := nodeN*s/spans, nodeN*(s+1)/spans
+		for m := lo; m < hi; m += batchMorsel {
+			mh := min(m+batchMorsel, hi)
+			ds.GatherFeatures(block[m:], nodeN, bs.cand, idx[m:mh])
 		}
+	})
+	var best *split
+	for c, j := range bs.cand {
+		vals := block[c*nodeN : (c+1)*nodeN]
 		ml.ParallelFor(spans, func(s int) {
-			lo := nodeN * s / spans
-			hi := nodeN * (s + 1) / spans
+			lo, hi := nodeN*s/spans, nodeN*(s+1)/spans
 			cnt := bs.cnt[s]
-			for m := lo; m < hi; m += batchMorsel {
-				mh := min(m+batchMorsel, hi)
-				ds.GatherFeature(vals[m:mh], j, idx[m:mh])
-				for k := m; k < mh; k++ {
-					v := vals[k]
-					cnt[2*v]++
-					cnt[2*v+1] += int32(nodeY[k])
-				}
+			for k := lo; k < hi; k++ {
+				v := vals[k]
+				cnt[2*v]++
+				cnt[2*v+1] += int32(nodeY[k])
 			}
 		})
 		// Enumerate distinct values (first-occurrence order — the sort in
