@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	hamlet -table 2 [-scale 64] [-effort fast|full] [-svmcap 400] [-seed 1] [-engine seg|row]
+//	hamlet -table 2 [-scale 64] [-effort fast|full] [-svmcap 400] [-seed 1]
 //	hamlet -figure 1
 //	hamlet -all
 //
@@ -17,10 +17,9 @@
 //	hamlet -train -dataset Movies -spec "NaiveBayes(BFS)" -model m.bin [-scale 64 -seed 1]
 //	hamlet -eval -model m.bin [-dataset Movies -scale 64 -seed 1]
 //
-// The default segmented engine (-engine seg) materializes the join into
-// fixed-size columnar segments; -segsize tunes the partition and
-// -spilldir/-cachebytes enable the out-of-core tier (segments on disk, LRU
-// cache in memory); -engine row keeps the join a zero-copy view instead. Two
+// Experiment data is the join materialized into fixed-size columnar
+// segments; -segsize tunes the partition and -spilldir/-cachebytes enable
+// the out-of-core tier (segments on disk, LRU cache in memory). Two
 // artifacts can be compared ignoring provenance metadata — the CI proof that
 // an out-of-core run trains bit-identically to an in-memory one:
 //
@@ -38,7 +37,7 @@
 // testing that training either fails with a typed error or produces a
 // bit-identical artifact — never silently wrong bytes:
 //
-//	hamlet -train ... -engine seg -spilldir d -faults "read:eio:nth=40"
+//	hamlet -train ... -spilldir d -faults "read:eio:nth=40"
 //
 // Scale divides every dataset cardinality so the whole study runs on one
 // core; tuple ratios — the quantity the paper's findings depend on — are
@@ -81,7 +80,6 @@ func run(args []string) error {
 	effort := fs.String("effort", "fast", "hyper-parameter grids: fast or full (paper-exact)")
 	svmCap := fs.Int("svmcap", 400, "SMO training-set cap (0 = unbounded)")
 	seed := fs.Uint64("seed", 1, "random seed")
-	engine := fs.String("engine", "seg", "storage engine for experiment data: seg (segmented columnar, the default) or row (zero-copy join view)")
 	segSize := fs.Int("segsize", 0, "segmented engine: rows per segment (0 = default)")
 	spillDir := fs.String("spilldir", "", "segmented engine: spill sealed segments to a heap file in this directory (out-of-core)")
 	cacheBytes := fs.Int64("cachebytes", 0, "segmented engine: LRU cache budget in bytes for resident spilled segments (0 = never evict)")
@@ -117,11 +115,6 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown effort %q (want fast or full)", *effort)
 	}
-	eng, err := core.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
-	o.Engine = eng
 	core.SegmentDefaults = relational.SegmentOptions{
 		SegmentSize: *segSize,
 		SpillDir:    *spillDir,
@@ -254,8 +247,8 @@ func runFsck(dir string, w io.Writer) error {
 }
 
 // runModelDiff compares two artifacts' payloads, ignoring metadata: the
-// artifacts are loaded, their Meta maps (which record provenance — engine,
-// dataset, seed — and legitimately differ between, say, an in-memory and an
+// artifacts are loaded, their Meta maps (which record provenance — dataset,
+// scale, seed — and legitimately differ between, say, an in-memory and an
 // out-of-core training run) are stripped, and both are re-encoded through
 // the deterministic codec. Identical bytes mean identical fitted models.
 func runModelDiff(pathA, pathB string, o experiments.Options) error {
@@ -300,7 +293,7 @@ func buildEnv(name string, o experiments.Options) (*core.Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewEnvEngine(ss, o.Seed, o.Engine)
+	return core.NewEnvEngine(ss, o.Seed, core.EngineSegmented)
 }
 
 // runTrain is the train half of the serving pipeline: tune the spec on the
@@ -324,7 +317,6 @@ func runTrain(modelPath, datasetName, specName string, o experiments.Options) er
 	m, res, err := core.BuildArtifact(env, spec, o.Seed, map[string]string{
 		core.MetaDataset: datasetName,
 		core.MetaScale:   strconv.Itoa(o.Scale),
-		core.MetaEngine:  o.Engine.String(),
 	})
 	if err != nil {
 		return err

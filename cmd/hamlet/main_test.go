@@ -9,13 +9,12 @@ import (
 
 func TestRunRejectsBadArguments(t *testing.T) {
 	cases := [][]string{
-		{},                                     // nothing to do
-		{"-table", "9"},                        // unknown table
-		{"-effort", "bogus"},                   // unknown effort
-		{"-figure", "3"},                       // only figure 1 lives here
-		{"-unknown-flag"},                      // flag parse error
-		{"-table", "1", "-engine", "diagonal"}, // unknown storage engine
-		{"-train"},                             // -train without -model/-dataset
+		{},                   // nothing to do
+		{"-table", "9"},      // unknown table
+		{"-effort", "bogus"}, // unknown effort
+		{"-figure", "3"},     // only figure 1 lives here
+		{"-unknown-flag"},    // flag parse error
+		{"-train"},           // -train without -model/-dataset
 		{"-train", "-model", "x", "-dataset", "Nowhere"},
 		{"-train", "-model", "x", "-dataset", "Movies", "-spec", "NotAModel"},
 		{"-eval"}, // -eval without -model

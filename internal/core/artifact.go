@@ -18,7 +18,6 @@ const (
 	MetaScale   = "scale"
 	MetaSeed    = "seed"
 	MetaSpec    = "spec"
-	MetaEngine  = "engine"
 	MetaView    = "view"
 	MetaValAcc  = "val_acc"
 	MetaTestAcc = "test_acc"
@@ -30,9 +29,10 @@ const (
 )
 
 // EmbedTimings gates MetaTimings. Off by default: timing values are
-// wall-clock noise, and artifact byte-determinism (cross-engine equality
-// tests, -modeldiff) depends on meta not varying run to run. hamlet -timings
-// flips it for the one binary whose user asked to see the phase breakdown.
+// wall-clock noise, and artifact byte-determinism (the JoinView-oracle
+// equality tests, -modeldiff) depends on meta not varying run to run.
+// hamlet -timings flips it for the one binary whose user asked to see the
+// phase breakdown.
 var EmbedTimings = false
 
 // formatTimings renders train-phase deltas (after minus before) as a stable

@@ -116,74 +116,37 @@ func Advise(ss *relational.StarSchema, f Family) ([]Advice, error) {
 	return out, nil
 }
 
-// Engine selects the physical storage strategy an experiment Env reads its
-// joined relation through. Both engines produce bit-identical experiment
-// results (same split permutation, same cell values); they differ in memory
-// layout and therefore in which access pattern is fast. The zero value is
-// EngineSegmented: with every learner training column-at-a-time (NB, tree,
-// logreg, SVM, ANN), sequential narrow-column scans are the hot access
-// pattern, so columnar storage is the default engine.
+// Engine names the storage an Env's joined relation lives in. There is one:
+// EngineSegmented. The type, its constant and NewEnvEngine's engine argument
+// remain only because the end-to-end benchmark under perfbench/ calls
+// NewEnvEngine(ss, seed, EngineSegmented) and is changed only together with
+// its own benchmark definition.
 type Engine int
 
-const (
-	// EngineSegmented (the default) evaluates the join once into a
-	// relational.SegmentedTable: width-narrowed struct-of-arrays storage,
-	// typically *smaller* than the fact table's row-major block since
-	// dictionary codes narrow to uint8/uint16, partitioned into fixed-size
-	// immutable segments with per-segment zone maps. A table that fits in
-	// one segment is one contiguous slab per column. Training morsels fan
-	// out segment-per-task, selective scans skip segments their zone maps
-	// prove irrelevant, and — with SegmentDefaults.SpillDir set — sealed
-	// segments spill to a heap file under an LRU cache budget so fact
-	// tables larger than RAM still train, bit-identically.
-	EngineSegmented Engine = iota
-	// EngineRow keeps the factorized zero-copy pipeline: the join stays a
-	// JoinView over the row-major base tables, nothing is materialized, and
-	// cell accesses resolve the FK indirection lazily. It remains the right
-	// choice when data is scanned only a bounded number of times and the
-	// one-time columnar materialization would dominate.
-	EngineRow
-)
+// EngineSegmented evaluates the join once into a relational.SegmentedTable:
+// width-narrowed struct-of-arrays storage, typically *smaller* than the fact
+// table's row-major block since dictionary codes narrow to uint8/uint16,
+// partitioned into fixed-size immutable segments with per-segment zone maps.
+// A table that fits in one segment is one contiguous slab per column.
+// Training morsels fan out segment-per-task, selective scans skip segments
+// their zone maps prove irrelevant, and — with SegmentDefaults.SpillDir set —
+// sealed segments spill to a heap file under an LRU cache budget so fact
+// tables larger than RAM still train, bit-identically.
+const EngineSegmented Engine = 0
 
-func (e Engine) String() string {
-	switch e {
-	case EngineRow:
-		return "row"
-	case EngineSegmented:
-		return "seg"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// ParseEngine parses the -engine flag values "row" and "seg".
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "row":
-		return EngineRow, nil
-	case "seg", "segmented":
-		return EngineSegmented, nil
-	default:
-		return EngineSegmented, fmt.Errorf("core: unknown storage engine %q (want row or seg)", s)
-	}
-}
-
-// SegmentDefaults configures every SegmentedTable NewEnvEngine builds for
-// EngineSegmented: segment size, spill directory, and cache budget. cmd/hamlet's -segsize / -spilldir /
-// -cachebytes flags write it before any env exists; the zero value means
-// in-memory segments of relational.DefaultSegmentSize rows. NewEnv ignores
-// it.
+// SegmentDefaults configures the SegmentedTable NewEnvEngine builds: segment
+// size, spill directory, and cache budget. cmd/hamlet's -segsize /
+// -spilldir / -cachebytes flags write it before any env exists; the zero
+// value means in-memory segments of relational.DefaultSegmentSize rows.
+// NewEnv ignores it.
 var SegmentDefaults relational.SegmentOptions
 
-// Env is a dataset prepared for experiments: the (factorized) join of a
-// star schema and the paper's fixed 50/25/25 train/validation/test split of
-// it. By default Joined is a relational.SegmentedTable — the factorized
-// join is evaluated once into width-narrowed columnar segments; the split
-// parts are index views over it and every batched ScanFeature a learner
-// issues bottoms out in a sequential scan of one narrow column. NewEnvRow
-// keeps the zero-copy JoinView pipeline (the joined table never exists
-// physically, FK indirection resolves per access). Both yield bit-identical
-// results.
+// Env is a dataset prepared for experiments: the join of a star schema and
+// the paper's fixed 50/25/25 train/validation/test split of it. Joined is a
+// relational.SegmentedTable — the factorized join is evaluated once into
+// width-narrowed columnar segments; the split parts are index views over it
+// and every batched ScanFeature a learner issues bottoms out in a sequential
+// scan of one narrow column.
 type Env struct {
 	Star      *relational.StarSchema
 	Joined    relational.Relation
@@ -196,24 +159,12 @@ type Env struct {
 	fs       fault.FS
 }
 
-// NewEnv prepares the experiment Env on the default storage engine: the
-// join is materialized into an in-memory SegmentedTable of
-// relational.DefaultSegmentSize rows per segment, whatever SegmentDefaults
-// holds. The split is seeded and retained, mirroring the paper's
-// "pre-split, retained as is" protocol.
+// NewEnv prepares the experiment Env: the join is materialized into an
+// in-memory SegmentedTable of relational.DefaultSegmentSize rows per
+// segment, whatever SegmentDefaults holds. The split is seeded and retained,
+// mirroring the paper's "pre-split, retained as is" protocol.
 func NewEnv(ss *relational.StarSchema, seed uint64) (*Env, error) {
 	return newEnvSegmented(ss, seed, relational.SegmentOptions{})
-}
-
-// NewEnvRow builds the factorized zero-copy pipeline: the join stays a
-// relational.JoinView and the lazy split views sit directly on it, so no
-// joined storage of any layout is ever materialized.
-func NewEnvRow(ss *relational.StarSchema, seed uint64) (*Env, error) {
-	joined, err := relational.NewJoinView(ss)
-	if err != nil {
-		return nil, err
-	}
-	return newEnvOver(ss, joined, seed)
 }
 
 // newEnvSegmented evaluates the factorized join once,
@@ -241,13 +192,9 @@ func newEnvSegmented(ss *relational.StarSchema, seed uint64, opts relational.Seg
 	return env, nil
 }
 
-// NewEnvEngine dispatches on the engine choice — the seam cmd/hamlet's
-// -engine flag plugs into. EngineSegmented builds its table as
-// SegmentDefaults configures it.
-func NewEnvEngine(ss *relational.StarSchema, seed uint64, engine Engine) (*Env, error) {
-	if engine == EngineRow {
-		return NewEnvRow(ss, seed)
-	}
+// NewEnvEngine prepares the experiment Env with its SegmentedTable built as
+// SegmentDefaults configures it. EngineSegmented is the only engine.
+func NewEnvEngine(ss *relational.StarSchema, seed uint64, _ Engine) (*Env, error) {
 	return newEnvSegmented(ss, seed, SegmentDefaults)
 }
 

@@ -387,6 +387,24 @@ func walmartStar(t *testing.T, scale int) *relational.StarSchema {
 	return ss
 }
 
+// newJoinViewEnv is the factorized zero-copy oracle every storage test
+// compares the segmented Env against: the join stays a relational.JoinView
+// over the row-major base tables, nothing is materialized, and each cell
+// access resolves the FK indirection lazily. The split permutation depends
+// only on seed and row count, so it matches NewEnv's.
+func newJoinViewEnv(t *testing.T, ss *relational.StarSchema, seed uint64) *Env {
+	t.Helper()
+	joined, err := relational.NewJoinView(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := newEnvOver(ss, joined, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
 // withSegmentDefaults sets SegmentDefaults for the rest of the test.
 func withSegmentDefaults(t *testing.T, opts relational.SegmentOptions) {
 	old := SegmentDefaults
@@ -400,10 +418,7 @@ func TestFactorizedPipelineMatchesMaterialized(t *testing.T) {
 	// the materialized pipeline — same seeds, same split permutation, same
 	// grid winner.
 	ss := walmartStar(t, 256)
-	lazy, err := NewEnvRow(ss, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lazy := newJoinViewEnv(t, ss, 7)
 	eager, err := NewEnv(ss, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -470,16 +485,13 @@ func TestPrunedTreeSpec(t *testing.T) {
 
 func TestColumnarEngineMatchesRowEngine(t *testing.T) {
 	// Acceptance check for the columnar storage engine: the same experiment
-	// cells run against a multi-segment EngineSegmented env must produce
-	// bit-identical accuracies and grid winners to the zero-copy row engine
-	// — the engines differ only in physical layout, never in cell values or
-	// split permutation.
+	// cells run against a multi-segment segmented env must produce
+	// bit-identical accuracies and grid winners to the zero-copy JoinView
+	// oracle — the two differ only in physical layout, never in cell values
+	// or split permutation.
 	ss := walmartStar(t, 256)
 	withSegmentDefaults(t, relational.SegmentOptions{SegmentSize: 256})
-	row, err := NewEnvEngine(ss, 7, EngineRow)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := newJoinViewEnv(t, ss, 7)
 	seg, err := NewEnvEngine(ss, 7, EngineSegmented)
 	if err != nil {
 		t.Fatal(err)
@@ -493,29 +505,10 @@ func TestColumnarEngineMatchesRowEngine(t *testing.T) {
 	requireSameRuns(t, row, seg, []Spec{TreeSpec(tree.Gini, EffortFast), NaiveBayesBFSSpec()}, ml.JoinAll, ml.NoJoin)
 }
 
-func TestParseEngine(t *testing.T) {
-	for s, want := range map[string]Engine{
-		"row": EngineRow, "seg": EngineSegmented, "segmented": EngineSegmented,
-	} {
-		got, err := ParseEngine(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	for _, bad := range []string{"paper", "col"} {
-		if _, err := ParseEngine(bad); err == nil {
-			t.Fatalf("ParseEngine(%q) must reject unknown engines", bad)
-		}
-	}
-	if EngineRow.String() != "row" || EngineSegmented.String() != "seg" {
-		t.Fatalf("engine names: %v %v", EngineRow, EngineSegmented)
-	}
-}
-
 func TestColumnarIsDefaultEngine(t *testing.T) {
 	// The Engine zero value and NewEnv select columnar storage: an
 	// in-memory SegmentedTable of the default segment size, whatever
-	// SegmentDefaults holds. NewEnvRow keeps the zero-copy join view.
+	// SegmentDefaults holds.
 	if Engine(0) != EngineSegmented {
 		t.Fatal("Engine zero value must be EngineSegmented")
 	}
@@ -533,19 +526,12 @@ func TestColumnarIsDefaultEngine(t *testing.T) {
 		t.Fatalf("NewEnv table spilled=%v segsize=%d; want in-memory, %d rows per segment",
 			st.Spilled(), st.SegmentSize(), relational.DefaultSegmentSize)
 	}
-	rowEnv, err := NewEnvRow(ss, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rowEnv.Joined.(*relational.JoinView); !ok {
-		t.Fatalf("NewEnvRow joined is %T, want *relational.JoinView", rowEnv.Joined)
-	}
 }
 
 // TestIterativeLearnersEngineEquivalence is the acceptance check for the
 // columnar epoch paths: the three iterative learners (logreg SGD, SMO, the
-// MLP) must produce bit-identical accuracies and grid winners on the row
-// and segmented engines across the Flights/Yelp/Expedia schema shapes
+// MLP) must produce bit-identical accuracies and grid winners on the
+// JoinView oracle and the segmented env across the Flights/Yelp/Expedia schema shapes
 // (three dims with pairs sweep, two closed FKs, an open FK).
 func TestIterativeLearnersEngineEquivalence(t *testing.T) {
 	for dsName, scale := range map[string]int{"Flights": 192, "Yelp": 320, "Expedia": 512} {
@@ -557,10 +543,7 @@ func TestIterativeLearnersEngineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row, err := NewEnvEngine(ss, 7, EngineRow)
-		if err != nil {
-			t.Fatal(err)
-		}
+		row := newJoinViewEnv(t, ss, 7)
 		seg, err := NewEnvEngine(ss, 7, EngineSegmented)
 		if err != nil {
 			t.Fatal(err)
@@ -575,10 +558,11 @@ func TestIterativeLearnersEngineEquivalence(t *testing.T) {
 
 // TestArtifactBytesIdenticalAcrossEngines is the end-to-end pin of the
 // compute-kernel layer at the artifact boundary: the GEMM learners (ANN,
-// SVM, logreg) trained through either storage engine must export
-// byte-identical model artifacts — the deterministic codec makes parameter
-// bit-equality visible as byte equality, so any kernel-order divergence
-// anywhere in the batched paths fails here.
+// SVM, logreg), Naive Bayes and the decision tree trained on the JoinView
+// oracle and on the segmented env must export byte-identical model
+// artifacts — the deterministic codec makes parameter bit-equality visible
+// as byte equality, so any kernel-order divergence anywhere in the batched
+// paths fails here.
 func TestArtifactBytesIdenticalAcrossEngines(t *testing.T) {
 	dspec, err := dataset.SpecByName("Movies")
 	if err != nil {
@@ -588,20 +572,19 @@ func TestArtifactBytesIdenticalAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, specName := range []string{"ANN(MLP)", "SVM(rbf)", "LogisticRegression(L1)"} {
+	row := newJoinViewEnv(t, ss, 7)
+	seg, err := NewEnvEngine(ss, 7, EngineSegmented)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, specName := range []string{
+		"ANN(MLP)", "SVM(rbf)", "LogisticRegression(L1)", "NaiveBayes(BFS)", "DecisionTree(gini)",
+	} {
 		spec, err := SpecByName(specName, EffortFast, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var encoded [][]byte
-		for _, engine := range []Engine{EngineRow, EngineSegmented} {
-			env, err := NewEnvEngine(ss, 7, engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			encoded = append(encoded, artifactBytes(t, env, spec))
-		}
-		if !bytes.Equal(encoded[0], encoded[1]) {
+		if !bytes.Equal(artifactBytes(t, row, spec), artifactBytes(t, seg, spec)) {
 			t.Fatalf("%s: row- and segmented-trained artifacts differ", specName)
 		}
 	}

@@ -34,11 +34,6 @@ type Options struct {
 	Runs int
 	// Seed fixes all randomness.
 	Seed uint64
-	// Engine selects the physical storage the experiment Envs read through
-	// (core.EngineSegmented, the default since every learner trains
-	// column-at-a-time, or core.EngineRow for the zero-copy join view).
-	// Results are engine-independent; runtime and memory layout are not.
-	Engine core.Engine
 	// Out receives the rendered tables (default discards).
 	Out io.Writer
 }
@@ -70,7 +65,7 @@ func envFor(name string, o Options) (*core.Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewEnvEngine(ss, o.Seed^0x5ca1ab1e, o.Engine)
+	return core.NewEnvEngine(ss, o.Seed^0x5ca1ab1e, core.EngineSegmented)
 }
 
 // hashName derives a stable per-dataset seed offset.

@@ -4,9 +4,8 @@ import "repro/internal/relational"
 
 // Scorer is implemented by classifiers that expose a real-valued confidence
 // for the positive class: Predict(row) == 1 exactly when Decision(row) >= 0.
-// The SVM and logistic regression satisfy it directly; the serving layer and
-// the one-vs-rest reduction use it wherever a margin is more useful than a
-// hard label.
+// The SVM and logistic regression satisfy it directly; the serving layer
+// uses it wherever a margin is more useful than a hard label.
 type Scorer interface {
 	Decision(row []relational.Value) float64
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/knn"
 	"repro/internal/linear"
 	"repro/internal/ml"
-	"repro/internal/multiclass"
 	"repro/internal/nb"
 	"repro/internal/svm"
 	"repro/internal/tree"
@@ -29,7 +28,6 @@ const (
 	KindSVM        = "svm.SVM"
 	KindOneNN      = "knn.OneNN"
 	KindMLP        = "ann.MLP"
-	KindOneVsRest  = "multiclass.OneVsRest"
 	KindConstant   = "ml.Constant"
 )
 
@@ -48,8 +46,6 @@ func KindOf(impl any) (string, error) {
 		return KindOneNN, nil
 	case *ann.MLP:
 		return KindMLP, nil
-	case *multiclass.OneVsRest:
-		return KindOneVsRest, nil
 	case *ml.ConstantClassifier:
 		return KindConstant, nil
 	default:
@@ -58,20 +54,15 @@ func KindOf(impl any) (string, error) {
 }
 
 // kinds is the codec registry. Payload layouts are append-only within a
-// container version; a new layout means a new magic. Filled by init — the
-// one-vs-rest codec recurses through the registry, which a composite literal
-// would turn into an initialization cycle.
-var kinds = map[string]codecFns{}
-
-func init() {
-	kinds[KindNaiveBayes] = codecFns{encodeNB, decodeNB}
-	kinds[KindTree] = codecFns{encodeTree, decodeTree}
-	kinds[KindLogReg] = codecFns{encodeLogReg, decodeLogReg}
-	kinds[KindSVM] = codecFns{encodeSVM, decodeSVM}
-	kinds[KindOneNN] = codecFns{encodeKNN, decodeKNN}
-	kinds[KindMLP] = codecFns{encodeMLP, decodeMLP}
-	kinds[KindOneVsRest] = codecFns{encodeOVR, decodeOVR}
-	kinds[KindConstant] = codecFns{encodeConstant, decodeConstant}
+// container version; a new layout means a new magic.
+var kinds = map[string]codecFns{
+	KindNaiveBayes: {encodeNB, decodeNB},
+	KindTree:       {encodeTree, decodeTree},
+	KindLogReg:     {encodeLogReg, decodeLogReg},
+	KindSVM:        {encodeSVM, decodeSVM},
+	KindOneNN:      {encodeKNN, decodeKNN},
+	KindMLP:        {encodeMLP, decodeMLP},
+	KindConstant:   {encodeConstant, decodeConstant},
 }
 
 func implAs[T any](m *Model) (T, error) {
@@ -303,67 +294,6 @@ func decodeMLP(r *reader, features []ml.Feature) (any, error) {
 		return nil, r.err
 	}
 	return ann.FromParams(features, p)
-}
-
-// encodeOVR serializes a one-vs-rest ensemble as its per-class sub-models,
-// each a nested (kind, payload) frame reusing the same registry. Sub-models
-// share the ensemble's feature schema.
-func encodeOVR(w *writer, m *Model) error {
-	c, err := implAs[*multiclass.OneVsRest](m)
-	if err != nil {
-		return err
-	}
-	models := c.Models()
-	if len(models) == 0 {
-		return fmt.Errorf("model: one-vs-rest export before Fit")
-	}
-	w.u32(uint32(len(models)))
-	for class, sub := range models {
-		kind, err := KindOf(sub)
-		if err != nil {
-			return fmt.Errorf("model: one-vs-rest class %d: %w", class, err)
-		}
-		if kind == KindOneVsRest {
-			return fmt.Errorf("model: one-vs-rest cannot nest another one-vs-rest")
-		}
-		w.str(kind)
-		subModel := &Model{Kind: kind, Features: m.Features, Impl: sub}
-		if err := kinds[kind].encode(w, subModel); err != nil {
-			return fmt.Errorf("model: one-vs-rest class %d: %w", class, err)
-		}
-	}
-	return nil
-}
-
-func decodeOVR(r *reader, features []ml.Feature) (any, error) {
-	n := r.count("class model")
-	if r.err != nil {
-		return nil, r.err
-	}
-	models := make([]ml.Classifier, n)
-	for class := range models {
-		kind := r.str()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if kind == KindOneVsRest {
-			return nil, fmt.Errorf("model: one-vs-rest cannot nest another one-vs-rest")
-		}
-		fns, ok := kinds[kind]
-		if !ok {
-			return nil, fmt.Errorf("model: one-vs-rest class %d has unknown kind %q", class, kind)
-		}
-		impl, err := fns.decode(r, features)
-		if err != nil {
-			return nil, fmt.Errorf("model: one-vs-rest class %d: %w", class, err)
-		}
-		cls, ok := impl.(ml.Classifier)
-		if !ok {
-			return nil, fmt.Errorf("model: one-vs-rest class %d decoded to non-classifier %T", class, impl)
-		}
-		models[class] = cls
-	}
-	return multiclass.FromModels(models)
 }
 
 func encodeConstant(w *writer, m *Model) error {

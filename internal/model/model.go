@@ -116,9 +116,9 @@ func New(impl any, features []ml.Feature, meta map[string]string) (*Model, error
 // Fingerprint returns the schema fingerprint of the model's feature list.
 func (m *Model) Fingerprint() Fingerprint { return FingerprintFeatures(m.Features) }
 
-// Classifier returns the implementation as a binary ml.Classifier when it is
-// one (every kind except the one-vs-rest ensemble, whose Predict returns a
-// class index rather than an int8).
+// Classifier returns the implementation as a binary ml.Classifier. Every
+// registered kind is one; ok is false only for a Model assembled by hand
+// around some other value.
 func (m *Model) Classifier() (ml.Classifier, bool) {
 	c, ok := m.Impl.(ml.Classifier)
 	return c, ok

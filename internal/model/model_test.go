@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"os"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/knn"
 	"repro/internal/linear"
 	"repro/internal/ml"
-	"repro/internal/multiclass"
 	"repro/internal/nb"
 	"repro/internal/relational"
 	"repro/internal/rng"
@@ -177,52 +177,47 @@ func TestRoundTripEveryLearner(t *testing.T) {
 	}
 }
 
-// TestRoundTripOneVsRest covers the multiclass ensemble: nested sub-model
-// frames, identical class predictions after decode.
-func TestRoundTripOneVsRest(t *testing.T) {
-	features := []ml.Feature{
-		{Name: "a", Cardinality: 4},
-		{Name: "b", Cardinality: 3},
-	}
-	r := rng.New(9)
-	const n, k = 120, 3
-	mds := &multiclass.Dataset{
-		Features: features,
-		K:        k,
-		X:        make([]relational.Value, n*2),
-		Y:        make([]int, n),
-	}
-	for i := 0; i < n; i++ {
-		mds.X[i*2] = relational.Value(r.Intn(4))
-		mds.X[i*2+1] = relational.Value(r.Intn(3))
-		mds.Y[i] = (int(mds.X[i*2]) + int(mds.X[i*2+1])) % k
-	}
-	ovr := &multiclass.OneVsRest{NewClassifier: func(class int) (ml.Classifier, error) {
-		return linear.NewLogReg(linear.LogRegConfig{Epochs: 5, Seed: uint64(class)}), nil
-	}}
-	if err := ovr.Fit(mds); err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(ovr, features, nil)
+// TestUnknownKindRejected pins both unknown-kind branches of the codec. A
+// one-vs-rest artifact (kind "multiclass.OneVsRest", written by releases that
+// still shipped that ensemble) must decode to the "unknown kind" error, not
+// to a half-read model, and encoding a Model whose kind has no registered
+// codec must fail the same way before any byte is written.
+func TestUnknownKindRejected(t *testing.T) {
+	const ovr = "multiclass.OneVsRest"
+	features := []ml.Feature{{Name: "a", Cardinality: 4}}
+	m, err := New(&ml.ConstantClassifier{Class: 1}, features, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := roundTrip(t, m)
-	decoded, ok := got.Impl.(*multiclass.OneVsRest)
-	if !ok {
-		t.Fatalf("decoded to %T", got.Impl)
+	var buf bytes.Buffer
+	if err := Encode(&buf, m); err != nil {
+		t.Fatal(err)
 	}
-	if decoded.NumClasses() != k {
-		t.Fatalf("decoded %d classes, want %d", decoded.NumClasses(), k)
-	}
-	buf := make([]relational.Value, 2)
-	for a := 0; a < 4; a++ {
-		for b := 0; b < 3; b++ {
-			buf[0], buf[1] = relational.Value(a), relational.Value(b)
-			if want, have := ovr.Predict(buf), decoded.Predict(buf); want != have {
-				t.Fatalf("(%d,%d): class %d became %d after round trip", a, b, want, have)
-			}
+	frame := func(s string) []byte {
+		var b bytes.Buffer
+		w := &writer{w: bufio.NewWriter(&b)}
+		w.str(s)
+		if err := w.w.Flush(); err != nil {
+			t.Fatal(err)
 		}
+		return b.Bytes()
+	}
+	if bytes.Count(buf.Bytes(), frame(KindConstant)) != 1 {
+		t.Fatalf("kind frame %q not found exactly once", KindConstant)
+	}
+	art := bytes.Replace(buf.Bytes(), frame(KindConstant), frame(ovr), 1)
+	want := `model: unknown kind "` + ovr + `"`
+	if _, err := Decode(bytes.NewReader(art)); err == nil || err.Error() != want {
+		t.Fatalf("decoding a one-vs-rest container: err = %v, want %q", err, want)
+	}
+
+	var out bytes.Buffer
+	unregistered := &Model{Kind: ovr, Features: features, Impl: m.Impl}
+	if err := Encode(&out, unregistered); err == nil || err.Error() != want {
+		t.Fatalf("encoding an unregistered kind: err = %v, want %q", err, want)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("encoding an unregistered kind wrote %d bytes", out.Len())
 	}
 }
 

@@ -113,13 +113,8 @@ type Pager struct {
 	end  int64 // next page-aligned write offset
 }
 
-// NewPager creates (truncating) the heap file <dir>/<name>.seg on the real
-// filesystem.
-func NewPager(dir, name string) (*Pager, error) {
-	return NewPagerFS(fault.OS, dir, name)
-}
-
-// NewPagerFS is NewPager over an injectable filesystem.
+// NewPagerFS creates (truncating) the heap file <dir>/<name>.seg on fsys
+// (fault.OS for the real filesystem).
 func NewPagerFS(fsys fault.FS, dir, name string) (*Pager, error) {
 	path := filepath.Join(dir, name+segFileSuffix)
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -681,9 +681,8 @@ func (t *SegmentedTable) MustAppendRows(block []Value) {
 }
 
 // MaterializeSegmented evaluates any relation into a SegmentedTable — the
-// columnar sibling of Materialize, and the path every core env but the
-// row engine uses to turn the factorized join into sealed, skippable,
-// spillable segments. Like Materialize the result is an independent
+// columnar sibling of Materialize, and the path every core env uses to turn
+// the factorized join into sealed, skippable, spillable segments. Like Materialize the result is an independent
 // snapshot. ColumnScanner sources are drained one segment chunk at a time
 // (each chunk reads every column sequentially, then seals), so ingestion's
 // resident working set is one open segment regardless of table size; other

@@ -176,17 +176,6 @@ func (t *Table) GatherColumnVia(dst []Value, col int, idx []int, rows []int) {
 	}
 }
 
-// ColumnValues copies column col into a fresh slice.
-func (t *Table) ColumnValues(col int) []Value {
-	n := t.NumRows()
-	w := t.width
-	out := make([]Value, n)
-	for i := 0; i < n; i++ {
-		out[i] = t.rows[i*w+col]
-	}
-	return out
-}
-
 // SelectRows materializes a new table containing the given row indices in
 // order. Indices may repeat; they must be in range. For a lazy alternative
 // see NewSelectView.

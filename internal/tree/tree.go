@@ -90,11 +90,6 @@ type Config struct {
 	Smoother  Smoother
 }
 
-// DefaultConfig mirrors rpart defaults closely enough for tests.
-func DefaultConfig() Config {
-	return Config{Criterion: Gini, MinSplit: 20, CP: 0.01}
-}
-
 // node is one tree node. Leaves have leftChild == -1.
 type node struct {
 	// feature is the split feature index; goLeft[v] is true when value v
