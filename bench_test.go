@@ -1037,7 +1037,7 @@ func BenchmarkSegParScanSlab(b *testing.B) { benchSegParScan(b, false) }
 // partial sums in segment order — bit-identical, core-scaled.
 func BenchmarkSegParScanSeg(b *testing.B) { benchSegParScan(b, true) }
 
-// --- Ablation benches for the design decisions DESIGN.md calls out. ---
+// --- Ablation benches for the main design decisions. ---
 
 // BenchmarkAblationKernelMatchCount compares the match-count RBF kernel
 // against an explicit one-hot dot-product implementation on identical rows.
@@ -1116,8 +1116,8 @@ func BenchmarkAblationTreeSplit(b *testing.B) {
 }
 
 // BenchmarkAblationPartialJoin measures the §5.2 partial-join trade-off
-// sweep (the extension experiment DESIGN.md calls out): accuracy as foreign
-// features are added back one at a time.
+// sweep (the extension experiment): accuracy as foreign features are added
+// back one at a time.
 func BenchmarkAblationPartialJoin(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {

@@ -2,7 +2,7 @@
 // star-schema datasets of the paper's Table 1 (Expedia, Movies, Yelp,
 // Walmart, LastFM, Books, Flights).
 //
-// Substitution note (see DESIGN.md §2): the originals are Kaggle/GroupLens/
+// Substitution note: the originals are Kaggle/GroupLens/
 // openflights/last.fm dumps we cannot ship. The paper's §5 analysis
 // attributes every observed JoinAll/NoJoin/NoFK effect to four controllable
 // properties — the FD FK → X_R, the tuple ratio n_S/n_R, where the true

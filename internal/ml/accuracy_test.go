@@ -36,10 +36,25 @@ func (parityClassifier) Predict(row []relational.Value) int8 {
 	return int8(h>>1) & 1
 }
 
+// batchParity is parityClassifier with a BatchPredictor, so Accuracy takes
+// its batch branch: PredictBatch classifies example by example through
+// RowInto.
+type batchParity struct{ parityClassifier }
+
+func (b batchParity) PredictBatch(ds *Dataset) []int8 {
+	out := make([]int8, ds.NumExamples())
+	buf := make([]relational.Value, ds.NumFeatures())
+	for i := range out {
+		out[i] = b.Predict(ds.RowInto(buf, i))
+	}
+	return out
+}
+
 // TestAccuracyMatchesPerExampleOracle pins the batched Accuracy to the
 // per-example oracle, exactly, on every batch backing and on split views
 // several scoring morsels long, in memory and spilled under a cache of a
-// few segments.
+// few segments — both the morsel gather and, through batchParity, the
+// BatchPredictor branch and its label scan.
 func TestAccuracyMatchesPerExampleOracle(t *testing.T) {
 	backings := batchBackings(t)
 	_, jv := viewStar(t, 3*scoreMorsel+500, 12, 9)
@@ -69,7 +84,7 @@ func TestAccuracyMatchesPerExampleOracle(t *testing.T) {
 		}
 	}
 	for name, ds := range backings {
-		for _, c := range []Classifier{parityClassifier{}, &ConstantClassifier{Class: 1}} {
+		for _, c := range []Classifier{parityClassifier{}, batchParity{}, &ConstantClassifier{Class: 1}} {
 			if got, want := Accuracy(c, ds), accuracyOracle(c, ds); got != want {
 				t.Fatalf("%s %T: Accuracy = %v, per-example oracle = %v", name, c, got, want)
 			}

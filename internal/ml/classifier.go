@@ -37,8 +37,9 @@ type BatchPredictor interface {
 const scoreMorsel = 1024
 
 // Accuracy returns the fraction of examples in ds classified correctly by c.
-// Classifiers implementing BatchPredictor are scored in one batched pass.
-// The rest are scored a morsel at a time: one GatherFeatures call reads the
+// Classifiers implementing BatchPredictor are scored in one batched pass,
+// their classes compared against labels read by one ScanLabels call. The
+// rest are scored a morsel at a time: one GatherFeatures call reads the
 // morsel's features and labels together (on a spilled table, one pin per
 // touched segment), and each example is copied into a local row buffer
 // before Predict, so classifiers which internally iterate the same dataset
@@ -52,8 +53,10 @@ func Accuracy(c Classifier, ds *Dataset) float64 {
 	}
 	correct := 0
 	if bp, ok := c.(BatchPredictor); ok {
+		labels := make([]int8, n)
+		ds.ScanLabels(labels, 0)
 		for i, cls := range bp.PredictBatch(ds) {
-			if cls == ds.Label(i) {
+			if cls == labels[i] {
 				correct++
 			}
 		}

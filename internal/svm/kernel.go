@@ -52,7 +52,8 @@ func (k KernelKind) String() string {
 type Kernel struct {
 	Kind  KernelKind
 	Gamma float64
-	dims  int // number of categorical features d
+	dims  int       // number of categorical features d
+	lut   []float64 // lut[m] = OfMatch(m) for every match count m in [0, d]
 }
 
 // NewKernel constructs a kernel for rows with d categorical features.
@@ -64,12 +65,18 @@ func NewKernel(kind KernelKind, gamma float64, d int) (*Kernel, error) {
 	if d <= 0 {
 		return nil, fmt.Errorf("svm: kernel requires d > 0 features, got %d", d)
 	}
-	return &Kernel{Kind: kind, Gamma: gamma, dims: d}, nil
+	k := &Kernel{Kind: kind, Gamma: gamma, dims: d, lut: make([]float64, d+1)}
+	for m := range k.lut {
+		k.lut[m] = k.OfMatch(float64(m))
+	}
+	return k, nil
 }
 
-// Eval computes k(a, b).
+// Eval computes k(a, b) as a lookup of the match count in the kernel's
+// (d+1)-entry table, which holds OfMatch(m) for every m: the same value a
+// direct OfMatch call returns, without a math.Exp per pair.
 func (k *Kernel) Eval(a, b []relational.Value) float64 {
-	return k.OfMatch(float64(ml.MatchCount(a, b)))
+	return k.lut[ml.MatchCount(a, b)]
 }
 
 // OfMatch computes the kernel value from a match count m — every kernel of
@@ -104,15 +111,16 @@ const gramBlockRows = 32
 // ranges of the strict upper triangle (deterministic regardless of
 // scheduling), and the lower triangle is mirrored afterwards.
 //
-// Each entry is float32(k.OfMatch(m)) for the same integer m a per-pair
-// Eval computes, so the cache is bit-identical to evaluating every pair.
+// Each entry is float32 of the kernel table entry for the same integer m a
+// per-pair Eval looks up, so the cache is bit-identical to evaluating every
+// pair.
 func (k *Kernel) GramBlocked(dst []float32, block []relational.Value, n int) {
 	d := k.dims
 	lut := make([]float32, d+1)
-	for m := 0; m <= d; m++ {
-		lut[m] = float32(k.OfMatch(float64(m)))
+	for m, v := range k.lut {
+		lut[m] = float32(v)
 	}
-	self := float32(k.Self())
+	self := lut[d]
 
 	// Pack rows to 16-bit lanes when the codes fit (they do whenever the
 	// feature domains do — dictionary codes are dense): the SWAR kernel
@@ -164,18 +172,5 @@ func (k *Kernel) GramBlocked(dst []float32, block []relational.Value, n int) {
 	}
 }
 
-// Self computes k(x, x), needed by SMO's eta term.
-func (k *Kernel) Self() float64 {
-	d := float64(k.dims)
-	switch k.Kind {
-	case Linear:
-		return d
-	case Quadratic:
-		g := k.Gamma * d
-		return g * g
-	case RBF:
-		return 1
-	default:
-		panic("svm: unknown kernel kind")
-	}
-}
+// Self computes k(x, x) = OfMatch(d), needed by SMO's eta term.
+func (k *Kernel) Self() float64 { return k.lut[k.dims] }

@@ -8,14 +8,15 @@ import (
 )
 
 // Params is the serializable state of a fitted SVM: the kernel
-// configuration and the support set. A degenerate single-class fit has no
-// kernel and stores the class sign in B (matching Predict's fallback).
+// configuration and the support set. A single-class fit keeps its kernel
+// with an empty support set and the class sign in B; a kernel-less model
+// stores only the class sign in B (matching Predict's fallback).
 type Params struct {
 	Kernel KernelKind
 	Gamma  float64
 	// Dims is the categorical feature count d the kernel was built with.
 	Dims int
-	// HasKernel distinguishes a trained support set from the degenerate
+	// HasKernel distinguishes a trained support set from the kernel-less
 	// single-class model.
 	HasKernel bool
 	// SVRows holds the support vectors' categorical codes, row-major
@@ -30,9 +31,9 @@ type Params struct {
 func (s *SVM) ExportParams() (Params, error) {
 	p := Params{Kernel: s.cfg.Kernel, Gamma: s.cfg.Gamma, B: s.b}
 	if s.kernel == nil {
-		// Fit stores a degenerate single-class model with kernel == nil; an
-		// SVM that was never fitted looks the same, so require Fit evidence.
-		if s.svRows != nil || s.svAlphaY != nil {
+		// Only FromParams of a kernel-less Params leaves kernel == nil with
+		// a class sign in b; an SVM that was never fitted has neither.
+		if s.svBlock != nil || s.svAlphaY != nil {
 			return Params{}, fmt.Errorf("svm: inconsistent degenerate state")
 		}
 		if s.b != 1 && s.b != -1 {
@@ -43,13 +44,7 @@ func (s *SVM) ExportParams() (Params, error) {
 	p.HasKernel = true
 	p.Dims = s.kernel.dims
 	p.SVAlphaY = append([]float64(nil), s.svAlphaY...)
-	p.SVRows = make([]relational.Value, 0, len(s.svRows)*p.Dims)
-	for _, row := range s.svRows {
-		if len(row) != p.Dims {
-			return Params{}, fmt.Errorf("svm: support vector width %d != kernel dims %d", len(row), p.Dims)
-		}
-		p.SVRows = append(p.SVRows, row...)
-	}
+	p.SVRows = append(make([]relational.Value, 0, len(s.svBlock)), s.svBlock...)
 	return p, nil
 }
 
@@ -75,11 +70,8 @@ func FromParams(p Params) (*SVM, error) {
 		return nil, fmt.Errorf("svm: %d support rows but %d multipliers", nSV, len(p.SVAlphaY))
 	}
 	s.svAlphaY = append([]float64(nil), p.SVAlphaY...)
-	block := append([]relational.Value(nil), p.SVRows...)
-	s.svRows = make([][]relational.Value, nSV)
-	for i := range s.svRows {
-		s.svRows[i] = block[i*p.Dims : (i+1)*p.Dims : (i+1)*p.Dims]
-	}
+	s.svBlock = append([]relational.Value(nil), p.SVRows...)
+	s.packSupport()
 	return s, nil
 }
 
@@ -94,7 +86,7 @@ func FromParams(p Params) (*SVM, error) {
 func (s *SVM) ExportLinear(features []ml.Feature) (float64, []float64, bool) {
 	enc := ml.NewEncoder(features)
 	if s.kernel == nil {
-		if s.svRows == nil && (s.b == 1 || s.b == -1) {
+		if s.svBlock == nil && (s.b == 1 || s.b == -1) {
 			return s.b, make([]float64, enc.Dims), true
 		}
 		return 0, nil, false
@@ -103,9 +95,9 @@ func (s *SVM) ExportLinear(features []ml.Feature) (float64, []float64, bool) {
 		return 0, nil, false
 	}
 	w := make([]float64, enc.Dims)
-	for i, row := range s.svRows {
-		ay := s.svAlphaY[i]
-		for j, v := range row {
+	d := s.kernel.dims
+	for i, ay := range s.svAlphaY {
+		for j, v := range s.svBlock[i*d : (i+1)*d] {
 			w[enc.Index(j, v)] += ay
 		}
 	}

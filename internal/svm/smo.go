@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"time"
 
+	"repro/internal/mat"
 	"repro/internal/ml"
 	"repro/internal/relational"
 	"repro/internal/rng"
@@ -46,11 +47,14 @@ type SVM struct {
 	cfg    Config
 	kernel *Kernel
 
-	// Support set after training: rows (categorical codes), labels (±1),
-	// multipliers, and bias.
-	svRows   [][]relational.Value
+	// Support set after training: rows (categorical codes, row-major,
+	// kernel.dims per row), multipliers times labels (±1), and bias.
+	svBlock  []relational.Value
 	svAlphaY []float64
 	b        float64
+	// svPacked is svBlock in mat.PackU16Rows' 16-bit lanes, packed once
+	// per fitted model for PredictBatch; nil when a code does not fit.
+	svPacked []uint64
 }
 
 // New returns an unfitted SVM.
@@ -70,8 +74,40 @@ func New(cfg Config) (*SVM, error) {
 // Name implements ml.Named.
 func (s *SVM) Name() string { return "SVM(" + s.cfg.Kernel.String() + ")" }
 
+// problem is one SMO instance as Fit's set-up leaves it: the pinned
+// training rows, their ±1 labels, the kernel and (up to gramCacheCap rows)
+// its full Gram cache, and the solver's limits.
+type problem struct {
+	n, d      int
+	block     []relational.Value // n×d row-major training codes
+	y         []float64
+	k         *Kernel
+	kcache    []float32 // n×n Gram matrix; nil past gramCacheCap
+	r         *rng.RNG
+	C, tol    float64
+	maxIter   int
+	maxPasses int
+}
+
+// kij returns k(x_i, x_j): the cached float32 entry when the Gram cache
+// exists, else a table lookup of the two rows' match count.
+func (p *problem) kij(i, j int) float64 {
+	if p.kcache != nil {
+		return float64(p.kcache[i*p.n+j])
+	}
+	if i == j {
+		return p.k.Self()
+	}
+	d := p.d
+	return p.k.Eval(p.block[i*d:(i+1)*d], p.block[j*d:(j+1)*d])
+}
+
 // Fit trains the SVM with sequential minimal optimization.
-func (s *SVM) Fit(train *ml.Dataset) error {
+func (s *SVM) Fit(train *ml.Dataset) error { return s.fit(train, smo) }
+
+// fit runs Fit's set-up, hands the problem to solve, and retains the
+// support set of the multipliers it returns.
+func (s *SVM) fit(train *ml.Dataset, solve func(*problem) (alpha []float64, b float64)) error {
 	if train.NumExamples() == 0 {
 		return fmt.Errorf("svm: empty training set")
 	}
@@ -87,17 +123,13 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 	d := ds.NumFeatures()
 
 	// Pin every training row once — the kernel loops read two rows at a
-	// time and the support set must outlive Fit. Every feature is pulled in
-	// one batched column scan scattered straight into the row-major block
-	// (ml.ScanRowMajor; under a subsample view the scan bottoms out in the
-	// relation's column gather), replacing n×d single-cell view accesses
-	// with d sequential scans — and the block then feeds the Gram build's
-	// blocked match-count kernel directly.
+	// time and the support set is copied out of it at the end. Every
+	// feature is pulled in one batched column scan scattered straight into
+	// the row-major block (ml.ScanRowMajor; under a subsample view the scan
+	// bottoms out in the relation's column gather), replacing n×d
+	// single-cell view accesses with d sequential scans — and the block
+	// then feeds the Gram build's blocked match-count kernel directly.
 	block, labels := ml.ScanRowMajor(ds)
-	rows := make([][]relational.Value, n)
-	for i := range rows {
-		rows[i] = block[i*d : (i+1)*d : (i+1)*d]
-	}
 
 	k, err := NewKernel(s.cfg.Kernel, s.cfg.Gamma, d)
 	if err != nil {
@@ -119,43 +151,76 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 	}
 	if allSame {
 		// Degenerate: decision is a constant at the lone class.
-		s.svRows = nil
+		s.svBlock = nil
 		s.svAlphaY = nil
+		s.svPacked = nil
 		s.b = y[0]
 		return nil
 	}
 
-	alpha := make([]float64, n)
-	b := 0.0
-	C := s.cfg.C
-	tol := s.cfg.Tol
 	maxIter := s.cfg.MaxIter
 	if maxIter <= 0 {
 		maxIter = 200 * n
 	}
-
-	// Cache kernel rows lazily? For the paper's scales (n ≤ a few thousand
-	// after capping) a full n×n cache is affordable and much faster. The
-	// build is a blocked X·Xᵀ over the pinned row-major block
-	// (mat.MatchCounts per i-block, kernel values from a match-count lookup
-	// table, i-blocks fanned across ml.ParallelFor with disjoint writes).
-	var kcache []float32
-	cacheOK := n <= gramCacheCap
-	if cacheOK {
-		kcache = make([]float32, n*n)
+	p := &problem{
+		n: n, d: d, block: block, y: y, k: k, r: r,
+		C: s.cfg.C, tol: s.cfg.Tol, maxIter: maxIter, maxPasses: s.cfg.MaxPasses,
+	}
+	// For the paper's scales (n ≤ a few thousand after capping) a full n×n
+	// cache is affordable and much faster. The build is a blocked X·Xᵀ over
+	// the pinned row-major block (mat.MatchCounts per i-block, kernel
+	// values from a match-count lookup table, i-blocks fanned across
+	// ml.ParallelFor with disjoint writes).
+	if n <= gramCacheCap {
+		p.kcache = make([]float32, n*n)
 		t0 := time.Now()
-		k.GramBlocked(kcache, block, n)
+		k.GramBlocked(p.kcache, block, n)
 		gramSpan.ObserveSince(t0)
 	}
-	kij := func(i, j int) float64 {
-		if cacheOK {
-			return float64(kcache[i*n+j])
+	alpha, b := solve(p)
+
+	// The rows with nonzero multipliers are the fitted support set, copied
+	// into one compact block so the training block is not retained.
+	s.svBlock, s.svAlphaY = nil, nil
+	for i, a := range alpha {
+		if a > 0 {
+			s.svBlock = append(s.svBlock, block[i*d:(i+1)*d]...)
+			s.svAlphaY = append(s.svAlphaY, a*y[i])
 		}
-		if i == j {
-			return k.Self()
-		}
-		return k.Eval(rows[i], rows[j])
 	}
+	s.b = b
+	s.packSupport()
+	return nil
+}
+
+// packSupport packs the support block to 16-bit lanes for PredictBatch,
+// leaving svPacked nil when some code does not fit.
+func (s *SVM) packSupport() {
+	nSV, d := len(s.svAlphaY), s.kernel.dims
+	s.svPacked = make([]uint64, nSV*mat.PackedWords(d))
+	if !mat.PackU16Rows(s.svPacked, s.svBlock, nSV, d) {
+		s.svPacked = nil
+	}
+}
+
+// fBlock is the number of consecutive rows one memo miss of f folds from
+// the Gram cache — foldPair's two accumulators. Two measured a little
+// faster than four.
+const fBlock = 2
+
+// smo is Platt's simplified SMO over p, returning the multipliers and bias.
+//
+// Its read is f(i) = Σ_j α_j y_j k(i,j) + b, which depends only on the
+// multipliers and b — and those change at one site, the pair update. A
+// version counter bumped there lets f return a per-row memo while its
+// version is current: a pass after the last change, and the re-reads of
+// rows a blocked miss already folded, cost one load. Every memoized value
+// was computed by the same fold in the same order as an unmemoized call at
+// that version, so the trajectory and the fitted model are unchanged.
+func smo(p *problem) ([]float64, float64) {
+	n, y, kcache := p.n, p.y, p.kcache
+	alpha := make([]float64, n)
+	b := 0.0
 
 	// ay[j] caches α_j·y_j for f's hot loop, and activeMask tracks the
 	// nonzero-α set as a bitmap (bit j ⟺ α_j > 0). Each ay entry is
@@ -172,39 +237,45 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 		}
 	}
 
-	// f(i) = Σ_j α_j y_j k(i,j) + b — the read every SMO iteration pays.
-	// With the cache present it walks the active bitmap (TrailingZeros
-	// yields ascending j, so the fold order is the historical one) against
-	// the raw float32 cache row: a sweep early in training, when almost
-	// every α is zero, costs n/64 word loads instead of n load-and-tests.
-	// Without the cache, the historical kij fold is unchanged.
+	// fval[i] holds f(i) as of version fver[i]; version 0 is never current.
+	fval := make([]float64, n)
+	fver := make([]uint64, n)
+	version := uint64(1)
+
+	// With the cache present a miss walks the active bitmap (TrailingZeros
+	// yields ascending j, the historical fold order) against the raw
+	// float32 cache rows of i and the next fBlock-1 rows, which the pass
+	// reads next. Without the cache, the historical kij fold is unchanged.
 	f := func(i int) float64 {
-		sum := 0.0
-		if kcache != nil {
-			krow := kcache[i*n : (i+1)*n]
-			for wi, word := range activeMask {
-				base := wi << 6
-				for word != 0 {
-					j := base + bits.TrailingZeros64(word)
-					word &= word - 1
-					sum += ay[j] * float64(krow[j])
-				}
-			}
-		} else {
+		if fver[i] == version {
+			return fval[i]
+		}
+		switch {
+		case kcache != nil && i+fBlock <= n:
+			s0, s1 := foldPair(kcache[i*n:(i+1)*n], kcache[(i+1)*n:(i+2)*n], ay, activeMask)
+			fval[i], fval[i+1] = s0+b, s1+b
+			fver[i+1] = version
+		case kcache != nil:
+			fval[i] = foldRow(kcache[i*n:(i+1)*n], ay, activeMask) + b
+		default:
+			sum := 0.0
 			for j := 0; j < n; j++ {
 				if alpha[j] != 0 {
-					sum += alpha[j] * y[j] * kij(i, j)
+					sum += alpha[j] * y[j] * p.kij(i, j)
 				}
 			}
+			fval[i] = sum + b
 		}
-		return sum + b
+		fver[i] = version
+		return fval[i]
 	}
 
+	C, tol, r := p.C, p.tol, p.r
 	passes, iter := 0, 0
-	for passes < s.cfg.MaxPasses && iter < maxIter {
+	for passes < p.maxPasses && iter < p.maxIter {
 		passT0 := time.Now()
 		changed := 0
-		for i := 0; i < n && iter < maxIter; i++ {
+		for i := 0; i < n && iter < p.maxIter; i++ {
 			iter++
 			Ei := f(i) - y[i]
 			if !((y[i]*Ei < -tol && alpha[i] < C) || (y[i]*Ei > tol && alpha[i] > 0)) {
@@ -228,7 +299,8 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 			if L == H {
 				continue
 			}
-			eta := 2*kij(i, j) - kij(i, i) - kij(j, j)
+			kii, kjj, kij := p.kij(i, i), p.kij(j, j), p.kij(i, j)
+			eta := 2*kij - kii - kjj
 			if eta >= 0 {
 				continue
 			}
@@ -242,8 +314,8 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 				continue
 			}
 			aiNew := ai + y[i]*y[j]*(aj-ajNew)
-			b1 := b - Ei - y[i]*(aiNew-ai)*kij(i, i) - y[j]*(ajNew-aj)*kij(i, j)
-			b2 := b - Ej - y[i]*(aiNew-ai)*kij(i, j) - y[j]*(ajNew-aj)*kij(j, j)
+			b1 := b - Ei - y[i]*(aiNew-ai)*kii - y[j]*(ajNew-aj)*kij
+			b2 := b - Ej - y[i]*(aiNew-ai)*kij - y[j]*(ajNew-aj)*kjj
 			switch {
 			case aiNew > 0 && aiNew < C:
 				b = b1
@@ -256,6 +328,7 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 			ay[i], ay[j] = aiNew*y[i], ajNew*y[j]
 			setActive(i, aiNew > 0)
 			setActive(j, ajNew > 0)
+			version++
 			changed++
 		}
 		smoPassSpan.ObserveSince(passT0)
@@ -265,25 +338,53 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 			passes = 0
 		}
 	}
+	return alpha, b
+}
 
-	// The rows with nonzero multipliers are the fitted support set.
-	s.svRows = s.svRows[:0]
-	s.svAlphaY = s.svAlphaY[:0]
-	for i := range rows {
-		if alpha[i] > 0 {
-			s.svRows = append(s.svRows, rows[i])
-			s.svAlphaY = append(s.svAlphaY, alpha[i]*y[i])
+// foldRow returns Σ_j ay[j]·krow[j] over the set bits j of active in
+// ascending order: f's fold for one Gram row.
+func foldRow(krow []float32, ay []float64, active []uint64) float64 {
+	ay = ay[:len(krow)]
+	sum := 0.0
+	for wi, word := range active {
+		base := wi << 6
+		for word != 0 {
+			j := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			sum += ay[j] * float64(krow[j])
 		}
 	}
-	s.b = b
-	return nil
+	return sum
+}
+
+// foldPair is foldRow for two Gram rows in one bitmap walk. Its two
+// accumulators are independent chains, each performing exactly foldRow's
+// adds in foldRow's order, so both sums carry foldRow's bits — while each
+// chain fills the floating-point add latency the other waits on.
+func foldPair(k0, k1 []float32, ay []float64, active []uint64) (s0, s1 float64) {
+	ay, k1 = ay[:len(k0)], k1[:len(k0)]
+	for wi, word := range active {
+		base := wi << 6
+		for word != 0 {
+			j := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			a := ay[j]
+			s0 += a * float64(k0[j])
+			s1 += a * float64(k1[j])
+		}
+	}
+	return s0, s1
 }
 
 // Decision returns the signed decision value Σ αᵢyᵢ k(xᵢ, x) + b.
 func (s *SVM) Decision(row []relational.Value) float64 {
 	sum := s.b
-	for i, sv := range s.svRows {
-		sum += s.svAlphaY[i] * s.kernel.Eval(sv, row)
+	if s.kernel == nil {
+		return sum
+	}
+	d := s.kernel.dims
+	for i, ay := range s.svAlphaY {
+		sum += ay * s.kernel.Eval(s.svBlock[i*d:(i+1)*d], row)
 	}
 	return sum
 }
@@ -303,5 +404,72 @@ func (s *SVM) Predict(row []relational.Value) int8 {
 	return 0
 }
 
+// predictMorsel is the example count of one PredictBatch gather.
+const predictMorsel = 256
+
+// PredictBatch implements ml.BatchPredictor. The dataset is read a morsel
+// at a time through GatherFeatures (on a spilled table, one pin per touched
+// segment), each morsel is packed to 16-bit lanes, and each example's match
+// counts against the whole support set come from one mat.MatchCountsU16
+// call against the support block packed at Fit (the int32 mat.MatchCounts
+// when a code does not fit a lane). The decision folds
+// b + Σ αᵢyᵢ·lut[countᵢ] in support-vector order — Decision's fold term for
+// term, the same table entries Eval looks up — so every class equals
+// Predict's. Scratch is one morsel of codes plus one count per support
+// vector, reused across morsels.
+func (s *SVM) PredictBatch(ds *ml.Dataset) []int8 {
+	n := ds.NumExamples()
+	out := make([]int8, n)
+	if s.kernel == nil {
+		if s.Predict(nil) == 1 {
+			for i := range out {
+				out[i] = 1
+			}
+		}
+		return out
+	}
+	d, nSV, lut := s.kernel.dims, len(s.svAlphaY), s.kernel.lut
+	words := mat.PackedWords(d)
+	stride := min(n, predictMorsel)
+	feats := make([]int, d)
+	for j := range feats {
+		feats[j] = j
+	}
+	cols := make([]relational.Value, d*stride)
+	rows := make([]relational.Value, stride*d)
+	packed := make([]uint64, stride*words)
+	idx := make([]int, stride)
+	cnt := make([]int32, nSV)
+	for from := 0; from < n; from += stride {
+		m := min(stride, n-from)
+		for k := range idx[:m] {
+			idx[k] = from + k
+		}
+		ds.GatherFeatures(cols, stride, feats, idx[:m])
+		for k := 0; k < m; k++ {
+			row := rows[k*d : (k+1)*d]
+			for j := range row {
+				row[j] = cols[j*stride+k]
+			}
+		}
+		u16 := s.svPacked != nil && mat.PackU16Rows(packed, rows, m, d)
+		for k := 0; k < m; k++ {
+			if u16 {
+				mat.MatchCountsU16(cnt, nSV, packed[k*words:(k+1)*words], s.svPacked, 1, nSV, d)
+			} else {
+				mat.MatchCounts(cnt, nSV, rows[k*d:(k+1)*d], d, s.svBlock, d, 1, nSV, d)
+			}
+			sum := s.b
+			for i, c := range cnt {
+				sum += s.svAlphaY[i] * lut[c]
+			}
+			if sum >= 0 {
+				out[from+k] = 1
+			}
+		}
+	}
+	return out
+}
+
 // NumSupportVectors returns the size of the retained support set.
-func (s *SVM) NumSupportVectors() int { return len(s.svRows) }
+func (s *SVM) NumSupportVectors() int { return len(s.svAlphaY) }
