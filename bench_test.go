@@ -870,6 +870,9 @@ func (f fullScanRel) CopyRow(dst []relational.Value, i int) []relational.Value {
 func (f fullScanRel) ScanColumn(col, from int, dst []relational.Value) int {
 	return f.st.ScanColumn(col, from, dst)
 }
+func (f fullScanRel) GatherColumns(dst []relational.Value, stride int, cols, rows []int) {
+	f.st.GatherColumns(dst, stride, cols, rows)
+}
 
 // benchSelectEqSeg measures one selective equality scan over the clustered
 // segmented table, with the zone maps consulted (skip) or hidden (full).

@@ -239,13 +239,13 @@ func (e *Env) ViewSplits(v ml.View, omitDims map[string]bool) (train, val, test 
 		return nil, nil, nil, fmt.Errorf("core: view %v selects no features", v)
 	}
 	tc := e.TargetCol
-	if train, err = ml.FromTable(e.Split.Train, cols, tc); err != nil {
+	if train, err = ml.FromRelation(e.Split.Train, cols, tc); err != nil {
 		return nil, nil, nil, err
 	}
-	if val, err = ml.FromTable(e.Split.Validation, cols, tc); err != nil {
+	if val, err = ml.FromRelation(e.Split.Validation, cols, tc); err != nil {
 		return nil, nil, nil, err
 	}
-	if test, err = ml.FromTable(e.Split.Test, cols, tc); err != nil {
+	if test, err = ml.FromRelation(e.Split.Test, cols, tc); err != nil {
 		return nil, nil, nil, err
 	}
 	return train, val, test, nil

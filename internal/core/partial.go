@@ -37,15 +37,15 @@ func PartialJoinSweep(e *Env, dim string, spec Spec, seed uint64) ([]PartialPoin
 		if err != nil {
 			return nil, err
 		}
-		train, err := ml.FromTable(e.Split.Train, cols, e.TargetCol)
+		train, err := ml.FromRelation(e.Split.Train, cols, e.TargetCol)
 		if err != nil {
 			return nil, err
 		}
-		val, err := ml.FromTable(e.Split.Validation, cols, e.TargetCol)
+		val, err := ml.FromRelation(e.Split.Validation, cols, e.TargetCol)
 		if err != nil {
 			return nil, err
 		}
-		test, err := ml.FromTable(e.Split.Test, cols, e.TargetCol)
+		test, err := ml.FromRelation(e.Split.Test, cols, e.TargetCol)
 		if err != nil {
 			return nil, err
 		}

@@ -47,7 +47,7 @@ type view struct {
 	target int // target column in rel (rel != nil)
 	rows   []int
 	n      int   // row count when rows == nil
-	cols   []int // per-feature source column; nil = identity
+	cols   []int // per-feature source column; nil = identity (never nil with rel)
 }
 
 // srcRow maps a view example index to a source row index.
@@ -171,11 +171,10 @@ func (d *Dataset) At(i, j int) relational.Value {
 
 // ScanFeature is the batch read path: it fills dst with consecutive values
 // of feature j starting at example from, returning how many were written
-// (min(len(dst), NumExamples()-from); 0 past the end). When the backing
-// relation implements relational.ColumnScanner — every relation in the
-// repository does — the scan devirtualizes into the storage engine's own
-// column loop; otherwise it degrades to per-cell At. Safe for concurrent
-// use: it writes only into dst.
+// (min(len(dst), NumExamples()-from); 0 past the end). A relation backing
+// devirtualizes into the storage engine's own column loop: a scan of the
+// relation's column, or one gather of the rows when the dataset is a
+// Subset. Safe for concurrent use: it writes only into dst.
 func (d *Dataset) ScanFeature(dst []relational.Value, j, from int) int {
 	k := len(d.Features)
 	m := d.NumExamples() - from
@@ -194,33 +193,23 @@ func (d *Dataset) ScanFeature(dst []relational.Value, j, from int) int {
 		}
 		return m
 	}
+	if d.v.rel != nil {
+		// A relation-backed view always carries its column remap, so the
+		// one-column list is a slice of it.
+		cols := d.v.cols[j : j+1]
+		if d.v.rows == nil {
+			return d.v.rel.ScanColumn(cols[0], from, dst)
+		}
+		d.v.rel.GatherColumns(dst, m, cols, d.v.rows[from:from+m])
+		return m
+	}
 	c := j
 	if d.v.cols != nil {
 		c = d.v.cols[j]
 	}
 	if d.v.rows != nil {
-		rows := d.v.rows[from : from+m]
-		if d.v.rel != nil {
-			if g, ok := d.v.rel.(relational.ColumnGatherer); ok {
-				g.GatherColumn(dst, c, rows)
-				return m
-			}
-			for i, r := range rows {
-				dst[i] = d.v.rel.At(r, c)
-			}
-			return m
-		}
-		for i, r := range rows {
+		for i, r := range d.v.rows[from : from+m] {
 			dst[i] = d.v.x[r*d.v.baseW+c]
-		}
-		return m
-	}
-	if d.v.rel != nil {
-		if cs, ok := d.v.rel.(relational.ColumnScanner); ok {
-			return cs.ScanColumn(c, from, dst)
-		}
-		for i := range dst {
-			dst[i] = d.v.rel.At(from+i, c)
 		}
 		return m
 	}
@@ -232,11 +221,10 @@ func (d *Dataset) ScanFeature(dst []relational.Value, j, from int) int {
 	return m
 }
 
-// gatherFeature fills dst[k] with At(rows[k], j) for every k — the
-// one-feature step of GatherFeatures for backings without a multi-column
-// gather. len(dst) must be >= len(rows). Like ScanFeature it routes through
-// the backing relation's gather when available.
-func (d *Dataset) gatherFeature(dst []relational.Value, j int, rows []int) {
+// gatherDense fills dst[k] with At(rows[k], j) for every k on a dense or
+// dense-view backing — the one-feature step of GatherFeatures there.
+// len(dst) must be >= len(rows).
+func (d *Dataset) gatherDense(dst []relational.Value, j int, rows []int) {
 	dst = dst[:len(rows)]
 	if d.v == nil {
 		k := len(d.Features)
@@ -250,28 +238,8 @@ func (d *Dataset) gatherFeature(dst []relational.Value, j int, rows []int) {
 		c = d.v.cols[j]
 	}
 	if d.v.rows != nil {
-		if d.v.rel != nil {
-			if g, ok := d.v.rel.(relational.ColumnViaGatherer); ok {
-				g.GatherColumnVia(dst, c, d.v.rows, rows)
-				return
-			}
-			for i, r := range rows {
-				dst[i] = d.v.rel.At(d.v.rows[r], c)
-			}
-			return
-		}
 		for i, r := range rows {
 			dst[i] = d.v.x[d.v.rows[r]*d.v.baseW+c]
-		}
-		return
-	}
-	if d.v.rel != nil {
-		if g, ok := d.v.rel.(relational.ColumnGatherer); ok {
-			g.GatherColumn(dst, c, rows)
-			return
-		}
-		for i, r := range rows {
-			dst[i] = d.v.rel.At(r, c)
 		}
 		return
 	}
@@ -297,22 +265,16 @@ var featurePool = sync.Pool{New: func() any { return new(featureScratch) }}
 // GatherFeatures fills the column-major block dst with features feats of
 // the examples rows: feature feats[i] of example rows[k] lands at
 // dst[i*stride+k], and stride must be >= len(rows). A feats entry equal to
-// LabelColumn reads the label instead. When the backing relation implements
-// relational.ColumnsGatherer (a SegmentedTable, or a SelectView split over
-// any relation) the block is one grouped gather, so a spilled table pins
-// each touched segment once for all the features; otherwise it is one
-// one-feature gather per feature. Safe for concurrent use: it writes only into
-// dst.
+// LabelColumn reads the label instead. On a relation backing the block is
+// one relational GatherColumns call over the composed source columns and
+// rows, so a spilled table pins each touched segment once for all the
+// features. Safe for concurrent use: it writes only into dst.
 func (d *Dataset) GatherFeatures(dst []relational.Value, stride int, feats []int, rows []int) {
-	var g relational.ColumnsGatherer
-	if d.v != nil && d.v.rel != nil {
-		g, _ = d.v.rel.(relational.ColumnsGatherer)
-	}
-	if g == nil {
+	if d.v == nil || d.v.rel == nil {
 		for i, j := range feats {
 			col := dst[i*stride : i*stride+len(rows)]
 			if j != LabelColumn {
-				d.gatherFeature(col, j, rows)
+				d.gatherDense(col, j, rows)
 				continue
 			}
 			for k, r := range rows {
@@ -325,10 +287,9 @@ func (d *Dataset) GatherFeatures(dst []relational.Value, stride int, feats []int
 	defer featurePool.Put(sc)
 	cols := sc.cols[:0]
 	for _, j := range feats {
-		switch {
-		case j == LabelColumn:
+		if j == LabelColumn {
 			j = d.v.target
-		case d.v.cols != nil:
+		} else {
 			j = d.v.cols[j]
 		}
 		cols = append(cols, j)
@@ -341,7 +302,7 @@ func (d *Dataset) GatherFeatures(dst []relational.Value, stride int, feats []int
 		}
 		sc.rows, rows = src, src
 	}
-	g.GatherColumns(dst, stride, cols, rows)
+	d.v.rel.GatherColumns(dst, stride, cols, rows)
 }
 
 // ScanLabels fills dst with consecutive labels starting at example from and
@@ -361,30 +322,27 @@ func (d *Dataset) ScanLabels(dst []int8, from int) int {
 		copy(dst, d.Y[from:from+m])
 		return m
 	}
-	if d.v.rel != nil {
-		// Batch the target column: a contiguous scan without a row remap, a
-		// gather of the remapped rows (a Subset) with one.
-		cs, scans := d.v.rel.(relational.ColumnScanner)
-		g, gathers := d.v.rel.(relational.ColumnGatherer)
-		if (d.v.rows == nil && scans) || (d.v.rows != nil && gathers) {
-			buf := make([]relational.Value, min(m, 4096))
-			for at := 0; at < m; {
-				got := min(len(buf), m-at)
-				if d.v.rows == nil {
-					got = cs.ScanColumn(d.v.target, from+at, buf[:got])
-				} else {
-					g.GatherColumn(buf, d.v.target, d.v.rows[from+at:from+at+got])
-				}
-				for i := 0; i < got; i++ {
-					dst[at+i] = int8(buf[i])
-				}
-				at += got
-			}
-			return m
+	if d.v.rel == nil {
+		for i := range dst {
+			dst[i] = d.Label(from + i)
 		}
+		return m
 	}
-	for i := range dst {
-		dst[i] = d.Label(from + i)
+	// Batch the target column: a contiguous scan without a row remap, a
+	// gather of the remapped rows (a Subset) with one.
+	target := []int{d.v.target}
+	buf := make([]relational.Value, min(m, 4096))
+	for at := 0; at < m; {
+		got := min(len(buf), m-at)
+		if d.v.rows == nil {
+			got = d.v.rel.ScanColumn(d.v.target, from+at, buf[:got])
+		} else {
+			d.v.rel.GatherColumns(buf, got, target, d.v.rows[from+at:from+at+got])
+		}
+		for i := 0; i < got; i++ {
+			dst[at+i] = int8(buf[i])
+		}
+		at += got
 	}
 	return m
 }
@@ -526,13 +484,6 @@ func FromRelation(r relational.Relation, featureCols []int, targetCol int) (*Dat
 	}, nil
 }
 
-// FromTable builds a dataset from a (typically joined) relation. It is kept
-// as the historical name; since the factorized refactor it is an alias of
-// FromRelation and no longer copies the data.
-func FromTable(t relational.Relation, featureCols []int, targetCol int) (*Dataset, error) {
-	return FromRelation(t, featureCols, targetCol)
-}
-
 // Materialize evaluates a view-backed dataset into dense storage (one copy).
 // Contiguous identity datasets are returned unchanged. Learners with access
 // patterns that revisit every row many times (SMO's kernel loops) call this
@@ -553,18 +504,6 @@ func (d *Dataset) Materialize() *Dataset {
 		out.Y[i] = d.Label(i)
 	}
 	return out
-}
-
-// DropFeatures returns a view of the dataset without the features at the
-// given positions (used by backward feature selection and ablations).
-func (d *Dataset) DropFeatures(drop map[int]bool) *Dataset {
-	var keep []int
-	for j := range d.Features {
-		if !drop[j] {
-			keep = append(keep, j)
-		}
-	}
-	return d.SelectFeatures(keep)
 }
 
 // SelectFeatures returns a view of the dataset with only the features at

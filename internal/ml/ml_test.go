@@ -58,10 +58,6 @@ func TestSubsetAndSelectFeatures(t *testing.T) {
 	if f.Row(3)[0] != 2 {
 		t.Fatal("SelectFeatures did not reindex columns")
 	}
-	g := d.DropFeatures(map[int]bool{0: true})
-	if g.NumFeatures() != 1 || g.Features[0].Name != "b" {
-		t.Fatalf("DropFeatures wrong: %+v", g.Features)
-	}
 }
 
 func TestEncoderOffsets(t *testing.T) {
@@ -308,17 +304,17 @@ func TestViewOpenFKExcluded(t *testing.T) {
 	}
 }
 
-func TestFromTableValidation(t *testing.T) {
+func TestFromRelationValidation(t *testing.T) {
 	d3 := relational.NewDomain("Y3", 3)
 	tab := relational.NewTable("t", relational.MustSchema(
 		relational.Column{Name: "Y", Kind: relational.KindTarget, Domain: d3},
 		relational.Column{Name: "x", Kind: relational.KindFeature, Domain: relational.NewDomain("x", 2)},
 	), 1)
 	tab.MustAppendRow([]relational.Value{2, 1})
-	if _, err := FromTable(tab, []int{1}, 0); err == nil {
+	if _, err := FromRelation(tab, []int{1}, 0); err == nil {
 		t.Fatal("non-binary target must be rejected")
 	}
-	if _, err := FromTable(tab, []int{0}, 0); err == nil {
+	if _, err := FromRelation(tab, []int{0}, 0); err == nil {
 		t.Fatal("target as feature must be rejected")
 	}
 }

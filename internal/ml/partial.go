@@ -77,7 +77,7 @@ func PartialViewDataset(joined relational.Relation, targetCol int, spec PartialS
 	if err != nil {
 		return nil, err
 	}
-	return FromTable(joined, cols, targetCol)
+	return FromRelation(joined, cols, targetCol)
 }
 
 // ForeignFeatureNames lists, per dimension, the unqualified foreign feature

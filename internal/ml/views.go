@@ -90,5 +90,5 @@ func ViewDataset(joined relational.Relation, targetCol int, v View, omitDims map
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("ml: view %v selects no feature columns", v)
 	}
-	return FromTable(joined, cols, targetCol)
+	return FromRelation(joined, cols, targetCol)
 }

@@ -1,56 +1,5 @@
 package relational
 
-// ColumnScanner is the optional batch read interface alongside Relation:
-// implementations expose column-at-a-time access so learners can train on
-// cache-resident vectors of one feature instead of assembling rows. The
-// contract:
-//
-//	m := r.ScanColumn(col, from, dst)
-//
-// fills dst[0:m] with the values of column col for rows [from, from+m),
-// where m = min(len(dst), NumRows()-from) (0 when from is past the end),
-// and returns m. Implementations must be safe for concurrent readers, like
-// Relation itself, and must not retain dst.
-//
-// Every relation in this package implements it: physical tables scan their
-// own storage, JoinView turns a foreign-column scan into a gather through
-// the FK column, and SelectView/ProjectView forward with their row/column
-// remaps. Consumers that accept an arbitrary Relation should fall back to
-// an At loop when the assertion fails (ml.Dataset.ScanFeature does).
-type ColumnScanner interface {
-	ScanColumn(col int, from int, dst []Value) int
-}
-
-// ColumnGatherer is the random-access companion of ColumnScanner: it fills
-// dst[k] with At(rows[k], col) for every k. len(dst) must be >= len(rows).
-// It exists so row-subset consumers (a SelectView split, a decision-tree
-// node's example set) can batch-read one column without per-cell interface
-// calls; implementations devirtualize the inner loop.
-type ColumnGatherer interface {
-	GatherColumn(dst []Value, col int, rows []int)
-}
-
-// ColumnViaGatherer fuses a two-level row remap into one gather:
-// dst[k] = At(idx[rows[k]], col). It is how a stacked remap — a SelectView
-// over a join, or an ml.Dataset subset over a relation — batch-reads a
-// column without materializing the composed index list or paying a virtual
-// At per cell. The physical tables and JoinView implement it.
-type ColumnViaGatherer interface {
-	GatherColumnVia(dst []Value, col int, idx []int, rows []int)
-}
-
-// ColumnsGatherer is the multi-column ColumnGatherer: it fills the
-// column-major block dst with column cols[i] of the rows at
-// dst[i*stride : i*stride+len(rows)], so dst[i*stride+k] = At(rows[k],
-// cols[i]); stride must be >= len(rows). One call lets a storage engine
-// with a per-segment access cost (the spilled SegmentedTable) pay it once
-// per touched segment for all columns, instead of once per column.
-// SegmentedTable implements it, and SelectView forwards it through its row
-// remap.
-type ColumnsGatherer interface {
-	GatherColumns(dst []Value, stride int, cols []int, rows []int)
-}
-
 // scanLen clamps a ScanColumn request to the valid row range.
 func scanLen(numRows, from, dstLen int) int {
 	m := numRows - from
@@ -160,25 +109,6 @@ func (c *colData) gather(dst []Value, rows []int) {
 	default:
 		for k, r := range rows {
 			dst[k] = c.u32[r]
-		}
-	}
-}
-
-// gatherVia widens rows idx[rows[k]] into dst — the double-remap path a
-// SelectView stacked on a segmented table uses.
-func (c *colData) gatherVia(dst []Value, idx []int, rows []int) {
-	switch {
-	case c.u8 != nil:
-		for k, r := range rows {
-			dst[k] = Value(c.u8[idx[r]])
-		}
-	case c.u16 != nil:
-		for k, r := range rows {
-			dst[k] = Value(c.u16[idx[r]])
-		}
-	default:
-		for k, r := range rows {
-			dst[k] = c.u32[idx[r]]
 		}
 	}
 }

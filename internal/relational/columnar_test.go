@@ -31,7 +31,7 @@ func randomWideTable(t testing.TB, n int, seed uint64) *Table {
 }
 
 // requireSameRelation checks two relations cell-for-cell through At,
-// CopyRow, ScanColumn, and GatherColumn.
+// CopyRow, ScanColumn, and GatherColumns.
 func requireSameRelation(t *testing.T, want, got Relation) {
 	t.Helper()
 	if want.NumRows() != got.NumRows() {
@@ -56,11 +56,6 @@ func requireSameRelation(t *testing.T, want, got Relation) {
 			}
 		}
 	}
-	ws, wok := want.(ColumnScanner)
-	gs, gok := got.(ColumnScanner)
-	if !wok || !gok {
-		t.Fatalf("both relations must implement ColumnScanner (%T %v, %T %v)", want, wok, got, gok)
-	}
 	// Scan with deliberately awkward offsets and a short dst to exercise the
 	// clamping contract.
 	for j := 0; j < w; j++ {
@@ -70,8 +65,8 @@ func requireSameRelation(t *testing.T, want, got Relation) {
 			}
 			bufW := make([]Value, 7)
 			bufG := make([]Value, 7)
-			mw := ws.ScanColumn(j, from, bufW)
-			mg := gs.ScanColumn(j, from, bufG)
+			mw := want.ScanColumn(j, from, bufW)
+			mg := got.ScanColumn(j, from, bufG)
 			if mw != mg {
 				t.Fatalf("ScanColumn(%d, %d) length: want %d got %d", j, from, mw, mg)
 			}
@@ -82,21 +77,21 @@ func requireSameRelation(t *testing.T, want, got Relation) {
 			}
 		}
 	}
-	wg, wok := want.(ColumnGatherer)
-	gg, gok := got.(ColumnGatherer)
-	if !wok || !gok {
-		t.Fatalf("both relations must implement ColumnGatherer (%T %v, %T %v)", want, wok, got, gok)
-	}
 	if n > 2 {
 		rows := []int{n - 1, 0, n / 2, 0, n - 1}
-		bufW := make([]Value, len(rows))
-		bufG := make([]Value, len(rows))
-		for j := 0; j < w; j++ {
-			wg.GatherColumn(bufW, j, rows)
-			gg.GatherColumn(bufG, j, rows)
+		cols := make([]int, w)
+		for j := range cols {
+			cols[j] = w - 1 - j
+		}
+		stride := len(rows) + 1
+		bufW := make([]Value, w*stride)
+		bufG := make([]Value, w*stride)
+		want.GatherColumns(bufW, stride, cols, rows)
+		got.GatherColumns(bufG, stride, cols, rows)
+		for i, c := range cols {
 			for k := range rows {
-				if bufW[k] != bufG[k] {
-					t.Fatalf("GatherColumn(%d)[%d]: want %d got %d", j, k, bufW[k], bufG[k])
+				if a, b := bufW[i*stride+k], bufG[i*stride+k]; a != b {
+					t.Fatalf("GatherColumns column %d [%d]: want %d got %d", c, k, a, b)
 				}
 			}
 		}
@@ -110,7 +105,7 @@ func requireSameRelation(t *testing.T, want, got Relation) {
 func TestColumnarTableMatchesTable(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 99} {
 		tab := randomWideTable(t, 257, seed)
-		st := segmentedFromTable(t, tab, SegmentOptions{})
+		st := segmentedCopy(t, tab, SegmentOptions{})
 		requireSameRelation(t, tab, st)
 		if got := st.NumSegments(); got != 1 {
 			t.Fatalf("default-size table of 257 rows has %d segments, want 1", got)
@@ -185,70 +180,133 @@ func TestAppendRowsRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestViewStackScanColumn pins the tentpole contract: ScanColumn through the
-// whole view stack — JoinView (FK gather), SelectView (row remap),
-// ProjectView (column remap), stacked combinations — agrees with At on the
-// same relation, for both physical layouts underneath the split views.
+// TestViewStackScanColumn is the read contract of every Relation
+// implementation — Table, JoinView, an in-memory and a spilled
+// SegmentedTable (cache of one segment), a SelectView over each and a
+// SelectView over a SelectView: ScanColumn and GatherColumns agree with At.
 func TestViewStackScanColumn(t *testing.T) {
 	ss := testStar(t, 300, 17, 29, 11)
 	jv, err := NewJoinView(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mem, err := MaterializeSegmented(jv, "mem", SegmentOptions{SegmentSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spill, err := MaterializeSegmented(jv, "spill", SegmentOptions{
+		SegmentSize: 64, SpillDir: t.TempDir(), CacheBytes: mem.entries[0].bytes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spill.Close()
 	r := rng.New(5)
 	idx := make([]int, 120)
 	for i := range idx {
 		idx[i] = r.Intn(jv.NumRows())
 	}
-	sel, err := NewSelectView(jv, idx)
+	bases := map[string]Relation{
+		"table": Materialize(jv, "tab"), "join": jv, "segmented": mem, "spilled": spill,
+	}
+	rels := map[string]Relation{}
+	for name, base := range bases {
+		rels[name] = base
+		sel, err := NewSelectView(base, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels["select-over-"+name] = sel
+	}
+	sel2, err := NewSelectView(rels["select-over-spilled"], []int{119, 0, 7, 7, 64, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := NewProjectView(sel, []int{3, 0, 5})
-	if err != nil {
-		t.Fatal(err)
+	rels["select-over-select"] = sel2
+	for name, rel := range rels {
+		requireReadContract(t, name, rel)
 	}
-	cols, err := MaterializeSegmented(jv, "cols", SegmentOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	selCol, err := NewSelectView(cols, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	for name, rel := range map[string]Relation{
-		"join": jv, "select-over-join": sel, "project-over-select": proj,
-		"columnar": cols, "select-over-columnar": selCol,
-	} {
-		cs := rel.(ColumnScanner)
-		w := rel.Schema().Width()
-		n := rel.NumRows()
-		buf := make([]Value, 13)
-		for j := 0; j < w; j++ {
-			for from := 0; from <= n; from += 13 {
-				m := cs.ScanColumn(j, from, buf)
-				wantM := n - from
-				if wantM > len(buf) {
-					wantM = len(buf)
+// sentinel marks dst cells a batch read must leave alone.
+const sentinel Value = -7
+
+// requireReadContract pins rel's ScanColumn and GatherColumns to At: scans
+// from every offset including the end and past it, and gathers of
+// repeated, unordered rows into a block whose stride leaves a gap after
+// each column, plus the empty-rows and empty-cols edges. Cells outside the
+// requested ranges must stay untouched.
+func requireReadContract(t *testing.T, name string, rel Relation) {
+	t.Helper()
+	w, n := rel.Schema().Width(), rel.NumRows()
+	buf := make([]Value, 13)
+	for j := 0; j < w; j++ {
+		for _, from := range []int{0, 1, n / 2, n - 13, n - 1, n, n + 4} {
+			if from < 0 {
+				continue
+			}
+			for k := range buf {
+				buf[k] = sentinel
+			}
+			m := rel.ScanColumn(j, from, buf)
+			if want := max(0, min(len(buf), n-from)); m != want {
+				t.Fatalf("%s: ScanColumn(%d,%d) returned %d want %d", name, j, from, m, want)
+			}
+			for k := range buf {
+				want := sentinel
+				if k < m {
+					want = rel.At(from+k, j)
 				}
-				if m != wantM {
-					t.Fatalf("%s: ScanColumn(%d,%d) returned %d want %d", name, j, from, m, wantM)
-				}
-				for k := 0; k < m; k++ {
-					if want := rel.At(from+k, j); buf[k] != want {
-						t.Fatalf("%s: ScanColumn(%d,%d)[%d] = %d, At = %d", name, j, from, k, buf[k], want)
-					}
+				if buf[k] != want {
+					t.Fatalf("%s: ScanColumn(%d,%d)[%d] = %d, want %d", name, j, from, k, buf[k], want)
 				}
 			}
+		}
+		if m := rel.ScanColumn(j, 0, nil); m != 0 {
+			t.Fatalf("%s: ScanColumn into an empty dst returned %d", name, m)
+		}
+	}
+
+	r := rng.New(uint64(n))
+	rows := []int{n - 1, 0, n / 2, 0, n - 1, 2, 1}
+	for len(rows) < 90 {
+		rows = append(rows, r.Intn(n))
+	}
+	cols := []int{w - 1, 0, w / 2, 0}
+	stride := len(rows) + 5
+	block := make([]Value, len(cols)*stride)
+	fill := func() {
+		for k := range block {
+			block[k] = sentinel
+		}
+	}
+	fill()
+	rel.GatherColumns(block, stride, cols, rows)
+	for i, c := range cols {
+		for k := 0; k < stride; k++ {
+			want := sentinel
+			if k < len(rows) {
+				want = rel.At(rows[k], c)
+			}
+			if got := block[i*stride+k]; got != want {
+				t.Fatalf("%s: GatherColumns column %d [%d] = %d, want %d", name, c, k, got, want)
+			}
+		}
+	}
+	fill()
+	rel.GatherColumns(block, stride, cols, nil)
+	rel.GatherColumns(block, stride, nil, rows)
+	rel.GatherColumns(nil, 0, cols, nil)
+	for k, v := range block {
+		if v != sentinel {
+			t.Fatalf("%s: an empty gather wrote block[%d] = %d", name, k, v)
 		}
 	}
 }
 
 // TestMaterializeColumnarMatchesMaterialize checks that a default-size
 // MaterializeSegmented of a lazy join — one slab whose open tail holds
-// exactly its rows — agrees with Materialize, on the scanner path and on
-// the row-at-a-time fallback path (source without ScanColumn).
+// exactly its rows — agrees with Materialize.
 func TestMaterializeColumnarMatchesMaterialize(t *testing.T) {
 	ss := testStar(t, 200, 13, 7, 21)
 	jv, err := NewJoinView(ss)
@@ -256,72 +314,29 @@ func TestMaterializeColumnarMatchesMaterialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowT := Materialize(jv, "rows")
-	for _, src := range []Relation{jv, noScan{jv}} {
-		colT, err := MaterializeSegmented(src, "cols", SegmentOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameRelation(t, rowT, colT)
-		if colT.NumSegments() != 1 || tailCap(colT) != rowT.NumRows() {
-			t.Fatalf("%T: %d segments, tail capacity %d rows; want 1 segment of %d",
-				src, colT.NumSegments(), tailCap(colT), rowT.NumRows())
-		}
+	colT, err := MaterializeSegmented(jv, "cols", SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRelation(t, rowT, colT)
+	if colT.NumSegments() != 1 || tailCap(colT) != rowT.NumRows() {
+		t.Fatalf("%d segments, tail capacity %d rows; want 1 segment of %d",
+			colT.NumSegments(), tailCap(colT), rowT.NumRows())
 	}
 }
 
-// TestMaterializeColumnarEmpty pins the empty-relation edge on both the
-// scanner and the CopyRow-fallback paths.
+// TestMaterializeColumnarEmpty pins the empty-relation edge.
 func TestMaterializeColumnarEmpty(t *testing.T) {
 	schema := MustSchema(Column{Name: "x", Kind: KindFeature, Domain: NewDomain("x", 4)})
 	empty := NewTable("empty", schema, 0)
-	for _, src := range []Relation{empty, noScan{empty}} {
-		st, err := MaterializeSegmented(src, "e", SegmentOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.NumRows() != 0 || st.NumSegments() != 0 || tailCap(st) != 0 {
-			t.Fatalf("empty materialize of %T: %d rows, %d segments, tail capacity %d",
-				src, st.NumRows(), st.NumSegments(), tailCap(st))
-		}
-	}
-}
-
-// noScan hides every optional batch interface of the wrapped relation.
-type noScan struct{ r Relation }
-
-func (n noScan) Schema() *Schema                    { return n.r.Schema() }
-func (n noScan) NumRows() int                       { return n.r.NumRows() }
-func (n noScan) At(i, j int) Value                  { return n.r.At(i, j) }
-func (n noScan) CopyRow(dst []Value, i int) []Value { return n.r.CopyRow(dst, i) }
-
-// TestSelectViewScanFallback checks the At fallback inside the view
-// forwarding (source implements neither ColumnScanner nor ColumnGatherer).
-func TestSelectViewScanFallback(t *testing.T) {
-	ss := testStar(t, 150, 11, 5, 31)
-	jv, err := NewJoinView(ss)
+	st, err := MaterializeSegmented(empty, "e", SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := []int{5, 0, 149, 7, 7, 31}
-	fast, err := NewSelectView(jv, idx)
-	if err != nil {
-		t.Fatal(err)
+	if st.NumRows() != 0 || st.NumSegments() != 0 || tailCap(st) != 0 {
+		t.Fatalf("empty materialize: %d rows, %d segments, tail capacity %d",
+			st.NumRows(), st.NumSegments(), tailCap(st))
 	}
-	slow, err := NewSelectView(noScan{jv}, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRelation(t, fast, slow)
-
-	pFast, err := NewProjectView(jv, []int{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pSlow, err := NewProjectView(noScan{jv}, []int{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRelation(t, pFast, pSlow)
 }
 
 // FuzzColumnarEquivalence feeds arbitrary row bytes into the row-major

@@ -9,15 +9,15 @@ import (
 // TestGroupedGatherPinsEachSegmentOnce pins the grouped gather kernel's
 // contract on a spilled table whose cache holds exactly one segment: a
 // shuffled row list with repeats that spans S sealed segments faults at
-// most S segments per call — for GatherColumn, for GatherColumnVia through
-// a SelectView, and for the multi-column GatherColumns — and every value
+// most S segments per call — for one-column and multi-column GatherColumns,
+// on the table and through a SelectView over it — and every value
 // equals the row-major Table's. Once warm, the gathers allocate nothing.
 func TestGroupedGatherPinsEachSegmentOnce(t *testing.T) {
 	const segSize = 64
 	tab := randomWideTable(t, 6*segSize+9, 23)
 	w := tab.Schema().Width()
-	oneSeg := segmentedFromTable(t, tab, SegmentOptions{SegmentSize: segSize}).entries[0].bytes
-	st := segmentedFromTable(t, tab, SegmentOptions{SegmentSize: segSize, SpillDir: t.TempDir(), CacheBytes: oneSeg})
+	oneSeg := segmentedCopy(t, tab, SegmentOptions{SegmentSize: segSize}).entries[0].bytes
+	st := segmentedCopy(t, tab, SegmentOptions{SegmentSize: segSize, SpillDir: t.TempDir(), CacheBytes: oneSeg})
 	defer st.Close()
 
 	r := rng.New(5)
@@ -50,10 +50,10 @@ func TestGroupedGatherPinsEachSegmentOnce(t *testing.T) {
 
 	dst := make([]Value, len(rows))
 	for j := 0; j < w; j++ {
-		missesOf("GatherColumn", func() { st.GatherColumn(dst, j, rows) })
+		missesOf("GatherColumns(one)", func() { st.GatherColumns(dst, len(rows), []int{j}, rows) })
 		for k, row := range rows {
 			if want := tab.At(row, j); dst[k] != want {
-				t.Fatalf("GatherColumn(%d)[%d] = %d, want %d", j, k, dst[k], want)
+				t.Fatalf("GatherColumns(%d)[%d] = %d, want %d", j, k, dst[k], want)
 			}
 		}
 	}
@@ -69,10 +69,10 @@ func TestGroupedGatherPinsEachSegmentOnce(t *testing.T) {
 		vrows[k] = len(rows) - 1 - k
 	}
 	for j := 0; j < w; j++ {
-		missesOf("GatherColumnVia", func() { sel.GatherColumn(dst, j, vrows) })
+		missesOf("SelectView.GatherColumns(one)", func() { sel.GatherColumns(dst, len(vrows), []int{j}, vrows) })
 		for k, vr := range vrows {
 			if want := tab.At(rows[vr], j); dst[k] != want {
-				t.Fatalf("GatherColumnVia(%d)[%d] = %d, want %d", j, k, dst[k], want)
+				t.Fatalf("SelectView.GatherColumns(%d)[%d] = %d, want %d", j, k, dst[k], want)
 			}
 		}
 	}
@@ -99,15 +99,16 @@ func TestGroupedGatherPinsEachSegmentOnce(t *testing.T) {
 		return // race instrumentation allocates; counts are proven in the non-race run
 	}
 	// Warm: a budget that never evicts, so no fault allocates a segment.
-	warm := segmentedFromTable(t, tab, SegmentOptions{SegmentSize: segSize, SpillDir: t.TempDir()})
+	warm := segmentedCopy(t, tab, SegmentOptions{SegmentSize: segSize, SpillDir: t.TempDir()})
 	defer warm.Close()
 	wsel, err := NewSelectView(warm, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
+	one, two := []int{1}, []int{2}
 	if avg := testing.AllocsPerRun(100, func() {
-		warm.GatherColumn(dst, 1, rows)
-		wsel.GatherColumn(dst, 2, vrows)
+		warm.GatherColumns(dst, len(rows), one, rows)
+		wsel.GatherColumns(dst, len(vrows), two, vrows)
 		warm.GatherColumns(block, stride, cols, rows)
 		wsel.GatherColumns(block, stride, cols, vrows)
 	}); avg != 0 {

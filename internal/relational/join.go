@@ -135,9 +135,9 @@ func (v *JoinView) CopyRow(dst []Value, row int) []Value {
 	return dst
 }
 
-// ScanColumn implements ColumnScanner. A fact column is a strided scan of
-// the fact table; a foreign column is a gather — read the FK column, then
-// index the dimension's storage — which is exactly the batched form of the
+// ScanColumn implements Relation. A fact column is a strided scan of the
+// fact table; a foreign column is a gather — read the FK column, then index
+// the dimension's storage — which is exactly the batched form of the
 // per-cell indirection At performs. Referential integrity was validated at
 // construction, so the inner loops run unchecked.
 func (v *JoinView) ScanColumn(col int, from int, dst []Value) int {
@@ -158,42 +158,25 @@ func (v *JoinView) ScanColumn(col int, from int, dst []Value) int {
 	return m
 }
 
-// GatherColumn implements ColumnGatherer with the same fact/foreign split
-// as ScanColumn, over arbitrary row indices.
-func (v *JoinView) GatherColumn(dst []Value, col int, rows []int) {
-	dst = dst[:len(rows)]
-	if col < v.factW {
-		v.fact.GatherColumn(dst, col, rows)
-		return
-	}
-	p := &v.plans[v.colPlan[col-v.factW]]
-	dimCol := int(v.colDim[col-v.factW])
-	dim, dimW := p.dim, p.dim.width
+// GatherColumns implements Relation with the same fact/foreign split as
+// ScanColumn, column by column over arbitrary row indices.
+func (v *JoinView) GatherColumns(dst []Value, stride int, cols []int, rows []int) {
 	fw := v.factW
-	for k, r := range rows {
-		fk := v.fact.rows[r*fw+p.fkCol]
-		dst[k] = dim.rows[int(fk)*dimW+dimCol]
-	}
-}
-
-// GatherColumnVia implements ColumnViaGatherer — the fused double-remap
-// gather a SelectView stacked on this join uses.
-func (v *JoinView) GatherColumnVia(dst []Value, col int, idx []int, rows []int) {
-	dst = dst[:len(rows)]
-	if col < v.factW {
-		fw := v.factW
-		for k, r := range rows {
-			dst[k] = v.fact.rows[idx[r]*fw+col]
+	for i, c := range cols {
+		d := dst[i*stride : i*stride+len(rows)]
+		if c < fw {
+			for k, r := range rows {
+				d[k] = v.fact.rows[r*fw+c]
+			}
+			continue
 		}
-		return
-	}
-	p := &v.plans[v.colPlan[col-v.factW]]
-	dimCol := int(v.colDim[col-v.factW])
-	dim, dimW := p.dim, p.dim.width
-	fw := v.factW
-	for k, r := range rows {
-		fk := v.fact.rows[idx[r]*fw+p.fkCol]
-		dst[k] = dim.rows[int(fk)*dimW+dimCol]
+		p := &v.plans[v.colPlan[c-fw]]
+		dimCol := int(v.colDim[c-fw])
+		dim, dimW := p.dim, p.dim.width
+		for k, r := range rows {
+			fk := v.fact.rows[r*fw+p.fkCol]
+			d[k] = dim.rows[int(fk)*dimW+dimCol]
+		}
 	}
 }
 

@@ -10,9 +10,9 @@ type Predicate func(row []Value) bool
 
 // Select (relational σ) materializes the rows of r satisfying pred, in
 // order. Data scientists building fact tables from raw event tables need σ
-// and π constantly; these helpers keep that preprocessing inside the
-// library instead of ad-hoc loops. The predicate receives a scratch row that
-// is only valid for the duration of the call.
+// constantly; this helper keeps that preprocessing inside the library
+// instead of ad-hoc loops. The predicate receives a scratch row that is only
+// valid for the duration of the call.
 func Select(r Relation, name string, pred Predicate) *Table {
 	schema := r.Schema()
 	out := NewTable(name, schema, 0)
@@ -31,7 +31,6 @@ func Select(r Relation, name string, pred Predicate) *Table {
 // segments free of a value. SegmentedTable implements it.
 type segmentZoned interface {
 	Relation
-	ColumnScanner
 	NumSegments() int
 	SegmentRows(s int) (lo, hi int)
 	SegmentMayContain(s, col int, v Value) bool
@@ -86,27 +85,6 @@ func selectEqZoned(r segmentZoned, name string, col int, v Value) *Table {
 	ZoneSegmentsSkipped.Add(skipped)
 	ZoneSegmentsScanned.Add(scanned)
 	return out
-}
-
-// Project (relational π) materializes a new table with only the named
-// columns, in the given order. Projection never deduplicates (bag
-// semantics), matching the paper's π in T ← π(R ⋈ S). For a lazy
-// alternative see NewProjectView.
-func Project(r Relation, name string, cols []string) (*Table, error) {
-	schema := r.Schema()
-	idx := make([]int, len(cols))
-	for j, c := range cols {
-		i := schema.Index(c)
-		if i < 0 {
-			return nil, fmt.Errorf("relational: project: unknown column %q", c)
-		}
-		idx[j] = i
-	}
-	view, err := NewProjectView(r, idx)
-	if err != nil {
-		return nil, err
-	}
-	return Materialize(view, name), nil
 }
 
 // groupBySliceThreshold bounds the domain size for which GroupBy uses a

@@ -56,26 +56,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	tab := opsTable(t)
-	p, err := Project(tab, "proj", []string{"FK", "Y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Schema().Width() != 2 || p.Schema().Cols[0].Name != "FK" || p.Schema().Cols[1].Name != "Y" {
-		t.Fatalf("projection schema wrong: %v", p.Schema().Names())
-	}
-	if p.NumRows() != tab.NumRows() {
-		t.Fatal("projection must keep bag semantics (no dedup)")
-	}
-	if p.At(1, 0) != 0 || p.At(1, 1) != 1 {
-		t.Fatal("projection reordered values incorrectly")
-	}
-	if _, err := Project(tab, "bad", []string{"zzz"}); err == nil {
-		t.Fatal("unknown column must error")
-	}
-}
-
 func TestGroupByAndDistinct(t *testing.T) {
 	tab := opsTable(t)
 	groups, err := GroupBy(tab, 2)

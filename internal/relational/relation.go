@@ -1,17 +1,22 @@
 package relational
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
-// Relation is the read interface over rectangular categorical data: anything
-// with a schema, a row count, and random cell access. *Table implements it
-// with contiguous storage; JoinView, SelectView, and ProjectView implement it
-// lazily, resolving accesses through foreign-key or index indirection without
-// materializing the result. Learners and experiment harnesses consume data
-// exclusively through this interface (via ml.FromRelation), which is what
-// lets a JoinAll pipeline run without ever paying for the joined table.
+// Relation is the read interface over rectangular categorical data: a
+// schema, a row count, random cell access, and batch column reads. *Table
+// and *SegmentedTable implement it with physical storage; JoinView and
+// SelectView implement it lazily, resolving accesses through foreign-key or
+// index indirection without materializing the result. Learners and
+// experiment harnesses consume data exclusively through this interface (via
+// ml.FromRelation), which is what lets a JoinAll pipeline run without ever
+// paying for the joined table.
 //
-// Implementations must be safe for concurrent readers: At and CopyRow may be
-// called from multiple goroutines once the relation is constructed.
+// Implementations must be safe for concurrent readers: every method may be
+// called from multiple goroutines once the relation is constructed, and the
+// batch methods must not retain their slice arguments.
 type Relation interface {
 	// Schema describes the columns.
 	Schema() *Schema
@@ -24,6 +29,21 @@ type Relation interface {
 	// path: implementations resolve any per-row indirection (FK lookups,
 	// index remaps) once instead of once per cell.
 	CopyRow(dst []Value, row int) []Value
+	// ScanColumn fills dst[0:m] with column col of rows [from, from+m),
+	// where m = min(len(dst), NumRows()-from) (0 when from is at or past
+	// the end), and returns m. It is the sequential batch read: learners
+	// train on cache-resident vectors of one feature instead of assembling
+	// rows, and a physical table walks its own storage.
+	ScanColumn(col int, from int, dst []Value) int
+	// GatherColumns fills the column-major block dst with column cols[i] of
+	// the given rows: dst[i*stride+k] = At(rows[k], cols[i]) for every i and
+	// k, and stride must be >= len(rows). Rows may repeat and come in any
+	// order. It is the random-access batch read of row-subset consumers (a
+	// split view, a decision-tree node's example set): one call per block
+	// instead of one virtual At per cell, and an engine with a per-segment
+	// access cost (the spilled SegmentedTable) pays it once per touched
+	// segment for all the columns.
+	GatherColumns(dst []Value, stride int, cols []int, rows []int)
 }
 
 // ColumnRanger is implemented by relations that can report the observed
@@ -37,16 +57,6 @@ type Relation interface {
 // not guaranteed tight.
 type ColumnRanger interface {
 	ColumnRange(col int) (min, max Value, ok bool)
-}
-
-// copyRowGeneric is the At-based CopyRow fallback shared by views.
-func copyRowGeneric(r Relation, dst []Value, row int) []Value {
-	w := r.Schema().Width()
-	dst = dst[:w]
-	for j := 0; j < w; j++ {
-		dst[j] = r.At(row, j)
-	}
-	return dst
 }
 
 // Materialize evaluates any relation into a contiguous Table. It is the
@@ -101,57 +111,44 @@ func (v *SelectView) CopyRow(dst []Value, row int) []Value {
 	return v.src.CopyRow(dst, v.idx[row])
 }
 
-// ScanColumn implements ColumnScanner: a contiguous slice of the view's
-// index remap becomes a gather against the source. The source's gather
-// devirtualizes the inner loop, so a split-over-join scan costs one
-// interface call per morsel, not per cell.
+// remapScratch is SelectView's pooled working memory: the one-column list
+// a scan forwards, and the source rows a gather composes.
+type remapScratch struct {
+	col  [1]int
+	rows []int
+}
+
+var remapPool = sync.Pool{New: func() any { return new(remapScratch) }}
+
+// ScanColumn implements Relation: the view's rows [from, from+m) are a
+// contiguous stretch of its index remap, read from the source in one
+// gather, so a split-over-join scan costs one interface call per morsel,
+// not per cell.
 func (v *SelectView) ScanColumn(col int, from int, dst []Value) int {
 	m := scanLen(len(v.idx), from, len(dst))
 	if m == 0 {
 		return 0
 	}
-	rows := v.idx[from : from+m]
-	if g, ok := v.src.(ColumnGatherer); ok {
-		g.GatherColumn(dst[:m], col, rows)
-		return m
-	}
-	for k, r := range rows {
-		dst[k] = v.src.At(r, col)
-	}
+	sc := remapPool.Get().(*remapScratch)
+	defer remapPool.Put(sc)
+	sc.col[0] = col
+	v.src.GatherColumns(dst, m, sc.col[:], v.idx[from:from+m])
 	return m
 }
 
-// GatherColumn implements ColumnGatherer, composing the view's row remap
-// with the caller's. The physical tables and JoinView get a fused
-// double-indirection loop; other sources fall back to At.
-func (v *SelectView) GatherColumn(dst []Value, col int, rows []int) {
-	switch s := v.src.(type) {
-	case *Table:
-		s.GatherColumnVia(dst, col, v.idx, rows)
-	case *SegmentedTable:
-		s.GatherColumnVia(dst, col, v.idx, rows)
-	case *JoinView:
-		s.GatherColumnVia(dst, col, v.idx, rows)
-	default:
-		dst = dst[:len(rows)]
-		for k, r := range rows {
-			dst[k] = v.src.At(v.idx[r], col)
-		}
-	}
-}
-
-// GatherColumns implements ColumnsGatherer through the view's row remap. A
-// segmented source runs its grouped kernel over the composed remap, so a
-// split view's permuted rows pin each touched segment once for all columns;
-// other sources gather column by column.
+// GatherColumns implements Relation: the caller's rows are composed with
+// the view's remap into source rows, which the source gathers in one call.
+// A segmented source therefore runs its grouped kernel over the composed
+// rows, pinning each touched segment once for all the columns.
 func (v *SelectView) GatherColumns(dst []Value, stride int, cols []int, rows []int) {
-	if s, ok := v.src.(*SegmentedTable); ok {
-		s.gatherGrouped(dst, stride, cols, v.idx, rows)
-		return
+	sc := remapPool.Get().(*remapScratch)
+	defer remapPool.Put(sc)
+	src := sc.rows[:0]
+	for _, r := range rows {
+		src = append(src, v.idx[r])
 	}
-	for i, c := range cols {
-		v.GatherColumn(dst[i*stride:i*stride+len(rows)], c, rows)
-	}
+	sc.rows = src
+	v.src.GatherColumns(dst, stride, cols, src)
 }
 
 // ColumnRange implements ColumnRanger by forwarding the source's bounds.
@@ -162,82 +159,4 @@ func (v *SelectView) ColumnRange(col int) (min, max Value, ok bool) {
 		return cr.ColumnRange(col)
 	}
 	return 0, 0, false
-}
-
-// ProjectView is a lazy column-subset view (relational π without
-// materialization): column j of the view is column cols[j] of the source.
-type ProjectView struct {
-	src    Relation
-	cols   []int
-	schema *Schema
-}
-
-// NewProjectView builds the projected schema and wraps the source. The cols
-// slice is retained, not copied.
-func NewProjectView(src Relation, cols []int) (*ProjectView, error) {
-	srcSchema := src.Schema()
-	newCols := make([]Column, len(cols))
-	for j, c := range cols {
-		if c < 0 || c >= srcSchema.Width() {
-			return nil, fmt.Errorf("relational: project view column %d outside [0,%d)", c, srcSchema.Width())
-		}
-		newCols[j] = srcSchema.Cols[c]
-	}
-	schema, err := NewSchema(newCols...)
-	if err != nil {
-		return nil, err
-	}
-	return &ProjectView{src: src, cols: cols, schema: schema}, nil
-}
-
-// Schema implements Relation.
-func (v *ProjectView) Schema() *Schema { return v.schema }
-
-// NumRows implements Relation.
-func (v *ProjectView) NumRows() int { return v.src.NumRows() }
-
-// At implements Relation.
-func (v *ProjectView) At(row, col int) Value { return v.src.At(row, v.cols[col]) }
-
-// CopyRow implements Relation.
-func (v *ProjectView) CopyRow(dst []Value, row int) []Value {
-	dst = dst[:len(v.cols)]
-	for j, c := range v.cols {
-		dst[j] = v.src.At(row, c)
-	}
-	return dst
-}
-
-// ScanColumn implements ColumnScanner: a column remap, then forward.
-func (v *ProjectView) ScanColumn(col int, from int, dst []Value) int {
-	if cs, ok := v.src.(ColumnScanner); ok {
-		return cs.ScanColumn(v.cols[col], from, dst)
-	}
-	m := scanLen(v.src.NumRows(), from, len(dst))
-	c := v.cols[col]
-	for k := 0; k < m; k++ {
-		dst[k] = v.src.At(from+k, c)
-	}
-	return m
-}
-
-// ColumnRange implements ColumnRanger: a column remap, then forward.
-func (v *ProjectView) ColumnRange(col int) (min, max Value, ok bool) {
-	if cr, k := v.src.(ColumnRanger); k {
-		return cr.ColumnRange(v.cols[col])
-	}
-	return 0, 0, false
-}
-
-// GatherColumn implements ColumnGatherer.
-func (v *ProjectView) GatherColumn(dst []Value, col int, rows []int) {
-	if g, ok := v.src.(ColumnGatherer); ok {
-		g.GatherColumn(dst, v.cols[col], rows)
-		return
-	}
-	dst = dst[:len(rows)]
-	c := v.cols[col]
-	for k, r := range rows {
-		dst[k] = v.src.At(r, c)
-	}
 }

@@ -17,7 +17,7 @@ func spilledTable(t *testing.T, segSize, nSegs int) (*SegmentedTable, *Table, st
 	t.Helper()
 	dir := t.TempDir()
 	tab := randomWideTable(t, segSize*nSegs, uint64(segSize*nSegs)+3)
-	st := segmentedFromTable(t, tab, SegmentOptions{
+	st := segmentedCopy(t, tab, SegmentOptions{
 		SegmentSize: segSize,
 		SpillDir:    dir,
 		CacheBytes:  1,

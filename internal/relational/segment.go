@@ -72,9 +72,9 @@ type segEntry struct {
 // SegmentedTable is the columnar physical relation, next to the row-major
 // *Table: struct-of-arrays storage, one width-narrowed vector per column,
 // partitioned into fixed-size immutable segments. It serves the same
-// Relation/ColumnScanner/ColumnGatherer surface with bit-identical cell
-// values. A table that fits in one segment is a single contiguous slab per
-// column; larger tables add three capabilities:
+// Relation surface with bit-identical cell values. A table that fits in one
+// segment is a single contiguous slab per column; larger tables add three
+// capabilities:
 //
 //   - per-segment ZoneMaps, so selective scans and split searches can prove
 //     segments (or whole columns) irrelevant and skip them;
@@ -399,12 +399,12 @@ func (t *SegmentedTable) release(si int) {
 }
 
 // At implements Relation. With an active pager every call pins and unpins
-// one segment; batch readers should prefer ScanColumn, GatherColumn or
-// GatherColumns, which pin each touched segment once per call.
+// one segment; batch readers should prefer ScanColumn or GatherColumns,
+// which pin each touched segment once per call.
 func (t *SegmentedTable) At(row, col int) Value {
 	if len(t.entries) == 0 {
 		// Whole table still in the open tail (never evictable): a direct
-		// read of the single slab, as in GatherColumn. Split views and
+		// read of the single slab, as in GatherColumns. Split views and
 		// per-example scoring read cells one at a time through here.
 		return t.tail.cols[col].at(row)
 	}
@@ -427,7 +427,7 @@ func (t *SegmentedTable) CopyRow(dst []Value, row int) []Value {
 	return dst
 }
 
-// ScanColumn implements ColumnScanner, routing the request segment by
+// ScanColumn implements Relation, routing the request segment by
 // segment: each covered segment is pinned once, its stretch of the column
 // widened sequentially out of narrow storage, then released.
 func (t *SegmentedTable) ScanColumn(col int, from int, dst []Value) int {
@@ -446,26 +446,6 @@ func (t *SegmentedTable) ScanColumn(col int, from int, dst []Value) int {
 		written += take
 	}
 	return m
-}
-
-// GatherColumn implements ColumnGatherer on the grouped gather kernel: each
-// segment the rows touch is pinned once per call, whatever their order.
-func (t *SegmentedTable) GatherColumn(dst []Value, col int, rows []int) {
-	cols := [1]int{col}
-	t.gatherGrouped(dst, len(rows), cols[:], nil, rows)
-}
-
-// GatherColumnVia implements ColumnViaGatherer — the fused double-remap
-// gather a SelectView stacked on this table uses — on the same kernel.
-func (t *SegmentedTable) GatherColumnVia(dst []Value, col int, idx []int, rows []int) {
-	cols := [1]int{col}
-	t.gatherGrouped(dst, len(rows), cols[:], idx, rows)
-}
-
-// GatherColumns implements ColumnsGatherer: every requested column of the
-// rows in one pass, pinning each touched segment once for all of them.
-func (t *SegmentedTable) GatherColumns(dst []Value, stride int, cols []int, rows []int) {
-	t.gatherGrouped(dst, stride, cols, nil, rows)
 }
 
 // gatherScratch is the grouped kernel's working memory, pooled because
@@ -489,17 +469,15 @@ func grow(s []int, n int) []int {
 	return s[:n]
 }
 
-// gatherGrouped is the one gather kernel of the segmented engine: for every
-// i and k it sets dst[i*stride+k] to the value of column cols[i] at source
-// row rows[k] — or idx[rows[k]] when idx is non-nil. The rows are bucketed
-// by segment with a counting sort (or taken in their own order when they are
-// already segment-ordered, as a tree node over an unremapped table hands
-// them), each touched segment is acquired once, every requested column is
-// read out of it, and the values are scattered back to request order. A
-// shuffled request over S segments therefore pins S segments, not one per
-// segment transition, which is what keeps a split view's permuted rows from
-// thrashing a small cache.
-func (t *SegmentedTable) gatherGrouped(dst []Value, stride int, cols []int, idx, rows []int) {
+// GatherColumns implements Relation with the one gather kernel of the
+// segmented engine. The rows are bucketed by segment with a counting sort
+// (or taken in their own order when they are already segment-ordered, as a
+// tree node over an unremapped table hands them), each touched segment is
+// acquired once, every requested column is read out of it, and the values
+// are scattered back to request order. A shuffled request over S segments
+// therefore pins S segments, not one per segment transition, which is what
+// keeps a split view's permuted rows from thrashing a small cache.
+func (t *SegmentedTable) GatherColumns(dst []Value, stride int, cols []int, rows []int) {
 	n := len(rows)
 	if n == 0 || len(cols) == 0 {
 		return
@@ -508,12 +486,7 @@ func (t *SegmentedTable) gatherGrouped(dst []Value, stride int, cols []int, idx,
 		// Whole table still in the open tail (never evictable): the
 		// width-specialized single-slab gathers, no pins.
 		for i, c := range cols {
-			d := dst[i*stride : i*stride+n]
-			if idx == nil {
-				t.tail.cols[c].gather(d, rows)
-			} else {
-				t.tail.cols[c].gatherVia(d, idx, rows)
-			}
+			t.tail.cols[c].gather(dst[i*stride:i*stride+n], rows)
 		}
 		return
 	}
@@ -526,9 +499,6 @@ func (t *SegmentedTable) gatherGrouped(dst []Value, stride int, cols []int, idx,
 	ordered := true
 	prev := 0
 	for k, r := range rows {
-		if idx != nil {
-			r = idx[r]
-		}
 		si, off := t.locate(r)
 		sc.seg[k], sc.off[k] = si, off
 		sc.start[si+1]++
@@ -682,13 +652,12 @@ func (t *SegmentedTable) MustAppendRows(block []Value) {
 
 // MaterializeSegmented evaluates any relation into a SegmentedTable — the
 // columnar sibling of Materialize, and the path every core env uses to turn
-// the factorized join into sealed, skippable, spillable segments. Like Materialize the result is an independent
-// snapshot. ColumnScanner sources are drained one segment chunk at a time
-// (each chunk reads every column sequentially, then seals), so ingestion's
-// resident working set is one open segment regardless of table size; other
-// sources fall back to row-at-a-time appends. Each open tail is sized to
-// the rows it will hold, so a table smaller than one segment is exactly one
-// slab per column.
+// the factorized join into sealed, skippable, spillable segments. Like
+// Materialize the result is an independent snapshot. The source is drained
+// one segment chunk at a time (each chunk scans every column sequentially,
+// then seals), so ingestion's resident working set is one open segment
+// regardless of table size. Each open tail is sized to the rows it will
+// hold, so a table smaller than one segment is exactly one slab per column.
 //
 // A source cell outside its column's domain indicates a corrupted relation
 // and is returned as an error; on every error path the partly-written heap
@@ -713,24 +682,13 @@ func MaterializeSegmented(r Relation, name string, opts SegmentOptions) (*Segmen
 	return out, nil
 }
 
-// drain appends every row of r to the empty table t; on the batched path
-// each new tail is sized to the rows still to come.
+// drain appends every row of r to the empty table t, column by column per
+// segment chunk; each new tail is sized to the rows still to come.
 func (t *SegmentedTable) drain(r Relation) error {
 	schema := r.Schema()
 	w := schema.Width()
 	n := r.NumRows()
 	if w == 0 || n == 0 {
-		return nil
-	}
-	cs, batched := r.(ColumnScanner)
-	if !batched {
-		row := make([]Value, w)
-		for i := 0; i < n; i++ {
-			r.CopyRow(row, i)
-			if err := t.AppendRow(row); err != nil {
-				return err
-			}
-		}
 		return nil
 	}
 	buf := make([]Value, min(n, t.segSize))
@@ -741,7 +699,7 @@ func (t *SegmentedTable) drain(r Relation) error {
 			c := &t.tail.cols[j]
 			lo, hi := t.colLo[j], t.colHi[j]
 			for from := base; from < base+m; {
-				got := cs.ScanColumn(j, from, buf[:base+m-from])
+				got := r.ScanColumn(j, from, buf[:base+m-from])
 				for k, v := range buf[:got] {
 					if v < 0 || v >= size {
 						return fmt.Errorf("relational: materialize segmented %q column %q row %d: value %d outside domain of size %d",

@@ -11,8 +11,8 @@ import (
 	"repro/internal/rng"
 )
 
-// segmentedFromTable fills a SegmentedTable with the rows of src.
-func segmentedFromTable(t testing.TB, src *Table, opts SegmentOptions) *SegmentedTable {
+// segmentedCopy fills a SegmentedTable with the rows of src.
+func segmentedCopy(t testing.TB, src *Table, opts SegmentOptions) *SegmentedTable {
 	t.Helper()
 	st, err := NewSegmentedTable(src.Name+"_seg", src.Schema(), opts)
 	if err != nil {
@@ -36,7 +36,7 @@ func TestSegmentedMatchesTable(t *testing.T) {
 	const segSize = 64
 	for _, n := range []int{0, 1, segSize - 1, segSize, segSize + 1, 3*segSize + 17} {
 		tab := randomWideTable(t, n, uint64(n)+1)
-		st := segmentedFromTable(t, tab, SegmentOptions{SegmentSize: segSize})
+		st := segmentedCopy(t, tab, SegmentOptions{SegmentSize: segSize})
 		requireSameRelation(t, tab, st)
 		wantSegs := (n + segSize - 1) / segSize
 		if got := st.NumSegments(); got != wantSegs {
@@ -51,7 +51,7 @@ func TestSegmentedMatchesTable(t *testing.T) {
 func TestSegmentedSpilledMatchesTable(t *testing.T) {
 	const segSize = 64
 	tab := randomWideTable(t, 5*segSize+9, 11)
-	st := segmentedFromTable(t, tab, SegmentOptions{
+	st := segmentedCopy(t, tab, SegmentOptions{
 		SegmentSize: segSize,
 		SpillDir:    t.TempDir(),
 		CacheBytes:  1024, // roughly one segment's worth; forces thrash
@@ -150,7 +150,7 @@ func TestSelectEqZoneSkipMatchesGeneric(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		tab.MustAppendRow([]Value{Value(r.Intn(2)), Value(i / 8 % 64), Value(r.Intn(16))})
 	}
-	st := segmentedFromTable(t, tab, SegmentOptions{SegmentSize: 48})
+	st := segmentedCopy(t, tab, SegmentOptions{SegmentSize: 48})
 	for _, col := range []int{1, 2} {
 		for _, v := range []Value{0, 7, 13} {
 			want, err := SelectEq(tab, "w", col, v)
@@ -175,8 +175,8 @@ func tailCap(st *SegmentedTable) int {
 	return max(cap(c.u8), cap(c.u16), cap(c.u32))
 }
 
-// TestMaterializeSegmented checks the chunked scanner drain and the CopyRow
-// fallback against Materialize across several segments, and that the open
+// TestMaterializeSegmented checks the chunked scanner drain against
+// Materialize across several segments, and that the open
 // tail is sized to the rows it holds rather than to a full segment
 // (TestMaterializeColumnarMatchesMaterialize and TestMaterializeColumnarEmpty
 // cover the one-slab and empty cases).
@@ -202,12 +202,6 @@ func TestMaterializeSegmented(t *testing.T) {
 		if got := tailCap(segT); got != tc.wantTail {
 			t.Fatalf("segsize %d: tail capacity %d rows, want %d", tc.segSize, got, tc.wantTail)
 		}
-		// Strip the scanner interface to force the CopyRow fallback.
-		seg2, err := MaterializeSegmented(noScan{jv}, "segs2", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameRelation(t, rowT, seg2)
 	}
 }
 
@@ -234,7 +228,7 @@ func (b badCell) CopyRow(dst []Value, i int) []Value {
 }
 
 func (b badCell) ScanColumn(col, from int, dst []Value) int {
-	m := b.Relation.(ColumnScanner).ScanColumn(col, from, dst)
+	m := b.Relation.ScanColumn(col, from, dst)
 	if col == b.col && b.row >= from && b.row < from+m {
 		dst[b.row-from] = b.At(b.row, col)
 	}
@@ -242,33 +236,30 @@ func (b badCell) ScanColumn(col, from int, dst []Value) int {
 }
 
 // TestMaterializeSegmentedDomainError checks that a source cell outside its
-// domain is a returned error, not a panic, on the scanner and the CopyRow
-// paths, and that the heap file of the segments already spilled is removed:
+// domain is a returned error, not a panic, and that the heap file of the segments already spilled is removed:
 // the spill directory fscks clean and holds no heap file.
 func TestMaterializeSegmentedDomainError(t *testing.T) {
 	tab := randomWideTable(t, 100, 5)
 	bad := badCell{Relation: tab, row: 70, col: 2}
-	for name, src := range map[string]Relation{"scan": bad, "copyrow": noScan{bad}} {
-		dir := t.TempDir()
-		st, err := MaterializeSegmented(src, "bad", SegmentOptions{SegmentSize: 16, SpillDir: dir})
-		if err == nil || st != nil || !strings.Contains(err.Error(), "outside domain") {
-			t.Fatalf("%s: MaterializeSegmented = %v, %v; want an out-of-domain error", name, st, err)
-		}
-		rep, err := FsckDir(fault.OS, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.OK() || rep.Files != 0 {
-			t.Fatalf("%s: spill dir after the failed materialize: %d heap files, issues %v", name, rep.Files, rep.Issues)
-		}
+	dir := t.TempDir()
+	st, err := MaterializeSegmented(bad, "bad", SegmentOptions{SegmentSize: 16, SpillDir: dir})
+	if err == nil || st != nil || !strings.Contains(err.Error(), "outside domain") {
+		t.Fatalf("MaterializeSegmented = %v, %v; want an out-of-domain error", st, err)
+	}
+	rep, err := FsckDir(fault.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Files != 0 {
+		t.Fatalf("spill dir after the failed materialize: %d heap files, issues %v", rep.Files, rep.Issues)
 	}
 }
 
-// TestSegmentedViaSelectView checks the fused double-remap gather path a
-// split view routes through the segmented engine.
+// TestSegmentedViaSelectView checks the composed-remap gather path a split
+// view routes through the segmented engine.
 func TestSegmentedViaSelectView(t *testing.T) {
 	tab := randomWideTable(t, 300, 21)
-	st := segmentedFromTable(t, tab, SegmentOptions{SegmentSize: 64})
+	st := segmentedCopy(t, tab, SegmentOptions{SegmentSize: 64})
 	r := rng.New(4)
 	idx := make([]int, 120)
 	for i := range idx {
@@ -315,7 +306,7 @@ func TestReadCSVIntoSegmented(t *testing.T) {
 func TestSegmentedOutOfCoreLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	tab := randomWideTable(t, 400, 13)
-	st := segmentedFromTable(t, tab, SegmentOptions{SegmentSize: 32, SpillDir: dir, CacheBytes: 2048})
+	st := segmentedCopy(t, tab, SegmentOptions{SegmentSize: 32, SpillDir: dir, CacheBytes: 2048})
 	path := st.pager.Path()
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("heap file missing while table alive: %v", err)
@@ -344,7 +335,7 @@ func TestSegmentedOutOfCoreLifecycle(t *testing.T) {
 func TestSegmentedConcurrentSpilledReads(t *testing.T) {
 	const segSize = 64
 	tab := randomWideTable(t, 8*segSize+11, 17)
-	st := segmentedFromTable(t, tab, SegmentOptions{
+	st := segmentedCopy(t, tab, SegmentOptions{
 		SegmentSize: segSize,
 		SpillDir:    t.TempDir(),
 		CacheBytes:  3 * 1024,
@@ -376,10 +367,10 @@ func TestSegmentedConcurrentSpilledReads(t *testing.T) {
 				for k := range rows {
 					rows[k] = r.Intn(n)
 				}
-				st.GatherColumn(buf[:len(rows)], j, rows)
+				st.GatherColumns(buf, len(rows), []int{j}, rows)
 				for k, row := range rows {
 					if want := tab.At(row, j); buf[k] != want {
-						t.Errorf("g%d: GatherColumn[%d] = %d want %d", g, k, buf[k], want)
+						t.Errorf("g%d: GatherColumns(%d)[%d] = %d want %d", g, j, k, buf[k], want)
 						return
 					}
 				}
@@ -542,11 +533,12 @@ func requireEquivalentAppends(t *testing.T, segSize int, raw []byte) {
 	}
 }
 
-// requireEquivalentGathers compares GatherColumn, GatherColumnVia and
-// GatherColumns of st against the row-major rt on every row twice, last row
-// first. The Via remap is that list and the Via rows read it back to front,
-// so the composed rows ascend: the kernel's bucketed and segment-ordered
-// branches both run once the table spans several segments.
+// requireEquivalentGathers compares GatherColumns of st, one column and
+// all columns at once, and of a SelectView over st against the row-major
+// rt on every row twice, last row first. The view's remap is that list and
+// the view's rows read it back to front, so the composed rows ascend: the
+// kernel's bucketed and segment-ordered branches both run once the table
+// spans several segments.
 func requireEquivalentGathers(t *testing.T, rt *Table, st *SegmentedTable) {
 	t.Helper()
 	n, w := rt.NumRows(), rt.Schema().Width()
@@ -558,6 +550,14 @@ func requireEquivalentGathers(t *testing.T, rt *Table, st *SegmentedTable) {
 	for k := range back {
 		back[k] = len(rows) - 1 - k
 	}
+	rsel, err := NewSelectView(rt, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssel, err := NewSelectView(st, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([]Value, len(rows))
 	got := make([]Value, len(rows))
 	cols := make([]int, w)
@@ -567,18 +567,19 @@ func requireEquivalentGathers(t *testing.T, rt *Table, st *SegmentedTable) {
 	block := make([]Value, w*len(rows))
 	st.GatherColumns(block, len(rows), cols, rows)
 	for j := 0; j < w; j++ {
-		rt.GatherColumn(want, j, rows)
-		st.GatherColumn(got, j, rows)
+		one := []int{j}
+		rt.GatherColumns(want, len(rows), one, rows)
+		st.GatherColumns(got, len(rows), one, rows)
 		for k := range rows {
 			if got[k] != want[k] {
-				t.Fatalf("GatherColumn(%d)[%d] = %d, want %d", j, k, got[k], want[k])
+				t.Fatalf("GatherColumns(%d)[%d] = %d, want %d", j, k, got[k], want[k])
 			}
 		}
-		rt.GatherColumnVia(want, j, rows, back)
-		st.GatherColumnVia(got, j, rows, back)
+		rsel.GatherColumns(want, len(rows), one, back)
+		ssel.GatherColumns(got, len(rows), one, back)
 		for k := range rows {
 			if got[k] != want[k] {
-				t.Fatalf("GatherColumnVia(%d)[%d] = %d, want %d", j, k, got[k], want[k])
+				t.Fatalf("SelectView.GatherColumns(%d)[%d] = %d, want %d", j, k, got[k], want[k])
 			}
 		}
 	}

@@ -142,10 +142,8 @@ func (t *Table) Set(row, col int, v Value) error {
 	return nil
 }
 
-// ScanColumn implements ColumnScanner: a strided walk over the row-major
-// storage. The columnar engine does strictly better here (sequential narrow
-// reads); this implementation exists so the batch training path works
-// against either physical layout.
+// ScanColumn implements Relation: a strided walk over the row-major
+// storage.
 func (t *Table) ScanColumn(col int, from int, dst []Value) int {
 	m := scanLen(t.NumRows(), from, len(dst))
 	w := t.width
@@ -157,22 +155,14 @@ func (t *Table) ScanColumn(col int, from int, dst []Value) int {
 	return m
 }
 
-// GatherColumn implements ColumnGatherer.
-func (t *Table) GatherColumn(dst []Value, col int, rows []int) {
+// GatherColumns implements Relation: one strided gather per column.
+func (t *Table) GatherColumns(dst []Value, stride int, cols []int, rows []int) {
 	w := t.width
-	dst = dst[:len(rows)]
-	for k, r := range rows {
-		dst[k] = t.rows[r*w+col]
-	}
-}
-
-// GatherColumnVia implements ColumnViaGatherer — the fused double-remap
-// gather a SelectView stacked on this table uses.
-func (t *Table) GatherColumnVia(dst []Value, col int, idx []int, rows []int) {
-	w := t.width
-	dst = dst[:len(rows)]
-	for k, r := range rows {
-		dst[k] = t.rows[idx[r]*w+col]
+	for i, c := range cols {
+		d := dst[i*stride : i*stride+len(rows)]
+		for k, r := range rows {
+			d[k] = t.rows[r*w+c]
+		}
 	}
 }
 

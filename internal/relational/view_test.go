@@ -191,7 +191,7 @@ func TestJoinViewObservesBaseWrites(t *testing.T) {
 	}
 }
 
-func TestSelectAndProjectViews(t *testing.T) {
+func TestSelectViewRemap(t *testing.T) {
 	ss := testStar(t, 30, 5, 3, 23)
 	jv, err := NewJoinView(ss)
 	if err != nil {
@@ -216,26 +216,8 @@ func TestSelectAndProjectViews(t *testing.T) {
 		t.Fatal("out-of-range index must be rejected")
 	}
 
-	cols := []int{2, 0}
-	pv, err := NewProjectView(sv, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pv.Schema().Cols[0].Name != sv.Schema().Cols[2].Name {
-		t.Fatal("project view schema not remapped")
-	}
-	for k := range idx {
-		for jj, c := range cols {
-			if pv.At(k, jj) != sv.At(k, c) {
-				t.Fatalf("project view cell (%d,%d) mismatch", k, jj)
-			}
-		}
-	}
-	if _, err := NewProjectView(sv, []int{99}); err == nil {
-		t.Fatal("out-of-range column must be rejected")
-	}
-	// Materializing the stack equals walking it.
-	sameRelation(t, pv, Materialize(pv, "mat"))
+	// Materializing the view equals walking it.
+	sameRelation(t, sv, Materialize(sv, "mat"))
 }
 
 func TestSplitIsLazyAndMaterializes(t *testing.T) {
