@@ -310,19 +310,13 @@ func benchJoinPipeline(b *testing.B, lazy bool) {
 	for i := 0; i < b.N; i++ {
 		var m0, m2 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		var joined relational.Relation
-		if lazy {
-			jv, err := relational.NewJoinView(ss)
-			if err != nil {
-				b.Fatal(err)
-			}
-			joined = jv
-		} else {
-			jt, err := relational.Join(ss)
-			if err != nil {
-				b.Fatal(err)
-			}
-			joined = jt
+		jv, err := relational.NewJoinView(ss)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var joined relational.Relation = jv
+		if !lazy {
+			joined = relational.Materialize(jv, "joined")
 		}
 		ds, err := ml.ViewDataset(joined, ss.TargetCol, ml.JoinAll, nil)
 		if err != nil {
@@ -825,87 +819,12 @@ func BenchmarkServeConcurrentHardened(b *testing.B) {
 	})
 }
 
-// --- Segmented-engine benchmarks: zone-map skipping + segment morsels. ---
-
-// segBenchTable builds a segmented fact table whose "band" column is
-// clustered by row position, so every sealed segment covers a narrow value
-// band and an equality predicate is provably absent from all but one or two
-// segments — the selective-scan shape zone maps exist for.
-func segBenchTable(b *testing.B) *relational.SegmentedTable {
-	b.Helper()
-	const n = 1 << 17
-	schema := relational.MustSchema(
-		relational.Column{Name: "Y", Kind: relational.KindTarget, Domain: relational.NewDomain("Y", 2)},
-		relational.Column{Name: "band", Kind: relational.KindFeature, Domain: relational.NewDomain("band", 256)},
-		relational.Column{Name: "a", Kind: relational.KindFeature, Domain: relational.NewDomain("a", 64)},
-		relational.Column{Name: "c", Kind: relational.KindFeature, Domain: relational.NewDomain("c", 64)},
-	)
-	st, err := relational.NewSegmentedTable("bench", schema, relational.SegmentOptions{SegmentSize: 4096})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(9)
-	row := make([]relational.Value, 4)
-	for i := 0; i < n; i++ {
-		row[0] = relational.Value(r.Intn(2))
-		row[1] = relational.Value(i * 256 / n)
-		row[2] = relational.Value(r.Intn(64))
-		row[3] = relational.Value(r.Intn(64))
-		st.MustAppendRow(row)
-	}
-	return st
-}
-
-// fullScanRel hides the segmented table's zone-map interface so SelectEq
-// takes the generic scan path over the same physical storage — the ablation
-// sibling that isolates the skip itself from any layout difference.
-type fullScanRel struct{ st *relational.SegmentedTable }
-
-func (f fullScanRel) Schema() *relational.Schema   { return f.st.Schema() }
-func (f fullScanRel) NumRows() int                 { return f.st.NumRows() }
-func (f fullScanRel) At(i, j int) relational.Value { return f.st.At(i, j) }
-func (f fullScanRel) CopyRow(dst []relational.Value, i int) []relational.Value {
-	return f.st.CopyRow(dst, i)
-}
-func (f fullScanRel) ScanColumn(col, from int, dst []relational.Value) int {
-	return f.st.ScanColumn(col, from, dst)
-}
-func (f fullScanRel) GatherColumns(dst []relational.Value, stride int, cols, rows []int) {
-	f.st.GatherColumns(dst, stride, cols, rows)
-}
-
-// benchSelectEqSeg measures one selective equality scan over the clustered
-// segmented table, with the zone maps consulted (skip) or hidden (full).
-func benchSelectEqSeg(b *testing.B, skip bool) {
-	st := segBenchTable(b)
-	var src relational.Relation = fullScanRel{st}
-	if skip {
-		src = st
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := relational.SelectEq(src, "hit", 1, 17)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.NumRows() == 0 {
-			b.Fatal("predicate matched nothing; the bench is degenerate")
-		}
-	}
-}
-
-// BenchmarkSelectEqSegFullScan scans every segment for the predicate value.
-func BenchmarkSelectEqSegFullScan(b *testing.B) { benchSelectEqSeg(b, false) }
-
-// BenchmarkSelectEqSegZoneSkip consults per-segment zone maps first and
-// touches only the segments whose [min, max] admits the value.
-func BenchmarkSelectEqSegZoneSkip(b *testing.B) { benchSelectEqSeg(b, true) }
+// --- Segmented-engine benchmarks: constant-feature skipping + segment morsels. ---
 
 // BenchmarkTreeSplitZoneSkip measures a tree fit over a segmented dataset
-// padded with constant columns — the shape zone-map feature skipping
+// padded with constant columns — the shape the constant-feature skip
 // targets: the split search proves each constant feature irrelevant from
-// its folded [min, max] and never gathers it.
+// the table's append-time [min, max] (ColumnRange) and never gathers it.
 func BenchmarkTreeSplitZoneSkip(b *testing.B) {
 	const n, nConst = 40000, 6
 	cols := []relational.Column{

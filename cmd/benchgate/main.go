@@ -10,7 +10,7 @@
 //     the machine-independent check that an optional mechanism actually pays
 //     for itself. Groups are ';'-separated lists of pairs; a pair is
 //     name/slowSuffix/fastSuffix, naming Benchmark<name><slowSuffix> and
-//     Benchmark<name><fastSuffix> (e.g. SelectEqSeg/FullScan/ZoneSkip). A group
+//     Benchmark<name><fastSuffix> (e.g. ServeConcurrent/Scalar/Coalesced). A group
 //     may override the required speedup with an @<ratio> suffix (e.g.
 //     `A/B/C@0.95` — used by the segmented-engine parity group, whose bar is
 //     "no tax vs the slab", not a speedup). Every group must produce at
@@ -35,18 +35,19 @@ import (
 )
 
 // defaultGate covers the benchmarks that guard the repository's headline
-// wins: join pipeline, the five learner fits, the factorized serving path, the SVM Gram build, the
-// GEMM-vs-scalar batch-serving pair, the zone-map skips, the
-// segmented-vs-slab parity pair, and the concurrent serving paths.
-const defaultGate = `^Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|Serve(Factorized|Joined)|SVMKernelCacheGemm|ServeBatch(Scalar|Gemm)|SelectEqSeg(FullScan|ZoneSkip)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$`
+// wins: join pipeline, the five learner fits, the factorized serving path,
+// the SVM Gram build, the GEMM-vs-scalar batch-serving pair, the tree's
+// constant-feature skip, the segmented-vs-slab parity pair, and the
+// concurrent serving paths. The Makefile's BENCH_REGEX must match it
+// (TestMakefileGateMatchesDefault).
+const defaultGate = `^Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|Serve(Factorized|Joined)|SVMKernelCacheGemm|ServeBatch(Scalar|Gemm)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$`
 
-// defaultPairs is the speedup requirement. The first group is the zone-map
-// bar: skipping provably-irrelevant segments must beat the full scan. The
-// second is the segmented-scan parity bar at @0.95: a segment-per-task scan
-// must not lose to one sequential pass over the single-slab table (within
-// noise on one core; the pair scales with cores). The third is the
-// request coalescer's bar over uncoalesced concurrent serving.
-const defaultPairs = `SelectEqSeg/FullScan/ZoneSkip;SegParScan/Slab/Seg@0.95;ServeConcurrent/Scalar/Coalesced@2.0`
+// defaultPairs is the speedup requirement. The first group is the
+// segmented-scan parity bar at @0.95: a segment-per-task scan must not lose
+// to one sequential pass over the single-slab table (within noise on one
+// core; the pair scales with cores). The second is the request coalescer's
+// bar over uncoalesced concurrent serving.
+const defaultPairs = `SegParScan/Slab/Seg@0.95;ServeConcurrent/Scalar/Coalesced@2.0`
 
 // defaultZeroAlloc names the benchmarks whose steady state must allocate
 // nothing: the factorized-linear serving path end to end, the coalesced

@@ -18,12 +18,10 @@ BenchmarkServeFactorized-8    	     100	      500 ns/op	    0 B/op	 0 allocs/op
 PASS
 `
 
-// pairLines satisfies every group of the default pair gate: zone skip at
-// 20x, the parity pair at 1.0 (enough for the group's @0.95 bar), and the
-// coalescer at 2.2x (enough for its @2.0 bar).
+// pairLines satisfies every group of the default pair gate: the parity
+// pair at 1.0 (enough for the group's @0.95 bar) and the coalescer at 2.2x
+// (enough for its @2.0 bar).
 const pairLines = `
-BenchmarkSelectEqSegFullScan   	      10	  2000000 ns/op
-BenchmarkSelectEqSegZoneSkip   	      10	   100000 ns/op
 BenchmarkTreeSplitZoneSkip     	      10	  1200000 ns/op
 BenchmarkSegParScanSlab        	      10	  1000000 ns/op
 BenchmarkSegParScanSeg         	      10	  1000000 ns/op
@@ -77,7 +75,7 @@ BenchmarkServeFactorized-4    	     100	      510 ns/op
 	for _, want := range []string{
 		"ok   BenchmarkNBFitColumnar: 1100000 -> 1150000 ns/op",
 		"pair ServeConcurrent/Scalar/Coalesced: fast side 2.22x",
-		"pair SelectEqSeg/FullScan/ZoneSkip: fast side 20.00x",
+		"pair SegParScan/Slab/Seg: fast side 1.00x",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("missing %q:\n%s", want, sb.String())
@@ -166,13 +164,13 @@ BenchmarkServeFactorized    	     100	      500 ns/op
 
 func TestGateFailsWithoutPairSpeedup(t *testing.T) {
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkSelectEqSegFullScan     	      10	  1000000 ns/op
-BenchmarkSelectEqSegZoneSkip     	      10	   900000 ns/op
+BenchmarkSegParScanSlab          	      10	  1000000 ns/op
+BenchmarkSegParScanSeg           	      10	   900000 ns/op
 BenchmarkServeConcurrentScalar   	      10	  1000000 ns/op
 BenchmarkServeConcurrentCoalesced	      10	  1100000 ns/op
 `)
 	var sb strings.Builder
-	err := run([]string{"-current", cur, "-pairs", "SelectEqSeg/FullScan/ZoneSkip,ServeConcurrent/Scalar/Coalesced"}, &sb)
+	err := run([]string{"-current", cur, "-pairs", "SegParScan/Slab/Seg,ServeConcurrent/Scalar/Coalesced"}, &sb)
 	if err == nil || !strings.Contains(sb.String(), "FAIL pairs") {
 		t.Fatalf("pair gate must fail at 1.11x best speedup (err %v):\n%s", err, sb.String())
 	}
@@ -180,10 +178,10 @@ BenchmarkServeConcurrentCoalesced	      10	  1100000 ns/op
 
 func TestPairGateErrorsOnMissingSibling(t *testing.T) {
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkSelectEqSegFullScan	      10	  1000000 ns/op
+BenchmarkSegParScanSlab	      10	  1000000 ns/op
 `)
 	var sb strings.Builder
-	if err := run([]string{"-current", cur, "-pairs", "SelectEqSeg/FullScan/ZoneSkip"}, &sb); err == nil {
+	if err := run([]string{"-current", cur, "-pairs", "SegParScan/Slab/Seg"}, &sb); err == nil {
 		t.Fatal("missing fast sibling must error")
 	}
 }
@@ -302,5 +300,29 @@ func TestJSONSummary(t *testing.T) {
 	}
 	if _, ok := got.Benchmarks["BenchmarkBogus"]; ok {
 		t.Fatal("ungated benchmark leaked into summary")
+	}
+}
+
+// TestMakefileGateMatchesDefault keeps the two copies of the gated-bench
+// list in step: the Makefile's BENCH_REGEX (which picks the benchmarks the
+// sweep runs) must equal defaultGate (which picks the ones the gate
+// judges), anchors aside.
+func TestMakefileGateMatchesDefault(t *testing.T) {
+	raw, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var makeRegex string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, "BENCH_REGEX = "); ok {
+			makeRegex = strings.ReplaceAll(v, "$$", "$")
+		}
+	}
+	if makeRegex == "" {
+		t.Fatal("Makefile has no BENCH_REGEX line")
+	}
+	unanchor := func(re string) string { return strings.TrimSuffix(strings.TrimPrefix(re, "^"), "$") }
+	if got, want := unanchor(makeRegex), unanchor(defaultGate); got != want {
+		t.Fatalf("Makefile BENCH_REGEX and defaultGate differ:\n  Makefile:    %s\n  defaultGate: %s", got, want)
 	}
 }

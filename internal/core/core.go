@@ -126,10 +126,9 @@ type Engine int
 // EngineSegmented evaluates the join once into a relational.SegmentedTable:
 // width-narrowed struct-of-arrays storage, typically *smaller* than the fact
 // table's row-major block since dictionary codes narrow to uint8/uint16,
-// partitioned into fixed-size immutable segments with per-segment zone maps.
-// A table that fits in one segment is one contiguous slab per column.
-// Training morsels fan out segment-per-task, selective scans skip segments
-// their zone maps prove irrelevant, and — with SegmentDefaults.SpillDir set —
+// partitioned into fixed-size immutable segments. A table that fits in one
+// segment is one contiguous slab per column. Training morsels fan out
+// segment-per-task, and — with SegmentDefaults.SpillDir set —
 // sealed segments spill to a heap file under an LRU cache budget so fact
 // tables larger than RAM still train, bit-identically.
 const EngineSegmented Engine = 0

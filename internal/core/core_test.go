@@ -459,30 +459,6 @@ func TestPartialJoinSweep(t *testing.T) {
 	}
 }
 
-func TestPrunedTreeSpec(t *testing.T) {
-	env := smallEnv(t)
-	spec := PrunedTreeSpec(tree.Gini)
-	res, err := Run(env, ml.NoJoin, spec, 67)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Model != "PrunedDecisionTree(gini)" {
-		t.Fatalf("model name %q", res.Model)
-	}
-	if res.TestAcc < 0.5 {
-		t.Fatalf("pruned-tree accuracy %v implausible", res.TestAcc)
-	}
-	// The pruned tree should not be dramatically worse than the tuned
-	// pre-pruned tree on the same view.
-	base, err := Run(env, ml.NoJoin, TreeSpec(tree.Gini, EffortFast), 67)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.TestAcc-res.TestAcc > 0.1 {
-		t.Fatalf("post-pruning lost too much: %v vs %v", res.TestAcc, base.TestAcc)
-	}
-}
-
 func TestColumnarEngineMatchesRowEngine(t *testing.T) {
 	// Acceptance check for the columnar storage engine: the same experiment
 	// cells run against a multi-segment segmented env must produce

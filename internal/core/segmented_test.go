@@ -13,8 +13,8 @@ import (
 // TestSegmentedEngineMatchesColumnar is the acceptance check for segment
 // partitioning: the same experiment cells run against a multi-segment env
 // must produce bit-identical accuracies and grid winners to the default
-// env's single columnar slab — segmentation changes morsel boundaries and
-// adds zone maps, never cell values or reduction order.
+// env's single columnar slab — segmentation changes morsel boundaries,
+// never cell values or reduction order.
 func TestSegmentedEngineMatchesColumnar(t *testing.T) {
 	ss := walmartStar(t, 256)
 	slab, err := NewEnv(ss, 7)

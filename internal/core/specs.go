@@ -68,27 +68,6 @@ func TreeSpec(criterion tree.Criterion, effort Effort) Spec {
 	})
 }
 
-// PrunedTreeSpec grows a large tree (cp = 0) and applies cost-complexity
-// post-pruning selected on the validation split — the full CART/rpart
-// procedure, offered as an ablation against the paper's grid-tuned
-// pre-pruning (TreeSpec).
-func PrunedTreeSpec(criterion tree.Criterion) Spec {
-	name := "PrunedDecisionTree(" + criterion.String() + ")"
-	return Spec{
-		Name: name,
-		Train: func(train, val *ml.Dataset, _ uint64) (ml.Classifier, ml.GridPoint, float64, error) {
-			t := tree.New(tree.Config{Criterion: criterion, MinSplit: 2, CP: 0})
-			if err := t.Fit(train); err != nil {
-				return nil, nil, 0, err
-			}
-			if _, err := t.PruneCCP(train, val); err != nil {
-				return nil, nil, 0, err
-			}
-			return t, ml.GridPoint{}, ml.Accuracy(t, val), nil
-		},
-	}
-}
-
 // SVMSpec builds the kernel-SVM spec. The paper's grid is C ∈
 // {0.1,1,10,100,1000} and, for non-linear kernels, γ ∈ {1e-4…10}.
 // subsampleCap bounds SMO's training-set size (0 disables).

@@ -349,7 +349,7 @@ func (d *Dataset) ScanLabels(dst []int8, from int) int {
 
 // FeatureRange reports the observed [lo, hi] code range of feature j when
 // the backing relation can prove one from resident statistics (a
-// SegmentedTable's zone maps) without scanning any data. ok is false when no
+// SegmentedTable's append-time column bounds) without scanning any data. ok is false when no
 // bound is available (dense datasets, relations without statistics). The
 // range may be wider than the rows actually visible through this dataset —
 // a split Subset inherits its source's bounds — so it supports only sound

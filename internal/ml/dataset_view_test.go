@@ -240,22 +240,6 @@ func TestGridSearchParallelMatchesSequential(t *testing.T) {
 		seq.PointsTried != par.PointsTried {
 		t.Fatalf("parallel grid search diverged: %+v vs %+v", seq, par)
 	}
-
-	MaxParallelism = 1
-	cvSeq, err := CrossValidate(func() (Classifier, error) { return &thresholdClassifier{thresh: 2}, nil },
-		full, 5, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	MaxParallelism = 8
-	cvPar, err := CrossValidate(func() (Classifier, error) { return &thresholdClassifier{thresh: 2}, nil },
-		full, 5, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cvSeq != cvPar {
-		t.Fatalf("parallel cross-validation diverged: %v vs %v", cvSeq, cvPar)
-	}
 }
 
 func seqIdx(from, to int) []int {

@@ -233,10 +233,11 @@ func TestViewColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined, err := relational.Join(ss)
+	jv, err := relational.NewJoinView(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
+	joined := relational.Materialize(jv, "joined")
 
 	name := func(cols []int) []string {
 		var out []string
@@ -288,10 +289,11 @@ func TestViewOpenFKExcluded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined, err := relational.Join(ss)
+	jv, err := relational.NewJoinView(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
+	joined := relational.Materialize(jv, "joined")
 	cols := ViewColumns(joined, JoinAll, nil)
 	for _, c := range cols {
 		if joined.Schema().Cols[c].Kind == relational.KindForeignKey {

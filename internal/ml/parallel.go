@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// MaxParallelism caps the worker count of GridSearch and CrossValidate
+// MaxParallelism caps the worker count of GridSearch and ParallelFor
 // fan-outs. Zero (the default) means runtime.GOMAXPROCS(0); 1 forces the
 // historical sequential execution. Results are reduced in deterministic
 // order regardless of the setting, so it only affects wall-clock.
@@ -28,9 +28,9 @@ func parallelism(n int) int {
 }
 
 // Parallelism reports the worker count parallel fan-outs (GridSearch,
-// CrossValidate, ParallelFor) will use for n independent tasks under the
-// current MaxParallelism setting. Batch-path learners size their per-worker
-// scratch (morsel tally arrays) with it.
+// ParallelFor) will use for n independent tasks under the current
+// MaxParallelism setting. Batch-path learners size their per-worker scratch
+// (morsel tally arrays) with it.
 func Parallelism(n int) int { return parallelism(n) }
 
 // ParallelFor runs fn(i) for i in [0, n) on a worker pool capped by
@@ -44,9 +44,9 @@ func ParallelFor(n int, fn func(i int)) { parallelFor(n, fn) }
 
 // activeFanouts counts parallelFor fan-outs currently in flight. A fan-out
 // that starts while another is active (a batch-path learner Fit inside a
-// GridSearch/CrossValidate worker) runs sequentially instead of stacking a
-// second worker pool on top of the first — the outer level already owns the
-// cores, and nesting would oversubscribe them up to P×P goroutines. Results
+// GridSearch worker) runs sequentially instead of stacking a second worker
+// pool on top of the first — the outer level already owns the cores, and
+// nesting would oversubscribe them up to P×P goroutines. Results
 // are identical either way (per-index slots / commutative reductions); only
 // scheduling changes.
 var activeFanouts atomic.Int32

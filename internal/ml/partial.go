@@ -16,7 +16,7 @@ import (
 // trade-off expressible.
 //
 // Keys are dimension table names; values are the *unqualified* feature
-// names within that dimension (relational.Join qualifies them as
+// names within that dimension (relational.NewJoinView qualifies them as
 // "<dim>.<feature>"). A dimension absent from the map contributes no
 // foreign features (as in NoJoin). Foreign keys are always kept, as in both
 // JoinAll and NoJoin.

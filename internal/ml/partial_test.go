@@ -31,10 +31,11 @@ func buildPartialStar(t *testing.T) (*relational.Table, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined, err := relational.Join(ss)
+	jv, err := relational.NewJoinView(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
+	joined := relational.Materialize(jv, "joined")
 	return joined, ss.TargetCol
 }
 

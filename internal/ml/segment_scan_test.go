@@ -120,7 +120,7 @@ func TestScanRowMajorSpilledSegmented(t *testing.T) {
 }
 
 // TestFeatureRangeRouting checks FeatureRange resolves through column remaps
-// to the segmented source's zone-map fold, and reports no range for dense or
+// to the segmented source's column bounds, and reports no range for dense or
 // statistics-free backings.
 func TestFeatureRangeRouting(t *testing.T) {
 	_, jv := viewStar(t, 400, 12, 9)

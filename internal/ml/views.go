@@ -40,7 +40,7 @@ func (v View) String() string {
 
 // ViewColumns selects the feature column indices of a joined table that a
 // view uses. Foreign features are recognized by the "<dim>." name prefix
-// introduced by relational.Join. Open-domain foreign keys (Column.Open) are
+// introduced by relational.NewJoinView. Open-domain foreign keys (Column.Open) are
 // excluded from every view, as the paper does for Expedia's search id —
 // their values cannot recur at test time, so they are unusable as features.
 //

@@ -42,24 +42,31 @@ func dirState(t *testing.T, dir string) []string {
 // TestSaveFaultAtomicity scripts every write-path fault through SaveFS and
 // requires the atomic-publish contract each time: the save errors, the
 // target path holds exactly what it held before (the old artifact or
-// nothing), and no temp file is left behind.
+// nothing), and no temp file is left behind. A failed directory sync comes
+// after the rename, so there the target holds the complete new artifact.
 func TestSaveFaultAtomicity(t *testing.T) {
 	m := savedModel(t)
 	for _, tc := range []struct {
-		name string
-		rule fault.Rule
+		name      string
+		rule      fault.Rule
+		published bool // the fault comes after the rename
 	}{
-		{"torn-write", fault.Rule{Op: fault.OpWrite, Kind: fault.KindTorn, Nth: 1}},
-		{"enospc", fault.Rule{Op: fault.OpWrite, Kind: fault.KindENOSPC, Nth: 1}},
-		{"sync-fail", fault.Rule{Op: fault.OpSync, Kind: fault.KindEIO, Nth: 1}},
-		{"rename-fail", fault.Rule{Op: fault.OpRename, Kind: fault.KindEIO, Nth: 1}},
-		{"create-fail", fault.Rule{Op: fault.OpOpen, Kind: fault.KindENOSPC, Nth: 1}},
+		{"torn-write", fault.Rule{Op: fault.OpWrite, Kind: fault.KindTorn, Nth: 1}, false},
+		{"enospc", fault.Rule{Op: fault.OpWrite, Kind: fault.KindENOSPC, Nth: 1}, false},
+		{"sync-fail", fault.Rule{Op: fault.OpSync, Kind: fault.KindEIO, Nth: 1}, false},
+		{"rename-fail", fault.Rule{Op: fault.OpRename, Kind: fault.KindEIO, Nth: 1}, false},
+		{"create-fail", fault.Rule{Op: fault.OpOpen, Kind: fault.KindENOSPC, Nth: 1}, false},
+		// The second sync is the directory's, after the temp file's.
+		{"dir-sync-fail", fault.Rule{Op: fault.OpSync, Kind: fault.KindEIO, Nth: 2}, true},
+		// The second open is the directory's, after CreateTemp.
+		{"dir-open-fail", fault.Rule{Op: fault.OpOpen, Kind: fault.KindEIO, Nth: 2}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			target := filepath.Join(dir, "m.bin")
 
-			// Fresh directory: the faulted save must fail and leave it empty.
+			// Fresh directory: the faulted save must fail and leave it empty,
+			// or holding just the new artifact once the rename is done.
 			inj := fault.NewInjector(fault.OS, 1, tc.rule)
 			if err := SaveFS(inj, target, m); err == nil {
 				t.Fatal("faulted save succeeded")
@@ -67,7 +74,15 @@ func TestSaveFaultAtomicity(t *testing.T) {
 			if inj.FiredTotal() == 0 {
 				t.Fatal("fault never fired — the scenario tested nothing")
 			}
-			if got := dirState(t, dir); len(got) != 0 {
+			got := dirState(t, dir)
+			if tc.published {
+				if len(got) != 1 || got[0] != "m.bin" {
+					t.Fatalf("failed directory sync left %v, want just m.bin", got)
+				}
+				if _, err := Load(target); err != nil {
+					t.Fatalf("renamed artifact does not decode: %v", err)
+				}
+			} else if len(got) != 0 {
 				t.Fatalf("failed save left %v behind", got)
 			}
 

@@ -156,9 +156,10 @@ func (m *Model) CheckFeatures(features []ml.Feature) error {
 
 // Save encodes the model to a file (0644) atomically and durably: the bytes
 // go to a temporary sibling, which is fsynced, then renamed over the target
-// path. A crash or I/O error at any step leaves either the old artifact or
-// none — never a truncated one — and the temp file is removed on every
-// error path.
+// path, and the directory is fsynced so the rename itself survives a crash.
+// A crash or I/O error at any step leaves the old artifact, none, or — when
+// only opening or syncing the directory failed — the complete new one, never
+// a truncated one; the temp file is removed on every error path.
 func Save(path string, m *Model) error {
 	return SaveFS(fault.OS, path, m)
 }
@@ -188,7 +189,21 @@ func SaveFS(fsys fault.FS, path string, m *Model) error {
 	if err := fsys.Chmod(tmp.Name(), 0o644); err != nil {
 		return fmt.Errorf("model: save %s: %w", path, err)
 	}
-	return fsys.Rename(tmp.Name(), path)
+	if err := fsys.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("model: save %s: %w", path, err)
+	}
+	dir, err := fsys.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("model: save %s: %w", path, err)
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("model: save %s: sync directory: %w", path, err)
+	}
+	return nil
 }
 
 // Load decodes a model from a file.

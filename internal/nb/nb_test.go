@@ -195,119 +195,6 @@ func TestAlphaDefaultAndName(t *testing.T) {
 	}
 }
 
-func TestForwardSelectFindsSignal(t *testing.T) {
-	r := rng.New(71)
-	gen := func(n int, rr *rng.RNG) *ml.Dataset {
-		ds := &ml.Dataset{Features: feats(2, 8, 8)}
-		for i := 0; i < n; i++ {
-			x0 := relational.Value(rr.Intn(2))
-			y := int8(x0)
-			if rr.Bernoulli(0.05) {
-				y = 1 - y
-			}
-			ds.X = append(ds.X, x0, relational.Value(rr.Intn(8)), relational.Value(rr.Intn(8)))
-			ds.Y = append(ds.Y, y)
-		}
-		return ds
-	}
-	train := gen(400, r)
-	val := gen(200, r)
-	m, valAcc, err := ForwardSelect(Config{}, train, val)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if valAcc < 0.85 {
-		t.Fatalf("forward selection validation accuracy %v too low", valAcc)
-	}
-	kept := m.ActiveFeatures()
-	has0 := false
-	for _, j := range kept {
-		if j == 0 {
-			has0 = true
-		}
-	}
-	if !has0 {
-		t.Fatalf("forward selection missed the signal feature; kept %v", kept)
-	}
-}
-
-func TestForwardSelectNeverReturnsEmptyModel(t *testing.T) {
-	// Pure-noise data: no addition improves on the prior, so the fallback
-	// must still leave one feature active.
-	ds := &ml.Dataset{
-		Features: feats(2),
-		X:        []relational.Value{0, 1, 0, 1},
-		Y:        []int8{1, 0, 0, 1},
-	}
-	m, _, err := ForwardSelect(Config{}, ds, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.ActiveFeatures()) != 1 {
-		t.Fatalf("want exactly 1 active feature, got %v", m.ActiveFeatures())
-	}
-}
-
-func TestMutualInformation(t *testing.T) {
-	// Perfectly predictive binary feature: MI = H(Y) = 1 bit.
-	ds := &ml.Dataset{
-		Features: feats(2),
-		X:        []relational.Value{0, 0, 1, 1, 0, 0, 1, 1},
-		Y:        []int8{0, 0, 1, 1, 0, 0, 1, 1},
-	}
-	if mi := MutualInformation(ds, 0); math.Abs(mi-1) > 1e-12 {
-		t.Fatalf("perfect predictor MI = %v, want 1", mi)
-	}
-	// Independent feature: MI ≈ 0.
-	ds2 := &ml.Dataset{
-		Features: feats(2),
-		X:        []relational.Value{0, 0, 1, 0, 0, 1, 1, 1},
-		Y:        []int8{0, 1, 0, 1, 0, 1, 0, 1},
-	}
-	if mi := MutualInformation(ds2, 0); mi > 1e-9 {
-		t.Fatalf("independent feature MI = %v, want 0", mi)
-	}
-	if MutualInformation(&ml.Dataset{Features: feats(2)}, 0) != 0 {
-		t.Fatal("empty dataset MI must be 0")
-	}
-}
-
-func TestFilterSelectKeepsTopK(t *testing.T) {
-	r := rng.New(73)
-	ds := &ml.Dataset{Features: feats(2, 8, 8, 8)}
-	for i := 0; i < 600; i++ {
-		x0 := relational.Value(r.Intn(2))
-		y := int8(x0)
-		if r.Bernoulli(0.05) {
-			y = 1 - y
-		}
-		ds.X = append(ds.X, x0, relational.Value(r.Intn(8)), relational.Value(r.Intn(8)), relational.Value(r.Intn(8)))
-		ds.Y = append(ds.Y, y)
-	}
-	m, valAcc, err := FilterSelect(Config{}, ds, ds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := m.ActiveFeatures()
-	if len(kept) != 1 || kept[0] != 0 {
-		t.Fatalf("filter must keep exactly the signal feature, kept %v", kept)
-	}
-	if valAcc < 0.9 {
-		t.Fatalf("filter accuracy %v too low", valAcc)
-	}
-	// k clamping.
-	m2, _, err := FilterSelect(Config{}, ds, ds, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m2.ActiveFeatures()) != 4 {
-		t.Fatalf("k beyond d must clamp to d, kept %v", m2.ActiveFeatures())
-	}
-	if _, _, err := FilterSelect(Config{}, ds, &ml.Dataset{Features: feats(2)}, 1); err == nil {
-		t.Fatal("empty validation must error")
-	}
-}
-
 // rowCounts is the historical example-at-a-time counting loop, kept as the
 // oracle the batched counting path is pinned against.
 func rowCounts(train *ml.Dataset, enc *ml.Encoder) (classN [2]float64, counts []float64) {

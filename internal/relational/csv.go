@@ -103,7 +103,9 @@ func ReadCSVInto(r io.Reader, dst BulkTable) error {
 				row[j] = v
 				continue
 			}
-			iv, err := strconv.Atoi(field)
+			// Parse at Value's width: Atoi's int would wrap to an in-domain
+			// code when narrowed before the domain check.
+			iv, err := strconv.ParseInt(field, 10, 32)
 			if err != nil {
 				return fmt.Errorf("relational: csv line %d column %q: %w", line, names[j], err)
 			}

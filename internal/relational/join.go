@@ -206,63 +206,3 @@ func (v *JoinView) AssembleRow(dst []Value, factRow []Value) []Value {
 	}
 	return dst
 }
-
-// Join materializes the projected KFK equi-join that the paper calls
-// JoinAll's input. It is now a thin wrapper — Materialize over the
-// factorized JoinView — kept for compatibility and for consumers that truly
-// need physical storage (CSV export, the FD verifiers' tight loops). The
-// join is a single O(n_S · width) pass.
-func Join(ss *StarSchema) (*Table, error) {
-	v, err := NewJoinView(ss)
-	if err != nil {
-		return nil, err
-	}
-	return Materialize(v, ss.Fact.Name+"_joined"), nil
-}
-
-// VerifyFD checks that the functional dependency det → dep holds in relation
-// t: every pair of rows agreeing on column det also agrees on column dep.
-// This is the property (FK → X_R in the join output) that makes avoiding
-// joins safe at all; the simulation and dataset generators are validated
-// with it.
-func VerifyFD(t Relation, det, dep int) error {
-	schema := t.Schema()
-	detDom := schema.Cols[det].Domain.Size
-	seen := make([]Value, detDom)
-	for i := range seen {
-		seen[i] = -1
-	}
-	n := t.NumRows()
-	for i := 0; i < n; i++ {
-		d := t.At(i, det)
-		v := t.At(i, dep)
-		if seen[d] == -1 {
-			seen[d] = v
-			continue
-		}
-		if seen[d] != v {
-			return fmt.Errorf("relational: FD %s→%s violated at row %d: %s=%d maps to both %d and %d",
-				schema.Cols[det].Name, schema.Cols[dep].Name, i, schema.Cols[det].Name, d, seen[d], v)
-		}
-	}
-	return nil
-}
-
-// VerifyKFKFDs verifies, on a joined relation (materialized or JoinView),
-// that each foreign key column functionally determines every feature column
-// brought in from its dimension table (columns named "<dim>.<feat>").
-func VerifyKFKFDs(joined Relation, ss *StarSchema) error {
-	schema := joined.Schema()
-	for _, fkCol := range schema.ColumnsOfKind(KindForeignKey) {
-		ref := schema.Cols[fkCol].Refs
-		prefix := ref + "."
-		for i, c := range schema.Cols {
-			if c.Kind == KindFeature && len(c.Name) > len(prefix) && c.Name[:len(prefix)] == prefix {
-				if err := VerifyFD(joined, fkCol, i); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}

@@ -2,15 +2,12 @@ package relational
 
 import "repro/internal/obs"
 
-// Storage-layer telemetry, registered once on the process-wide obs registry.
-// Two families:
-//
-//   - segment cache: per-process totals of the out-of-core tier's LRU cache.
-//     Only the pager path records here — an in-memory SegmentedTable has no
-//     cache to hit or miss, so the non-spilled acquire fast path stays
-//     untouched (the SegParScan parity bench proves no tax).
-//   - zone maps: segments skipped vs scanned by zone-map-pruned equality
-//     scans. Recorded in two batched adds per SelectEq, not per segment.
+// Storage-layer telemetry, registered once on the process-wide obs registry:
+// per-process totals of the out-of-core tier's LRU segment cache, plus the
+// corruption counter. Only the pager path records cache traffic — an
+// in-memory SegmentedTable has no cache to hit or miss, so the non-spilled
+// acquire fast path stays untouched (the SegParScan parity bench proves no
+// tax).
 //
 // hamletd's /metrics and /stats both read these counters, so the live answer
 // to "is the segment cache thrashing" is one scrape away instead of a bench
@@ -30,14 +27,6 @@ var (
 	// segments — the cache's disk-traffic proxy.
 	SegCacheFaultedBytes = obs.Default.NewCounter("hamlet_segcache_faulted_bytes_total",
 		"bytes paged back in by segment faults")
-	// ZoneSegmentsSkipped counts segments a zone map proved free of the
-	// probed value (no data touched, no fault taken).
-	ZoneSegmentsSkipped = obs.Default.NewCounter(`hamlet_zonemap_segments_total{outcome="skipped"}`,
-		"segments pruned by zone maps in equality scans")
-	// ZoneSegmentsScanned counts segments that survived pruning and were
-	// actually scanned.
-	ZoneSegmentsScanned = obs.Default.NewCounter(`hamlet_zonemap_segments_total{outcome="scanned"}`,
-		"segments scanned after zone-map pruning in equality scans")
 	// StorageCorruptionDetected counts segment reads that failed the
 	// checksum/decode or the pread itself — every one of these surfaced as a
 	// CorruptSegmentError, never as silent wrong bytes.

@@ -48,7 +48,7 @@ type Relation interface {
 
 // ColumnRanger is implemented by relations that can report the observed
 // [min, max] value range of a column without scanning it — SegmentedTable
-// folds its zone maps; views forward to their source. ok is false when no
+// keeps running bounds as rows append; views forward to their source. ok is false when no
 // bound is known (empty relation, source without statistics). The returned
 // range may be wider than the rows actually visible through the relation
 // (a SelectView forwards its source's bounds), so consumers may use it only
@@ -62,7 +62,7 @@ type ColumnRanger interface {
 // Materialize evaluates any relation into a contiguous Table. It is the
 // explicit boundary between the lazy, zero-copy world and code that needs
 // physical storage (CSV export, repeated random scans where indirection
-// costs dominate, the FD verifiers' O(1)-per-cell guarantees). The result
+// costs dominate). The result
 // is always an independent snapshot: it never aliases the source, so later
 // writes to the source are not observed.
 func Materialize(r Relation, name string) *Table {
@@ -78,8 +78,9 @@ func Materialize(r Relation, name string) *Table {
 }
 
 // SelectView is a lazy row-subset view over any relation: row i of the view
-// is row idx[i] of the source. Indices may repeat. It is the lazy analogue of
-// Table.SelectRows and the substrate of train/validation/test splits.
+// is row idx[i] of the source. Indices may repeat. It is the substrate of
+// train/validation/test splits; Materialize copies one out when physical
+// storage is needed.
 type SelectView struct {
 	src Relation
 	idx []int

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -160,12 +161,55 @@ func TestStarSchemaRejectsCardinalityMismatch(t *testing.T) {
 	}
 }
 
+// verifyFD checks that the functional dependency det → dep holds in relation
+// t: every pair of rows agreeing on column det also agrees on column dep.
+// FK → X_R in the join output is the property that makes avoiding joins
+// safe at all.
+func verifyFD(t Relation, det, dep int) error {
+	schema := t.Schema()
+	seen := make([]Value, schema.Cols[det].Domain.Size)
+	for i := range seen {
+		seen[i] = -1
+	}
+	for i, n := 0, t.NumRows(); i < n; i++ {
+		d, v := t.At(i, det), t.At(i, dep)
+		if seen[d] == -1 {
+			seen[d] = v
+			continue
+		}
+		if seen[d] != v {
+			return fmt.Errorf("FD %s→%s violated at row %d: %s=%d maps to both %d and %d",
+				schema.Cols[det].Name, schema.Cols[dep].Name, i, schema.Cols[det].Name, d, seen[d], v)
+		}
+	}
+	return nil
+}
+
+// verifyKFKFDs checks, on a joined relation (materialized or JoinView), that
+// each foreign key column functionally determines every feature column
+// brought in from its dimension table (columns named "<dim>.<feat>").
+func verifyKFKFDs(joined Relation, ss *StarSchema) error {
+	schema := joined.Schema()
+	for _, fkCol := range schema.ColumnsOfKind(KindForeignKey) {
+		prefix := schema.Cols[fkCol].Refs + "."
+		for i, c := range schema.Cols {
+			if c.Kind == KindFeature && strings.HasPrefix(c.Name, prefix) {
+				if err := verifyFD(joined, fkCol, i); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 func TestJoinProducesFDAndWidth(t *testing.T) {
 	ss := buildCustomerStar(t)
-	joined, err := Join(ss)
+	jv, err := NewJoinView(ss)
 	if err != nil {
-		t.Fatalf("Join: %v", err)
+		t.Fatalf("NewJoinView: %v", err)
 	}
+	joined := Materialize(jv, "joined")
 	// Fact width 3 + 2 dimension features.
 	if joined.Schema().Width() != 5 {
 		t.Fatalf("joined width = %d, want 5", joined.Schema().Width())
@@ -173,7 +217,7 @@ func TestJoinProducesFDAndWidth(t *testing.T) {
 	if joined.NumRows() != ss.Fact.NumRows() {
 		t.Fatalf("KFK join must preserve fact cardinality: %d vs %d", joined.NumRows(), ss.Fact.NumRows())
 	}
-	if err := VerifyKFKFDs(joined, ss); err != nil {
+	if err := verifyKFKFDs(joined, ss); err != nil {
 		t.Fatalf("FD FK→XR must hold in join output: %v", err)
 	}
 	// Spot-check one row: customer 1 has employer 1 → State=WI(1), Revenue=low(0).
@@ -195,7 +239,7 @@ func TestVerifyFDDetectsViolation(t *testing.T) {
 	), 3)
 	tab.MustAppendRow([]Value{0, 0})
 	tab.MustAppendRow([]Value{0, 1}) // a=0 maps to both 0 and 1
-	if err := VerifyFD(tab, 0, 1); err == nil {
+	if err := verifyFD(tab, 0, 1); err == nil {
 		t.Fatal("expected FD violation")
 	}
 }
@@ -229,11 +273,12 @@ func TestJoinFDProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		joined, err := Join(ss)
+		jv, err := NewJoinView(ss)
 		if err != nil {
 			return false
 		}
-		return VerifyKFKFDs(joined, ss) == nil && joined.NumRows() == nS
+		joined := Materialize(jv, "joined")
+		return verifyKFKFDs(jv, ss) == nil && verifyKFKFDs(joined, ss) == nil && joined.NumRows() == nS
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -242,16 +287,20 @@ func TestJoinFDProperty(t *testing.T) {
 
 func TestSplitFractions(t *testing.T) {
 	ss := buildCustomerStar(t)
-	joined, err := Join(ss)
+	jv, err := NewJoinView(ss)
 	if err != nil {
-		t.Fatalf("Join: %v", err)
+		t.Fatalf("NewJoinView: %v", err)
 	}
 	// Inflate to 100 rows for a meaningful split.
 	idx := make([]int, 100)
 	for i := range idx {
-		idx[i] = i % joined.NumRows()
+		idx[i] = i % jv.NumRows()
 	}
-	big := joined.SelectRows("big", idx)
+	sv, err := NewSelectView(jv, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := Materialize(sv, "big")
 	sp, err := PaperSplit(big, rng.New(1))
 	if err != nil {
 		t.Fatalf("PaperSplit: %v", err)
@@ -311,29 +360,24 @@ func TestCSVRejectsUnknownLabel(t *testing.T) {
 	}
 }
 
+func TestCSVRejectsOutOfRangeInteger(t *testing.T) {
+	// Employer is an unlabeled size-3 domain. 4294967297 is 1 modulo 2^32,
+	// so a value narrowed to 32 bits before the domain check reads back as
+	// the valid code 1.
+	ss := buildCustomerStar(t)
+	for _, v := range []string{"4294967297", "-4294967295", "3", "-1"} {
+		in := "Churn,Gender,Employer\nno,F," + v + "\n"
+		if _, err := ReadCSV(strings.NewReader(in), "bad", ss.Fact.Schema()); err == nil {
+			t.Fatalf("Employer=%s: expected out-of-domain error", v)
+		}
+	}
+}
+
 func TestCSVRejectsHeaderMismatch(t *testing.T) {
 	ss := buildCustomerStar(t)
 	in := "A,B,C\n0,0,0\n"
 	if _, err := ReadCSV(strings.NewReader(in), "bad", ss.Fact.Schema()); err == nil {
 		t.Fatal("expected header error")
-	}
-}
-
-func TestSelectRowsAndClone(t *testing.T) {
-	ss := buildCustomerStar(t)
-	sub := ss.Fact.SelectRows("sub", []int{5, 0, 5})
-	if sub.NumRows() != 3 {
-		t.Fatalf("SelectRows rows = %d", sub.NumRows())
-	}
-	if sub.At(0, 2) != 2 || sub.At(1, 2) != 0 {
-		t.Fatal("SelectRows order wrong")
-	}
-	cl := ss.Fact.Clone("copy")
-	if err := cl.Set(0, 0, 1); err != nil {
-		t.Fatalf("Set on clone: %v", err)
-	}
-	if ss.Fact.At(0, 0) == cl.At(0, 0) {
-		t.Fatal("Clone must not alias original storage")
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // DefaultSegmentSize is the rows-per-segment default. 32768 rows keeps a
 // uint8 column's segment at 32 KiB (one L1 data cache) and a uint16 column
 // at 64 KiB, so a per-segment scan task works cache-resident while the
-// per-segment overheads (zone-map block, pager header, task dispatch)
-// amortize over tens of thousands of rows. See ARCHITECTURE.md for the
+// per-segment overheads (pager header, task dispatch) amortize over tens of
+// thousands of rows. See ARCHITECTURE.md for the
 // measurement behind the choice.
 const DefaultSegmentSize = 32768
 
@@ -54,14 +54,13 @@ func (s *segment) footprint() int64 {
 }
 
 // segEntry is the always-resident bookkeeping of one sealed segment: its
-// zone maps, its heap-file location, and the cache state. The data pointer
-// is nil while the segment is evicted; pins counts in-flight readers so the
-// evictor never drops a segment a scan is walking (a reader that loses the
-// benign race with eviction simply re-faults — segments are immutable, so a
-// stale pointer is still correct, just no longer counted as resident).
+// heap-file location and the cache state. The data pointer is nil while the
+// segment is evicted; pins counts in-flight readers so the evictor never
+// drops a segment a scan is walking (a reader that loses the benign race
+// with eviction simply re-faults — segments are immutable, so a stale
+// pointer is still correct, just no longer counted as resident).
 type segEntry struct {
 	data    atomic.Pointer[segment]
-	zmaps   []ZoneMap
 	bytes   int64
 	off     int64 // heap-file offset; -1 when never spilled
 	blobLen int
@@ -73,11 +72,9 @@ type segEntry struct {
 // *Table: struct-of-arrays storage, one width-narrowed vector per column,
 // partitioned into fixed-size immutable segments. It serves the same
 // Relation surface with bit-identical cell values. A table that fits in one
-// segment is a single contiguous slab per column; larger tables add three
+// segment is a single contiguous slab per column; larger tables add two
 // capabilities:
 //
-//   - per-segment ZoneMaps, so selective scans and split searches can prove
-//     segments (or whole columns) irrelevant and skip them;
 //   - segment-per-morsel parallelism: SegmentSize exposes the partition so
 //     ml-side fan-outs align scan tasks to segment boundaries;
 //   - an out-of-core tier: with SegmentOptions.SpillDir set, sealed segments
@@ -103,7 +100,6 @@ type SegmentedTable struct {
 
 	entries []*segEntry
 	tail    *segment // open segment being filled; never spilled
-	zs      zoneScratch
 	// colLo/colHi are running whole-table [min, max] bounds per column,
 	// maintained as rows append so ColumnRange never rescans the open tail.
 	colLo, colHi []Value
@@ -212,24 +208,6 @@ func (t *SegmentedTable) SegmentRows(s int) (lo, hi int) {
 	return lo, hi
 }
 
-// SegmentZone returns the zone map of (segment s, column col). ok is false
-// for the open tail segment, whose statistics are not yet sealed — callers
-// must treat it as "may contain anything".
-func (t *SegmentedTable) SegmentZone(s, col int) (ZoneMap, bool) {
-	if s >= len(t.entries) {
-		return ZoneMap{}, false
-	}
-	return t.entries[s].zmaps[col], true
-}
-
-// SegmentMayContain reports whether segment s may hold value v in column
-// col. False is a proof of absence (zone-map range check); the unsealed tail
-// always reports true.
-func (t *SegmentedTable) SegmentMayContain(s, col int, v Value) bool {
-	z, ok := t.SegmentZone(s, col)
-	return !ok || z.MayContain(v)
-}
-
 // ColumnRange implements ColumnRanger: the observed [min, max] of a column.
 // The bounds are maintained as rows append (O(1) here — split searches call
 // this per node per feature), covering sealed segments and the open tail
@@ -260,19 +238,11 @@ func (t *SegmentedTable) ResidentBytes() int64 {
 	return t.resident
 }
 
-// seal freezes the full tail: zone maps are computed, the segment is
-// (optionally) written to the heap file, and a fresh tail with capacity for
-// nextCap rows is opened.
+// seal freezes the full tail: the segment is (optionally) written to the
+// heap file, and a fresh tail with capacity for nextCap rows is opened.
 func (t *SegmentedTable) seal(nextCap int) error {
 	s := t.tail
-	e := &segEntry{
-		zmaps: make([]ZoneMap, len(s.cols)),
-		bytes: s.footprint(),
-		off:   -1,
-	}
-	for j := range s.cols {
-		e.zmaps[j] = t.zs.buildZoneMap(&s.cols[j], s.n, t.schema.Cols[j].Domain.Size)
-	}
+	e := &segEntry{bytes: s.footprint(), off: -1}
 	e.data.Store(s)
 	e.lastUse.Store(t.tick.Add(1))
 	if t.pager != nil {

@@ -89,41 +89,23 @@ func TestSegmentedAppendRowsMatchesAppendRow(t *testing.T) {
 	requireSameRelation(t, tab, st)
 }
 
-// TestSegmentedZoneMaps pins the zone-map semantics: exact min/max per
-// sealed segment, MayContain as a proof of absence, ColumnRange folding
-// sealed segments with the open tail, and the constant-column proof.
-func TestSegmentedZoneMaps(t *testing.T) {
+// TestSegmentedColumnRange pins ColumnRange: the running bounds cover
+// sealed segments and the open tail alike, prove a constant column, and
+// report nothing for an empty table.
+func TestSegmentedColumnRange(t *testing.T) {
 	schema := MustSchema(
 		Column{Name: "Y", Kind: KindTarget, Domain: NewDomain("Y", 2)},
 		Column{Name: "clustered", Kind: KindFeature, Domain: NewDomain("c", 1000)},
 		Column{Name: "constant", Kind: KindFeature, Domain: NewDomain("k", 8)},
 	)
-	st, err := NewSegmentedTable("zm", schema, SegmentOptions{SegmentSize: 10})
+	st, err := NewSegmentedTable("cr", schema, SegmentOptions{SegmentSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Clustered column: segment s holds values in [s*10, s*10+9].
+	// Three sealed segments and an open tail (rows 30..34).
 	for i := 0; i < 35; i++ {
 		st.MustAppendRow([]Value{Value(i % 2), Value(i), 5})
 	}
-	z, ok := st.SegmentZone(1, 1)
-	if !ok || z.Min != 10 || z.Max != 19 || z.Distinct != 10 {
-		t.Fatalf("segment 1 zone = %+v ok=%v, want min 10 max 19 distinct 10", z, ok)
-	}
-	if !z.MayContain(15) || z.MayContain(25) || z.MayContain(9) {
-		t.Fatalf("MayContain wrong on %+v", z)
-	}
-	if z, _ := st.SegmentZone(0, 2); !z.Constant() || z.Min != 5 {
-		t.Fatalf("constant column zone = %+v, want constant 5", z)
-	}
-	// The open tail (rows 30..34) has no sealed statistics.
-	if _, ok := st.SegmentZone(3, 1); ok {
-		t.Fatal("tail segment must report no zone map")
-	}
-	if !st.SegmentMayContain(3, 1, 999) {
-		t.Fatal("tail must report MayContain for everything")
-	}
-	// ColumnRange folds sealed zones and scans the tail.
 	if lo, hi, ok := st.ColumnRange(1); !ok || lo != 0 || hi != 34 {
 		t.Fatalf("ColumnRange(clustered) = [%d,%d] ok=%v, want [0,34]", lo, hi, ok)
 	}
@@ -133,39 +115,6 @@ func TestSegmentedZoneMaps(t *testing.T) {
 	empty, _ := NewSegmentedTable("e", schema, SegmentOptions{})
 	if _, _, ok := empty.ColumnRange(1); ok {
 		t.Fatal("empty table must report no column range")
-	}
-}
-
-// TestSelectEqZoneSkipMatchesGeneric checks the segment-skipping SelectEq
-// returns exactly the generic scan's result on a clustered column (where
-// most segments are provably skippable) and on an unclustered one.
-func TestSelectEqZoneSkipMatchesGeneric(t *testing.T) {
-	schema := MustSchema(
-		Column{Name: "Y", Kind: KindTarget, Domain: NewDomain("Y", 2)},
-		Column{Name: "bucket", Kind: KindFeature, Domain: NewDomain("b", 64)},
-		Column{Name: "noise", Kind: KindFeature, Domain: NewDomain("n", 16)},
-	)
-	r := rng.New(9)
-	tab := NewTable("src", schema, 0)
-	for i := 0; i < 500; i++ {
-		tab.MustAppendRow([]Value{Value(r.Intn(2)), Value(i / 8 % 64), Value(r.Intn(16))})
-	}
-	st := segmentedCopy(t, tab, SegmentOptions{SegmentSize: 48})
-	for _, col := range []int{1, 2} {
-		for _, v := range []Value{0, 7, 13} {
-			want, err := SelectEq(tab, "w", col, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := SelectEq(st, "g", col, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameRelation(t, want, got)
-		}
-	}
-	if _, err := SelectEq(st, "bad", 1, 9999); err == nil {
-		t.Fatal("out-of-domain value must error")
 	}
 }
 
@@ -471,8 +420,7 @@ var fuzzSchema = MustSchema(
 // cell of fuzzSchema) to a row-major Table and to a SegmentedTable of the
 // given segment size, and requires both to accept the same rows and read
 // them back identically — cells, scans, and all three gathers over a
-// reversed, repeated row list; sealed zone maps must cover the values they
-// summarize.
+// reversed, repeated row list; ColumnRange must cover every stored value.
 func requireEquivalentAppends(t *testing.T, segSize int, raw []byte) {
 	w := fuzzSchema.Width()
 	n := len(raw) / w
@@ -518,16 +466,13 @@ func requireEquivalentAppends(t *testing.T, segSize int, raw []byte) {
 				}
 			}
 		}
-		for s := 0; s < st.NumSegments(); s++ {
-			z, ok := st.SegmentZone(s, j)
-			if !ok {
-				continue
-			}
-			lo, hi := st.SegmentRows(s)
-			for i := lo; i < hi; i++ {
-				if v := st.At(i, j); !z.MayContain(v) {
-					t.Fatalf("zone map %+v of segment %d column %d excludes present value %d", z, s, j, v)
-				}
+		lo, hi, ok := st.ColumnRange(j)
+		if ok != (st.NumRows() > 0) {
+			t.Fatalf("ColumnRange(%d) ok=%v on %d rows", j, ok, st.NumRows())
+		}
+		for i := 0; i < st.NumRows(); i++ {
+			if v := st.At(i, j); v < lo || v > hi {
+				t.Fatalf("ColumnRange(%d) = [%d,%d] excludes present value %d", j, lo, hi, v)
 			}
 		}
 	}

@@ -166,24 +166,6 @@ func (t *Table) GatherColumns(dst []Value, stride int, cols []int, rows []int) {
 	}
 }
 
-// SelectRows materializes a new table containing the given row indices in
-// order. Indices may repeat; they must be in range. For a lazy alternative
-// see NewSelectView.
-func (t *Table) SelectRows(name string, idx []int) *Table {
-	out := NewTable(name, t.schema, len(idx))
-	for _, i := range idx {
-		out.rows = append(out.rows, t.Row(i)...)
-	}
-	return out
-}
-
-// Clone deep-copies the table (schema is shared; schemas are immutable by
-// convention).
-func (t *Table) Clone(name string) *Table {
-	out := &Table{Name: name, schema: t.schema, width: t.width, rows: append([]Value(nil), t.rows...)}
-	return out
-}
-
 // StarSchema bundles one fact table S with its dimension tables R_1..R_q in
 // the paper's notation. Dimension tables are addressed by name; fact-table
 // foreign-key columns carry the referenced dimension's name in Column.Refs.

@@ -122,17 +122,8 @@ func TestJoinViewMatchesEagerJoinByteForByte(t *testing.T) {
 	}
 	// Cell-level equality of the lazy view.
 	sameRelation(t, ref, jv)
-	// Materialize(view) must reproduce the eager output exactly, and the
-	// compatibility wrapper Join is that materialization.
+	// Materialize(view) must reproduce the eager output exactly.
 	sameRelation(t, ref, Materialize(jv, ref.Name))
-	joined, err := Join(ss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRelation(t, ref, joined)
-	if joined.Name != "S_joined" {
-		t.Fatalf("materialized name %q", joined.Name)
-	}
 	// CopyRow agrees with At.
 	w := jv.Schema().Width()
 	buf := make([]Value, w)
@@ -154,9 +145,6 @@ func TestJoinViewRejectsDanglingFK(t *testing.T) {
 	ss.Fact.rows[3*ss.Fact.width+fk1] = Value(8) // rows are 0..7
 	if _, err := NewJoinView(ss); err == nil {
 		t.Fatal("dangling FK must fail view construction")
-	}
-	if _, err := Join(ss); err == nil {
-		t.Fatal("dangling FK must fail materialized join")
 	}
 }
 

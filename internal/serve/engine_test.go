@@ -35,10 +35,11 @@ func TestFallbackMatchesEagerPredict(t *testing.T) {
 		t.Fatal("PredictFactorized on a tree engine did not error")
 	}
 
-	eagerJoined, err := relational.Join(ss)
+	jv, err := relational.NewJoinView(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eagerJoined := relational.Materialize(jv, "joined")
 	targetCol := eagerJoined.Schema().ColumnsOfKind(relational.KindTarget)[0]
 	eager, err := ml.ViewDataset(eagerJoined, targetCol, ml.JoinAll, nil)
 	if err != nil {

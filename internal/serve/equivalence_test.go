@@ -101,10 +101,11 @@ func TestFactorizedBitIdenticalToJoined(t *testing.T) {
 	for schemaName, ss := range schemas {
 		t.Run(schemaName, func(t *testing.T) {
 			train, _ := joinAllDataset(t, ss)
-			eagerJoined, err := relational.Join(ss)
+			jv, err := relational.NewJoinView(ss)
 			if err != nil {
 				t.Fatal(err)
 			}
+			eagerJoined := relational.Materialize(jv, "joined")
 			targetCol := eagerJoined.Schema().ColumnsOfKind(relational.KindTarget)[0]
 			eager, err := ml.ViewDataset(eagerJoined, targetCol, ml.JoinAll, nil)
 			if err != nil {

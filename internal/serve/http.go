@@ -753,7 +753,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		history[sl.Name()] = versions
 	}
-	// The segment-cache and zone-map blocks read the same obs counters the
+	// The robustness and segment-cache blocks read the same obs counters the
 	// Prometheus exposition renders, so /stats and /metrics cannot disagree.
 	writeJSON(w, map[string]any{
 		"model":       e.Model().Kind,
@@ -784,17 +784,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"evictions":     relational.SegCacheEvictions.Value(),
 			"faulted_bytes": relational.SegCacheFaultedBytes.Value(),
 		},
-		"zonemap": map[string]uint64{
-			"segments_skipped": relational.ZoneSegmentsSkipped.Value(),
-			"segments_scanned": relational.ZoneSegmentsScanned.Value(),
-		},
 	})
 }
 
 // handleMetrics renders the Prometheus text exposition: the registry's
 // serving metrics (per-endpoint latency, coalescer, registry transitions)
-// followed by the process-wide obs.Default (segment cache, zone maps,
-// training-phase spans). One scrape covers all three layers.
+// followed by the process-wide obs.Default (segment cache, training-phase
+// spans). One scrape covers all three layers.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.fail(w, nil, http.StatusMethodNotAllowed, "GET required")

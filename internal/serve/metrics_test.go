@@ -110,7 +110,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		Errors   float64           `json:"errors"`
 		History  map[string][]int  `json:"history"`
 		SegCache map[string]uint64 `json:"segcache"`
-		ZoneMap  map[string]uint64 `json:"zonemap"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
@@ -128,9 +127,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if stats.SegCache["hits"] != uint64(samples["hamlet_segcache_hits_total"]) {
 		t.Fatalf("/stats segcache hits %d != scraped %v", stats.SegCache["hits"], samples["hamlet_segcache_hits_total"])
-	}
-	if _, ok := stats.ZoneMap["segments_skipped"]; !ok {
-		t.Fatalf("/stats zonemap block missing: %v", stats.ZoneMap)
 	}
 }
 

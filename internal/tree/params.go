@@ -47,9 +47,6 @@ func (t *Tree) ExportParams() (Params, error) {
 	if t.cfg.Smoother != nil {
 		return Params{}, fmt.Errorf("tree: cannot export a tree with an attached Smoother")
 	}
-	if len(t.collapseSet) > 0 {
-		return Params{}, fmt.Errorf("tree: cannot export mid-prune (pending collapses)")
-	}
 	p := Params{
 		Criterion: int(t.cfg.Criterion),
 		MinSplit:  t.cfg.MinSplit,

@@ -114,11 +114,6 @@ type Tree struct {
 	// batch holds the columnar split-search scratch while Fit runs; nil
 	// afterwards.
 	batch *batchState
-	// collapseSet/collapseOrder track internal nodes temporarily treated as
-	// leaves during cost-complexity pruning; truncateCollapses bakes the
-	// chosen prefix into the node array and clears both.
-	collapseSet   map[int]bool
-	collapseOrder []int
 }
 
 // Batch split-search tuning. A node's examples are processed in morsel-sized
@@ -162,9 +157,9 @@ func newBatchState(train *ml.Dataset) *batchState {
 		if f.Cardinality > maxCard {
 			maxCard = f.Cardinality
 		}
-		// Zone-map skip: a feature whose storage-level [min, max] proves it
-		// constant can never produce two tally buckets, so it is never
-		// gathered. Same outcome as tallying it (len(tallies) < 2), so the
+		// Constant-feature skip: a feature whose storage-level [min, max]
+		// proves it constant can never produce two tally buckets, so it is
+		// never gathered. Same outcome as tallying it (len(tallies) < 2), so the
 		// fitted tree is unchanged.
 		if lo, hi, ok := train.FeatureRange(j); !ok || lo != hi {
 			cand = append(cand, j)
@@ -488,7 +483,7 @@ func (t *Tree) Predict(row []relational.Value) int8 {
 	at := 0
 	for {
 		nd := &t.nodes[at]
-		if nd.feature < 0 || t.collapseSet[at] {
+		if nd.feature < 0 {
 			return nd.prediction
 		}
 		v := row[nd.feature]
@@ -518,9 +513,7 @@ func (t *Tree) Predict(row []relational.Value) int8 {
 	}
 }
 
-// NumNodes returns the number of allocated nodes (pruning rewrites nodes in
-// place, so orphaned descendants still occupy slots; use NumLeaves and
-// Depth for the logical tree shape).
+// NumNodes returns the number of nodes, splits and leaves alike.
 func (t *Tree) NumNodes() int { return len(t.nodes) }
 
 // NumLeaves returns the number of leaf nodes reachable from the root.

@@ -2,7 +2,6 @@ package tree
 
 import (
 	"maps"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -399,63 +398,10 @@ func TestCriterionString(t *testing.T) {
 	}
 }
 
-func TestDumpRendersTree(t *testing.T) {
-	ds := mkDataset(feats(20, 2),
-		[][]relational.Value{{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 0}, {5, 1}},
-		[]int8{0, 0, 1, 1, 0, 1})
-	tr := New(Config{Criterion: Gini, MinSplit: 1, CP: 0})
-	if err := tr.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := tr.Dump(&buf, []string{"FK", "x"}, 2); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "FK in {") {
-		t.Fatalf("dump missing split line:\n%s", out)
-	}
-	if !strings.Contains(out, "predict") {
-		t.Fatalf("dump missing leaf line:\n%s", out)
-	}
-	// maxValues=2 must elide the third left value.
-	if !strings.Contains(out, "more)") && strings.Count(out, ",") > 2 {
-		t.Fatalf("large value sets must be elided:\n%s", out)
-	}
-	// Unfitted tree renders a placeholder.
-	var empty strings.Builder
-	if err := New(Config{}).Dump(&empty, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(empty.String(), "unfitted") {
-		t.Fatal("unfitted dump wrong")
-	}
-}
-
-func TestDumpDOT(t *testing.T) {
-	ds := mkDataset(feats(2),
-		[][]relational.Value{{0}, {0}, {1}, {1}},
-		[]int8{0, 0, 1, 1})
-	tr := New(Config{Criterion: Gini, MinSplit: 1, CP: 0})
-	if err := tr.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := tr.DumpDOT(&buf, []string{"f"}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"digraph tree {", "n0 ->", "predict", "}"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // oracleSplit is the historical row-at-a-time split search, kept as the
 // reference the batched bestSplit is pinned against: per feature, a map
 // tally of (count, positives) over the node's examples via per-cell At. It
-// tallies every feature, constant ones included — no zone-map skip.
+// tallies every feature, constant ones included — no constant-feature skip.
 func oracleSplit(t *Tree, ds *ml.Dataset, idx []int) *split {
 	var best *split
 	nodeN, nodePos := len(idx), 0

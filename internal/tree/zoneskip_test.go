@@ -8,7 +8,7 @@ import (
 	"repro/internal/rng"
 )
 
-// TestZoneSkipMatchesFullSearch pins the zone-map feature skip: over a
+// TestZoneSkipMatchesFullSearch pins the constant-feature skip: over a
 // segmented relation carrying constant columns, the batched split search
 // (which skips them) must fit the tree the row-at-a-time oracle confirms
 // node by node, tallying every feature — a constant feature can never win a
