@@ -370,6 +370,13 @@ func BenchmarkJoinView(b *testing.B) { benchJoinPipeline(b, true) }
 // many times.
 func benchTrainSplit(b *testing.B) *ml.Dataset {
 	b.Helper()
+	train, _ := benchSplits(b)
+	return train
+}
+
+// benchSplits is benchTrainSplit with the matching validation split.
+func benchSplits(b *testing.B) (train, val *ml.Dataset) {
+	b.Helper()
 	spec, err := dataset.SpecByName("Movies")
 	if err != nil {
 		b.Fatal(err)
@@ -382,11 +389,34 @@ func benchTrainSplit(b *testing.B) *ml.Dataset {
 	if err != nil {
 		b.Fatal(err)
 	}
-	train, _, _, err := env.ViewSplits(ml.JoinAll, nil)
+	train, val, _, err = env.ViewSplits(ml.JoinAll, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return train
+	return train, val
+}
+
+// BenchmarkSpecTrain measures one whole Spec.Train — the grid (or, for
+// Naive Bayes, the backward selection) with its validation scoring — for
+// the three learners whose model selection shares work across points. The
+// SVM cap is perfbench train's. Not gated: it tracks model-selection cost
+// next to the single-fit benches above.
+func BenchmarkSpecTrain(b *testing.B) {
+	train, val := benchSplits(b)
+	for _, name := range []string{"SVM(rbf)", "DecisionTree(gini)", "NaiveBayes(BFS)"} {
+		spec, err := core.SpecByName(name, core.EffortFast, 400)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, _, err := spec.Train(train, val, 7); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkNBFitColumnar measures one Naive Bayes Fit — the paper's

@@ -31,12 +31,12 @@ func run() error {
 		Name: "DecisionTree(gini)",
 		Train: func(train, val *ml.Dataset, seed uint64) (ml.Classifier, error) {
 			grid := ml.NewGrid().Axis("minsplit", 1, 10, 100).Axis("cp", 1e-3, 0.01, 0)
-			res, err := ml.GridSearch(grid, func(p ml.GridPoint) (ml.Classifier, error) {
-				return tree.New(tree.Config{
+			res, err := tree.GridSearch(grid, func(p ml.GridPoint) tree.Config {
+				return tree.Config{
 					Criterion: tree.Gini,
 					MinSplit:  int(p["minsplit"]),
 					CP:        p["cp"],
-				}), nil
+				}
 			}, train, val)
 			if err != nil {
 				return nil, err

@@ -601,7 +601,7 @@ func TestTrainingIdenticalAcrossCoreCounts(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, specName := range []string{
-		"DecisionTree(gini)", "NaiveBayes(BFS)", "ANN(MLP)", "SVM(linear)", "SVM(quadratic)", "SVM(rbf)",
+		"DecisionTree(gini)", "DecisionTree(information)", "DecisionTree(gain-ratio)", "NaiveBayes(BFS)", "ANN(MLP)", "SVM(linear)", "SVM(quadratic)", "SVM(rbf)",
 		"LogisticRegression(L1)",
 	} {
 		spec, err := SpecByName(specName, EffortFast, 100)

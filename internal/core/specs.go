@@ -38,40 +38,66 @@ func gridSearchSpec(name string, grid *ml.Grid, factory func(p ml.GridPoint, see
 	return Spec{
 		Name: name,
 		Train: func(train, val *ml.Dataset, seed uint64) (ml.Classifier, ml.GridPoint, float64, error) {
-			res, err := ml.GridSearch(grid, func(p ml.GridPoint) (ml.Classifier, error) {
+			return tuned(ml.GridSearch(grid, func(p ml.GridPoint) (ml.Classifier, error) {
 				return factory(p, seed)
-			}, train, val)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			return res.Best, res.BestPoint, res.BestValAcc, nil
+			}, train, val))
 		},
 	}
 }
 
 // TreeSpec builds the decision-tree spec for a split criterion with the
 // paper's grid: minsplit ∈ {1,10,100,1000}, cp ∈ {1e-4,1e-3,0.01,0.1,0}.
+// The grid is fitted by tree.GridSearch: one grow, every point derived.
 func TreeSpec(criterion tree.Criterion, effort Effort) Spec {
-	grid := ml.NewGrid()
-	if effort == EffortFull {
-		grid.Axis("minsplit", 1, 10, 100, 1000).Axis("cp", 1e-4, 1e-3, 0.01, 0.1, 0)
-	} else {
-		grid.Axis("minsplit", 10, 100).Axis("cp", 1e-3, 0.01)
+	grid := treeGrid(effort)
+	return Spec{
+		Name: "DecisionTree(" + criterion.String() + ")",
+		Train: func(train, val *ml.Dataset, _ uint64) (ml.Classifier, ml.GridPoint, float64, error) {
+			return tuned(tree.GridSearch(grid, treeConfig(criterion), train, val))
+		},
 	}
-	name := "DecisionTree(" + criterion.String() + ")"
-	return gridSearchSpec(name, grid, func(p ml.GridPoint, _ uint64) (ml.Classifier, error) {
-		return tree.New(tree.Config{
-			Criterion: criterion,
-			MinSplit:  int(p["minsplit"]),
-			CP:        p["cp"],
-		}), nil
-	})
+}
+
+// treeGrid is TreeSpec's minsplit × cp grid at an effort.
+func treeGrid(effort Effort) *ml.Grid {
+	if effort == EffortFull {
+		return ml.NewGrid().Axis("minsplit", 1, 10, 100, 1000).Axis("cp", 1e-4, 1e-3, 0.01, 0.1, 0)
+	}
+	return ml.NewGrid().Axis("minsplit", 10, 100).Axis("cp", 1e-3, 0.01)
+}
+
+// treeConfig maps a TreeSpec grid point to its tree configuration.
+func treeConfig(criterion tree.Criterion) func(ml.GridPoint) tree.Config {
+	return func(p ml.GridPoint) tree.Config {
+		return tree.Config{Criterion: criterion, MinSplit: int(p["minsplit"]), CP: p["cp"]}
+	}
+}
+
+// tuned unpacks a grid search's result into Spec.Train's returns.
+func tuned(res ml.TuneResult, err error) (ml.Classifier, ml.GridPoint, float64, error) {
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return res.Best, res.BestPoint, res.BestValAcc, nil
 }
 
 // SVMSpec builds the kernel-SVM spec. The paper's grid is C ∈
 // {0.1,1,10,100,1000} and, for non-linear kernels, γ ∈ {1e-4…10}.
-// subsampleCap bounds SMO's training-set size (0 disables).
+// subsampleCap bounds SMO's training-set size (0 disables). The grid is
+// fitted by svm.GridSearch, which shares the subsample and the validation
+// match counts across points.
 func SVMSpec(kind svm.KernelKind, effort Effort, subsampleCap int) Spec {
+	grid := svmGrid(kind, effort)
+	return Spec{
+		Name: "SVM(" + kind.String() + ")",
+		Train: func(train, val *ml.Dataset, seed uint64) (ml.Classifier, ml.GridPoint, float64, error) {
+			return tuned(svm.GridSearch(grid, svmConfig(kind, subsampleCap, seed), train, val))
+		},
+	}
+}
+
+// svmGrid is SVMSpec's C (× γ) grid at an effort.
+func svmGrid(kind svm.KernelKind, effort Effort) *ml.Grid {
 	grid := ml.NewGrid()
 	if effort == EffortFull {
 		grid.Axis("C", 0.1, 1, 10, 100, 1000)
@@ -87,20 +113,15 @@ func SVMSpec(kind svm.KernelKind, effort Effort, subsampleCap int) Spec {
 			grid.Axis("gamma", 0.01, 0.1, 1)
 		}
 	}
-	name := "SVM(" + kind.String() + ")"
-	return gridSearchSpec(name, grid, func(p ml.GridPoint, seed uint64) (ml.Classifier, error) {
-		gamma := p["gamma"]
-		if kind == svm.Linear {
-			gamma = 0
-		}
-		return svm.New(svm.Config{
-			Kernel:       kind,
-			C:            p["C"],
-			Gamma:        gamma,
-			SubsampleCap: subsampleCap,
-			Seed:         seed,
-		})
-	})
+	return grid
+}
+
+// svmConfig maps an SVMSpec grid point to its SVM configuration. The
+// linear kernel has no γ axis, and reads γ as 0.
+func svmConfig(kind svm.KernelKind, subsampleCap int, seed uint64) func(ml.GridPoint) svm.Config {
+	return func(p ml.GridPoint) svm.Config {
+		return svm.Config{Kernel: kind, C: p["C"], Gamma: p["gamma"], SubsampleCap: subsampleCap, Seed: seed}
+	}
 }
 
 // ANNSpec builds the multilayer-perceptron spec. The paper's grid tunes

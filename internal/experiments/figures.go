@@ -30,8 +30,8 @@ func treeLearner(effort int) sim.Learner {
 		Name: "DecisionTree(gini)",
 		Train: func(train, val *ml.Dataset, seed uint64) (ml.Classifier, error) {
 			grid := ml.NewGrid().Axis("minsplit", 1, 10, 100).Axis("cp", 1e-3, 0.01, 0)
-			res, err := ml.GridSearch(grid, func(p ml.GridPoint) (ml.Classifier, error) {
-				return tree.New(tree.Config{Criterion: tree.Gini, MinSplit: int(p["minsplit"]), CP: p["cp"]}), nil
+			res, err := tree.GridSearch(grid, func(p ml.GridPoint) tree.Config {
+				return tree.Config{Criterion: tree.Gini, MinSplit: int(p["minsplit"]), CP: p["cp"]}
 			}, train, val)
 			if err != nil {
 				return nil, err
@@ -61,11 +61,11 @@ func svmLearner(cap int) sim.Learner {
 		Name: "SVM(rbf)",
 		Train: func(train, val *ml.Dataset, seed uint64) (ml.Classifier, error) {
 			grid := ml.NewGrid().Axis("C", 1, 100).Axis("gamma", 0.1, 1)
-			res, err := ml.GridSearch(grid, func(p ml.GridPoint) (ml.Classifier, error) {
-				return svm.New(svm.Config{
+			res, err := svm.GridSearch(grid, func(p ml.GridPoint) svm.Config {
+				return svm.Config{
 					Kernel: svm.RBF, C: p["C"], Gamma: p["gamma"],
 					SubsampleCap: cap, Seed: seed,
-				})
+				}
 			}, train, val)
 			if err != nil {
 				return nil, err

@@ -50,8 +50,8 @@ func (b batchParity) PredictBatch(ds *Dataset) []int8 {
 	return out
 }
 
-// TestAccuracyMatchesPerExampleOracle pins the batched Accuracy to the
-// per-example oracle, exactly, on every batch backing and on split views
+// TestAccuracyMatchesPerExampleOracle pins the batched Accuracy, and
+// Accuracies over a mixed list, to the per-example oracle, exactly, on every batch backing and on split views
 // several scoring morsels long, in memory and spilled under a cache of a
 // few segments — both the morsel gather and, through batchParity, the
 // BatchPredictor branch and its label scan.
@@ -84,9 +84,15 @@ func TestAccuracyMatchesPerExampleOracle(t *testing.T) {
 		}
 	}
 	for name, ds := range backings {
-		for _, c := range []Classifier{parityClassifier{}, batchParity{}, &ConstantClassifier{Class: 1}} {
-			if got, want := Accuracy(c, ds), accuracyOracle(c, ds); got != want {
+		cs := []Classifier{parityClassifier{}, batchParity{}, &ConstantClassifier{Class: 1}}
+		all := Accuracies(cs, ds)
+		for i, c := range cs {
+			want := accuracyOracle(c, ds)
+			if got := Accuracy(c, ds); got != want {
 				t.Fatalf("%s %T: Accuracy = %v, per-example oracle = %v", name, c, got, want)
+			}
+			if all[i] != want {
+				t.Fatalf("%s %T: Accuracies = %v, per-example oracle = %v", name, c, all[i], want)
 			}
 		}
 	}

@@ -32,35 +32,57 @@ type BatchPredictor interface {
 	PredictBatch(ds *Dataset) []int8
 }
 
-// scoreMorsel is the example count of one Accuracy gather: the block holds
-// (features + label) × scoreMorsel codes.
+// scoreMorsel is the example count of one Accuracies gather: the block
+// holds (features + label) × scoreMorsel codes.
 const scoreMorsel = 1024
 
-// Accuracy returns the fraction of examples in ds classified correctly by c.
-// Classifiers implementing BatchPredictor are scored in one batched pass,
-// their classes compared against labels read by one ScanLabels call. The
-// rest are scored a morsel at a time: one GatherFeatures call reads the
-// morsel's features and labels together (on a spilled table, one pin per
-// touched segment), and each example is copied into a local row buffer
-// before Predict, so classifiers which internally iterate the same dataset
-// (1-NN evaluated on its own training set) never see their argument
-// clobbered. The two paths count identical classes, so the choice never
-// changes an accuracy.
+// Accuracy returns the fraction of examples in ds classified correctly by c
+// (see Accuracies).
 func Accuracy(c Classifier, ds *Dataset) float64 {
+	return Accuracies([]Classifier{c}, ds)[0]
+}
+
+// Accuracies returns Accuracy(c, ds) for every classifier of cs, reading ds
+// once for all of those that score row at a time. Classifiers implementing
+// BatchPredictor are scored in one batched pass each, their classes
+// compared against labels read by one ScanLabels call. The rest share one
+// morsel-at-a-time read: one GatherFeatures call reads a morsel's features
+// and labels together (on a spilled table, one pin per touched segment),
+// and each example is copied into a local row buffer before the Predict
+// calls, so classifiers which internally iterate the same dataset (1-NN
+// evaluated on its own training set) never see their argument clobbered.
+// Both paths count the classes Predict returns, so neither the choice nor
+// the company of other classifiers ever changes an accuracy.
+func Accuracies(cs []Classifier, ds *Dataset) []float64 {
+	out := make([]float64, len(cs))
 	n := ds.NumExamples()
 	if n == 0 {
-		return 0
+		return out
 	}
-	correct := 0
-	if bp, ok := c.(BatchPredictor); ok {
-		labels := make([]int8, n)
-		ds.ScanLabels(labels, 0)
-		for i, cls := range bp.PredictBatch(ds) {
-			if cls == labels[i] {
+	var rowwise []Classifier
+	var at []int
+	var labels []int8
+	for i, c := range cs {
+		bp, ok := c.(BatchPredictor)
+		if !ok {
+			rowwise = append(rowwise, c)
+			at = append(at, i)
+			continue
+		}
+		if labels == nil {
+			labels = make([]int8, n)
+			ds.ScanLabels(labels, 0)
+		}
+		correct := 0
+		for k, cls := range bp.PredictBatch(ds) {
+			if cls == labels[k] {
 				correct++
 			}
 		}
-		return float64(correct) / float64(n)
+		out[i] = float64(correct) / float64(n)
+	}
+	if len(rowwise) == 0 {
+		return out
 	}
 	w := ds.NumFeatures()
 	feats := make([]int, w+1)
@@ -72,7 +94,8 @@ func Accuracy(c Classifier, ds *Dataset) float64 {
 	block := make([]relational.Value, (w+1)*stride)
 	rows := make([]int, stride)
 	row := make([]relational.Value, w)
-	labels := block[w*stride:]
+	blockLabels := block[w*stride:]
+	correct := make([]int, len(rowwise))
 	for from := 0; from < n; from += stride {
 		m := min(stride, n-from)
 		for k := range rows[:m] {
@@ -83,12 +106,17 @@ func Accuracy(c Classifier, ds *Dataset) float64 {
 			for j := range row {
 				row[j] = block[j*stride+k]
 			}
-			if c.Predict(row) == int8(labels[k]) {
-				correct++
+			for c, cl := range rowwise {
+				if cl.Predict(row) == int8(blockLabels[k]) {
+					correct[c]++
+				}
 			}
 		}
 	}
-	return float64(correct) / float64(n)
+	for c, i := range at {
+		out[i] = float64(correct[c]) / float64(n)
+	}
+	return out
 }
 
 // Error returns the 0-1 loss of c on ds (1 − Accuracy).
@@ -171,18 +199,39 @@ type TuneResult struct {
 	PointsTried int
 }
 
+// Winner is the grid-search reduction: the point with the highest
+// validation accuracy wins, the earliest grid index on ties. Per-point
+// accuracies are deterministic and the rule does not depend on the order
+// points are offered in, so a parallel search selects the winner a
+// sequential loop would. The zero value holds no point.
+type Winner struct {
+	Index int     // grid index of the winner
+	Acc   float64 // its validation accuracy
+	any   bool
+}
+
+// Offer considers grid point i with validation accuracy acc and reports
+// whether it is now the winner.
+func (w *Winner) Offer(i int, acc float64) bool {
+	if w.any && !(acc > w.Acc || (acc == w.Acc && i < w.Index)) {
+		return false
+	}
+	w.Index, w.Acc, w.any = i, acc, true
+	return true
+}
+
 // GridSearch trains a classifier at every grid point on train, evaluates on
 // validation accuracy, and refits nothing: the best already-fitted model is
 // returned (the paper tunes on the validation split and reports holdout test
-// accuracy of the tuned model). Ties keep the earlier point, making results
-// deterministic.
+// accuracy of the tuned model). The winner follows Winner's rule, making
+// results deterministic.
 //
 // Grid points are fitted and evaluated on a worker pool (see
 // MaxParallelism): classifiers are constructed sequentially — factories need
 // not be safe for concurrent calls — then each worker fits on its own
-// Dataset handle and the winner is reduced online (max accuracy, earliest
-// grid index on ties), so the result is bit-identical to a sequential run.
-// View-backed datasets make the per-worker handles free.
+// Dataset handle and the winner is reduced online, so the result is
+// bit-identical to a sequential run. View-backed datasets make the
+// per-worker handles free.
 func GridSearch(grid *Grid, factory Factory, train, validation *Dataset) (TuneResult, error) {
 	points := grid.Points()
 	if len(points) == 0 {
@@ -197,13 +246,10 @@ func GridSearch(grid *Grid, factory Factory, train, validation *Dataset) (TuneRe
 		models[i] = c
 	}
 	// Online winner reduction: losers become garbage as soon as they are
-	// judged, so at most workers+1 fitted models are live at once. Per-point
-	// accuracies are deterministic, so "max accuracy, earliest grid index on
-	// ties" selects the same winner as the historical sequential loop
-	// regardless of completion order.
+	// judged, so at most workers+1 fitted models are live at once.
 	var mu sync.Mutex
-	res := TuneResult{BestValAcc: -1}
-	bestIdx := -1
+	var win Winner
+	var best Classifier
 	errs := make([]error, len(points))
 	parallelFor(len(points), func(i int) {
 		c := models[i]
@@ -214,11 +260,8 @@ func GridSearch(grid *Grid, factory Factory, train, validation *Dataset) (TuneRe
 		}
 		acc := Accuracy(c, validation.Handle())
 		mu.Lock()
-		if acc > res.BestValAcc || (acc == res.BestValAcc && i < bestIdx) {
-			res.Best = c
-			res.BestPoint = points[i]
-			res.BestValAcc = acc
-			bestIdx = i
+		if win.Offer(i, acc) {
+			best = c
 		}
 		mu.Unlock()
 	})
@@ -227,8 +270,32 @@ func GridSearch(grid *Grid, factory Factory, train, validation *Dataset) (TuneRe
 			return TuneResult{}, err
 		}
 	}
-	res.PointsTried = len(points)
-	return res, nil
+	return TuneResult{Best: best, BestPoint: points[win.Index], BestValAcc: win.Acc, PointsTried: len(points)}, nil
+}
+
+// SharedSearch is GridSearch for learners that fit a whole grid at once,
+// sharing the work its points have in common: config maps each point to
+// the learner's configuration, and fit returns the fitted classifier and
+// validation accuracy of every configuration, in grid order. The winner
+// follows Winner's rule.
+func SharedSearch[C any, M Classifier](grid *Grid, config func(GridPoint) C, fit func([]C) ([]M, []float64, error)) (TuneResult, error) {
+	points := grid.Points()
+	if len(points) == 0 {
+		return TuneResult{}, fmt.Errorf("ml: empty grid")
+	}
+	cfgs := make([]C, len(points))
+	for i, p := range points {
+		cfgs[i] = config(p)
+	}
+	models, accs, err := fit(cfgs)
+	if err != nil {
+		return TuneResult{}, err
+	}
+	var win Winner
+	for i, acc := range accs {
+		win.Offer(i, acc)
+	}
+	return TuneResult{Best: models[win.Index], BestPoint: points[win.Index], BestValAcc: win.Acc, PointsTried: len(points)}, nil
 }
 
 // ConstantClassifier predicts a fixed class; the baseline for sanity checks

@@ -212,6 +212,26 @@ func TestGridSearchTieKeepsEarlier(t *testing.T) {
 	}
 }
 
+// TestWinnerIgnoresOfferOrder pins the grid-search rule: the highest
+// accuracy wins, the earliest index on ties, whatever order the points
+// arrive in.
+func TestWinnerIgnoresOfferOrder(t *testing.T) {
+	accs := []float64{0.5, 0.8, 0.7, 0.8, 0.2}
+	for _, order := range [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {3, 0, 4, 1, 2}} {
+		var w Winner
+		for _, i := range order {
+			w.Offer(i, accs[i])
+		}
+		if w.Index != 1 || w.Acc != 0.8 {
+			t.Fatalf("order %v: winner %d (%v), want 1 (0.8)", order, w.Index, w.Acc)
+		}
+	}
+	var w Winner
+	if !w.Offer(3, 0) || w.Index != 3 {
+		t.Fatal("the first offer must win an empty reduction")
+	}
+}
+
 func TestViewColumns(t *testing.T) {
 	// Build a tiny star and join it, then check each view's column set.
 	keyDom := relational.NewDomain("RID", 2)

@@ -115,20 +115,28 @@ const gramBlockRows = 32
 // per-pair Eval looks up, so the cache is bit-identical to evaluating every
 // pair.
 func (k *Kernel) GramBlocked(dst []float32, block []relational.Value, n int) {
+	// Pack rows to 16-bit lanes when the codes fit (they do whenever the
+	// feature domains do — dictionary codes are dense): the SWAR kernel
+	// compares four features per uint64 with half the memory traffic, and
+	// counts are exact integers either way.
+	packed := make([]uint64, n*mat.PackedWords(k.dims))
+	if !mat.PackU16Rows(packed, block, n, k.dims) {
+		packed = nil
+	}
+	k.gram(dst, block, packed, n)
+}
+
+// gram is GramBlocked over rows already packed by mat.PackU16Rows, or with
+// packed nil over the int32 block alone.
+func (k *Kernel) gram(dst []float32, block []relational.Value, packed []uint64, n int) {
 	d := k.dims
 	lut := make([]float32, d+1)
 	for m, v := range k.lut {
 		lut[m] = float32(v)
 	}
 	self := lut[d]
-
-	// Pack rows to 16-bit lanes when the codes fit (they do whenever the
-	// feature domains do — dictionary codes are dense): the SWAR kernel
-	// compares four features per uint64 with half the memory traffic, and
-	// counts are exact integers either way.
 	words := mat.PackedWords(d)
-	packed := make([]uint64, n*words)
-	usePacked := mat.PackU16Rows(packed, block, n, d)
+	usePacked := packed != nil
 
 	blocks := (n + gramBlockRows - 1) / gramBlockRows
 	ml.ParallelFor(blocks, func(bi int) {

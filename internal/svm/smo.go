@@ -105,76 +105,97 @@ func (p *problem) kij(i, j int) float64 {
 // Fit trains the SVM with sequential minimal optimization.
 func (s *SVM) Fit(train *ml.Dataset) error { return s.fit(train, smo) }
 
-// fit runs Fit's set-up, hands the problem to solve, and retains the
-// support set of the multipliers it returns.
+// fit runs Fit's set-up and hands the problem to solve.
 func (s *SVM) fit(train *ml.Dataset, solve func(*problem) (alpha []float64, b float64)) error {
 	if train.NumExamples() == 0 {
 		return fmt.Errorf("svm: empty training set")
 	}
-	r := rng.New(s.cfg.Seed)
+	_, err := s.fitSample(newSample(train, s.cfg.Seed, s.cfg.SubsampleCap), solve)
+	return err
+}
 
-	// Optional subsample for tractability on large datasets.
+// sample is the part of Fit's set-up that only Seed and SubsampleCap
+// reach: the pinned training rows, their ±1 labels, the same rows packed
+// for the match-count kernels, and SMO's generator as the subsample's Perm
+// left it. FitGrid builds it once for a whole grid; no fit writes to it.
+type sample struct {
+	n, d    int
+	block   []relational.Value // n×d row-major training codes
+	y       []float64
+	allSame bool     // every label is y[0]
+	packed  []uint64 // block in mat.PackU16Rows' lanes; nil when a code does not fit
+	r       rng.RNG
+}
+
+// newSample draws the optional seeded subsample of a non-empty train and
+// pins it. Every feature is pulled in one batched column scan scattered
+// straight into the row-major block (ml.ScanRowMajor; under a subsample
+// view the scan bottoms out in the relation's column gather), replacing n×d
+// single-cell view accesses with d sequential scans.
+func newSample(train *ml.Dataset, seed uint64, subsampleCap int) *sample {
+	r := rng.New(seed)
 	ds := train
-	if s.cfg.SubsampleCap > 0 && train.NumExamples() > s.cfg.SubsampleCap {
+	if subsampleCap > 0 && train.NumExamples() > subsampleCap {
 		perm := r.Perm(train.NumExamples())
-		ds = train.Subset(perm[:s.cfg.SubsampleCap])
+		ds = train.Subset(perm[:subsampleCap])
 	}
-	n := ds.NumExamples()
-	d := ds.NumFeatures()
-
-	// Pin every training row once — the kernel loops read two rows at a
-	// time and the support set is copied out of it at the end. Every
-	// feature is pulled in one batched column scan scattered straight into
-	// the row-major block (ml.ScanRowMajor; under a subsample view the scan
-	// bottoms out in the relation's column gather), replacing n×d
-	// single-cell view accesses with d sequential scans — and the block
-	// then feeds the Gram build's blocked match-count kernel directly.
+	n, d := ds.NumExamples(), ds.NumFeatures()
 	block, labels := ml.ScanRowMajor(ds)
+	smp := &sample{n: n, d: d, block: block, y: make([]float64, n), allSame: true, r: *r}
+	for i, l := range labels {
+		smp.y[i] = -1
+		if l == 1 {
+			smp.y[i] = 1
+		}
+		if smp.y[i] != smp.y[0] {
+			smp.allSame = false
+		}
+	}
+	// Dictionary codes fit a 16-bit lane whenever the feature domains do,
+	// so the packed SWAR match kernel is the one the Gram build and grid
+	// scoring normally run.
+	smp.packed = make([]uint64, n*mat.PackedWords(d))
+	if !mat.PackU16Rows(smp.packed, block, n, d) {
+		smp.packed = nil
+	}
+	return smp
+}
 
-	k, err := NewKernel(s.cfg.Kernel, s.cfg.Gamma, d)
+// fitSample runs SMO over the sample with this model's kernel and limits,
+// retains the support set, and returns the sample row of each support
+// vector, ascending — the support-vector order.
+func (s *SVM) fitSample(smp *sample, solve func(*problem) (alpha []float64, b float64)) ([]int, error) {
+	k, err := NewKernel(s.cfg.Kernel, s.cfg.Gamma, smp.d)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.kernel = k
-
-	y := make([]float64, n)
-	allSame := true
-	for i := 0; i < n; i++ {
-		if labels[i] == 1 {
-			y[i] = 1
-		} else {
-			y[i] = -1
-		}
-		if i > 0 && y[i] != y[0] {
-			allSame = false
-		}
-	}
-	if allSame {
+	if smp.allSame {
 		// Degenerate: decision is a constant at the lone class.
 		s.svBlock = nil
 		s.svAlphaY = nil
 		s.svPacked = nil
-		s.b = y[0]
-		return nil
+		s.b = smp.y[0]
+		return nil, nil
 	}
 
+	n, d := smp.n, smp.d
 	maxIter := s.cfg.MaxIter
 	if maxIter <= 0 {
 		maxIter = 200 * n
 	}
+	r := smp.r
 	p := &problem{
-		n: n, d: d, block: block, y: y, k: k, r: r,
+		n: n, d: d, block: smp.block, y: smp.y, k: k, r: &r,
 		C: s.cfg.C, tol: s.cfg.Tol, maxIter: maxIter, maxPasses: s.cfg.MaxPasses,
 	}
 	// For the paper's scales (n ≤ a few thousand after capping) a full n×n
 	// cache is affordable and much faster. The build is a blocked X·Xᵀ over
-	// the pinned row-major block (mat.MatchCounts per i-block, kernel
-	// values from a match-count lookup table, i-blocks fanned across
-	// ml.ParallelFor with disjoint writes).
+	// the sample's packed rows (see gram).
 	if n <= gramCacheCap {
 		p.kcache = make([]float32, n*n)
 		t0 := time.Now()
-		k.GramBlocked(p.kcache, block, n)
+		k.gram(p.kcache, smp.block, smp.packed, n)
 		gramSpan.ObserveSince(t0)
 	}
 	alpha, b := solve(p)
@@ -182,15 +203,139 @@ func (s *SVM) fit(train *ml.Dataset, solve func(*problem) (alpha []float64, b fl
 	// The rows with nonzero multipliers are the fitted support set, copied
 	// into one compact block so the training block is not retained.
 	s.svBlock, s.svAlphaY = nil, nil
+	var sv []int
 	for i, a := range alpha {
 		if a > 0 {
-			s.svBlock = append(s.svBlock, block[i*d:(i+1)*d]...)
-			s.svAlphaY = append(s.svAlphaY, a*y[i])
+			s.svBlock = append(s.svBlock, smp.block[i*d:(i+1)*d]...)
+			s.svAlphaY = append(s.svAlphaY, a*smp.y[i])
+			sv = append(sv, i)
 		}
 	}
 	s.b = b
 	s.packSupport()
-	return nil
+	return sv, nil
+}
+
+// FitGrid fits one SVM per configuration on train and scores each on
+// validation, returning the models and their validation accuracies in cfgs
+// order. Every model equals New(cfg) fitted on train, bit for bit, and every
+// accuracy equals ml.Accuracy of that model on validation. The
+// configurations must share Seed and SubsampleCap; kernel, C, γ and the
+// solver limits may vary.
+//
+// What no point changes is done once: the subsample, its pinned, labelled
+// and packed rows (each point's Gram cache is counted from the shared
+// packed rows through its own kernel table), and SMO's generator state
+// after the subsample, which each point copies. Points fit in parallel
+// (ml.ParallelFor). Validation is then read once: each morsel's match
+// counts against all n sample rows are computed once and folded, for every
+// point, over that point's support rows in ascending sample order — the
+// order PredictBatch folds the support set in, through the same table
+// entries — so every class equals PredictBatch's.
+func FitGrid(cfgs []Config, train, validation *ml.Dataset) ([]*SVM, []float64, error) {
+	if len(cfgs) == 0 {
+		return nil, nil, fmt.Errorf("svm: empty grid")
+	}
+	models := make([]*SVM, len(cfgs))
+	for i, cfg := range cfgs {
+		if cfg.Seed != cfgs[0].Seed || cfg.SubsampleCap != cfgs[0].SubsampleCap {
+			return nil, nil, fmt.Errorf("svm: grid points must share Seed and SubsampleCap")
+		}
+		s, err := New(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		models[i] = s
+	}
+	if train.NumExamples() == 0 {
+		return nil, nil, fmt.Errorf("svm: empty training set")
+	}
+	smp := newSample(train, cfgs[0].Seed, cfgs[0].SubsampleCap)
+	sv := make([][]int, len(models))
+	errs := make([]error, len(models))
+	ml.ParallelFor(len(models), func(i int) {
+		sv[i], errs[i] = models[i].fitSample(smp, smo)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return models, smp.accuracies(models, sv, validation), nil
+}
+
+// GridSearch is ml.GridSearch over an SVM grid, with every point fitted and
+// scored by FitGrid: config maps each grid point to its Config.
+func GridSearch(grid *ml.Grid, config func(ml.GridPoint) Config, train, validation *ml.Dataset) (ml.TuneResult, error) {
+	return ml.SharedSearch(grid, config, func(cfgs []Config) ([]*SVM, []float64, error) {
+		return FitGrid(cfgs, train, validation)
+	})
+}
+
+// scoreCounts bounds the int32 match counts one validation morsel holds
+// against the sample (morsel rows × n), so an uncapped sample shrinks the
+// morsel instead of growing the buffer.
+const scoreCounts = 1 << 18
+
+// accuracies scores models — fitted on smp, with support rows sv — on
+// validation (see FitGrid).
+func (smp *sample) accuracies(models []*SVM, sv [][]int, validation *ml.Dataset) []float64 {
+	accs := make([]float64, len(models))
+	nv := validation.NumExamples()
+	if nv == 0 {
+		return accs
+	}
+	n, d := smp.n, smp.d
+	labels := make([]int8, nv)
+	validation.ScanLabels(labels, 0)
+	stride := min(nv, predictMorsel, max(1, scoreCounts/n))
+	morsels := (nv + stride - 1) / stride
+	correct := make([]int, morsels*len(models))
+	feats := make([]int, d)
+	for j := range feats {
+		feats[j] = j
+	}
+	words := mat.PackedWords(d)
+	ml.ParallelFor(morsels, func(mi int) {
+		from := mi * stride
+		m := min(stride, nv-from)
+		idx := make([]int, m)
+		for k := range idx {
+			idx[k] = from + k
+		}
+		rows := make([]relational.Value, m*d)
+		gatherRows(validation, feats, idx, make([]relational.Value, d*m), rows)
+		cnt := make([]int32, m*n)
+		packed := make([]uint64, m*words)
+		if smp.packed != nil && mat.PackU16Rows(packed, rows, m, d) {
+			mat.MatchCountsU16(cnt, n, packed, smp.packed, m, n, d)
+		} else {
+			mat.MatchCounts(cnt, n, rows, d, smp.block, d, m, n, d)
+		}
+		for p, s := range models {
+			lut := s.kernel.lut
+			hits := 0
+			for k := 0; k < m; k++ {
+				crow := cnt[k*n : (k+1)*n]
+				sum := s.b
+				for i, j := range sv[p] {
+					sum += s.svAlphaY[i] * lut[crow[j]]
+				}
+				if (sum >= 0) == (labels[from+k] == 1) {
+					hits++
+				}
+			}
+			correct[mi*len(models)+p] = hits
+		}
+	})
+	for p := range models {
+		hits := 0
+		for mi := 0; mi < morsels; mi++ {
+			hits += correct[mi*len(models)+p]
+		}
+		accs[p] = float64(hits) / float64(nv)
+	}
+	return accs
 }
 
 // packSupport packs the support block to 16-bit lanes for PredictBatch,
@@ -445,13 +590,7 @@ func (s *SVM) PredictBatch(ds *ml.Dataset) []int8 {
 		for k := range idx[:m] {
 			idx[k] = from + k
 		}
-		ds.GatherFeatures(cols, stride, feats, idx[:m])
-		for k := 0; k < m; k++ {
-			row := rows[k*d : (k+1)*d]
-			for j := range row {
-				row[j] = cols[j*stride+k]
-			}
-		}
+		gatherRows(ds, feats, idx[:m], cols, rows)
 		u16 := s.svPacked != nil && mat.PackU16Rows(packed, rows, m, d)
 		for k := 0; k < m; k++ {
 			if u16 {
@@ -469,6 +608,21 @@ func (s *SVM) PredictBatch(ds *ml.Dataset) []int8 {
 		}
 	}
 	return out
+}
+
+// gatherRows reads examples idx of ds into rows, row-major, through one
+// GatherFeatures call into the column-major scratch cols, whose stride is
+// len(cols)/len(feats).
+func gatherRows(ds *ml.Dataset, feats, idx []int, cols, rows []relational.Value) {
+	d := len(feats)
+	stride := len(cols) / d
+	ds.GatherFeatures(cols, stride, feats, idx)
+	for k := range idx {
+		row := rows[k*d : (k+1)*d]
+		for j := range row {
+			row[j] = cols[j*stride+k]
+		}
+	}
 }
 
 // NumSupportVectors returns the size of the retained support set.

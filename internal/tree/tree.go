@@ -147,6 +147,9 @@ type batchState struct {
 	seen     []bool             // distinct-value marks, len = max cardinality
 	distinct []relational.Value // distinct values of the current column
 	tallies  []vc               // merged per-value tallies handed to evalFeature
+	// gains[i] is node i's split gain, the value its cp test compared
+	// (0 at leaves).
+	gains []float64
 }
 
 func newBatchState(train *ml.Dataset) *batchState {
@@ -234,8 +237,16 @@ type split struct {
 //
 // The split search runs on the batched column path (see bestSplit).
 func (t *Tree) Fit(train *ml.Dataset) error {
+	_, _, err := t.fit(train)
+	return err
+}
+
+// fit is Fit, also returning each node's split gain (0 at leaves) and the
+// root impurity the cp rule scales — what FitGrid derives stricter trees
+// from.
+func (t *Tree) fit(train *ml.Dataset) (gains []float64, rootImpurity float64, err error) {
 	if train.NumExamples() == 0 {
-		return fmt.Errorf("tree: empty training set")
+		return nil, 0, fmt.Errorf("tree: empty training set")
 	}
 	t.nFeatures = train.NumFeatures()
 	t.nodes = t.nodes[:0]
@@ -244,15 +255,94 @@ func (t *Tree) Fit(train *ml.Dataset) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	rootImpurity := t.impurity(t.countPos(idx), len(idx))
+	rootImpurity = t.impurity(t.countPos(idx), len(idx))
 	if rootImpurity == 0 {
 		rootImpurity = 1 // degenerate pure root; cp threshold is irrelevant
 	}
 	growT0 := time.Now()
 	t.grow(train, idx, rootImpurity, 0)
 	splitSpan.ObserveSince(growT0)
+	gains = t.batch.gains
 	t.batch = nil
-	return nil
+	return gains, rootImpurity, nil
+}
+
+// FitGrid fits one tree per configuration on train and scores each on
+// validation, returning the trees and their validation accuracies in cfgs
+// order. Every tree equals New(cfg) fitted on train, bit for bit, and every
+// accuracy equals ml.Accuracy of that tree. The configurations must share
+// Criterion and MaxDepth; MinSplit, CP and the prediction-time Unseen and
+// Smoother settings may vary.
+//
+// The best split at a node depends on neither MinSplit nor CP, and both
+// stop rules are monotone, so every configuration's tree is the loosest
+// configuration's tree (smallest MinSplit, smallest CP) with some subtrees
+// cut off. FitGrid grows that tree once, recording each node's split gain,
+// and derives each configuration's tree by a pre-order walk that cuts a
+// node where grow would have stopped (see derive). Validation is read once
+// for all the trees (ml.Accuracies).
+func FitGrid(cfgs []Config, train, validation *ml.Dataset) ([]*Tree, []float64, error) {
+	if len(cfgs) == 0 {
+		return nil, nil, fmt.Errorf("tree: empty grid")
+	}
+	loose := New(cfgs[0]).cfg
+	for _, c := range cfgs {
+		c = New(c).cfg
+		if c.Criterion != loose.Criterion || c.MaxDepth != loose.MaxDepth {
+			return nil, nil, fmt.Errorf("tree: grid points must share Criterion and MaxDepth")
+		}
+		loose.MinSplit = min(loose.MinSplit, c.MinSplit)
+		loose.CP = min(loose.CP, c.CP)
+	}
+	grown := New(loose)
+	gains, rootImpurity, err := grown.fit(train)
+	if err != nil {
+		return nil, nil, err
+	}
+	trees := make([]*Tree, len(cfgs))
+	cs := make([]ml.Classifier, len(cfgs))
+	for i, c := range cfgs {
+		trees[i] = grown.derive(New(c).cfg, gains, rootImpurity)
+		cs[i] = trees[i]
+	}
+	return trees, ml.Accuracies(cs, validation), nil
+}
+
+// GridSearch is ml.GridSearch over a tree grid, with every point fitted and
+// scored by FitGrid: config maps each grid point to its Config.
+func GridSearch(grid *ml.Grid, config func(ml.GridPoint) Config, train, validation *ml.Dataset) (ml.TuneResult, error) {
+	return ml.SharedSearch(grid, config, func(cfgs []Config) ([]*Tree, []float64, error) {
+		return FitGrid(cfgs, train, validation)
+	})
+}
+
+// derive returns the tree grow would build under cfg, given t grown under
+// a configuration no stricter (MinSplit and CP no larger, all else equal)
+// with node split gains gains. The walk visits t's nodes in grow's
+// pre-order and cuts a split node to a leaf where grow stops under cfg —
+// n < MinSplit, or a cp rule the gain fails, the very comparisons grow
+// makes — so the kept nodes are numbered as a direct grow numbers them and
+// a cut node holds exactly the leaf grow writes. Split nodes share their
+// goLeft maps with t; fitted trees never write them.
+func (t *Tree) derive(cfg Config, gains []float64, rootImpurity float64) *Tree {
+	out := &Tree{cfg: cfg, nFeatures: t.nFeatures}
+	var walk func(i int) int
+	walk = func(i int) int {
+		nd := t.nodes[i]
+		me := len(out.nodes)
+		if nd.feature >= 0 && (nd.n < cfg.MinSplit || (cfg.CP > 0 && gains[i] < cfg.CP*rootImpurity)) {
+			nd = node{feature: -1, leftChild: -1, rightChild: -1, prediction: nd.prediction, n: nd.n}
+		}
+		out.nodes = append(out.nodes, nd)
+		if nd.feature >= 0 {
+			lc := walk(nd.leftChild)
+			rc := walk(nd.rightChild)
+			out.nodes[me].leftChild, out.nodes[me].rightChild = lc, rc
+		}
+		return me
+	}
+	walk(0)
+	return out
 }
 
 // countPos counts positive labels in the node's example set, reading the
@@ -277,6 +367,7 @@ func (t *Tree) grow(ds *ml.Dataset, idx []int, rootImpurity float64, depth int) 
 		feature: -1, leftChild: -1, rightChild: -1,
 		prediction: pred, n: len(idx),
 	})
+	t.batch.gains = append(t.batch.gains, 0)
 
 	if pos == 0 || pos == len(idx) {
 		return me // pure
@@ -320,6 +411,7 @@ func (t *Tree) grow(ds *ml.Dataset, idx []int, rootImpurity float64, depth int) 
 	t.nodes[me].feature = best.feature
 	t.nodes[me].goLeft = best.goLeft
 	t.nodes[me].nLeft = len(left)
+	t.batch.gains[me] = best.gain
 	lc := t.grow(ds, left, rootImpurity, depth+1)
 	rc := t.grow(ds, right, rootImpurity, depth+1)
 	t.nodes[me].leftChild = lc
