@@ -290,50 +290,55 @@ func (smp *sample) accuracies(models []*SVM, sv [][]int, validation *ml.Dataset)
 	validation.ScanLabels(labels, 0)
 	stride := min(nv, predictMorsel, max(1, scoreCounts/n))
 	morsels := (nv + stride - 1) / stride
-	correct := make([]int, morsels*len(models))
+	// Each span of consecutive morsels reuses one morsel of scratch, so at
+	// most one count buffer per worker is live.
+	spans := ml.Parallelism(morsels)
+	correct := make([]int, spans*len(models))
 	feats := make([]int, d)
 	for j := range feats {
 		feats[j] = j
 	}
 	words := mat.PackedWords(d)
-	ml.ParallelFor(morsels, func(mi int) {
-		from := mi * stride
-		m := min(stride, nv-from)
-		idx := make([]int, m)
-		for k := range idx {
-			idx[k] = from + k
-		}
-		rows := make([]relational.Value, m*d)
-		gatherRows(validation, feats, idx, make([]relational.Value, d*m), rows)
-		cnt := make([]int32, m*n)
-		packed := make([]uint64, m*words)
-		if smp.packed != nil && mat.PackU16Rows(packed, rows, m, d) {
-			mat.MatchCountsU16(cnt, n, packed, smp.packed, m, n, d)
-		} else {
-			mat.MatchCounts(cnt, n, rows, d, smp.block, d, m, n, d)
-		}
-		for p, s := range models {
-			lut := s.kernel.lut
-			hits := 0
-			for k := 0; k < m; k++ {
-				crow := cnt[k*n : (k+1)*n]
-				sum := s.b
-				for i, j := range sv[p] {
-					sum += s.svAlphaY[i] * lut[crow[j]]
-				}
-				if (sum >= 0) == (labels[from+k] == 1) {
-					hits++
+	ml.ParallelFor(spans, func(sp int) {
+		idx := make([]int, stride)
+		cols := make([]relational.Value, d*stride)
+		rows := make([]relational.Value, stride*d)
+		packed := make([]uint64, stride*words)
+		cnt := make([]int32, stride*n)
+		hits := correct[sp*len(models) : (sp+1)*len(models)]
+		for mi := morsels * sp / spans; mi < morsels*(sp+1)/spans; mi++ {
+			from := mi * stride
+			m := min(stride, nv-from)
+			for k := range idx[:m] {
+				idx[k] = from + k
+			}
+			gatherRows(validation, feats, idx[:m], cols, rows)
+			if smp.packed != nil && mat.PackU16Rows(packed, rows, m, d) {
+				mat.MatchCountsU16(cnt, n, packed, smp.packed, m, n, d)
+			} else {
+				mat.MatchCounts(cnt, n, rows, d, smp.block, d, m, n, d)
+			}
+			for p, s := range models {
+				lut := s.kernel.lut
+				for k := 0; k < m; k++ {
+					crow := cnt[k*n : (k+1)*n]
+					sum := s.b
+					for i, j := range sv[p] {
+						sum += s.svAlphaY[i] * lut[crow[j]]
+					}
+					if (sum >= 0) == (labels[from+k] == 1) {
+						hits[p]++
+					}
 				}
 			}
-			correct[mi*len(models)+p] = hits
 		}
 	})
 	for p := range models {
-		hits := 0
-		for mi := 0; mi < morsels; mi++ {
-			hits += correct[mi*len(models)+p]
+		total := 0
+		for sp := 0; sp < spans; sp++ {
+			total += correct[sp*len(models)+p]
 		}
-		accs[p] = float64(hits) / float64(nv)
+		accs[p] = float64(total) / float64(nv)
 	}
 	return accs
 }
