@@ -72,6 +72,8 @@ load:
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	go vet ./...
+	GOARCH=arm64 go build ./...
+	GOARCH=arm64 go vet ./internal/mat ./internal/ann
 	@if command -v staticcheck >/dev/null; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
 

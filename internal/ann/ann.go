@@ -7,8 +7,10 @@
 // (possibly enormous, FK-domain-sized) dense input, the first layer treats
 // its weight matrix as an embedding table: the forward pass sums one row per
 // active (feature, value) pair, and the backward pass updates only those
-// rows. Adam's per-parameter state for the first layer is updated lazily
-// with the standard sparse-Adam correction (decay applied on touch).
+// rows. Each (row, example) occurrence in a mini-batch gets one full Adam
+// step at that batch's bias correction, in example-major order: a row active
+// for k examples of a batch is updated k times, and the moments of rows no
+// example touches are not decayed.
 package ann
 
 import (
@@ -328,42 +330,35 @@ func (m *MLP) fitBatched(train *ml.Dataset, r *rng.RNG, order []int) {
 }
 
 // applyAdam folds one mini-batch's accumulated gradients into the
-// parameters. Moved verbatim from the historical epoch loop, which the
-// tests keep as an oracle and which calls it too, so their update
-// arithmetic is identical by construction.
+// parameters: one full Adam step at this batch's bias correction for every
+// element of w2, b2, w3, b3 and b1, then one for each (row, example) entry
+// of sparse, in order. The blocks go through mat.Adam, which evaluates the
+// same per-element expressions as the scalar loop the tests keep as the
+// oracle (applyAdamScalar), so the fitted network is bit-identical to it.
+// b3 stays scalar: its historical update adds no L2 term, not even 0*b3,
+// which mat.Adam would add.
 func (m *MLP) applyAdam(gW2, gB2, gW3 []float64, gB3 float64, gB1 []float64, sparse []sparseGrad) {
 	h1 := m.cfg.Hidden1
 	m.step++
 	lr := m.cfg.LearningRate
 	c1 := 1 - math.Pow(beta1, float64(m.step))
 	c2 := 1 - math.Pow(beta2, float64(m.step))
-	update := func(w, g []float64, st adamState, l2 float64) {
-		for i := range w {
-			gi := g[i] + l2*w[i]
-			st.m[i] = beta1*st.m[i] + (1-beta1)*gi
-			st.v[i] = beta2*st.v[i] + (1-beta2)*gi*gi
-			w[i] -= lr * (st.m[i] / c1) / (math.Sqrt(st.v[i]/c2) + eps)
-		}
+	k := mat.AdamStep{
+		L2: m.cfg.L2, Beta1: beta1, OneMinusBeta1: 1 - beta1,
+		Beta2: beta2, OneMinusBeta2: 1 - beta2, LR: lr, C1: c1, C2: c2, Eps: eps,
 	}
-	update(m.w2, gW2, m.a2, m.cfg.L2)
-	update(m.b2, gB2, m.a2b, 0)
-	update(m.w3, gW3, m.a3, m.cfg.L2)
+	noL2 := k
+	noL2.L2 = 0
+	mat.Adam(m.w2, m.a2.m, m.a2.v, gW2, &k)
+	mat.Adam(m.b2, m.a2b.m, m.a2b.v, gB2, &noL2)
+	mat.Adam(m.w3, m.a3.m, m.a3.v, gW3, &k)
 	m.a3b.m[0] = beta1*m.a3b.m[0] + (1-beta1)*gB3
 	m.a3b.v[0] = beta2*m.a3b.v[0] + (1-beta2)*gB3*gB3
 	m.b3 -= lr * (m.a3b.m[0] / c1) / (math.Sqrt(m.a3b.v[0]/c2) + eps)
-	update(m.b1, gB1, m.a1b, 0)
-	// Sparse rows of w1.
+	mat.Adam(m.b1, m.a1b.m, m.a1b.v, gB1, &noL2)
 	for _, sg := range sparse {
 		base := sg.row * h1
-		w := m.w1[base : base+h1]
-		mm := m.a1.m[base : base+h1]
-		vv := m.a1.v[base : base+h1]
-		for u := 0; u < h1; u++ {
-			gi := sg.grad[u] + m.cfg.L2*w[u]
-			mm[u] = beta1*mm[u] + (1-beta1)*gi
-			vv[u] = beta2*vv[u] + (1-beta2)*gi*gi
-			w[u] -= lr * (mm[u] / c1) / (math.Sqrt(vv[u]/c2) + eps)
-		}
+		mat.Adam(m.w1[base:base+h1], m.a1.m[base:base+h1], m.a1.v[base:base+h1], sg.grad, &k)
 	}
 }
 

@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -296,17 +297,58 @@ func (m *MLP) fitRows(train *ml.Dataset, r *rng.RNG, order []int) {
 					sparse = append(sparse, sparseGrad{row: int(k), grad: g})
 				}
 			}
-			m.applyAdam(gW2, gB2, gW3, gB3, gB1, sparse)
+			m.applyAdamScalar(gW2, gB2, gW3, gB3, gB1, sparse)
 		}
 		epochSpan.ObserveSince(epochT0)
 	}
 }
 
+// applyAdamScalar is the historical scalar Adam update, kept as the oracle
+// applyAdam's mat.Adam calls are pinned against through fitRows.
+func (m *MLP) applyAdamScalar(gW2, gB2, gW3 []float64, gB3 float64, gB1 []float64, sparse []sparseGrad) {
+	h1 := m.cfg.Hidden1
+	m.step++
+	lr := m.cfg.LearningRate
+	c1 := 1 - math.Pow(beta1, float64(m.step))
+	c2 := 1 - math.Pow(beta2, float64(m.step))
+	update := func(w, g []float64, st adamState, l2 float64) {
+		for i := range w {
+			gi := g[i] + l2*w[i]
+			st.m[i] = beta1*st.m[i] + (1-beta1)*gi
+			st.v[i] = beta2*st.v[i] + (1-beta2)*gi*gi
+			w[i] -= lr * (st.m[i] / c1) / (math.Sqrt(st.v[i]/c2) + eps)
+		}
+	}
+	update(m.w2, gW2, m.a2, m.cfg.L2)
+	update(m.b2, gB2, m.a2b, 0)
+	update(m.w3, gW3, m.a3, m.cfg.L2)
+	m.a3b.m[0] = beta1*m.a3b.m[0] + (1-beta1)*gB3
+	m.a3b.v[0] = beta2*m.a3b.v[0] + (1-beta2)*gB3*gB3
+	m.b3 -= lr * (m.a3b.m[0] / c1) / (math.Sqrt(m.a3b.v[0]/c2) + eps)
+	update(m.b1, gB1, m.a1b, 0)
+	// Sparse rows of w1.
+	for _, sg := range sparse {
+		base := sg.row * h1
+		w := m.w1[base : base+h1]
+		mm := m.a1.m[base : base+h1]
+		vv := m.a1.v[base : base+h1]
+		for u := 0; u < h1; u++ {
+			gi := sg.grad[u] + m.cfg.L2*w[u]
+			mm[u] = beta1*mm[u] + (1-beta1)*gi
+			vv[u] = beta2*vv[u] + (1-beta2)*gi*gi
+			w[u] -= lr * (mm[u] / c1) / (math.Sqrt(vv[u]/c2) + eps)
+		}
+	}
+}
+
 func TestColumnarMatchesRowPath(t *testing.T) {
 	// The batched epoch path (one ScanFeature pass into the active-index
-	// matrix) must produce a bit-identical network to the fitRows oracle's
-	// example-at-a-time gathers: identical indices and labels feed an
-	// unchanged forward/backward sequence.
+	// matrix, mat.Adam updates) must produce a bit-identical network to the
+	// fitRows oracle's example-at-a-time gathers and scalar Adam loop:
+	// identical indices and labels feed an unchanged forward/backward
+	// sequence and the same per-element update arithmetic. The shapes cover
+	// the EffortFast network (32/16) and widths that are not multiples of
+	// four, so mat.Adam's scalar tail runs too.
 	r := rng.New(41)
 	base := &ml.Dataset{Features: feats(2, 5, 3)}
 	for i := 0; i < 400; i++ {
@@ -318,33 +360,50 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 	for i := range sub {
 		sub[i] = r.Intn(400)
 	}
-	for name, ds := range map[string]*ml.Dataset{"dense": base, "view": base.Subset(sub)} {
+	shape := func(h1, h2 int, l2 float64) Config {
 		cfg := smallCfg(43)
-		row, col := New(cfg), New(cfg)
-		r, order := row.initFit(ds)
-		row.fitRows(ds, r, order)
-		if err := col.Fit(ds); err != nil {
-			t.Fatal(err)
-		}
-		if row.b3 != col.b3 {
-			t.Fatalf("%s: output bias diverged: %v vs %v", name, row.b3, col.b3)
-		}
-		for layer, pair := range map[string][2][]float64{
-			"w1": {row.w1, col.w1}, "b1": {row.b1, col.b1},
-			"w2": {row.w2, col.w2}, "b2": {row.b2, col.b2},
-			"w3": {row.w3, col.w3},
-		} {
-			for i := range pair[0] {
-				if pair[0][i] != pair[1][i] {
-					t.Fatalf("%s: %s[%d] diverged: %v vs %v", name, layer, i, pair[0][i], pair[1][i])
+		cfg.Hidden1, cfg.Hidden2, cfg.L2 = h1, h2, l2
+		return cfg
+	}
+	cfgs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"16x8", smallCfg(43)},
+		{"32x16 l2=0", shape(32, 16, 0)},
+		{"32x16 l2=1e-3", shape(32, 16, 1e-3)},
+		{"19x7 l2=0", shape(19, 7, 0)},
+		{"19x7 l2=1e-3", shape(19, 7, 1e-3)},
+	}
+	for _, c := range cfgs {
+		for dsName, ds := range map[string]*ml.Dataset{"dense": base, "view": base.Subset(sub)} {
+			name := c.name + " " + dsName
+			row, col := New(c.cfg), New(c.cfg)
+			r, order := row.initFit(ds)
+			row.fitRows(ds, r, order)
+			if err := col.Fit(ds); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(row.b3) != math.Float64bits(col.b3) {
+				t.Fatalf("%s: output bias diverged: %v vs %v", name, row.b3, col.b3)
+			}
+			for layer, pair := range map[string][2][]float64{
+				"w1": {row.w1, col.w1}, "b1": {row.b1, col.b1},
+				"w2": {row.w2, col.w2}, "b2": {row.b2, col.b2},
+				"w3": {row.w3, col.w3},
+			} {
+				for i := range pair[0] {
+					if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+						t.Fatalf("%s: %s[%d] diverged: %v vs %v", name, layer, i, pair[0][i], pair[1][i])
+					}
 				}
 			}
-		}
-		buf := make([]relational.Value, ds.NumFeatures())
-		for i := 0; i < ds.NumExamples(); i++ {
-			rowi := ds.RowInto(buf, i)
-			if row.Probability(rowi) != col.Probability(rowi) {
-				t.Fatalf("%s: probability diverged on example %d", name, i)
+			buf := make([]relational.Value, ds.NumFeatures())
+			for i := 0; i < ds.NumExamples(); i++ {
+				rowi := ds.RowInto(buf, i)
+				if row.Probability(rowi) != col.Probability(rowi) {
+					t.Fatalf("%s: probability diverged on example %d", name, i)
+				}
 			}
 		}
 	}

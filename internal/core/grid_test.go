@@ -40,9 +40,19 @@ func backwardSelectOracle(t *testing.T, train, val *ml.Dataset) (*nb.NaiveBayes,
 	}
 	best := ml.Accuracy(m, val)
 	for {
+		p, err := m.ExportParams()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var active []int
+		for j, on := range p.Active {
+			if on {
+				active = append(active, j)
+			}
+		}
 		bestDrop, bestAcc := -1, best
-		for _, j := range m.ActiveFeatures() {
-			if len(m.ActiveFeatures()) == 1 {
+		for _, j := range active {
+			if len(active) == 1 {
 				break
 			}
 			m.SetActive(j, false)

@@ -2,7 +2,7 @@
 // hot loops: register-blocked GEMM/GEMV kernels over row-major []float64
 // blocks, plus the sparse kernels the one-hot feature encoding calls for
 // (SpGemmOneHot over an active-index matrix, MatchCounts for the kernel-SVM
-// Gram build).
+// Gram build), and the element-wise Adam update the MLP's optimizer runs.
 //
 // # Bit-identity contract
 //
@@ -14,8 +14,18 @@
 // additions that feed one element, and unrolled dot products accumulate
 // through a single chain (Go does not reassociate floating-point expressions,
 // so `s + a + b` is evaluated as `(s + a) + b`). FuzzMatEquivalence pins
-// every kernel bit-identical to its naive triple-loop reference across
-// shapes and strides.
+// every kernel bit-identical to its naive reference across shapes and
+// strides.
+//
+// Adam is the one kernel with an assembly body: on amd64 with AVX it
+// updates four elements per instruction with VEX-256 multiplies, adds,
+// subtracts, divides and square roots and no fused multiply-add. Each is a
+// correctly rounded IEEE-754 operation per lane, applied in the scalar
+// loop's order, so the vector body and the scalar loop agree bit for bit
+// (a NaN result's payload aside).
+// Go's amd64 compiler emits no FMA for the scalar loop, even at
+// GOAMD64=v3. On arm64 it fuses `x*y + z` in every kernel's scalar code,
+// so results are bit-identical within one GOARCH, not across them.
 //
 // All matrices are row-major with an explicit leading dimension (the stride
 // between consecutive rows), so callers can address sub-blocks of a larger

@@ -1,7 +1,9 @@
 package mat
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -280,6 +282,112 @@ func checkKernels(t *testing.T, seed uint64, m, n, k, lda, ldb, ldc int) {
 			t.Fatalf("MatchCountsU16: element %d diverged: got %d want %d", i, pc0[i], pc1[i])
 		}
 	}
+
+	// Adam over n elements at a random step (late steps give C1 == 1),
+	// with L2 off or on.
+	ak := adamStepFor(1+r.Intn(500), []float64{0, 1e-3, r.Float64()}[r.Intn(3)], r.Float64())
+	checkAdam(t, r, n, &ak)
+}
+
+// naiveAdam is the learners' historical scalar Adam loop, written out with
+// the coefficients read per element.
+func naiveAdam(w, m, v, g []float64, k *AdamStep) {
+	for i := range w {
+		gi := g[i] + k.L2*w[i]
+		m[i] = k.Beta1*m[i] + k.OneMinusBeta1*gi
+		v[i] = k.Beta2*v[i] + k.OneMinusBeta2*gi*gi
+		w[i] -= k.LR * (m[i] / k.C1) / (math.Sqrt(v[i]/k.C2) + k.Eps)
+	}
+}
+
+// fillAdam populates a slice for the Adam kernels: mostly ordinary values,
+// with ±0, subnormals, huge magnitudes, ±Inf and NaN mixed in so the
+// special-value paths of every lane operation are exercised.
+func fillAdam(r *rng.RNG, dst []float64) {
+	for i := range dst {
+		switch r.Intn(16) {
+		case 0:
+			dst[i] = 0
+		case 1:
+			dst[i] = math.Copysign(0, -1)
+		case 2:
+			dst[i] = float64(r.Intn(1<<20)-1<<19) * math.SmallestNonzeroFloat64
+		case 3:
+			dst[i] = r.NormFloat64() * 1e300
+		case 4:
+			dst[i] = math.Inf(1 - 2*r.Intn(2))
+		case 5:
+			// Quiet NaNs of either sign with random payloads.
+			dst[i] = math.Float64frombits(0x7ff8000000000000 | uint64(r.Intn(2))<<63 | uint64(r.Intn(1<<20)))
+		case 6:
+			dst[i] = r.NormFloat64() * 1e-300
+		default:
+			dst[i] = r.NormFloat64()
+		}
+	}
+}
+
+// adamStepFor returns the Adam coefficients at the given step, L2 and
+// learning rate, built from constant expressions as the learners build them.
+func adamStepFor(step int, l2, lr float64) AdamStep {
+	const beta1, beta2 = 0.9, 0.999
+	return AdamStep{
+		L2: l2, Beta1: beta1, OneMinusBeta1: 1 - beta1,
+		Beta2: beta2, OneMinusBeta2: 1 - beta2, LR: lr,
+		C1: 1 - math.Pow(beta1, float64(step)), C2: 1 - math.Pow(beta2, float64(step)),
+		Eps: 1e-8,
+	}
+}
+
+// sameOrNaN requires got to equal want bit for bit, except that any NaN
+// matches any NaN. A NaN's payload and sign are not part of the Adam
+// contract: where two NaNs meet, x86 returns the first operand's, and the
+// Go compiler chooses the operand order of commutative scalar operations
+// (a -race build orders them differently from a default one).
+func sameOrNaN(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+			continue
+		}
+		bitsEqual(t, name, got[i:i+1], want[i:i+1])
+	}
+}
+
+// checkAdam runs Adam, the scalar loop and (where the CPU has one) the
+// vector body directly on n random elements and requires each to match
+// naiveAdam bit for bit in w, m and v, NaN payloads aside. The vector body
+// handles only whole 4-element chunks, so its tail must come back
+// untouched.
+func checkAdam(t *testing.T, r *rng.RNG, n int, k *AdamStep) {
+	t.Helper()
+	in := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)} // w, m, v
+	g := make([]float64, n)
+	for _, s := range append(in, g) {
+		fillAdam(r, s)
+	}
+	clone := func() [][]float64 {
+		return [][]float64{slices.Clone(in[0]), slices.Clone(in[1]), slices.Clone(in[2])}
+	}
+	want := clone()
+	naiveAdam(want[0], want[1], want[2], g, k)
+	type body struct {
+		name string
+		fn   func(w, m, v, g []float64, k *AdamStep)
+		done int // elements the body updates
+	}
+	bodies := []body{{"Adam", Adam, n}, {"adamGo", adamGo, n}}
+	if vectorAdam != nil {
+		bodies = append(bodies, body{"adamAVX", vectorAdam, n &^ 3})
+	}
+	for _, b := range bodies {
+		got := clone()
+		b.fn(got[0], got[1], got[2], g, k)
+		for s, label := range []string{"w", "m", "v"} {
+			sameOrNaN(t, fmt.Sprintf("%s n=%d %s", b.name, n, label), got[s][:b.done], want[s][:b.done])
+			bitsEqual(t, fmt.Sprintf("%s n=%d %s tail", b.name, n, label), got[s][b.done:], in[s][b.done:])
+		}
+	}
 }
 
 func TestPackU16RowsRejectsWideCodes(t *testing.T) {
@@ -310,11 +418,30 @@ func TestKernelsMatchNaive(t *testing.T) {
 	for i, tc := range cases {
 		checkKernels(t, uint64(100+i), tc.m, tc.n, tc.k, tc.lda, tc.ldb, tc.ldc)
 	}
+
+	// Adam at every length 0–23, so every tail length follows every chunk
+	// count, with L2 off (the bias blocks) and on, at early steps and at a
+	// step late enough that C1 rounds to exactly 1.
+	if k := adamStepFor(400, 0, 1e-3); k.C1 != 1 {
+		t.Fatalf("step 400: C1 = %v, want exactly 1", k.C1)
+	}
+	r := rng.New(77)
+	for _, step := range []int{1, 2, 37, 400} {
+		for _, l2 := range []float64{0, 1e-3, 1e-2} {
+			k := adamStepFor(step, l2, 1e-2)
+			for n := 0; n < 24; n++ {
+				for rep := 0; rep < 4; rep++ {
+					checkAdam(t, r, n, &k)
+				}
+			}
+		}
+	}
 }
 
-// FuzzMatEquivalence fuzzes every mat kernel against its naive triple-loop
-// reference, pinning bit-identical outputs across random shapes, strides,
-// and value mixes — the CI fuzz smoke runs it alongside the codec fuzzers.
+// FuzzMatEquivalence fuzzes every mat kernel against its naive reference,
+// pinning bit-identical outputs across random shapes, strides, and value
+// mixes (Adam: lengths 0–23, L2 on and off, steps up to 500) — the CI fuzz
+// smoke runs it alongside the codec fuzzers.
 func FuzzMatEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(3), uint8(4), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(7), uint8(1), uint8(1), uint8(1), uint8(5), uint8(5), uint8(5))

@@ -145,17 +145,6 @@ func (nb *NaiveBayes) Fit(train *ml.Dataset) error {
 // selection). It panics if called before Fit or with j out of range.
 func (nb *NaiveBayes) SetActive(j int, on bool) { nb.active[j] = on }
 
-// ActiveFeatures returns the indices of currently active features.
-func (nb *NaiveBayes) ActiveFeatures() []int {
-	var out []int
-	for j, on := range nb.active {
-		if on {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Predict classifies one example using only active features.
 func (nb *NaiveBayes) Predict(row []relational.Value) int8 {
 	s0, s1 := nb.logPrior[0], nb.logPrior[1]
