@@ -21,7 +21,7 @@ BENCH_REGEX = Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFi
 # off scheduler spikes. The full sweep takes ~2 minutes on one core.
 BENCH_FLAGS = -run xxx -bench '$(BENCH_REGEX)' -benchtime 1s -count 5 -benchmem .
 
-.PHONY: check test bench bench-baseline bench-gate lint fuzz-smoke load
+.PHONY: check test bench bench-baseline bench-gate lint arm64-unfused fuzz-smoke load
 
 check: lint test
 
@@ -74,11 +74,24 @@ lint:
 	go vet ./...
 	GOARCH=arm64 go build ./...
 	GOARCH=arm64 go vet ./internal/mat ./internal/ann
+	$(MAKE) arm64-unfused
 	@if command -v staticcheck >/dev/null; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
 
 # fuzz-smoke executes the committed fuzz corpora plus a short randomized
 # burst for each fuzzer — the same step CI runs.
+# Go may fuse `x*y + z` into one rounding on arm64, so every product that
+# feeds an add is wrapped in float64(...), which forbids fusion. This fails
+# if a fused multiply-add reappears in this module's arm64 code.
+arm64-unfused:
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	GOARCH=arm64 go build -o "$$dir/hamlet" ./cmd/hamlet; \
+	GOARCH=arm64 go build -o "$$dir/hamletd" ./cmd/hamletd; \
+	GOARCH=arm64 go test -c -o "$$dir/mat.test" ./internal/mat; \
+	fused=$$(for b in hamlet hamletd mat.test; do go tool objdump "$$dir/$$b"; done | \
+		awk '/^TEXT /{sym=$$2} /FMADDD|FMSUBD|FNMADDD|FNMSUBD/ && sym ~ /^repro\//{print sym}' | sort -u); \
+	if [ -n "$$fused" ]; then echo "fused multiply-adds in:"; echo "$$fused"; exit 1; fi
+
 fuzz-smoke:
 	go test ./internal/model -run xxx -fuzz 'FuzzCodecRoundTrip$$' -fuzztime 20s
 	go test ./internal/model -run xxx -fuzz 'FuzzDecodeGarbage$$' -fuzztime 20s

@@ -1043,15 +1043,17 @@ func BenchmarkAblationKernelMatchCount(b *testing.B) {
 // isolating the cost of wide categorical splits.
 func BenchmarkAblationTreeSplit(b *testing.B) {
 	mk := func(card int) *ml.Dataset {
-		ds := &ml.Dataset{Features: []ml.Feature{
-			{Name: "FK", Cardinality: card, IsFK: true},
-			{Name: "x", Cardinality: 4},
-		}}
+		var xs []relational.Value
+		var ys []int8
 		for i := 0; i < 4000; i++ {
 			fk := int32(i % card)
-			ds.X = append(ds.X, fk, int32(i%4))
-			ds.Y = append(ds.Y, int8(fk%2))
+			xs = append(xs, fk, int32(i%4))
+			ys = append(ys, int8(fk%2))
 		}
+		ds := mustRows([]ml.Feature{
+			{Name: "FK", Cardinality: card, IsFK: true},
+			{Name: "x", Cardinality: 4},
+		}, xs, ys)
 		return ds
 	}
 	for _, card := range []int{16, 256, 2048} {

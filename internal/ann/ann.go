@@ -352,8 +352,8 @@ func (m *MLP) applyAdam(gW2, gB2, gW3 []float64, gB3 float64, gB1 []float64, spa
 	mat.Adam(m.w2, m.a2.m, m.a2.v, gW2, &k)
 	mat.Adam(m.b2, m.a2b.m, m.a2b.v, gB2, &noL2)
 	mat.Adam(m.w3, m.a3.m, m.a3.v, gW3, &k)
-	m.a3b.m[0] = beta1*m.a3b.m[0] + (1-beta1)*gB3
-	m.a3b.v[0] = beta2*m.a3b.v[0] + (1-beta2)*gB3*gB3
+	m.a3b.m[0] = float64(beta1*m.a3b.m[0]) + float64((1-beta1)*gB3)
+	m.a3b.v[0] = float64(beta2*m.a3b.v[0]) + float64((1-beta2)*gB3*gB3)
 	m.b3 -= lr * (m.a3b.m[0] / c1) / (math.Sqrt(m.a3b.v[0]/c2) + eps)
 	mat.Adam(m.b1, m.a1b.m, m.a1b.v, gB1, &noL2)
 	for _, sg := range sparse {
@@ -388,13 +388,13 @@ func (m *MLP) Probability(row []relational.Value) float64 {
 		w := m.w2[u*h2 : (u+1)*h2]
 		a := z1[u]
 		for v := range z2 {
-			z2[v] += a * w[v]
+			z2[v] += float64(a * w[v])
 		}
 	}
 	z3 := m.b3
 	for v := 0; v < h2; v++ {
 		if z2[v] > 0 {
-			z3 += z2[v] * m.w3[v]
+			z3 += float64(z2[v] * m.w3[v])
 		}
 	}
 	return sigmoid(z3)
@@ -417,7 +417,7 @@ func (m *MLP) hiddenActivation(row []relational.Value, v int) float64 {
 	z2v := m.b2[v]
 	for u := 0; u < h1; u++ {
 		if z1[u] > 0 {
-			z2v += z1[u] * m.w2[u*m.cfg.Hidden2+v]
+			z2v += float64(z1[u] * m.w2[u*m.cfg.Hidden2+v])
 		}
 	}
 	if z2v < 0 {

@@ -25,19 +25,21 @@ func smallCfg(seed uint64) Config {
 }
 
 func TestFitRejectsEmpty(t *testing.T) {
-	if err := New(smallCfg(1)).Fit(&ml.Dataset{Features: feats(2)}); err == nil {
+	if err := New(smallCfg(1)).Fit(mustRows(feats(2), nil, nil)); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestLearnsLinearSignal(t *testing.T) {
-	ds := &ml.Dataset{Features: feats(2, 3)}
+	var xs []relational.Value
+	var ys []int8
 	r := rng.New(2)
 	for i := 0; i < 400; i++ {
 		x0 := relational.Value(r.Intn(2))
-		ds.X = append(ds.X, x0, relational.Value(r.Intn(3)))
-		ds.Y = append(ds.Y, int8(x0))
+		xs = append(xs, x0, relational.Value(r.Intn(3)))
+		ys = append(ys, int8(x0))
 	}
+	ds := mustRows(feats(2, 3), xs, ys)
 	m := New(smallCfg(3))
 	if err := m.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -48,15 +50,17 @@ func TestLearnsLinearSignal(t *testing.T) {
 }
 
 func TestLearnsXOR(t *testing.T) {
-	ds := &ml.Dataset{Features: feats(2, 2)}
 	pts := [][]relational.Value{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	ys := []int8{0, 1, 1, 0}
+	labels := []int8{0, 1, 1, 0}
+	var xs []relational.Value
+	var ys []int8
 	for rep := 0; rep < 40; rep++ {
 		for i, p := range pts {
-			ds.X = append(ds.X, p...)
-			ds.Y = append(ds.Y, ys[i])
+			xs = append(xs, p...)
+			ys = append(ys, labels[i])
 		}
 	}
+	ds := mustRows(feats(2, 2), xs, ys)
 	m := New(smallCfg(5))
 	if err := m.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -76,12 +80,14 @@ func TestFKMemorization(t *testing.T) {
 		labelOf[i] = int8(r.Intn(2))
 	}
 	labelOf[0], labelOf[1] = 0, 1
-	ds := &ml.Dataset{Features: []ml.Feature{{Name: "FK", Cardinality: nR, IsFK: true}}}
+	var xs []relational.Value
+	var ys []int8
 	for i := 0; i < nR*10; i++ {
 		fk := relational.Value(i % nR)
-		ds.X = append(ds.X, fk)
-		ds.Y = append(ds.Y, labelOf[fk])
+		xs = append(xs, fk)
+		ys = append(ys, labelOf[fk])
 	}
+	ds := mustRows([]ml.Feature{{Name: "FK", Cardinality: nR, IsFK: true}}, xs, ys)
 	m := New(smallCfg(9))
 	if err := m.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -98,12 +104,14 @@ func TestFKMemorization(t *testing.T) {
 }
 
 func TestProbabilityRange(t *testing.T) {
-	ds := &ml.Dataset{Features: feats(3)}
+	var xs []relational.Value
+	var ys []int8
 	r := rng.New(11)
 	for i := 0; i < 60; i++ {
-		ds.X = append(ds.X, relational.Value(r.Intn(3)))
-		ds.Y = append(ds.Y, int8(r.Intn(2)))
+		xs = append(xs, relational.Value(r.Intn(3)))
+		ys = append(ys, int8(r.Intn(2)))
 	}
+	ds := mustRows(feats(3), xs, ys)
 	m := New(smallCfg(13))
 	if err := m.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -117,19 +125,21 @@ func TestProbabilityRange(t *testing.T) {
 }
 
 func TestDeterministicWithSeed(t *testing.T) {
-	ds := &ml.Dataset{Features: feats(4)}
+	var xs []relational.Value
+	var ys []int8
 	r := rng.New(15)
 	for i := 0; i < 80; i++ {
 		v := relational.Value(r.Intn(4))
-		ds.X = append(ds.X, v)
-		ds.Y = append(ds.Y, int8(int(v)%2))
+		xs = append(xs, v)
+		ys = append(ys, int8(int(v)%2))
 	}
+	ds := mustRows(feats(4), xs, ys)
 	fit := func() float64 {
 		m := New(smallCfg(17))
 		if err := m.Fit(ds); err != nil {
 			t.Fatal(err)
 		}
-		return m.Probability(ds.Row(0))
+		return m.Probability(ds.RowInto(make([]relational.Value, ds.NumFeatures()), 0))
 	}
 	if fit() != fit() {
 		t.Fatal("same seed must reproduce the model")
@@ -137,13 +147,15 @@ func TestDeterministicWithSeed(t *testing.T) {
 }
 
 func TestL2ShrinksWeights(t *testing.T) {
-	ds := &ml.Dataset{Features: feats(2)}
+	var xs []relational.Value
+	var ys []int8
 	r := rng.New(19)
 	for i := 0; i < 200; i++ {
 		x := relational.Value(r.Intn(2))
-		ds.X = append(ds.X, x)
-		ds.Y = append(ds.Y, int8(x))
+		xs = append(xs, x)
+		ys = append(ys, int8(x))
 	}
+	ds := mustRows(feats(2), xs, ys)
 	norm := func(l2 float64) float64 {
 		cfg := smallCfg(21)
 		cfg.L2 = l2
@@ -237,7 +249,7 @@ func (m *MLP) fitRows(train *ml.Dataset, r *rng.RNG, order []int) {
 					w := m.w2[u*h2 : (u+1)*h2]
 					a := z1[u]
 					for v := range z2 {
-						z2[v] += a * w[v]
+						z2[v] += float64(a * w[v])
 					}
 				}
 				for v := range z2 {
@@ -247,7 +259,7 @@ func (m *MLP) fitRows(train *ml.Dataset, r *rng.RNG, order []int) {
 				}
 				z3 := m.b3
 				for v := 0; v < h2; v++ {
-					z3 += z2[v] * m.w3[v]
+					z3 += float64(z2[v] * m.w3[v])
 				}
 				p := sigmoid(z3)
 				g3 := (p - y) / bs // dL/dz3, batch-averaged
@@ -255,7 +267,7 @@ func (m *MLP) fitRows(train *ml.Dataset, r *rng.RNG, order []int) {
 				// Backward.
 				gB3 += g3
 				for v := 0; v < h2; v++ {
-					gW3[v] += g3 * z2[v]
+					gW3[v] += float64(g3 * z2[v])
 					if z2[v] > 0 {
 						d2[v] = g3 * m.w3[v]
 					} else {
@@ -267,7 +279,7 @@ func (m *MLP) fitRows(train *ml.Dataset, r *rng.RNG, order []int) {
 					if z1[u] > 0 {
 						w := m.w2[u*h2 : (u+1)*h2]
 						for v := 0; v < h2; v++ {
-							d1u += d2[v] * w[v]
+							d1u += float64(d2[v] * w[v])
 						}
 					}
 					d1[u] = d1u
@@ -279,7 +291,7 @@ func (m *MLP) fitRows(train *ml.Dataset, r *rng.RNG, order []int) {
 					a := z1[u]
 					gw := gW2[u*h2 : (u+1)*h2]
 					for v := 0; v < h2; v++ {
-						gw[v] += d2[v] * a
+						gw[v] += float64(d2[v] * a)
 					}
 				}
 				for v := 0; v < h2; v++ {
@@ -313,17 +325,17 @@ func (m *MLP) applyAdamScalar(gW2, gB2, gW3 []float64, gB3 float64, gB1 []float6
 	c2 := 1 - math.Pow(beta2, float64(m.step))
 	update := func(w, g []float64, st adamState, l2 float64) {
 		for i := range w {
-			gi := g[i] + l2*w[i]
-			st.m[i] = beta1*st.m[i] + (1-beta1)*gi
-			st.v[i] = beta2*st.v[i] + (1-beta2)*gi*gi
+			gi := g[i] + float64(l2*w[i])
+			st.m[i] = float64(beta1*st.m[i]) + float64((1-beta1)*gi)
+			st.v[i] = float64(beta2*st.v[i]) + float64((1-beta2)*gi*gi)
 			w[i] -= lr * (st.m[i] / c1) / (math.Sqrt(st.v[i]/c2) + eps)
 		}
 	}
 	update(m.w2, gW2, m.a2, m.cfg.L2)
 	update(m.b2, gB2, m.a2b, 0)
 	update(m.w3, gW3, m.a3, m.cfg.L2)
-	m.a3b.m[0] = beta1*m.a3b.m[0] + (1-beta1)*gB3
-	m.a3b.v[0] = beta2*m.a3b.v[0] + (1-beta2)*gB3*gB3
+	m.a3b.m[0] = float64(beta1*m.a3b.m[0]) + float64((1-beta1)*gB3)
+	m.a3b.v[0] = float64(beta2*m.a3b.v[0]) + float64((1-beta2)*gB3*gB3)
 	m.b3 -= lr * (m.a3b.m[0] / c1) / (math.Sqrt(m.a3b.v[0]/c2) + eps)
 	update(m.b1, gB1, m.a1b, 0)
 	// Sparse rows of w1.
@@ -333,9 +345,9 @@ func (m *MLP) applyAdamScalar(gW2, gB2, gW3 []float64, gB3 float64, gB1 []float6
 		mm := m.a1.m[base : base+h1]
 		vv := m.a1.v[base : base+h1]
 		for u := 0; u < h1; u++ {
-			gi := sg.grad[u] + m.cfg.L2*w[u]
-			mm[u] = beta1*mm[u] + (1-beta1)*gi
-			vv[u] = beta2*vv[u] + (1-beta2)*gi*gi
+			gi := sg.grad[u] + float64(m.cfg.L2*w[u])
+			mm[u] = float64(beta1*mm[u]) + float64((1-beta1)*gi)
+			vv[u] = float64(beta2*vv[u]) + float64((1-beta2)*gi*gi)
 			w[u] -= lr * (mm[u] / c1) / (math.Sqrt(vv[u]/c2) + eps)
 		}
 	}
@@ -350,12 +362,14 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 	// the EffortFast network (32/16) and widths that are not multiples of
 	// four, so mat.Adam's scalar tail runs too.
 	r := rng.New(41)
-	base := &ml.Dataset{Features: feats(2, 5, 3)}
+	var xs []relational.Value
+	var ys []int8
 	for i := 0; i < 400; i++ {
 		a, b, c := r.Intn(2), r.Intn(5), r.Intn(3)
-		base.X = append(base.X, relational.Value(a), relational.Value(b), relational.Value(c))
-		base.Y = append(base.Y, int8((a+c)%2))
+		xs = append(xs, relational.Value(a), relational.Value(b), relational.Value(c))
+		ys = append(ys, int8((a+c)%2))
 	}
+	base := mustRows(feats(2, 5, 3), xs, ys)
 	sub := make([]int, 250)
 	for i := range sub {
 		sub[i] = r.Intn(400)
@@ -376,7 +390,7 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 		{"19x7 l2=1e-3", shape(19, 7, 1e-3)},
 	}
 	for _, c := range cfgs {
-		for dsName, ds := range map[string]*ml.Dataset{"dense": base, "view": base.Subset(sub)} {
+		for dsName, ds := range map[string]*ml.Dataset{"table": base, "subset": base.Subset(sub)} {
 			name := c.name + " " + dsName
 			row, col := New(c.cfg), New(c.cfg)
 			r, order := row.initFit(ds)
@@ -425,12 +439,14 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	// scalar loops skip inactive units, so classes agree example for
 	// example (and probabilities bit for bit).
 	r := rng.New(83)
-	ds := &ml.Dataset{Features: feats(3, 5)}
+	var xs []relational.Value
+	var ys []int8
 	for i := 0; i < 400; i++ {
 		a, b := r.Intn(3), r.Intn(5)
-		ds.X = append(ds.X, relational.Value(a), relational.Value(b))
-		ds.Y = append(ds.Y, int8((a+b)%2))
+		xs = append(xs, relational.Value(a), relational.Value(b))
+		ys = append(ys, int8((a+b)%2))
 	}
+	ds := mustRows(feats(3, 5), xs, ys)
 	m := New(smallCfg(89))
 	if err := m.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -442,4 +458,13 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			t.Fatalf("example %d: batch class %d != Predict %d", i, got[i], want)
 		}
 	}
+}
+
+// mustRows is ml.FromRows for test blocks that are valid by construction.
+func mustRows(features []ml.Feature, x []relational.Value, y []int8) *ml.Dataset {
+	d, err := ml.FromRows(features, x, y)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }

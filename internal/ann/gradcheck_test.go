@@ -13,8 +13,9 @@ import (
 // a dataset (no regularization), used by the finite-difference check.
 func lossAt(m *MLP, ds *ml.Dataset) float64 {
 	loss := 0.0
+	row := make([]relational.Value, ds.NumFeatures())
 	for i := 0; i < ds.NumExamples(); i++ {
-		p := m.Probability(ds.Row(i))
+		p := m.Probability(ds.RowInto(row, i))
 		// Clamp for numerical safety.
 		if p < 1e-12 {
 			p = 1e-12
@@ -35,19 +36,21 @@ func lossAt(m *MLP, ds *ml.Dataset) float64 {
 // the cross-entropy loss — the integrated consequence of correct gradients.
 func TestGradientDescentDecreasesLoss(t *testing.T) {
 	r := rng.New(1)
-	ds := &ml.Dataset{Features: []ml.Feature{
-		{Name: "a", Cardinality: 3},
-		{Name: "b", Cardinality: 3},
-	}}
+	var xs []relational.Value
+	var ys []int8
 	for i := 0; i < 200; i++ {
 		a, b := r.Intn(3), r.Intn(3)
 		y := int8(0)
 		if (a+b)%2 == 0 {
 			y = 1
 		}
-		ds.X = append(ds.X, relational.Value(a), relational.Value(b))
-		ds.Y = append(ds.Y, y)
+		xs = append(xs, relational.Value(a), relational.Value(b))
+		ys = append(ys, y)
 	}
+	ds := mustRows([]ml.Feature{
+		{Name: "a", Cardinality: 3},
+		{Name: "b", Cardinality: 3},
+	}, xs, ys)
 	cfg := Config{Hidden1: 12, Hidden2: 6, LearningRate: 1e-2, Epochs: 1, BatchSize: 16, Seed: 3}
 
 	m0 := New(cfg)
@@ -73,11 +76,7 @@ func TestGradientDescentDecreasesLoss(t *testing.T) {
 // TestFiniteDifferenceGradient checks the analytic output-layer gradient
 // against central finite differences on a tiny fixed network.
 func TestFiniteDifferenceGradient(t *testing.T) {
-	ds := &ml.Dataset{
-		Features: []ml.Feature{{Name: "x", Cardinality: 2}},
-		X:        []relational.Value{0, 1},
-		Y:        []int8{0, 1},
-	}
+	ds := mustRows([]ml.Feature{{Name: "x", Cardinality: 2}}, []relational.Value{0, 1}, []int8{0, 1})
 	cfg := Config{Hidden1: 4, Hidden2: 3, LearningRate: 1e-9, Epochs: 1, BatchSize: 2, Seed: 7}
 	m := New(cfg)
 	if err := m.Fit(ds); err != nil {
@@ -98,8 +97,9 @@ func TestFiniteDifferenceGradient(t *testing.T) {
 
 		// Analytic gradient at the current parameters.
 		analytic := 0.0
+		row := make([]relational.Value, ds.NumFeatures())
 		for i := 0; i < ds.NumExamples(); i++ {
-			row := ds.Row(i)
+			ds.RowInto(row, i)
 			p := m.Probability(row)
 			// Recompute z2[v] for this row: forward pass up to layer 2.
 			z2v := m.hiddenActivation(row, v)

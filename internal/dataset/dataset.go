@@ -210,12 +210,12 @@ func Generate(spec Spec, scale int, seed uint64) (*relational.StarSchema, error)
 	bulk := relational.NewBulkAppender(fact, nS)
 	frow := make([]relational.Value, len(fcols))
 	for i := 0; i < nS; i++ {
-		score := r.NormFloat64() * spec.Noise
+		score := float64(r.NormFloat64() * spec.Noise)
 		for j := 0; j < spec.DS; j++ {
 			v := relational.Value(r.Intn(homeDom.Size))
 			frow[1+j] = v
 			if j == 0 {
-				score += spec.HomeW * pm(int(v) < homeDom.Size/2)
+				score += float64(spec.HomeW * pm(int(v) < homeDom.Size/2))
 			}
 		}
 		at := 1 + spec.DS
@@ -223,7 +223,7 @@ func Generate(spec Spec, scale int, seed uint64) (*relational.StarSchema, error)
 			st := states[di]
 			fk := r.Intn(st.nR)
 			frow[at+di] = relational.Value(fk)
-			score += st.spec.LatentW*st.latent[fk] + st.spec.FeatW*st.feat[fk]
+			score += float64(st.spec.LatentW*st.latent[fk]) + float64(st.spec.FeatW*st.feat[fk])
 		}
 		if score > 0 {
 			frow[0] = 1

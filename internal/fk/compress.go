@@ -143,33 +143,26 @@ func (s *SortBased) Budget() int { return s.budget }
 // compressor, returning a new dataset whose feature cardinality is the
 // budget. The same fitted compressor must be applied to train, validation,
 // and test (the paper fits f on the training split and compresses the whole
-// dataset). The result is dense: a value-rewriting transform has to own its
-// storage, so this is the one copy the compression pipeline pays regardless
-// of whether the input is a view.
+// dataset). The result is a new in-memory table (ml.FromRows): a
+// value-rewriting transform has to own its storage, so this is the one copy
+// the compression pipeline pays regardless of whether the input is a view.
 func CompressFeature(ds *ml.Dataset, fkCol int, c Compressor) (*ml.Dataset, error) {
 	if fkCol < 0 || fkCol >= ds.NumFeatures() {
 		return nil, fmt.Errorf("fk: feature index %d out of range", fkCol)
 	}
-	n := ds.NumExamples()
-	d := ds.NumFeatures()
-	out := &ml.Dataset{
-		Features: append([]ml.Feature(nil), ds.Features...),
-		X:        make([]relational.Value, n*d),
-		Y:        make([]int8, n),
+	feats := append([]ml.Feature(nil), ds.Features...)
+	feats[fkCol].Cardinality = c.Budget()
+	x, y := ml.ScanRowMajor(ds)
+	d := len(feats)
+	for i := fkCol; i < len(x); i += d {
+		x[i] = c.Map(x[i])
 	}
-	out.Features[fkCol].Cardinality = c.Budget()
-	for i := 0; i < n; i++ {
-		row := out.X[i*d : (i+1)*d]
-		ds.RowInto(row, i)
-		row[fkCol] = c.Map(row[fkCol])
-		out.Y[i] = ds.Label(i)
-	}
-	return out, nil
+	return ml.FromRows(feats, x, y)
 }
 
 func binaryEntropy(p float64) float64 {
 	if p <= 0 || p >= 1 {
 		return 0
 	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
+	return float64(-p*math.Log2(p)) - float64((1-p)*math.Log2(1-p))
 }

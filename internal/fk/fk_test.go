@@ -60,17 +60,18 @@ func TestRandomHashBudgetClampedToDomain(t *testing.T) {
 // fkDataset builds a dataset with one FK feature where values [0, m/2) are
 // pure class 0 and [m/2, m) are pure class 1.
 func fkDataset(m, n int, r *rng.RNG) *ml.Dataset {
-	ds := &ml.Dataset{Features: []ml.Feature{{Name: "FK", Cardinality: m, IsFK: true}}}
+	var xs []relational.Value
+	var ys []int8
 	for i := 0; i < n; i++ {
 		v := r.Intn(m)
-		ds.X = append(ds.X, relational.Value(v))
+		xs = append(xs, relational.Value(v))
 		y := int8(0)
 		if v >= m/2 {
 			y = 1
 		}
-		ds.Y = append(ds.Y, y)
+		ys = append(ys, y)
 	}
-	return ds
+	return mustRows([]ml.Feature{{Name: "FK", Cardinality: m, IsFK: true}}, xs, ys)
 }
 
 func TestSortBasedGroupsByConditionalEntropy(t *testing.T) {
@@ -105,7 +106,8 @@ func TestSortBasedSeparatesNoisyFromClean(t *testing.T) {
 	// Clean values (H≈0) and coin-flip values (H≈1) must land in different
 	// buckets with budget 2.
 	r := rng.New(5)
-	ds := &ml.Dataset{Features: []ml.Feature{{Name: "FK", Cardinality: 20, IsFK: true}}}
+	var xs []relational.Value
+	var ys []int8
 	for i := 0; i < 4000; i++ {
 		v := r.Intn(20)
 		var y int8
@@ -114,9 +116,10 @@ func TestSortBasedSeparatesNoisyFromClean(t *testing.T) {
 		} else {
 			y = int8(r.Intn(2)) // noisy
 		}
-		ds.X = append(ds.X, relational.Value(v))
-		ds.Y = append(ds.Y, y)
+		xs = append(xs, relational.Value(v))
+		ys = append(ys, y)
 	}
+	ds := mustRows([]ml.Feature{{Name: "FK", Cardinality: 20, IsFK: true}}, xs, ys)
 	sb, err := NewSortBased(ds, 0, 2, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
@@ -162,11 +165,19 @@ func TestCompressFeature(t *testing.T) {
 		t.Fatalf("cardinality %d, want 5", out.Features[0].Cardinality)
 	}
 	for i := 0; i < out.NumExamples(); i++ {
-		if v := out.Row(i)[0]; int(v) >= 5 {
+		if v := out.At(i, 0); int(v) >= 5 {
 			t.Fatalf("row %d carries uncompressed value %d", i, v)
 		}
-		if out.Row(i)[0] != h.Map(ds.Row(i)[0]) {
+		if out.At(i, 0) != h.Map(ds.At(i, 0)) {
 			t.Fatal("compression mapping not applied consistently")
+		}
+		for j := 1; j < ds.NumFeatures(); j++ {
+			if out.At(i, j) != ds.At(i, j) {
+				t.Fatalf("row %d feature %d changed", i, j)
+			}
+		}
+		if out.Label(i) != ds.Label(i) {
+			t.Fatalf("row %d label changed", i)
 		}
 	}
 	// Original untouched.
@@ -179,11 +190,7 @@ func TestCompressFeature(t *testing.T) {
 }
 
 func TestRandomSmootherPassThroughAndRemap(t *testing.T) {
-	ds := &ml.Dataset{
-		Features: feats(10),
-		X:        []relational.Value{1, 3, 5},
-		Y:        []int8{0, 1, 0},
-	}
+	ds := mustRows(feats(10), []relational.Value{1, 3, 5}, []int8{0, 1, 0})
 	s, err := NewRandomSmoother(ds, 17)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +208,7 @@ func TestRandomSmootherPassThroughAndRemap(t *testing.T) {
 			t.Fatalf("unseen %d remapped to unseen %d", v, got)
 		}
 	}
-	if _, err := NewRandomSmoother(&ml.Dataset{Features: feats(2)}, 1); err == nil {
+	if _, err := NewRandomSmoother(mustRows(feats(2), nil, nil), 1); err == nil {
 		t.Fatal("empty train must error")
 	}
 }
@@ -234,11 +241,7 @@ func TestXRSmootherPicksMinL0(t *testing.T) {
 	// among {0,1} — check membership. Then make row 2 = (1,1): distance 0
 	// to row 1 → must map to 1.
 	dim := buildDim(t, [][]relational.Value{{0, 0}, {1, 1}, {0, 1}})
-	train := &ml.Dataset{
-		Features: []ml.Feature{{Name: "FK", Cardinality: 3, IsFK: true}},
-		X:        []relational.Value{0, 1, 0},
-		Y:        []int8{0, 1, 0},
-	}
+	train := mustRows([]ml.Feature{{Name: "FK", Cardinality: 3, IsFK: true}}, []relational.Value{0, 1, 0}, []int8{0, 1, 0})
 	s, err := NewXRSmoother(train, 0, dim, 19)
 	if err != nil {
 		t.Fatal(err)
@@ -264,11 +267,7 @@ func TestXRSmootherPicksMinL0(t *testing.T) {
 
 func TestXRSmootherValidation(t *testing.T) {
 	dim := buildDim(t, [][]relational.Value{{0, 0}, {1, 1}})
-	train := &ml.Dataset{
-		Features: []ml.Feature{{Name: "FK", Cardinality: 3, IsFK: true}},
-		X:        []relational.Value{0},
-		Y:        []int8{1},
-	}
+	train := mustRows([]ml.Feature{{Name: "FK", Cardinality: 3, IsFK: true}}, []relational.Value{0}, []int8{1})
 	if _, err := NewXRSmoother(train, 0, dim, 1); err == nil {
 		t.Fatal("row/domain mismatch must error")
 	}
@@ -279,11 +278,12 @@ func TestXRSmootherValidation(t *testing.T) {
 
 func TestFrequencyBasedKeepsHeadValues(t *testing.T) {
 	// Zipf-ish counts: value 0 dominates, then 1, then a long tail.
-	ds := &ml.Dataset{Features: []ml.Feature{{Name: "FK", Cardinality: 10, IsFK: true}}}
+	var xs []relational.Value
+	var ys []int8
 	add := func(v relational.Value, n int) {
 		for i := 0; i < n; i++ {
-			ds.X = append(ds.X, v)
-			ds.Y = append(ds.Y, int8(i%2))
+			xs = append(xs, v)
+			ys = append(ys, int8(i%2))
 		}
 	}
 	add(0, 50)
@@ -291,6 +291,7 @@ func TestFrequencyBasedKeepsHeadValues(t *testing.T) {
 	for v := relational.Value(2); v < 10; v++ {
 		add(v, 2)
 	}
+	ds := mustRows([]ml.Feature{{Name: "FK", Cardinality: 10, IsFK: true}}, xs, ys)
 	f, err := NewFrequencyBased(ds, 0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -345,8 +346,17 @@ func TestFrequencyBasedWithCompressFeature(t *testing.T) {
 		t.Fatalf("cardinality %d", out.Features[0].Cardinality)
 	}
 	for i := 0; i < out.NumExamples(); i++ {
-		if int(out.Row(i)[0]) >= 5 {
+		if int(out.At(i, 0)) >= 5 {
 			t.Fatal("uncompressed value leaked")
 		}
 	}
+}
+
+// mustRows is ml.FromRows for test blocks that are valid by construction.
+func mustRows(features []ml.Feature, x []relational.Value, y []int8) *ml.Dataset {
+	d, err := ml.FromRows(features, x, y)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }

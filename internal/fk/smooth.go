@@ -29,25 +29,25 @@ func NewRandomSmoother(train *ml.Dataset, seed uint64) (*RandomSmoother, error) 
 
 // seenValues collects, per feature, the sorted distinct values present.
 func seenValues(ds *ml.Dataset) [][]relational.Value {
-	d := ds.NumFeatures()
-	sets := make([]map[relational.Value]bool, d)
-	for j := range sets {
-		sets[j] = make(map[relational.Value]bool)
-	}
-	for i := 0; i < ds.NumExamples(); i++ {
-		for j, v := range ds.Row(i) {
-			sets[j][v] = true
+	out := make([][]relational.Value, ds.NumFeatures())
+	buf := make([]relational.Value, min(ds.NumExamples(), 4096))
+	for j := range out {
+		seen := make([]bool, ds.Features[j].Cardinality)
+		for from := 0; ; {
+			m := ds.ScanFeature(buf, j, from)
+			if m == 0 {
+				break
+			}
+			for _, v := range buf[:m] {
+				seen[v] = true
+			}
+			from += m
 		}
-	}
-	out := make([][]relational.Value, d)
-	for j, set := range sets {
-		vals := make([]relational.Value, 0, len(set))
-		for v := relational.Value(0); int(v) < ds.Features[j].Cardinality; v++ {
-			if set[v] {
-				vals = append(vals, v)
+		for v, ok := range seen {
+			if ok {
+				out[j] = append(out[j], relational.Value(v))
 			}
 		}
-		out[j] = vals
 	}
 	return out
 }

@@ -17,7 +17,8 @@ import (
 
 // OneNN is a 1-nearest-neighbour classifier. The zero value is unfitted.
 type OneNN struct {
-	train *ml.Dataset
+	x []relational.Value // memorized examples, row-major, in training order
+	y []int8
 }
 
 // New returns an unfitted 1-NN classifier.
@@ -27,26 +28,25 @@ func New() *OneNN { return &OneNN{} }
 func (k *OneNN) Name() string { return "1-NN" }
 
 // Fit memorizes the training set (1-NN has no parameters; the paper notes it
-// also has no hyper-parameters to tune).
+// also has no hyper-parameters to tune). The rows are pinned once into a
+// dense block, so Predict reads no shared dataset state and is safe for
+// concurrent callers.
 func (k *OneNN) Fit(train *ml.Dataset) error {
 	if train.NumExamples() == 0 {
 		return fmt.Errorf("knn: empty training set")
 	}
-	// A private handle gives this classifier its own scratch buffer, so
-	// Predict's scan of the training rows cannot race with other readers of
-	// the same view-backed dataset.
-	k.train = train.Handle()
+	k.x, k.y = ml.ScanRowMajor(train)
 	return nil
 }
 
 // Predict returns the label of the nearest stored example by Hamming
 // distance (equivalently one-hot Euclidean distance).
 func (k *OneNN) Predict(row []relational.Value) int8 {
+	d := len(k.x) / len(k.y)
 	best := -1
 	bestMatches := -1
-	n := k.train.NumExamples()
-	for i := 0; i < n; i++ {
-		m := ml.MatchCount(k.train.Row(i), row)
+	for i := range k.y {
+		m := ml.MatchCount(k.x[i*d:(i+1)*d], row)
 		if m > bestMatches {
 			bestMatches = m
 			best = i
@@ -55,5 +55,5 @@ func (k *OneNN) Predict(row []relational.Value) int8 {
 			}
 		}
 	}
-	return k.train.Label(best)
+	return k.y[best]
 }

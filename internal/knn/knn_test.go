@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -17,24 +18,29 @@ func feats(cards ...int) []ml.Feature {
 	return out
 }
 
+// mustRows is ml.FromRows for test blocks that are valid by construction.
+func mustRows(features []ml.Feature, x []relational.Value, y []int8) *ml.Dataset {
+	d, err := ml.FromRows(features, x, y)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 func TestFitRejectsEmpty(t *testing.T) {
-	if err := New().Fit(&ml.Dataset{Features: feats(2)}); err == nil {
+	if err := New().Fit(mustRows(feats(2), nil, nil)); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestExactMatchWins(t *testing.T) {
-	ds := &ml.Dataset{
-		Features: feats(3, 3),
-		X:        []relational.Value{0, 0, 1, 1, 2, 2},
-		Y:        []int8{0, 1, 0},
-	}
+	ds := mustRows(feats(3, 3), []relational.Value{0, 0, 1, 1, 2, 2}, []int8{0, 1, 0})
 	k := New()
 	if err := k.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if k.Predict(ds.Row(i)) != ds.Label(i) {
+		if k.Predict(ds.RowInto(make([]relational.Value, 2), i)) != ds.Label(i) {
 			t.Fatalf("1-NN must have perfect training accuracy, wrong at %d", i)
 		}
 	}
@@ -43,11 +49,13 @@ func TestExactMatchWins(t *testing.T) {
 func TestTrainAccuracyIsPerfectOnDistinctRows(t *testing.T) {
 	// Paper Table 5: 1-NN training accuracy is 1 whenever rows are distinct.
 	r := rng.New(3)
-	ds := &ml.Dataset{Features: feats(50, 50)}
+	var x []relational.Value
+	var y []int8
 	for i := 0; i < 40; i++ {
-		ds.X = append(ds.X, relational.Value(i), relational.Value(r.Intn(50)))
-		ds.Y = append(ds.Y, int8(r.Intn(2)))
+		x = append(x, relational.Value(i), relational.Value(r.Intn(50)))
+		y = append(y, int8(r.Intn(2)))
 	}
+	ds := mustRows(feats(50, 50), x, y)
 	k := New()
 	if err := k.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -58,14 +66,10 @@ func TestTrainAccuracyIsPerfectOnDistinctRows(t *testing.T) {
 }
 
 func TestNearestByHamming(t *testing.T) {
-	ds := &ml.Dataset{
-		Features: feats(4, 4, 4),
-		X: []relational.Value{
-			0, 0, 0,
-			3, 3, 3,
-		},
-		Y: []int8{0, 1},
-	}
+	ds := mustRows(feats(4, 4, 4), []relational.Value{
+		0, 0, 0,
+		3, 3, 3,
+	}, []int8{0, 1})
 	k := New()
 	if err := k.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -79,14 +83,10 @@ func TestNearestByHamming(t *testing.T) {
 }
 
 func TestTieBreaksToEarliest(t *testing.T) {
-	ds := &ml.Dataset{
-		Features: feats(4, 4),
-		X: []relational.Value{
-			0, 1,
-			1, 0,
-		},
-		Y: []int8{1, 0},
-	}
+	ds := mustRows(feats(4, 4), []relational.Value{
+		0, 1,
+		1, 0,
+	}, []int8{1, 0})
 	k := New()
 	if err := k.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -108,12 +108,14 @@ func TestFKMemorizationProperty(t *testing.T) {
 		for i := range labelOf {
 			labelOf[i] = int8(r.Intn(2))
 		}
-		ds := &ml.Dataset{Features: feats(nR)}
+		var x []relational.Value
+		var y []int8
 		for i := 0; i < nR*4; i++ {
 			fk := relational.Value(i % nR)
-			ds.X = append(ds.X, fk)
-			ds.Y = append(ds.Y, labelOf[fk])
+			x = append(x, fk)
+			y = append(y, labelOf[fk])
 		}
+		ds := mustRows(feats(nR), x, y)
 		k := New()
 		if err := k.Fit(ds); err != nil {
 			return false
@@ -134,4 +136,82 @@ func TestName(t *testing.T) {
 	if New().Name() != "1-NN" {
 		t.Fatal("name wrong")
 	}
+}
+
+// TestFromParamsValidates pins the artifact checks: malformed params are an
+// error, and valid params round-trip through ExportParams.
+func TestFromParamsValidates(t *testing.T) {
+	fs := feats(3, 2)
+	bad := map[string]Params{
+		"ragged block":         {X: []relational.Value{0, 1, 2}, Y: []int8{0, 1}},
+		"rows vs labels":       {X: []relational.Value{0, 1}, Y: []int8{0, 1}},
+		"empty":                {},
+		"label 2":              {X: []relational.Value{0, 1}, Y: []int8{2}},
+		"code past its domain": {X: []relational.Value{0, 1, 2, 2}, Y: []int8{0, 1}},
+		"negative code":        {X: []relational.Value{-1, 0}, Y: []int8{0}},
+	}
+	for name, p := range bad {
+		if _, err := FromParams(fs, p); err == nil {
+			t.Errorf("%s: FromParams accepted the params", name)
+		}
+	}
+	k := New()
+	if err := k.Fit(mustRows(fs, []relational.Value{2, 1, 0, 0}, []int8{1, 0})); err != nil {
+		t.Fatal(err)
+	}
+	p, err := k.ExportParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := FromParams(fs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Predict([]relational.Value{2, 1}) != 1 || back.Predict([]relational.Value{0, 0}) != 0 {
+		t.Fatal("round-tripped classifier predicts differently")
+	}
+	if _, err := New().ExportParams(); err == nil {
+		t.Fatal("export before Fit must fail")
+	}
+}
+
+// TestPredictConcurrent fits on a row-remapped view and predicts from
+// several goroutines at once: Predict reads only the rows pinned at Fit, so
+// every concurrent answer equals the sequential one (run under -race).
+func TestPredictConcurrent(t *testing.T) {
+	r := rng.New(9)
+	var x []relational.Value
+	var y []int8
+	for i := 0; i < 200; i++ {
+		x = append(x, relational.Value(r.Intn(6)), relational.Value(r.Intn(5)), relational.Value(r.Intn(4)))
+		y = append(y, int8(r.Intn(2)))
+	}
+	fs := feats(6, 5, 4)
+	idx := make([]int, 0, 100)
+	for i := 199; i >= 0; i -= 2 {
+		idx = append(idx, i)
+	}
+	k := New()
+	if err := k.Fit(mustRows(fs, x, y).Subset(idx)); err != nil {
+		t.Fatal(err)
+	}
+	queries := make([][]relational.Value, 60)
+	want := make([]int8, len(queries))
+	for q := range queries {
+		queries[q] = []relational.Value{relational.Value(r.Intn(6)), relational.Value(r.Intn(5)), relational.Value(r.Intn(4))}
+		want[q] = k.Predict(queries[q])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for q, row := range queries {
+				if got := k.Predict(row); got != want[q] {
+					t.Errorf("query %d: concurrent prediction %d, sequential %d", q, got, want[q])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

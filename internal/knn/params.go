@@ -15,21 +15,20 @@ type Params struct {
 	Y []int8
 }
 
-// ExportParams materializes the memorized training set. For view-backed
-// training data this is the one copy persistence pays; the live model keeps
-// its zero-copy view.
+// ExportParams copies the memorized training set.
 func (k *OneNN) ExportParams() (Params, error) {
-	if k.train == nil {
+	if k.y == nil {
 		return Params{}, fmt.Errorf("knn: export before Fit")
 	}
-	dense := k.train.Materialize()
 	return Params{
-		X: append([]relational.Value(nil), dense.X...),
-		Y: append([]int8(nil), dense.Y...),
+		X: append([]relational.Value(nil), k.x...),
+		Y: append([]int8(nil), k.y...),
 	}, nil
 }
 
-// FromParams reconstructs a fitted 1-NN classifier over dense storage.
+// FromParams reconstructs a fitted 1-NN classifier from validated params:
+// whole rows of the features, at least one example, labels in {0,1}, and
+// every code inside its feature's domain. The classifier keeps p's slices.
 func FromParams(features []ml.Feature, p Params) (*OneNN, error) {
 	d := len(features)
 	if d == 0 || len(p.X)%d != 0 {
@@ -46,10 +45,10 @@ func FromParams(features []ml.Feature, p Params) (*OneNN, error) {
 			return nil, fmt.Errorf("knn: label %d of example %d outside {0,1}", y, i)
 		}
 	}
-	ds := &ml.Dataset{
-		Features: append([]ml.Feature(nil), features...),
-		X:        append([]relational.Value(nil), p.X...),
-		Y:        append([]int8(nil), p.Y...),
+	for at, v := range p.X {
+		if f := features[at%d]; v < 0 || int(v) >= f.Cardinality {
+			return nil, fmt.Errorf("knn: example %d feature %q: code %d outside domain of size %d", at/d, f.Name, v, f.Cardinality)
+		}
 	}
-	return &OneNN{train: ds}, nil
+	return &OneNN{x: p.X, y: p.Y}, nil
 }

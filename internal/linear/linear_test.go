@@ -17,19 +17,21 @@ func feats(cards ...int) []ml.Feature {
 }
 
 func TestLogRegRejectsEmpty(t *testing.T) {
-	if err := NewLogReg(LogRegConfig{}).Fit(&ml.Dataset{Features: feats(2)}); err == nil {
+	if err := NewLogReg(LogRegConfig{}).Fit(mustRows(feats(2), nil, nil)); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestLogRegSeparable(t *testing.T) {
-	ds := &ml.Dataset{Features: feats(2, 3)}
+	var xs []relational.Value
+	var ys []int8
 	r := rng.New(1)
 	for i := 0; i < 200; i++ {
 		x0 := relational.Value(i % 2)
-		ds.X = append(ds.X, x0, relational.Value(r.Intn(3)))
-		ds.Y = append(ds.Y, int8(x0))
+		xs = append(xs, x0, relational.Value(r.Intn(3)))
+		ys = append(ys, int8(x0))
 	}
+	ds := mustRows(feats(2, 3), xs, ys)
 	m := NewLogReg(LogRegConfig{Lambda: 1e-4, Seed: 2})
 	if err := m.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -40,7 +42,8 @@ func TestLogRegSeparable(t *testing.T) {
 }
 
 func TestLogRegNoisySignal(t *testing.T) {
-	ds := &ml.Dataset{Features: feats(2, 5)}
+	var xs []relational.Value
+	var ys []int8
 	r := rng.New(3)
 	for i := 0; i < 1000; i++ {
 		x0 := relational.Value(r.Intn(2))
@@ -48,9 +51,10 @@ func TestLogRegNoisySignal(t *testing.T) {
 		if r.Bernoulli(0.1) {
 			y = 1 - y
 		}
-		ds.X = append(ds.X, x0, relational.Value(r.Intn(5)))
-		ds.Y = append(ds.Y, y)
+		xs = append(xs, x0, relational.Value(r.Intn(5)))
+		ys = append(ys, y)
 	}
+	ds := mustRows(feats(2, 5), xs, ys)
 	m := NewLogReg(LogRegConfig{Lambda: 1e-3, Seed: 4})
 	if err := m.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -64,14 +68,15 @@ func TestL1SparsifiesNoiseWeights(t *testing.T) {
 	// With strong L1, pure-noise features' weights should be driven to
 	// (near) zero much more than with weak L1.
 	build := func() *ml.Dataset {
-		ds := &ml.Dataset{Features: feats(2, 50)}
+		var xs []relational.Value
+		var ys []int8
 		r := rng.New(5)
 		for i := 0; i < 2000; i++ {
 			x0 := relational.Value(r.Intn(2))
-			ds.X = append(ds.X, x0, relational.Value(r.Intn(50)))
-			ds.Y = append(ds.Y, int8(x0))
+			xs = append(xs, x0, relational.Value(r.Intn(50)))
+			ys = append(ys, int8(x0))
 		}
-		return ds
+		return mustRows(feats(2, 50), xs, ys)
 	}
 	strong := NewLogReg(LogRegConfig{Lambda: 0.05, Seed: 6})
 	weak := NewLogReg(LogRegConfig{Lambda: 0, Seed: 6})
@@ -91,19 +96,21 @@ func TestL1SparsifiesNoiseWeights(t *testing.T) {
 }
 
 func TestLogRegDeterministic(t *testing.T) {
-	ds := &ml.Dataset{Features: feats(4)}
+	var xs []relational.Value
+	var ys []int8
 	r := rng.New(7)
 	for i := 0; i < 100; i++ {
 		v := relational.Value(r.Intn(4))
-		ds.X = append(ds.X, v)
-		ds.Y = append(ds.Y, int8(int(v)%2))
+		xs = append(xs, v)
+		ys = append(ys, int8(int(v)%2))
 	}
+	ds := mustRows(feats(4), xs, ys)
 	fit := func() float64 {
 		m := NewLogReg(LogRegConfig{Lambda: 1e-3, Seed: 9})
 		if err := m.Fit(ds); err != nil {
 			t.Fatal(err)
 		}
-		return m.Decision(ds.Row(0))
+		return m.Decision(ds.RowInto(make([]relational.Value, ds.NumFeatures()), 0))
 	}
 	if fit() != fit() {
 		t.Fatal("same seed must reproduce the model")
@@ -123,17 +130,18 @@ func TestLogRegFKOverfitsAtLowTupleRatio(t *testing.T) {
 		xr[i] = int8(r.Intn(2))
 	}
 	gen := func(n int, rr *rng.RNG) *ml.Dataset {
-		ds := &ml.Dataset{Features: []ml.Feature{{Name: "FK", Cardinality: nR, IsFK: true}}}
+		var xs []relational.Value
+		var ys []int8
 		for i := 0; i < n; i++ {
 			fk := relational.Value(rr.Intn(nR))
 			y := xr[fk]
 			if rr.Bernoulli(0.2) {
 				y = 1 - y
 			}
-			ds.X = append(ds.X, fk)
-			ds.Y = append(ds.Y, y)
+			xs = append(xs, fk)
+			ys = append(ys, y)
 		}
-		return ds
+		return mustRows([]ml.Feature{{Name: "FK", Cardinality: nR, IsFK: true}}, xs, ys)
 	}
 	train := gen(nTrain, rng.New(13))
 	test := gen(4000, rng.New(17))
@@ -155,13 +163,15 @@ func TestName(t *testing.T) {
 }
 
 func TestL2ShrinksWeightNorm(t *testing.T) {
-	ds := &ml.Dataset{Features: feats(2, 5)}
+	var xs []relational.Value
+	var ys []int8
 	r := rng.New(81)
 	for i := 0; i < 500; i++ {
 		x0 := relational.Value(r.Intn(2))
-		ds.X = append(ds.X, x0, relational.Value(r.Intn(5)))
-		ds.Y = append(ds.Y, int8(x0))
+		xs = append(xs, x0, relational.Value(r.Intn(5)))
+		ys = append(ys, int8(x0))
 	}
+	ds := mustRows(feats(2, 5), xs, ys)
 	norm := func(l2 float64) float64 {
 		m := NewLogReg(LogRegConfig{L2: l2, Seed: 83})
 		if err := m.Fit(ds); err != nil {
@@ -192,12 +202,14 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	// remapped Subset view, where the active-index scan goes through the
 	// dataset's row remap.
 	r := rng.New(71)
-	base := &ml.Dataset{Features: feats(3, 4, 2)}
+	var xs []relational.Value
+	var ys []int8
 	for i := 0; i < 300; i++ {
 		a, b, c := r.Intn(3), r.Intn(4), r.Intn(2)
-		base.X = append(base.X, relational.Value(a), relational.Value(b), relational.Value(c))
-		base.Y = append(base.Y, int8((a+b)%2))
+		xs = append(xs, relational.Value(a), relational.Value(b), relational.Value(c))
+		ys = append(ys, int8((a+b)%2))
 	}
+	base := mustRows(feats(3, 4, 2), xs, ys)
 	m := NewLogReg(LogRegConfig{Lambda: 1e-3, Seed: 73})
 	if err := m.Fit(base); err != nil {
 		t.Fatal(err)
@@ -206,7 +218,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	for i := range sub {
 		sub[i] = r.Intn(300)
 	}
-	for name, ds := range map[string]*ml.Dataset{"dense": base, "view": base.Subset(sub)} {
+	for name, ds := range map[string]*ml.Dataset{"table": base, "subset": base.Subset(sub)} {
 		got := m.PredictBatch(ds)
 		if len(got) != ds.NumExamples() {
 			t.Fatalf("%s: PredictBatch returned %d classes for %d examples", name, len(got), ds.NumExamples())
@@ -234,4 +246,13 @@ func accuracySequential(c ml.Classifier, ds *ml.Dataset) float64 {
 		}
 	}
 	return float64(correct) / float64(ds.NumExamples())
+}
+
+// mustRows is ml.FromRows for test blocks that are valid by construction.
+func mustRows(features []ml.Feature, x []relational.Value, y []int8) *ml.Dataset {
+	d, err := ml.FromRows(features, x, y)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }

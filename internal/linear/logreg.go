@@ -101,14 +101,14 @@ func (m *LogReg) Fit(train *ml.Dataset) error {
 			g := p - y // d(loss)/dz
 			eta := step / math.Sqrt(t)
 			t++
-			m.b -= eta * g
-			shrink := eta * m.cfg.Lambda
-			decay := 1 - eta*m.cfg.L2
+			m.b -= float64(eta * g)
+			shrink := float64(eta * m.cfg.Lambda)
+			decay := 1 - float64(eta*m.cfg.L2)
 			if decay < 0 {
 				decay = 0
 			}
 			for _, k := range idx {
-				wk := (m.w[k] - eta*g) * decay
+				wk := float64((m.w[k] - float64(eta*g)) * decay)
 				// Soft threshold (proximal L1).
 				switch {
 				case wk > shrink:

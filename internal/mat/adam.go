@@ -43,9 +43,9 @@ func adamGo(w, m, v, g []float64, k *AdamStep) {
 	l2, b1, ob1, b2, ob2 := k.L2, k.Beta1, k.OneMinusBeta1, k.Beta2, k.OneMinusBeta2
 	lr, c1, c2, eps := k.LR, k.C1, k.C2, k.Eps
 	for i := range w {
-		gi := g[i] + l2*w[i]
-		m[i] = b1*m[i] + ob1*gi
-		v[i] = b2*v[i] + ob2*gi*gi
+		gi := g[i] + float64(l2*w[i])
+		m[i] = float64(b1*m[i]) + float64(ob1*gi)
+		v[i] = float64(b2*v[i]) + float64(ob2*gi*gi)
 		w[i] -= lr * (m[i] / c1) / (math.Sqrt(v[i]/c2) + eps)
 	}
 }

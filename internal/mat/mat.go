@@ -23,9 +23,11 @@
 // correctly rounded IEEE-754 operation per lane, applied in the scalar
 // loop's order, so the vector body and the scalar loop agree bit for bit
 // (a NaN result's payload aside).
-// Go's amd64 compiler emits no FMA for the scalar loop, even at
-// GOAMD64=v3. On arm64 it fuses `x*y + z` in every kernel's scalar code,
-// so results are bit-identical within one GOARCH, not across them.
+// Go may fuse `x*y + z` into one multiply-add (arm64 does), which skips
+// the product's rounding. Every product that feeds an addition is therefore
+// wrapped in an explicit float64 conversion, which the Go spec says forbids
+// fusion, so the kernels round each operation on every GOARCH and agree
+// across them bit for bit.
 //
 // All matrices are row-major with an explicit leading dimension (the stride
 // between consecutive rows), so callers can address sub-blocks of a larger
@@ -49,10 +51,10 @@ func dotFrom(s float64, x, y []float64) float64 {
 	y = y[:len(x)]
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
-		s = s + x[i]*y[i] + x[i+1]*y[i+1] + x[i+2]*y[i+2] + x[i+3]*y[i+3]
+		s = s + float64(x[i]*y[i]) + float64(x[i+1]*y[i+1]) + float64(x[i+2]*y[i+2]) + float64(x[i+3]*y[i+3])
 	}
 	for ; i < len(x); i++ {
-		s += x[i] * y[i]
+		s += float64(x[i] * y[i])
 	}
 	return s
 }
@@ -64,13 +66,13 @@ func Axpy(alpha float64, x, y []float64) {
 	y = y[:len(x)]
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
+		y[i] += float64(alpha * x[i])
+		y[i+1] += float64(alpha * x[i+1])
+		y[i+2] += float64(alpha * x[i+2])
+		y[i+3] += float64(alpha * x[i+3])
 	}
 	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
+		y[i] += float64(alpha * x[i])
 	}
 }
 
@@ -133,18 +135,18 @@ func Gemm(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n
 			av0, av1 := a0[kk], a1[kk]
 			j := 0
 			for ; j+4 <= n; j += 4 {
-				c0[j] += av0 * bk[j]
-				c0[j+1] += av0 * bk[j+1]
-				c0[j+2] += av0 * bk[j+2]
-				c0[j+3] += av0 * bk[j+3]
-				c1[j] += av1 * bk[j]
-				c1[j+1] += av1 * bk[j+1]
-				c1[j+2] += av1 * bk[j+2]
-				c1[j+3] += av1 * bk[j+3]
+				c0[j] += float64(av0 * bk[j])
+				c0[j+1] += float64(av0 * bk[j+1])
+				c0[j+2] += float64(av0 * bk[j+2])
+				c0[j+3] += float64(av0 * bk[j+3])
+				c1[j] += float64(av1 * bk[j])
+				c1[j+1] += float64(av1 * bk[j+1])
+				c1[j+2] += float64(av1 * bk[j+2])
+				c1[j+3] += float64(av1 * bk[j+3])
 			}
 			for ; j < n; j++ {
-				c0[j] += av0 * bk[j]
-				c1[j] += av1 * bk[j]
+				c0[j] += float64(av0 * bk[j])
+				c1[j] += float64(av1 * bk[j])
 			}
 		}
 	}
@@ -190,14 +192,14 @@ func gemmSmallN(c []float64, ldc int, a []float64, lda int, b []float64, ldb int
 			for kk, av0 := range a0 {
 				bk := bj[kk*ldb : kk*ldb+4]
 				av1 := a1[kk]
-				s00 += av0 * bk[0]
-				s01 += av0 * bk[1]
-				s02 += av0 * bk[2]
-				s03 += av0 * bk[3]
-				s10 += av1 * bk[0]
-				s11 += av1 * bk[1]
-				s12 += av1 * bk[2]
-				s13 += av1 * bk[3]
+				s00 += float64(av0 * bk[0])
+				s01 += float64(av0 * bk[1])
+				s02 += float64(av0 * bk[2])
+				s03 += float64(av0 * bk[3])
+				s10 += float64(av1 * bk[0])
+				s11 += float64(av1 * bk[1])
+				s12 += float64(av1 * bk[2])
+				s13 += float64(av1 * bk[3])
 			}
 			c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
 			c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
@@ -207,8 +209,8 @@ func gemmSmallN(c []float64, ldc int, a []float64, lda int, b []float64, ldb int
 			bj := b[j:]
 			for kk, av0 := range a0 {
 				bv := bj[kk*ldb]
-				s0 += av0 * bv
-				s1 += a1[kk] * bv
+				s0 += float64(av0 * bv)
+				s1 += float64(a1[kk] * bv)
 			}
 			c0[j], c1[j] = s0, s1
 		}
@@ -222,10 +224,10 @@ func gemmSmallN(c []float64, ldc int, a []float64, lda int, b []float64, ldb int
 			bj := b[j:]
 			for kk, av := range ai {
 				bk := bj[kk*ldb : kk*ldb+4]
-				s0 += av * bk[0]
-				s1 += av * bk[1]
-				s2 += av * bk[2]
-				s3 += av * bk[3]
+				s0 += float64(av * bk[0])
+				s1 += float64(av * bk[1])
+				s2 += float64(av * bk[2])
+				s3 += float64(av * bk[3])
 			}
 			ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
 		}
@@ -233,7 +235,7 @@ func gemmSmallN(c []float64, ldc int, a []float64, lda int, b []float64, ldb int
 			s := ci[j]
 			bj := b[j:]
 			for kk, av := range ai {
-				s += av * bj[kk*ldb]
+				s += float64(av * bj[kk*ldb])
 			}
 			ci[j] = s
 		}
@@ -256,18 +258,18 @@ func GemmTA(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m,
 			c1 := c[(u+1)*ldc : (u+1)*ldc+n]
 			j := 0
 			for ; j+4 <= n; j += 4 {
-				c0[j] += av0 * bk[j]
-				c0[j+1] += av0 * bk[j+1]
-				c0[j+2] += av0 * bk[j+2]
-				c0[j+3] += av0 * bk[j+3]
-				c1[j] += av1 * bk[j]
-				c1[j+1] += av1 * bk[j+1]
-				c1[j+2] += av1 * bk[j+2]
-				c1[j+3] += av1 * bk[j+3]
+				c0[j] += float64(av0 * bk[j])
+				c0[j+1] += float64(av0 * bk[j+1])
+				c0[j+2] += float64(av0 * bk[j+2])
+				c0[j+3] += float64(av0 * bk[j+3])
+				c1[j] += float64(av1 * bk[j])
+				c1[j+1] += float64(av1 * bk[j+1])
+				c1[j+2] += float64(av1 * bk[j+2])
+				c1[j+3] += float64(av1 * bk[j+3])
 			}
 			for ; j < n; j++ {
-				c0[j] += av0 * bk[j]
-				c1[j] += av1 * bk[j]
+				c0[j] += float64(av0 * bk[j])
+				c1[j] += float64(av1 * bk[j])
 			}
 		}
 		for ; u < m; u++ {

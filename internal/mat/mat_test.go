@@ -15,7 +15,7 @@ func naiveGemm(c []float64, ldc int, a []float64, lda int, b []float64, ldb int,
 		for j := 0; j < n; j++ {
 			s := c[i*ldc+j]
 			for kk := 0; kk < k; kk++ {
-				s += a[i*lda+kk] * b[kk*ldb+j]
+				s += float64(a[i*lda+kk] * b[kk*ldb+j])
 			}
 			c[i*ldc+j] = s
 		}
@@ -28,7 +28,7 @@ func naiveGemmTA(c []float64, ldc int, a []float64, lda int, b []float64, ldb in
 		for v := 0; v < n; v++ {
 			s := c[u*ldc+v]
 			for kk := 0; kk < k; kk++ {
-				s += a[kk*lda+u] * b[kk*ldb+v]
+				s += float64(a[kk*lda+u] * b[kk*ldb+v])
 			}
 			c[u*ldc+v] = s
 		}
@@ -39,7 +39,7 @@ func naiveGemv(y []float64, a []float64, lda int, x []float64, m, n int) {
 	for i := 0; i < m; i++ {
 		s := y[i]
 		for j := 0; j < n; j++ {
-			s += a[i*lda+j] * x[j]
+			s += float64(a[i*lda+j] * x[j])
 		}
 		y[i] = s
 	}
@@ -48,7 +48,7 @@ func naiveGemv(y []float64, a []float64, lda int, x []float64, m, n int) {
 func naiveGemvT(y []float64, a []float64, lda int, x []float64, m, n int) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			y[j] += x[i] * a[i*lda+j]
+			y[j] += float64(x[i] * a[i*lda+j])
 		}
 	}
 }
@@ -175,7 +175,7 @@ func checkKernels(t *testing.T, seed uint64, m, n, k, lda, ldb, ldc int) {
 	if got, want := Dot(dx, dy), func() float64 {
 		s := 0.0
 		for i := 0; i < k; i++ {
-			s += dx[i] * dy[i]
+			s += float64(dx[i] * dy[i])
 		}
 		return s
 	}(); math.Float64bits(got) != math.Float64bits(want) {
@@ -189,7 +189,7 @@ func checkKernels(t *testing.T, seed uint64, m, n, k, lda, ldb, ldc int) {
 	ax1 := append([]float64(nil), ax0...)
 	Axpy(alpha, axx, ax0)
 	for i := 0; i < n; i++ {
-		ax1[i] += alpha * axx[i]
+		ax1[i] += float64(alpha * axx[i])
 	}
 	bitsEqual(t, "Axpy", ax0, ax1)
 
@@ -293,9 +293,9 @@ func checkKernels(t *testing.T, seed uint64, m, n, k, lda, ldb, ldc int) {
 // the coefficients read per element.
 func naiveAdam(w, m, v, g []float64, k *AdamStep) {
 	for i := range w {
-		gi := g[i] + k.L2*w[i]
-		m[i] = k.Beta1*m[i] + k.OneMinusBeta1*gi
-		v[i] = k.Beta2*v[i] + k.OneMinusBeta2*gi*gi
+		gi := g[i] + float64(k.L2*w[i])
+		m[i] = float64(k.Beta1*m[i]) + float64(k.OneMinusBeta1*gi)
+		v[i] = float64(k.Beta2*v[i]) + float64(k.OneMinusBeta2*gi*gi)
 		w[i] -= k.LR * (m[i] / k.C1) / (math.Sqrt(v[i]/k.C2) + k.Eps)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // batchBackings builds one logical dataset over every backing the batch
-// accessors must handle: dense storage, relation views (row-major and
+// accessors must handle: FromRows' in-memory table, relation views (row-major and
 // columnar, with and without split-style select views, in memory and
 // spilled under a cache of a few segments), and composed Subset/
 // SelectFeatures remaps. All are views of the same cells, so the batch
@@ -82,7 +82,7 @@ func batchBackings(t *testing.T) map[string]*Dataset {
 		t.Fatal(err)
 	}
 	return map[string]*Dataset{
-		"dense":                    full.Materialize(),
+		"rows":                     snapshot(full),
 		"relation":                 full,
 		"select-over-join":         overSelect,
 		"columnar":                 overColumnar,
@@ -92,11 +92,11 @@ func batchBackings(t *testing.T) map[string]*Dataset {
 		"select-over-spilled":      overSelectSpilled,
 		"subset-of-select-spilled": overSelectSpilled.Subset([]int{149, 3, 3, 77, 0, 120}),
 		"subset":                   full.Subset(idx),
-		"subset-of-dense":          full.Materialize().Subset(idx),
+		"subset-of-rows":           snapshot(full).Subset(idx),
 		"feature-remap":            full.SelectFeatures([]int{2, 0}),
 		"subset-plus-remap":        full.Subset(idx).SelectFeatures([]int{2, 0}),
-		"dense-subset-plus-remap":  full.Materialize().Subset(idx).SelectFeatures([]int{2, 0}),
-		"remap-of-subset-of-dense": full.Materialize().SelectFeatures([]int{1, 2}).Subset(idx),
+		"rows-subset-plus-remap":   snapshot(full).Subset(idx).SelectFeatures([]int{2, 0}),
+		"remap-of-subset-of-rows":  snapshot(full).SelectFeatures([]int{1, 2}).Subset(idx),
 	}
 }
 

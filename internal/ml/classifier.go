@@ -228,10 +228,9 @@ func (w *Winner) Offer(i int, acc float64) bool {
 //
 // Grid points are fitted and evaluated on a worker pool (see
 // MaxParallelism): classifiers are constructed sequentially — factories need
-// not be safe for concurrent calls — then each worker fits on its own
-// Dataset handle and the winner is reduced online, so the result is
-// bit-identical to a sequential run. View-backed datasets make the
-// per-worker handles free.
+// not be safe for concurrent calls — then the workers fit on the shared
+// datasets, whose accessors are all safe for concurrent use, and the winner
+// is reduced online, so the result is bit-identical to a sequential run.
 func GridSearch(grid *Grid, factory Factory, train, validation *Dataset) (TuneResult, error) {
 	points := grid.Points()
 	if len(points) == 0 {
@@ -254,11 +253,11 @@ func GridSearch(grid *Grid, factory Factory, train, validation *Dataset) (TuneRe
 	parallelFor(len(points), func(i int) {
 		c := models[i]
 		models[i] = nil
-		if err := c.Fit(train.Handle()); err != nil {
+		if err := c.Fit(train); err != nil {
 			errs[i] = fmt.Errorf("ml: fit at %v: %w", points[i], err)
 			return
 		}
-		acc := Accuracy(c, validation.Handle())
+		acc := Accuracy(c, validation)
 		mu.Lock()
 		if win.Offer(i, acc) {
 			best = c

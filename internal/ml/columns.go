@@ -44,8 +44,8 @@ type segmentSized interface{ SegmentSize() int }
 func ScanSpans(d *Dataset) []int {
 	n := d.NumExamples()
 	target := columnSpans(n, d.NumFeatures())
-	if d.v != nil && d.v.rel != nil && d.v.rows == nil {
-		if ss, ok := d.v.rel.(segmentSized); ok {
+	if d.rows == nil {
+		if ss, ok := d.rel.(segmentSized); ok {
 			return segmentCuts(n, ss.SegmentSize(), target)
 		}
 	}
@@ -119,10 +119,9 @@ func forEachFeatureSpan(d *Dataset, write func(i, j int, v relational.Value)) {
 // consuming each feature column-at-a-time through morsel-sized ScanFeature
 // batches — the one-pass cache the learners that must read two rows at a
 // time (SMO's kernel loops, the retained support set) amortize over their
-// epochs. Compared with Dataset.Materialize it replaces n×k single-cell
-// view accesses with k batched column scans pushed down into the storage
-// engine, and it needs no transient column copy: every value scatters
-// straight into its row slot.
+// epochs. It reads k batched column scans pushed down into the storage
+// engine instead of n×k single-cell view accesses, and it needs no transient
+// column copy: every value scatters straight into its row slot.
 //
 // (feature, span) tasks fan out across ml.ParallelFor (forEachFeatureSpan);
 // every task writes a disjoint set of block cells, so the result is
@@ -134,15 +133,9 @@ func ScanRowMajor(d *Dataset) (block []relational.Value, labels []int8) {
 	n := d.NumExamples()
 	k := d.NumFeatures()
 	block = make([]relational.Value, n*k)
-	if d.v == nil {
-		// Plain dense dataset: the row-major block already exists — copy it
-		// instead of re-deriving it cell-by-cell through the scan fan-out.
-		copy(block, d.X[:n*k])
-	} else {
-		forEachFeatureSpan(d, func(i, j int, v relational.Value) {
-			block[i*k+j] = v
-		})
-	}
+	forEachFeatureSpan(d, func(i, j int, v relational.Value) {
+		block[i*k+j] = v
+	})
 	labels = make([]int8, n)
 	d.ScanLabels(labels, 0)
 	return block, labels
@@ -153,7 +146,7 @@ func ScanRowMajor(d *Dataset) (block []relational.Value, labels []int8) {
 // consuming each feature column-at-a-time through ScanFeature. The matrix is
 // what the embedding-style learners (logistic regression, the MLP's sparse
 // input layer) index their weight tables with; materializing it once per Fit
-// replaces a per-example Row gather + Encoder.ActiveIndices call every
+// replaces a per-example row gather + Encoder.ActiveIndices call every
 // epoch.
 //
 // Like ScanRowMajor it fans (feature, span) tasks across ml.ParallelFor
@@ -165,22 +158,9 @@ func ScanActiveIndices(d *Dataset, enc *Encoder) (idx []int32, labels []int8) {
 	n := d.NumExamples()
 	k := d.NumFeatures()
 	idx = make([]int32, n*k)
-	if d.v == nil {
-		// Plain dense dataset (batch-serving assembles one, and tests build
-		// them directly): offset the row-major block in one tight pass
-		// instead of paying the scan fan-out's per-cell indirection.
-		for i := 0; i < n; i++ {
-			row := d.X[i*k : (i+1)*k]
-			out := idx[i*k : (i+1)*k]
-			for j, v := range row {
-				out[j] = int32(enc.Offsets[j]) + int32(v)
-			}
-		}
-	} else {
-		forEachFeatureSpan(d, func(i, j int, v relational.Value) {
-			idx[i*k+j] = int32(enc.Offsets[j]) + int32(v)
-		})
-	}
+	forEachFeatureSpan(d, func(i, j int, v relational.Value) {
+		idx[i*k+j] = int32(enc.Offsets[j]) + int32(v)
+	})
 	labels = make([]int8, n)
 	d.ScanLabels(labels, 0)
 	return idx, labels

@@ -11,15 +11,16 @@
 //
 // Since the factorized-execution refactor a Dataset is a *view*: it binds to
 // any relational.Relation (a physical Table, a zero-copy JoinView, a split
-// SelectView) or to dense storage, and Subset / SelectFeatures compose
-// index- and column-remaps instead of copying. Learners consume examples
-// only through NumExamples / Row / RowInto / At / Label, so one JoinAll
-// experiment now holds a single physical copy of the fact and dimension
-// tables instead of 3–4 copies of the joined matrix.
+// SelectView), and Subset / SelectFeatures compose index- and column-remaps
+// instead of copying. Dense example blocks become an in-memory Table through
+// FromRows, so every dataset has the one backing. One JoinAll experiment
+// holds a single physical copy of the fact and dimension tables instead of
+// 3–4 copies of the joined matrix.
 package ml
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/relational"
@@ -35,118 +36,49 @@ type Feature struct {
 	IsFK        bool
 }
 
-// view is the non-dense backing of a Dataset: a source (either a Relation or
-// a borrowed dense block) plus optional row and column remaps.
-type view struct {
-	// Exactly one of rel / (x, y) is the source.
-	rel relational.Relation
-	x   []relational.Value // dense source rows, width = baseW
-	y   []int8             // dense source labels (rel == nil)
-
-	baseW  int // source row width
-	target int // target column in rel (rel != nil)
-	rows   []int
-	n      int   // row count when rows == nil
-	cols   []int // per-feature source column; nil = identity (never nil with rel)
-}
-
-// srcRow maps a view example index to a source row index.
-func (v *view) srcRow(i int) int {
-	if v.rows == nil {
-		return i
-	}
-	return v.rows[i]
-}
-
 // Dataset is an immutable supervised learning problem: n examples, d
-// categorical features, binary labels.
-//
-// A Dataset is either *dense* — X row-major (len n*d), Y class labels 0/1,
-// both exported so tests and generators can build datasets directly — or
-// *view-backed* (constructed by FromRelation, Subset, or SelectFeatures), in
-// which case X and Y are nil and every access resolves through the backing
-// relation and remap tables. Use the accessors; they are the only API that
-// works for both forms.
+// categorical features, binary labels. It is a view over a relation: a
+// source relational.Relation (a physical Table, a zero-copy JoinView, a
+// split SelectView, a SegmentedTable), a per-feature source column, the
+// source target column, and an optional row remap. FromRelation and FromRows
+// build one; Subset and SelectFeatures compose remaps without copying.
 type Dataset struct {
 	Features []Feature
-	X        []relational.Value // dense storage; nil when view-backed
-	Y        []int8             // dense labels; nil when view-backed
 
-	v       *view
-	scratch []relational.Value
+	rel    relational.Relation
+	cols   []int // per-feature source column
+	target int   // source target column
+	rows   []int // source row of each example; nil = the first n rows
+	n      int   // example count when rows == nil
+}
+
+// srcRow maps an example index to a source row index.
+func (d *Dataset) srcRow(i int) int {
+	if d.rows == nil {
+		return i
+	}
+	return d.rows[i]
 }
 
 // NumExamples returns n.
 func (d *Dataset) NumExamples() int {
-	if d.v == nil {
-		return len(d.Y)
+	if d.rows != nil {
+		return len(d.rows)
 	}
-	if d.v.rows != nil {
-		return len(d.v.rows)
-	}
-	return d.v.n
+	return d.n
 }
 
 // NumFeatures returns the feature count.
 func (d *Dataset) NumFeatures() int { return len(d.Features) }
 
-// contiguous reports whether Row can alias storage directly: dense identity
-// layouts and row-remapped dense views with identity columns.
-func (d *Dataset) contiguous() bool {
-	return d.v == nil || (d.v.rel == nil && d.v.cols == nil)
-}
-
-// Row returns example i's feature codes.
-//
-// For contiguous datasets the returned slice aliases internal storage (the
-// historical zero-copy behaviour). For view-backed datasets it is filled
-// into a per-Dataset scratch buffer and stays valid only until the next Row
-// call on the same Dataset value — callers that hold a row across further
-// Row calls, or that read rows from several goroutines, must use RowInto
-// with their own buffer (see Accuracy) or per-goroutine Handles.
-func (d *Dataset) Row(i int) []relational.Value {
-	k := len(d.Features)
-	if d.v == nil {
-		return d.X[i*k : (i+1)*k : (i+1)*k]
-	}
-	if d.v.rel == nil && d.v.cols == nil {
-		r := d.v.srcRow(i)
-		return d.v.x[r*k : (r+1)*k : (r+1)*k]
-	}
-	if d.scratch == nil {
-		d.scratch = make([]relational.Value, k)
-	}
-	return d.RowInto(d.scratch, i)
-}
-
 // RowInto copies example i's feature codes into dst (len >= NumFeatures)
 // and returns dst truncated to the feature count. It never aliases dataset
-// storage, making it the safe pattern for callers that pass rows into
-// classifiers which may themselves iterate the same dataset.
+// storage and writes only into dst, so it is safe for concurrent use.
 func (d *Dataset) RowInto(dst []relational.Value, i int) []relational.Value {
-	k := len(d.Features)
-	dst = dst[:k]
-	if d.v == nil {
-		copy(dst, d.X[i*k:(i+1)*k])
-		return dst
-	}
-	r := d.v.srcRow(i)
-	if d.v.rel != nil {
-		if d.v.cols == nil {
-			return d.v.rel.CopyRow(dst, r)
-		}
-		for j, c := range d.v.cols {
-			dst[j] = d.v.rel.At(r, c)
-		}
-		return dst
-	}
-	if d.v.cols == nil {
-		copy(dst, d.v.x[r*d.v.baseW:r*d.v.baseW+k])
-		return dst
-	}
-	base := r * d.v.baseW
-	for j, c := range d.v.cols {
-		dst[j] = d.v.x[base+c]
+	dst = dst[:len(d.cols)]
+	r := d.srcRow(i)
+	for j, c := range d.cols {
+		dst[j] = d.rel.At(r, c)
 	}
 	return dst
 }
@@ -155,97 +87,25 @@ func (d *Dataset) RowInto(dst []relational.Value, i int) []relational.Value {
 // accessor for single-cell reads (no row assembly) and is safe for
 // concurrent use.
 func (d *Dataset) At(i, j int) relational.Value {
-	if d.v == nil {
-		return d.X[i*len(d.Features)+j]
-	}
-	r := d.v.srcRow(i)
-	c := j
-	if d.v.cols != nil {
-		c = d.v.cols[j]
-	}
-	if d.v.rel != nil {
-		return d.v.rel.At(r, c)
-	}
-	return d.v.x[r*d.v.baseW+c]
+	return d.rel.At(d.srcRow(i), d.cols[j])
 }
 
 // ScanFeature is the batch read path: it fills dst with consecutive values
 // of feature j starting at example from, returning how many were written
-// (min(len(dst), NumExamples()-from); 0 past the end). A relation backing
-// devirtualizes into the storage engine's own column loop: a scan of the
-// relation's column, or one gather of the rows when the dataset is a
-// Subset. Safe for concurrent use: it writes only into dst.
+// (min(len(dst), NumExamples()-from); 0 past the end). It devirtualizes into
+// the storage engine's own column loop: a scan of the relation's column, or
+// one gather of the rows when the dataset is a Subset. Safe for concurrent
+// use: it writes only into dst.
 func (d *Dataset) ScanFeature(dst []relational.Value, j, from int) int {
-	k := len(d.Features)
-	m := d.NumExamples() - from
-	if m > len(dst) {
-		m = len(dst)
-	}
+	m := min(len(dst), d.NumExamples()-from)
 	if m <= 0 {
 		return 0
 	}
-	dst = dst[:m]
-	if d.v == nil {
-		at := from*k + j
-		for i := range dst {
-			dst[i] = d.X[at]
-			at += k
-		}
-		return m
+	if d.rows == nil {
+		return d.rel.ScanColumn(d.cols[j], from, dst[:m])
 	}
-	if d.v.rel != nil {
-		// A relation-backed view always carries its column remap, so the
-		// one-column list is a slice of it.
-		cols := d.v.cols[j : j+1]
-		if d.v.rows == nil {
-			return d.v.rel.ScanColumn(cols[0], from, dst)
-		}
-		d.v.rel.GatherColumns(dst, m, cols, d.v.rows[from:from+m])
-		return m
-	}
-	c := j
-	if d.v.cols != nil {
-		c = d.v.cols[j]
-	}
-	if d.v.rows != nil {
-		for i, r := range d.v.rows[from : from+m] {
-			dst[i] = d.v.x[r*d.v.baseW+c]
-		}
-		return m
-	}
-	at := from*d.v.baseW + c
-	for i := range dst {
-		dst[i] = d.v.x[at]
-		at += d.v.baseW
-	}
+	d.rel.GatherColumns(dst, m, d.cols[j:j+1], d.rows[from:from+m])
 	return m
-}
-
-// gatherDense fills dst[k] with At(rows[k], j) for every k on a dense or
-// dense-view backing — the one-feature step of GatherFeatures there.
-// len(dst) must be >= len(rows).
-func (d *Dataset) gatherDense(dst []relational.Value, j int, rows []int) {
-	dst = dst[:len(rows)]
-	if d.v == nil {
-		k := len(d.Features)
-		for i, r := range rows {
-			dst[i] = d.X[r*k+j]
-		}
-		return
-	}
-	c := j
-	if d.v.cols != nil {
-		c = d.v.cols[j]
-	}
-	if d.v.rows != nil {
-		for i, r := range rows {
-			dst[i] = d.v.x[d.v.rows[r]*d.v.baseW+c]
-		}
-		return
-	}
-	for i, r := range rows {
-		dst[i] = d.v.x[r*d.v.baseW+c]
-	}
 }
 
 // LabelColumn is the feature index GatherFeatures reads as the example's
@@ -265,44 +125,31 @@ var featurePool = sync.Pool{New: func() any { return new(featureScratch) }}
 // GatherFeatures fills the column-major block dst with features feats of
 // the examples rows: feature feats[i] of example rows[k] lands at
 // dst[i*stride+k], and stride must be >= len(rows). A feats entry equal to
-// LabelColumn reads the label instead. On a relation backing the block is
-// one relational GatherColumns call over the composed source columns and
-// rows, so a spilled table pins each touched segment once for all the
-// features. Safe for concurrent use: it writes only into dst.
+// LabelColumn reads the label instead. The block is one relational
+// GatherColumns call over the composed source columns and rows, so a
+// spilled table pins each touched segment once for all the features. Safe
+// for concurrent use: it writes only into dst.
 func (d *Dataset) GatherFeatures(dst []relational.Value, stride int, feats []int, rows []int) {
-	if d.v == nil || d.v.rel == nil {
-		for i, j := range feats {
-			col := dst[i*stride : i*stride+len(rows)]
-			if j != LabelColumn {
-				d.gatherDense(col, j, rows)
-				continue
-			}
-			for k, r := range rows {
-				col[k] = relational.Value(d.Label(r))
-			}
-		}
-		return
-	}
 	sc := featurePool.Get().(*featureScratch)
 	defer featurePool.Put(sc)
 	cols := sc.cols[:0]
 	for _, j := range feats {
 		if j == LabelColumn {
-			j = d.v.target
+			j = d.target
 		} else {
-			j = d.v.cols[j]
+			j = d.cols[j]
 		}
 		cols = append(cols, j)
 	}
 	sc.cols = cols
-	if d.v.rows != nil {
+	if d.rows != nil {
 		src := sc.rows[:0]
 		for _, r := range rows {
-			src = append(src, d.v.rows[r])
+			src = append(src, d.rows[r])
 		}
 		sc.rows, rows = src, src
 	}
-	d.v.rel.GatherColumns(dst, stride, cols, rows)
+	d.rel.GatherColumns(dst, stride, cols, rows)
 }
 
 // ScanLabels fills dst with consecutive labels starting at example from and
@@ -310,34 +157,20 @@ func (d *Dataset) GatherFeatures(dst []relational.Value, stride int, feats []int
 // on the batch path call it once per Fit and then index the materialized
 // label vector instead of paying a virtual Label call per example per pass.
 func (d *Dataset) ScanLabels(dst []int8, from int) int {
-	m := d.NumExamples() - from
-	if m > len(dst) {
-		m = len(dst)
-	}
+	m := min(len(dst), d.NumExamples()-from)
 	if m <= 0 {
 		return 0
 	}
-	dst = dst[:m]
-	if d.v == nil {
-		copy(dst, d.Y[from:from+m])
-		return m
-	}
-	if d.v.rel == nil {
-		for i := range dst {
-			dst[i] = d.Label(from + i)
-		}
-		return m
-	}
 	// Batch the target column: a contiguous scan without a row remap, a
 	// gather of the remapped rows (a Subset) with one.
-	target := []int{d.v.target}
+	target := []int{d.target}
 	buf := make([]relational.Value, min(m, 4096))
 	for at := 0; at < m; {
 		got := min(len(buf), m-at)
-		if d.v.rows == nil {
-			got = d.v.rel.ScanColumn(d.v.target, from+at, buf[:got])
+		if d.rows == nil {
+			got = d.rel.ScanColumn(d.target, from+at, buf[:got])
 		} else {
-			d.v.rel.GatherColumns(buf, got, target, d.v.rows[from+at:from+at+got])
+			d.rel.GatherColumns(buf, got, target, d.rows[from+at:from+at+got])
 		}
 		for i := 0; i < got; i++ {
 			dst[at+i] = int8(buf[i])
@@ -349,50 +182,23 @@ func (d *Dataset) ScanLabels(dst []int8, from int) int {
 
 // FeatureRange reports the observed [lo, hi] code range of feature j when
 // the backing relation can prove one from resident statistics (a
-// SegmentedTable's append-time column bounds) without scanning any data. ok is false when no
-// bound is available (dense datasets, relations without statistics). The
+// SegmentedTable's append-time column bounds) without scanning any data. ok
+// is false when no bound is available (relations without statistics). The
 // range may be wider than the rows actually visible through this dataset —
 // a split Subset inherits its source's bounds — so it supports only sound
 // over-approximations: lo == hi proves the feature constant (the decision
 // tree skips such features in its split search), nothing more.
 func (d *Dataset) FeatureRange(j int) (lo, hi relational.Value, ok bool) {
-	if d.v == nil || d.v.rel == nil {
-		return 0, 0, false
-	}
-	cr, ranged := d.v.rel.(relational.ColumnRanger)
+	cr, ranged := d.rel.(relational.ColumnRanger)
 	if !ranged {
 		return 0, 0, false
 	}
-	c := j
-	if d.v.cols != nil {
-		c = d.v.cols[j]
-	}
-	return cr.ColumnRange(c)
+	return cr.ColumnRange(d.cols[j])
 }
 
 // Label returns example i's class in {0, 1}.
 func (d *Dataset) Label(i int) int8 {
-	if d.v == nil {
-		return d.Y[i]
-	}
-	r := d.v.srcRow(i)
-	if d.v.rel != nil {
-		return int8(d.v.rel.At(r, d.v.target))
-	}
-	return d.v.y[r]
-}
-
-// Handle returns a cheap per-worker alias of the dataset: same backing data,
-// private scratch buffer. Views make handles free (a small struct copy), and
-// parallel tuning hands one to each worker so concurrent Row calls cannot
-// race on scratch. For contiguous datasets it returns d unchanged.
-func (d *Dataset) Handle() *Dataset {
-	if d.contiguous() {
-		return d
-	}
-	h := *d
-	h.scratch = nil
-	return &h
+	return int8(d.rel.At(d.srcRow(i), d.target))
 }
 
 // PositiveFraction returns the empirical P(Y=1).
@@ -420,29 +226,34 @@ func (d *Dataset) MajorityClass() int8 {
 }
 
 // Subset returns a view of the dataset restricted to the given example
-// indices, in order. No example data is copied: the result shares storage
-// with d (and with d's own backing, if d is already a view), composing row
-// remaps. Indices may repeat. When d has no row remap yet the idx slice is
-// retained as-is (callers must not mutate it afterwards); when composing
-// with an existing remap it is only read.
+// indices, in order. No example data is copied: the result shares d's
+// relation, composing row remaps. Indices may repeat. When d has no row
+// remap yet the idx slice is retained as-is (callers must not mutate it
+// afterwards); when composing with an existing remap it is only read.
 func (d *Dataset) Subset(idx []int) *Dataset {
-	out := &Dataset{Features: d.Features}
-	if d.v == nil {
-		out.v = &view{x: d.X, y: d.Y, baseW: len(d.Features), rows: idx}
-		return out
-	}
-	nv := *d.v
-	if d.v.rows == nil {
-		nv.rows = idx
-	} else {
-		rows := make([]int, len(idx))
+	out := *d
+	out.rows = idx
+	if d.rows != nil {
+		out.rows = make([]int, len(idx))
 		for k, i := range idx {
-			rows[k] = d.v.rows[i]
+			out.rows[k] = d.rows[i]
 		}
-		nv.rows = rows
 	}
-	out.v = &nv
-	return out
+	return &out
+}
+
+// SelectFeatures returns a view of the dataset with only the features at
+// the given positions, in the given order. No example data is copied;
+// column remaps compose with any existing view.
+func (d *Dataset) SelectFeatures(keep []int) *Dataset {
+	out := *d
+	out.Features = make([]Feature, len(keep))
+	out.cols = make([]int, len(keep))
+	for j, k := range keep {
+		out.Features[j] = d.Features[k]
+		out.cols[j] = d.cols[k]
+	}
+	return &out
 }
 
 // FromRelation builds a zero-copy dataset over any relation using the given
@@ -474,61 +285,56 @@ func FromRelation(r relational.Relation, featureCols []int, targetCol int) (*Dat
 	}
 	return &Dataset{
 		Features: feats,
-		v: &view{
-			rel:    r,
-			baseW:  schema.Width(),
-			target: targetCol,
-			n:      r.NumRows(),
-			cols:   append([]int(nil), featureCols...),
-		},
+		rel:      r,
+		cols:     append([]int(nil), featureCols...),
+		target:   targetCol,
+		n:        r.NumRows(),
 	}, nil
 }
 
-// Materialize evaluates a view-backed dataset into dense storage (one copy).
-// Contiguous identity datasets are returned unchanged. Learners with access
-// patterns that revisit every row many times (SMO's kernel loops) call this
-// once instead of paying per-access indirection.
-func (d *Dataset) Materialize() *Dataset {
-	if d.v == nil {
-		return d
+// RowSchema is the schema of the table FromRows builds for features: one
+// feature column per feature, named by position ("x0", "x1", ...) so that
+// empty or repeated feature names stay legal, then the binary target "y".
+func RowSchema(features []Feature) *relational.Schema {
+	cols := make([]relational.Column, len(features)+1)
+	for j, f := range features {
+		name := "x" + strconv.Itoa(j)
+		cols[j] = relational.Column{Name: name, Kind: relational.KindFeature, Domain: &relational.Domain{Name: name, Size: f.Cardinality}}
 	}
-	n := d.NumExamples()
-	k := len(d.Features)
-	out := &Dataset{
-		Features: d.Features,
-		X:        make([]relational.Value, n*k),
-		Y:        make([]int8, n),
-	}
-	for i := 0; i < n; i++ {
-		d.RowInto(out.X[i*k:(i+1)*k], i)
-		out.Y[i] = d.Label(i)
-	}
-	return out
+	cols[len(features)] = relational.Column{Name: "y", Kind: relational.KindTarget, Domain: &relational.Domain{Name: "y", Size: 2}}
+	return relational.MustSchema(cols...)
 }
 
-// SelectFeatures returns a view of the dataset with only the features at
-// the given positions, in the given order. No example data is copied;
-// column remaps compose with any existing view.
-func (d *Dataset) SelectFeatures(keep []int) *Dataset {
-	feats := make([]Feature, len(keep))
-	for j, k := range keep {
-		feats[j] = d.Features[k]
+// FromRows builds a dataset over an in-memory table of the given examples:
+// x is row-major (example i's codes are x[i*k:(i+1)*k] for k features) and
+// y holds the labels. The block is validated on the way in: it must be
+// whole rows of at least one feature, every code must lie inside its
+// feature's Cardinality, and every label must be 0 or 1. The dataset keeps
+// features verbatim and copies x and y.
+func FromRows(features []Feature, x []relational.Value, y []int8) (*Dataset, error) {
+	k := len(features)
+	if k == 0 {
+		return nil, fmt.Errorf("ml: a dataset needs at least one feature")
 	}
-	out := &Dataset{Features: feats}
-	if d.v == nil {
-		out.v = &view{x: d.X, y: d.Y, baseW: len(d.Features), n: len(d.Y), cols: append([]int(nil), keep...)}
-		return out
+	if len(x) != k*len(y) {
+		return nil, fmt.Errorf("ml: %d feature values are not %d rows of %d features", len(x), len(y), k)
 	}
-	nv := *d.v
-	if d.v.cols == nil {
-		nv.cols = append([]int(nil), keep...)
-	} else {
-		cols := make([]int, len(keep))
-		for j, k := range keep {
-			cols[j] = d.v.cols[k]
-		}
-		nv.cols = cols
+	block := make([]relational.Value, 0, len(y)*(k+1))
+	for i, label := range y {
+		block = append(append(block, x[i*k:(i+1)*k]...), relational.Value(label))
 	}
-	out.v = &nv
-	return out
+	t := relational.NewTable("rows", RowSchema(features), 0)
+	if err := t.AppendRows(block); err != nil {
+		return nil, fmt.Errorf("ml: %w", err)
+	}
+	cols := make([]int, k)
+	for j := range cols {
+		cols[j] = j
+	}
+	d, err := FromRelation(t, cols, k)
+	if err != nil {
+		return nil, err
+	}
+	d.Features = features
+	return d, nil
 }

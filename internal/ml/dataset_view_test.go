@@ -114,8 +114,9 @@ func TestViewDatasetObservesBaseWrites(t *testing.T) {
 		t.Fatalf("label did not read through: %d want %d", got, 1-oldY)
 	}
 
-	// A materialized snapshot is decoupled from subsequent writes.
-	snap := sel.Materialize()
+	// A snapshot copied into its own table is decoupled from subsequent
+	// writes.
+	snap := snapshot(sel)
 	if err := dim.Set(fk, 1, oldXr); err != nil {
 		t.Fatal(err)
 	}
@@ -134,82 +135,17 @@ func TestViewCompositionMatchesMaterialized(t *testing.T) {
 	keep := []int{3, 1, 0}
 
 	lazy := full.Subset(idx).SelectFeatures(keep)
-	eager := full.Materialize().Subset(idx).Materialize().SelectFeatures(keep)
+	eager := snapshot(snapshot(full).Subset(idx)).SelectFeatures(keep)
 	sameDataset(t, eager, lazy)
 	// And the other composition order.
 	lazy2 := full.SelectFeatures(keep).Subset(idx)
 	sameDataset(t, eager, lazy2)
-	// Materializing the lazy stack is a fixed point.
-	sameDataset(t, lazy, lazy.Materialize())
-
-	if lazy.Materialize() == lazy {
-		t.Fatal("view must materialize to a new dense dataset")
-	}
-	dense := lazy.Materialize()
-	if dense.Materialize() != dense {
-		t.Fatal("dense dataset must materialize to itself")
-	}
-}
-
-func TestRowScratchAndHandles(t *testing.T) {
-	ss, jv := viewStar(t, 20, 4, 11)
-	ds, err := ViewDataset(jv, ss.TargetCol, JoinAll, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row on a view-backed dataset reuses scratch: a second call clobbers
-	// the first result. RowInto with a caller buffer is stable.
-	stable := make([]relational.Value, ds.NumFeatures())
-	ds.RowInto(stable, 0)
-	r0 := ds.Row(0)
-	_ = ds.Row(1)
-	same := true
-	for j := range r0 {
-		if r0[j] != stable[j] {
-			same = false
-		}
-	}
-	if same && ds.NumFeatures() > 0 {
-		// Rows 0 and 1 could coincide; force distinction via direct check.
-		distinct := false
-		for j := 0; j < ds.NumFeatures(); j++ {
-			if ds.At(0, j) != ds.At(1, j) {
-				distinct = true
-			}
-		}
-		if distinct {
-			t.Fatal("Row(1) did not reuse the scratch buffer; the zero-copy contract changed")
-		}
-	}
-
-	// Handles have independent scratch: interleaved reads don't clobber.
-	h1, h2 := ds.Handle(), ds.Handle()
-	if h1 == ds || h1 == h2 {
-		t.Fatal("view-backed handles must be distinct values")
-	}
-	a := h1.Row(2)
-	b := h2.Row(3)
-	for j := range a {
-		if a[j] != ds.At(2, j) {
-			t.Fatalf("h1 row clobbered at %d", j)
-		}
-		if b[j] != ds.At(3, j) {
-			t.Fatalf("h2 row wrong at %d", j)
-		}
-	}
-
-	// Dense datasets alias storage; Handle is the identity.
-	dense := ds.Materialize()
-	if dense.Handle() != dense {
-		t.Fatal("dense handle must be the dataset itself")
-	}
-	dr := dense.Row(2)
-	_ = dense.Row(3)
-	for j := range dr {
-		if dr[j] != dense.At(2, j) {
-			t.Fatal("dense rows must not share scratch")
-		}
-	}
+	// Snapshotting the lazy stack is a fixed point.
+	sameDataset(t, lazy, snapshot(lazy))
+	// Remaps compose the same way over an in-memory table.
+	rows := snapshot(full)
+	sameDataset(t, eager, rows.Subset(idx).SelectFeatures(keep))
+	sameDataset(t, eager, rows.SelectFeatures(keep).Subset(idx))
 }
 
 func TestGridSearchParallelMatchesSequential(t *testing.T) {

@@ -9,21 +9,42 @@ import (
 	"repro/internal/rng"
 )
 
+// mustRows is FromRows for test blocks that are valid by construction.
+func mustRows(features []Feature, x []relational.Value, y []int8) *Dataset {
+	d, err := FromRows(features, x, y)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// snapshot copies a dataset into a new in-memory table: the eager reference
+// the view-composition tests compare lazy remaps against.
+func snapshot(d *Dataset) *Dataset {
+	x, y := ScanRowMajor(d)
+	return mustRows(d.Features, x, y)
+}
+
+// rowOf reads example i through RowInto into a fresh buffer.
+func rowOf(d *Dataset, i int) []relational.Value {
+	return d.RowInto(make([]relational.Value, d.NumFeatures()), i)
+}
+
+var tinyFeatures = []Feature{
+	{Name: "a", Cardinality: 2},
+	{Name: "b", Cardinality: 3},
+}
+
+var tinyX = []relational.Value{
+	0, 0,
+	0, 1,
+	1, 0,
+	1, 2,
+}
+
 // tinyDataset builds a 2-feature XOR-ish dataset for interface tests.
 func tinyDataset() *Dataset {
-	return &Dataset{
-		Features: []Feature{
-			{Name: "a", Cardinality: 2},
-			{Name: "b", Cardinality: 3},
-		},
-		X: []relational.Value{
-			0, 0,
-			0, 1,
-			1, 0,
-			1, 2,
-		},
-		Y: []int8{0, 0, 1, 1},
-	}
+	return mustRows(tinyFeatures, tinyX, []int8{0, 0, 1, 1})
 }
 
 func TestDatasetAccessors(t *testing.T) {
@@ -31,7 +52,7 @@ func TestDatasetAccessors(t *testing.T) {
 	if d.NumExamples() != 4 || d.NumFeatures() != 2 {
 		t.Fatalf("shape (%d,%d)", d.NumExamples(), d.NumFeatures())
 	}
-	if got := d.Row(3); got[0] != 1 || got[1] != 2 {
+	if got := rowOf(d, 3); got[0] != 1 || got[1] != 2 {
 		t.Fatalf("Row(3) = %v", got)
 	}
 	if d.Label(2) != 1 {
@@ -48,14 +69,14 @@ func TestDatasetAccessors(t *testing.T) {
 func TestSubsetAndSelectFeatures(t *testing.T) {
 	d := tinyDataset()
 	s := d.Subset([]int{3, 0})
-	if s.NumExamples() != 2 || s.Label(0) != 1 || s.Row(1)[1] != 0 {
+	if s.NumExamples() != 2 || s.Label(0) != 1 || rowOf(s, 1)[1] != 0 {
 		t.Fatalf("Subset wrong: %+v", s)
 	}
 	f := d.SelectFeatures([]int{1})
 	if f.NumFeatures() != 1 || f.Features[0].Name != "b" {
 		t.Fatalf("SelectFeatures wrong: %+v", f.Features)
 	}
-	if f.Row(3)[0] != 2 {
+	if rowOf(f, 3)[0] != 2 {
 		t.Fatal("SelectFeatures did not reindex columns")
 	}
 }
@@ -127,8 +148,7 @@ func TestAccuracyAndConfusion(t *testing.T) {
 }
 
 func TestConstantClassifierFit(t *testing.T) {
-	d := tinyDataset()
-	d.Y = []int8{0, 0, 0, 1}
+	d := mustRows(tinyFeatures, tinyX, []int8{0, 0, 0, 1})
 	c := &ConstantClassifier{}
 	if err := c.Fit(d); err != nil {
 		t.Fatal(err)
@@ -338,6 +358,53 @@ func TestFromRelationValidation(t *testing.T) {
 	}
 	if _, err := FromRelation(tab, []int{0}, 0); err == nil {
 		t.Fatal("target as feature must be rejected")
+	}
+}
+
+// TestFromRowsValidation pins FromRows' input checks: every malformed block
+// is an error, never a dataset.
+func TestFromRowsValidation(t *testing.T) {
+	cases := map[string]struct {
+		features []Feature
+		x        []relational.Value
+		y        []int8
+	}{
+		"ragged block":         {tinyFeatures, []relational.Value{0, 0, 1}, []int8{0, 1}},
+		"code past its domain": {tinyFeatures, []relational.Value{0, 0, 1, 3}, []int8{0, 1}},
+		"negative code":        {tinyFeatures, []relational.Value{0, -1}, []int8{0}},
+		"label 2":              {tinyFeatures, []relational.Value{0, 0, 1, 2}, []int8{0, 2}},
+		"negative label":       {tinyFeatures, []relational.Value{0, 0}, []int8{-1}},
+		"zero features":        {nil, nil, []int8{0, 1}},
+	}
+	for name, c := range cases {
+		if d, err := FromRows(c.features, c.x, c.y); err == nil {
+			t.Errorf("%s: FromRows accepted the block (%d examples)", name, d.NumExamples())
+		}
+	}
+}
+
+// TestFromRowsKeepsFeatures checks the caller's features survive verbatim —
+// empty and repeated names included, since the backing schema names its
+// columns by position — and that the dataset copies the block.
+func TestFromRowsKeepsFeatures(t *testing.T) {
+	feats := []Feature{{Name: "", Cardinality: 3}, {Name: "", Cardinality: 2, IsFK: true}, {Name: "a", Cardinality: 4}, {Name: "a", Cardinality: 4}}
+	x := []relational.Value{2, 1, 3, 0, 0, 0, 1, 3}
+	d, err := FromRows(feats, x, []int8{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &d.Features[0] != &feats[0] {
+		t.Fatal("FromRows must keep the caller's features")
+	}
+	x[0] = 0
+	if got := rowOf(d, 0); got[0] != 2 || got[1] != 1 || got[2] != 3 || got[3] != 0 || d.Label(0) != 1 {
+		t.Fatalf("row 0 = %v label %d", got, d.Label(0))
+	}
+	if got := rowOf(d, 1); got[3] != 3 || d.Label(1) != 0 {
+		t.Fatalf("row 1 = %v label %d", got, d.Label(1))
+	}
+	if empty := mustRows(feats, nil, nil); empty.NumExamples() != 0 || empty.NumFeatures() != 4 {
+		t.Fatalf("empty block: shape (%d,%d)", empty.NumExamples(), empty.NumFeatures())
 	}
 }
 

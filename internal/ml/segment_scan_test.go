@@ -81,7 +81,8 @@ func TestScanSpansFallbacks(t *testing.T) {
 // an out-of-core segmented table whose cache budget holds only a fraction of
 // the segments: concurrent scan tasks fault, pin, and evict segments under
 // each other. Under -race this is the fan-out half of the concurrency
-// satellite; the assertion pins bit-identical output vs the dense dataset.
+// satellite; the assertion pins bit-identical output vs the same scan over
+// the in-memory join view.
 func TestScanRowMajorSpilledSegmented(t *testing.T) {
 	_, jv := viewStar(t, 800, 12, 9)
 	cols := ViewColumns(jv, JoinAll, nil)
@@ -102,7 +103,7 @@ func TestScanRowMajorSpilledSegmented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBlock, wantLabels := ScanRowMajor(ref.Materialize())
+	wantBlock, wantLabels := ScanRowMajor(ref)
 	gotBlock, gotLabels := ScanRowMajor(ds)
 	if len(wantBlock) != len(gotBlock) {
 		t.Fatalf("block sizes diverged: %d vs %d", len(wantBlock), len(gotBlock))
@@ -120,7 +121,7 @@ func TestScanRowMajorSpilledSegmented(t *testing.T) {
 }
 
 // TestFeatureRangeRouting checks FeatureRange resolves through column remaps
-// to the segmented source's column bounds, and reports no range for dense or
+// to the segmented source's column bounds, and reports no range for
 // statistics-free backings.
 func TestFeatureRangeRouting(t *testing.T) {
 	_, jv := viewStar(t, 400, 12, 9)
@@ -153,8 +154,8 @@ func TestFeatureRangeRouting(t *testing.T) {
 	if ok != wok || lo != wlo || hi != whi {
 		t.Fatalf("remapped FeatureRange = [%d,%d] %v, want [%d,%d] %v", lo, hi, ok, wlo, whi, wok)
 	}
-	if _, _, ok := ds.Materialize().FeatureRange(0); ok {
-		t.Fatal("dense dataset must report no feature range")
+	if _, _, ok := snapshot(ds).FeatureRange(0); ok {
+		t.Fatal("an in-memory table has no statistics; FeatureRange must report none")
 	}
 	refDS, err := FromRelation(jv, cols, 0)
 	if err != nil {

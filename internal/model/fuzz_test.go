@@ -34,23 +34,20 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		r := rng.New(seed)
 		const n, h = 60, 24
 		d := len(features)
-		train := &ml.Dataset{
-			Features: features,
-			X:        make([]relational.Value, n*d),
-			Y:        make([]int8, n),
-		}
+		xs, ys := make([]relational.Value, n*d), make([]int8, n)
 		fill := func(dst []relational.Value) {
 			for j, ft := range features {
 				dst[j] = relational.Value(r.Intn(ft.Cardinality))
 			}
 		}
 		for i := 0; i < n; i++ {
-			row := train.X[i*d : (i+1)*d]
+			row := xs[i*d : (i+1)*d]
 			fill(row)
 			if (int(row[0])+int(row[1]))%2 == 0 {
-				train.Y[i] = 1
+				ys[i] = 1
 			}
 		}
+		train := mustRows(features, xs, ys)
 		heldout := make([][]relational.Value, h)
 		for i := range heldout {
 			heldout[i] = make([]relational.Value, d)

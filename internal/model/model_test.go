@@ -19,7 +19,7 @@ import (
 	"repro/internal/tree"
 )
 
-// trainData builds a small dense dataset with a mix of domain sizes and one
+// trainData builds a small in-memory dataset with a mix of domain sizes and one
 // FK-flagged feature, plus a disjoint held-out batch for prediction
 // comparison.
 func trainData(t *testing.T, seed uint64) (train *ml.Dataset, heldout [][]relational.Value) {
@@ -36,22 +36,18 @@ func trainDataRaw(seed uint64) (*ml.Dataset, [][]relational.Value) {
 	r := rng.New(seed)
 	const n, h = 160, 48
 	d := len(features)
-	ds := &ml.Dataset{
-		Features: features,
-		X:        make([]relational.Value, n*d),
-		Y:        make([]int8, n),
-	}
+	xs, ys := make([]relational.Value, n*d), make([]int8, n)
 	row := func(dst []relational.Value) {
 		for j, f := range features {
 			dst[j] = relational.Value(r.Intn(f.Cardinality))
 		}
 	}
 	for i := 0; i < n; i++ {
-		x := ds.X[i*d : (i+1)*d]
+		x := xs[i*d : (i+1)*d]
 		row(x)
 		score := float64(x[0]) - 1 + float64(x[1]%2)*2 - 1 + 0.5*r.NormFloat64()
 		if score > 0 {
-			ds.Y[i] = 1
+			ys[i] = 1
 		}
 	}
 	heldout := make([][]relational.Value, h)
@@ -59,7 +55,16 @@ func trainDataRaw(seed uint64) (*ml.Dataset, [][]relational.Value) {
 		heldout[i] = make([]relational.Value, d)
 		row(heldout[i])
 	}
-	return ds, heldout
+	return mustRows(features, xs, ys), heldout
+}
+
+// mustRows is ml.FromRows for test blocks that are valid by construction.
+func mustRows(features []ml.Feature, x []relational.Value, y []int8) *ml.Dataset {
+	d, err := ml.FromRows(features, x, y)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
 
 // fitted returns one fitted instance of every serializable binary learner.
@@ -283,6 +288,31 @@ func TestDecodeRejectsCorruptSchema(t *testing.T) {
 	raw[at] ^= 0x20
 	if _, err := Decode(bytes.NewReader(raw)); err == nil {
 		t.Fatal("corrupted schema block decoded without error")
+	}
+}
+
+// TestDecodeRejectsOutOfDomainKNN stores a 1-NN whose memorized codes lie
+// outside the artifact's feature domains (the model's schema narrows a
+// cardinality below a code the training rows hold) and requires decode to
+// fail with an error, not a panic.
+func TestDecodeRejectsOutOfDomainKNN(t *testing.T) {
+	train, _ := trainData(t, 3)
+	k := knn.New()
+	if err := k.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	narrow := append([]ml.Feature(nil), train.Features...)
+	narrow[1].Cardinality = 1 // the "fk" codes run to 5
+	m, err := New(k, narrow, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(&buf); err == nil {
+		t.Fatal("1-NN artifact with an out-of-domain code decoded without error")
 	}
 }
 

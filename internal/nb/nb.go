@@ -134,7 +134,7 @@ func (nb *NaiveBayes) Fit(train *ml.Dataset) error {
 		for v := 0; v < train.Features[j].Cardinality; v++ {
 			k := nb.enc.Index(j, relational.Value(v))
 			for c := 0; c < 2; c++ {
-				nb.logLik[k*2+c] = math.Log((counts[k*2+c] + nb.cfg.Alpha) / (classN[c] + nb.cfg.Alpha*card))
+				nb.logLik[k*2+c] = math.Log((counts[k*2+c] + nb.cfg.Alpha) / (classN[c] + float64(nb.cfg.Alpha*card)))
 			}
 		}
 	}

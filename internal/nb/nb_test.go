@@ -18,13 +18,14 @@ func feats(cards ...int) []ml.Feature {
 }
 
 func TestFitRejectsEmpty(t *testing.T) {
-	if err := New(Config{}).Fit(&ml.Dataset{Features: feats(2)}); err == nil {
+	if err := New(Config{}).Fit(mustRows(feats(2), nil, nil)); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestLearnsConditionalSignal(t *testing.T) {
-	ds := &ml.Dataset{Features: feats(2, 3)}
+	var xs []relational.Value
+	var ys []int8
 	r := rng.New(1)
 	for i := 0; i < 1000; i++ {
 		x0 := relational.Value(r.Intn(2))
@@ -32,9 +33,10 @@ func TestLearnsConditionalSignal(t *testing.T) {
 		if r.Bernoulli(0.1) {
 			y = 1 - y
 		}
-		ds.X = append(ds.X, x0, relational.Value(r.Intn(3)))
-		ds.Y = append(ds.Y, y)
+		xs = append(xs, x0, relational.Value(r.Intn(3)))
+		ys = append(ys, y)
 	}
+	ds := mustRows(feats(2, 3), xs, ys)
 	m := New(Config{})
 	if err := m.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -47,11 +49,7 @@ func TestLearnsConditionalSignal(t *testing.T) {
 func TestLaplaceSmoothingHandlesUnseenValue(t *testing.T) {
 	// Value 2 of feature 0 never appears in training; prediction must not
 	// blow up (no -Inf) and should follow the prior.
-	ds := &ml.Dataset{
-		Features: feats(3),
-		X:        []relational.Value{0, 0, 1, 1, 1},
-		Y:        []int8{0, 0, 1, 1, 1},
-	}
+	ds := mustRows(feats(3), []relational.Value{0, 0, 1, 1, 1}, []int8{0, 0, 1, 1, 1})
 	m := New(Config{Alpha: 1})
 	if err := m.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -65,11 +63,7 @@ func TestLaplaceSmoothingHandlesUnseenValue(t *testing.T) {
 func TestPosteriorMatchesHandComputation(t *testing.T) {
 	// 4 examples, 1 binary feature; verify the smoothed posterior decision
 	// boundary against hand-computed values.
-	ds := &ml.Dataset{
-		Features: feats(2),
-		X:        []relational.Value{0, 0, 1, 1},
-		Y:        []int8{0, 0, 1, 1},
-	}
+	ds := mustRows(feats(2), []relational.Value{0, 0, 1, 1}, []int8{0, 0, 1, 1})
 	m := New(Config{Alpha: 1})
 	if err := m.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -96,20 +90,16 @@ func TestSetActiveSuppressesFeature(t *testing.T) {
 	// Feature 0 predicts perfectly; feature 1 carries a weaker opposite
 	// association on the input we probe. Deactivating the dominant feature
 	// must flip the prediction for {0, 0}.
-	ds := &ml.Dataset{
-		Features: feats(2, 2),
-		X: []relational.Value{
-			0, 1,
-			0, 1,
-			0, 1,
-			0, 0,
-			1, 0,
-			1, 0,
-			1, 0,
-			1, 1,
-		},
-		Y: []int8{0, 0, 0, 0, 1, 1, 1, 1},
-	}
+	ds := mustRows(feats(2, 2), []relational.Value{
+		0, 1,
+		0, 1,
+		0, 1,
+		0, 0,
+		1, 0,
+		1, 0,
+		1, 0,
+		1, 1,
+	}, []int8{0, 0, 0, 0, 1, 1, 1, 1})
 	m := New(Config{})
 	if err := m.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -131,19 +121,20 @@ func TestBackwardSelectDropsNoise(t *testing.T) {
 	// accuracy at least at the all-features level and typically drop noise.
 	r := rng.New(5)
 	gen := func(n int, rr *rng.RNG) *ml.Dataset {
-		ds := &ml.Dataset{Features: feats(2, 8, 8, 8, 8)}
+		var xs []relational.Value
+		var ys []int8
 		for i := 0; i < n; i++ {
 			x0 := relational.Value(rr.Intn(2))
 			y := int8(x0)
 			if rr.Bernoulli(0.05) {
 				y = 1 - y
 			}
-			ds.X = append(ds.X, x0,
+			xs = append(xs, x0,
 				relational.Value(rr.Intn(8)), relational.Value(rr.Intn(8)),
 				relational.Value(rr.Intn(8)), relational.Value(rr.Intn(8)))
-			ds.Y = append(ds.Y, y)
+			ys = append(ys, y)
 		}
-		return ds
+		return mustRows(feats(2, 8, 8, 8, 8), xs, ys)
 	}
 	train := gen(400, r)
 	val := gen(200, r)
@@ -172,11 +163,7 @@ func TestBackwardSelectDropsNoise(t *testing.T) {
 }
 
 func TestBackwardSelectNeverDropsLastFeature(t *testing.T) {
-	ds := &ml.Dataset{
-		Features: feats(2),
-		X:        []relational.Value{0, 1, 0, 1},
-		Y:        []int8{1, 0, 0, 1}, // pure noise
-	}
+	ds := mustRows(feats(2), []relational.Value{0, 1, 0, 1}, []int8{1, 0, 0, 1}) // pure noise
 	m, _, err := BackwardSelect(Config{}, ds, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +174,8 @@ func TestBackwardSelectNeverDropsLastFeature(t *testing.T) {
 }
 
 func TestBackwardSelectEmptyValidation(t *testing.T) {
-	ds := &ml.Dataset{Features: feats(2), X: []relational.Value{0}, Y: []int8{1}}
-	if _, _, err := BackwardSelect(Config{}, ds, &ml.Dataset{Features: feats(2)}); err == nil {
+	ds := mustRows(feats(2), []relational.Value{0}, []int8{1})
+	if _, _, err := BackwardSelect(Config{}, ds, mustRows(feats(2), nil, nil)); err == nil {
 		t.Fatal("expected empty-validation error")
 	}
 }
@@ -220,30 +207,32 @@ func rowCounts(train *ml.Dataset, enc *ml.Encoder) (classN [2]float64, counts []
 
 // TestBatchFitMatchesRowAtATime pins the batch counting path to the
 // example-at-a-time oracle: the fitted priors and conditional tables must
-// equal the ones the oracle's counts yield, on dense and on subset-view
-// datasets.
+// equal the ones the oracle's counts yield, on a whole table and on
+// subset-view datasets.
 func TestBatchFitMatchesRowAtATime(t *testing.T) {
 	r := rng.New(17)
-	ds := &ml.Dataset{Features: feats(4, 7, 2, 300)}
+	var xs []relational.Value
+	var ys []int8
 	n := 3000
 	for i := 0; i < n; i++ {
 		x := []relational.Value{
 			relational.Value(r.Intn(4)), relational.Value(r.Intn(7)),
 			relational.Value(r.Intn(2)), relational.Value(r.Intn(300)),
 		}
-		ds.X = append(ds.X, x...)
+		xs = append(xs, x...)
 		y := int8(0)
 		if int(x[0])+int(x[3])%3 > 2 {
 			y = 1
 		}
-		ds.Y = append(ds.Y, y)
+		ys = append(ys, y)
 	}
+	ds := mustRows(feats(4, 7, 2, 300), xs, ys)
 	sub := make([]int, 0, n/2)
 	for i := 0; i < n; i += 2 {
 		sub = append(sub, i)
 	}
 	for name, train := range map[string]*ml.Dataset{
-		"dense":         ds,
+		"table":         ds,
 		"subset-view":   ds.Subset(sub),
 		"feature-remap": ds.SelectFeatures([]int{3, 0, 1}),
 	} {
@@ -262,7 +251,7 @@ func TestBatchFitMatchesRowAtATime(t *testing.T) {
 			card := float64(f.Cardinality)
 			for v := 0; v < f.Cardinality; v++ {
 				for c, k := 0, batch.enc.Index(j, relational.Value(v)); c < 2; c++ {
-					want := math.Log((counts[k*2+c] + alpha) / (classN[c] + alpha*card))
+					want := math.Log((counts[k*2+c] + alpha) / (classN[c] + float64(alpha*card)))
 					if batch.logLik[k*2+c] != want {
 						t.Fatalf("%s: logLik[%d] = %v, oracle %v", name, k*2+c, batch.logLik[k*2+c], want)
 					}
@@ -270,4 +259,13 @@ func TestBatchFitMatchesRowAtATime(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mustRows is ml.FromRows for test blocks that are valid by construction.
+func mustRows(features []ml.Feature, x []relational.Value, y []int8) *ml.Dataset {
+	d, err := ml.FromRows(features, x, y)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }

@@ -109,9 +109,10 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Float64 returns a uniform float64 in [0, 1).
+// Float64 returns a uniform float64 in [0, 1). The outer conversion keeps
+// the compiler from fusing the scaling multiply into a caller's add.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Bool returns a fair coin toss.
@@ -127,9 +128,9 @@ func (r *RNG) Bernoulli(p float64) bool {
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
 func (r *RNG) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}

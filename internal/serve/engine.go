@@ -115,6 +115,10 @@ type Engine struct {
 	hwidth int
 
 	bp ml.BatchPredictor // non-nil when the classifier batch-classifies
+	// batchSchema and batchCols lay out bp's batch table: the model
+	// features (ml.RowSchema) then an unused target column.
+	batchSchema *relational.Schema
+	batchCols   []int
 
 	scratchPool sync.Pool
 }
@@ -316,6 +320,11 @@ func NewEngine(m *model.Model, ss *relational.StarSchema) (*Engine, error) {
 	}
 	if bp, ok := cls.(ml.BatchPredictor); ok {
 		e.bp = bp
+		e.batchSchema = ml.RowSchema(m.Features)
+		e.batchCols = make([]int, len(m.Features))
+		for j := range e.batchCols {
+			e.batchCols[j] = j
+		}
 	}
 	e.inputIndex = make(map[string]int, len(e.inputs))
 	for i, f := range e.inputs {
@@ -594,18 +603,25 @@ func (e *Engine) PredictBatch(reqs [][]relational.Value) ([]Prediction, error) {
 		return out, nil
 	}
 	if bp := e.bp; bp != nil && !e.linear && e.scorer == nil {
-		w := len(e.mdl.Features)
+		w := len(e.batchCols) + 1
 		block := make([]relational.Value, len(reqs)*w)
 		ml.ParallelFor(chunks, func(c int) {
 			lo := c * predictBatchMorsel
 			hi := min(lo+predictBatchMorsel, len(reqs))
 			sc := e.getScratch()
 			for i := lo; i < hi; i++ {
-				copy(block[i*w:(i+1)*w], e.assembleModelRow(sc, reqs[i]))
+				copy(block[i*w:], e.assembleModelRow(sc, reqs[i]))
 			}
 			e.putScratch(sc)
 		})
-		ds := &ml.Dataset{Features: e.mdl.Features, X: block, Y: make([]int8, len(reqs))}
+		t := relational.NewTable("batch", e.batchSchema, 0)
+		if err := t.AppendRows(block); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
+		ds, err := ml.FromRelation(t, e.batchCols, w-1)
+		if err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
 		for i, cls := range bp.PredictBatch(ds) {
 			out[i] = Prediction{Class: cls}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/relational"
 	"repro/internal/rng"
 	"repro/internal/tree"
 )
@@ -125,7 +126,7 @@ func TestOneXrSkewSamplers(t *testing.T) {
 		fkIdx := ds.NumFeatures() - 1
 		counts := map[int]int{}
 		for i := 0; i < ds.NumExamples(); i++ {
-			counts[int(ds.Row(i)[fkIdx])]++
+			counts[int(ds.At(i, fkIdx))]++
 		}
 		if counts[0] < ds.NumExamples()/5 {
 			t.Fatalf("%v skew head mass too small: %d/%d", skew.Kind, counts[0], ds.NumExamples())
@@ -177,8 +178,9 @@ func TestXSXRFDHolds(t *testing.T) {
 	// Features: XS0 XS1 FK XR0 XR1 XR2 — FK at index 2.
 	fkIdx := 2
 	seen := map[int32][3]int32{}
+	row := make([]relational.Value, ds.NumFeatures())
 	for i := 0; i < ds.NumExamples(); i++ {
-		row := ds.Row(i)
+		ds.RowInto(row, i)
 		xr := [3]int32{row[3], row[4], row[5]}
 		if prev, ok := seen[row[fkIdx]]; ok && prev != xr {
 			t.Fatalf("FD FK→XR violated for FK=%d", row[fkIdx])
@@ -198,8 +200,9 @@ func TestRepOneXrReplication(t *testing.T) {
 	}
 	ds := trial.Train[ml.JoinAll]
 	// Features: XS0 XS1 FK Xr XR1 XR2 XR3 XR4 — all XR equal Xr.
+	row := make([]relational.Value, ds.NumFeatures())
 	for i := 0; i < ds.NumExamples(); i++ {
-		row := ds.Row(i)
+		ds.RowInto(row, i)
 		xr := row[3]
 		for j := 4; j < 8; j++ {
 			if row[j] != xr {

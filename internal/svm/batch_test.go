@@ -40,13 +40,13 @@ func smoOracle(iters *int) func(p *problem) ([]float64, float64) {
 					for word != 0 {
 						j := base + bits.TrailingZeros64(word)
 						word &= word - 1
-						sum += ay[j] * float64(krow[j])
+						sum += float64(ay[j] * float64(krow[j]))
 					}
 				}
 			} else {
 				for j := 0; j < n; j++ {
 					if alpha[j] != 0 {
-						sum += alpha[j] * y[j] * kij(i, j)
+						sum += float64(alpha[j] * y[j] * kij(i, j))
 					}
 				}
 			}
@@ -91,9 +91,9 @@ func smoOracle(iters *int) func(p *problem) ([]float64, float64) {
 				if math.Abs(ajNew-aj) < 1e-7 {
 					continue
 				}
-				aiNew := ai + y[i]*y[j]*(aj-ajNew)
-				b1 := b - Ei - y[i]*(aiNew-ai)*kij(i, i) - y[j]*(ajNew-aj)*kij(i, j)
-				b2 := b - Ej - y[i]*(aiNew-ai)*kij(i, j) - y[j]*(ajNew-aj)*kij(j, j)
+				aiNew := ai + float64(y[i]*y[j]*(aj-ajNew))
+				b1 := b - Ei - float64(y[i]*(aiNew-ai)*kij(i, i)) - float64(y[j]*(ajNew-aj)*kij(i, j))
+				b2 := b - Ej - float64(y[i]*(aiNew-ai)*kij(i, j)) - float64(y[j]*(ajNew-aj)*kij(j, j))
 				switch {
 				case aiNew > 0 && aiNew < C:
 					b = b1
@@ -297,13 +297,15 @@ func requireBatchMatchesPredict(t *testing.T, name string, s *SVM, ds *ml.Datase
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	train := noisyDataset(300, 3)
 	eval := noisyDataset(3*predictMorsel+77, 4)
-	wide := &ml.Dataset{Features: []ml.Feature{{Name: "big", Cardinality: 1 << 17}, {Name: "f", Cardinality: 4}}}
+	var xs []relational.Value
+	var ys []int8
 	r := rng.New(5)
 	for i := 0; i < 200; i++ {
 		x0 := relational.Value(r.Intn(2) << 16)
-		wide.X = append(wide.X, x0, relational.Value(r.Intn(4)))
-		wide.Y = append(wide.Y, int8(x0>>16))
+		xs = append(xs, x0, relational.Value(r.Intn(4)))
+		ys = append(ys, int8(x0>>16))
 	}
+	wide := mustRows([]ml.Feature{{Name: "big", Cardinality: 1 << 17}, {Name: "f", Cardinality: 4}}, xs, ys)
 	for _, kind := range []KernelKind{Linear, Quadratic, RBF} {
 		for _, c := range []float64{1, 100} {
 			for name, ds := range map[string]*ml.Dataset{"u16": train, "int32": wide} {
@@ -333,7 +335,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 	// Degenerate models: a single-class fit (kernel, no support set) and the
 	// kernel-less model FromParams builds from a class sign.
-	one := &ml.Dataset{Features: feats(2, 4), X: []relational.Value{0, 1, 1, 2}, Y: []int8{1, 1}}
+	one := mustRows(feats(2, 4), []relational.Value{0, 1, 1, 2}, []int8{1, 1})
 	s, _ := New(Config{Kernel: RBF, C: 1, Gamma: 1})
 	if err := s.Fit(one); err != nil {
 		t.Fatal(err)
@@ -346,7 +348,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		}
 		requireBatchMatchesPredict(t, "kernel-less", kernelless, eval)
 	}
-	if got := s.PredictBatch(&ml.Dataset{Features: feats(2, 4)}); len(got) != 0 {
+	if got := s.PredictBatch(mustRows(feats(2, 4), nil, nil)); len(got) != 0 {
 		t.Fatalf("empty batch returned %d classes", len(got))
 	}
 }

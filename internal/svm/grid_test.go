@@ -80,14 +80,16 @@ func TestFitGridMatchesIndependentFits(t *testing.T) {
 		t.Fatalf("validation split of %d examples spans fewer than two morsels", val.NumExamples())
 	}
 	noisy, noisyVal := noisyDataset(200, 5), noisyDataset(3*predictMorsel+77, 6)
-	wide := &ml.Dataset{Features: []ml.Feature{{Name: "big", Cardinality: 1 << 17}, {Name: "f", Cardinality: 4}}}
+	var xs []relational.Value
+	var ys []int8
 	r := rng.New(5)
 	for i := 0; i < 200; i++ {
 		x0 := relational.Value(r.Intn(2) << 16)
-		wide.X = append(wide.X, x0, relational.Value(r.Intn(4)))
-		wide.Y = append(wide.Y, int8(x0>>16))
+		xs = append(xs, x0, relational.Value(r.Intn(4)))
+		ys = append(ys, int8(x0>>16))
 	}
-	one := &ml.Dataset{Features: feats(2, 4), X: []relational.Value{0, 1, 1, 2}, Y: []int8{1, 1}}
+	wide := mustRows([]ml.Feature{{Name: "big", Cardinality: 1 << 17}, {Name: "f", Cardinality: 4}}, xs, ys)
+	one := mustRows(feats(2, 4), []relational.Value{0, 1, 1, 2}, []int8{1, 1})
 	for _, kind := range []KernelKind{Linear, Quadratic, RBF} {
 		requireGridMatches(t, kind.String()+"/spilled-subsample", kernelGrid(kind, 150, 7), train, val)
 		requireGridMatches(t, kind.String()+"/uncapped", kernelGrid(kind, 0, 7), noisy, noisyVal)

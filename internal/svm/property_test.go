@@ -15,17 +15,19 @@ func TestDecisionSignMatchesPredict(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := r.Intn(60) + 20
-		ds := &ml.Dataset{Features: feats(4, 3)}
+		var xs []relational.Value
+		var ys []int8
 		hasBoth := false
 		for i := 0; i < n; i++ {
 			a := r.Intn(4)
-			ds.X = append(ds.X, relational.Value(a), relational.Value(r.Intn(3)))
+			xs = append(xs, relational.Value(a), relational.Value(r.Intn(3)))
 			y := int8(a % 2)
-			ds.Y = append(ds.Y, y)
-			if i > 0 && y != ds.Y[0] {
+			ys = append(ys, y)
+			if i > 0 && y != ys[0] {
 				hasBoth = true
 			}
 		}
+		ds := mustRows(feats(4, 3), xs, ys)
 		if !hasBoth {
 			return true // degenerate sample; nothing to check
 		}
@@ -61,21 +63,19 @@ func TestRelabelInvariance(t *testing.T) {
 		r := rng.New(seed)
 		const card = 5
 		n := r.Intn(60) + 30
-		ds := &ml.Dataset{Features: feats(card, 3)}
+		var xs []relational.Value
+		var ys []int8
 		for i := 0; i < n; i++ {
 			a := r.Intn(card)
-			ds.X = append(ds.X, relational.Value(a), relational.Value(r.Intn(3)))
-			ds.Y = append(ds.Y, int8(a%2))
+			xs = append(xs, relational.Value(a), relational.Value(r.Intn(3)))
+			ys = append(ys, int8(a%2))
 		}
+		ds := mustRows(feats(card, 3), xs, ys)
 		perm := r.Perm(card)
-		relabeled := &ml.Dataset{
-			Features: ds.Features,
-			X:        append([]relational.Value(nil), ds.X...),
-			Y:        ds.Y,
-		}
 		for i := 0; i < n; i++ {
-			relabeled.X[i*2] = relational.Value(perm[ds.X[i*2]])
+			xs[i*2] = relational.Value(perm[xs[i*2]])
 		}
+		relabeled := mustRows(ds.Features, xs, ys)
 		mk := func(d *ml.Dataset) (*SVM, error) {
 			s, err := New(Config{Kernel: RBF, C: 10, Gamma: 0.5, Seed: 7})
 			if err != nil {
@@ -92,7 +92,7 @@ func TestRelabelInvariance(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			if s1.Predict(ds.Row(i)) != s2.Predict(relabeled.Row(i)) {
+			if s1.Predict(rowOf(ds, i)) != s2.Predict(rowOf(relabeled, i)) {
 				return false
 			}
 		}

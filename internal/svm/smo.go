@@ -324,7 +324,7 @@ func (smp *sample) accuracies(models []*SVM, sv [][]int, validation *ml.Dataset)
 					crow := cnt[k*n : (k+1)*n]
 					sum := s.b
 					for i, j := range sv[p] {
-						sum += s.svAlphaY[i] * lut[crow[j]]
+						sum += float64(s.svAlphaY[i] * lut[crow[j]])
 					}
 					if (sum >= 0) == (labels[from+k] == 1) {
 						hits[p]++
@@ -411,7 +411,7 @@ func smo(p *problem) ([]float64, float64) {
 			sum := 0.0
 			for j := 0; j < n; j++ {
 				if alpha[j] != 0 {
-					sum += alpha[j] * y[j] * p.kij(i, j)
+					sum += float64(alpha[j] * y[j] * p.kij(i, j))
 				}
 			}
 			fval[i] = sum + b
@@ -463,9 +463,9 @@ func smo(p *problem) ([]float64, float64) {
 			if math.Abs(ajNew-aj) < 1e-7 {
 				continue
 			}
-			aiNew := ai + y[i]*y[j]*(aj-ajNew)
-			b1 := b - Ei - y[i]*(aiNew-ai)*kii - y[j]*(ajNew-aj)*kij
-			b2 := b - Ej - y[i]*(aiNew-ai)*kij - y[j]*(ajNew-aj)*kjj
+			aiNew := ai + float64(y[i]*y[j]*(aj-ajNew))
+			b1 := b - Ei - float64(y[i]*(aiNew-ai)*kii) - float64(y[j]*(ajNew-aj)*kij)
+			b2 := b - Ej - float64(y[i]*(aiNew-ai)*kij) - float64(y[j]*(ajNew-aj)*kjj)
 			switch {
 			case aiNew > 0 && aiNew < C:
 				b = b1
@@ -501,7 +501,7 @@ func foldRow(krow []float32, ay []float64, active []uint64) float64 {
 		for word != 0 {
 			j := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			sum += ay[j] * float64(krow[j])
+			sum += float64(ay[j] * float64(krow[j]))
 		}
 	}
 	return sum
@@ -519,8 +519,8 @@ func foldPair(k0, k1 []float32, ay []float64, active []uint64) (s0, s1 float64) 
 			j := base + bits.TrailingZeros64(word)
 			word &= word - 1
 			a := ay[j]
-			s0 += a * float64(k0[j])
-			s1 += a * float64(k1[j])
+			s0 += float64(a * float64(k0[j]))
+			s1 += float64(a * float64(k1[j]))
 		}
 	}
 	return s0, s1
@@ -534,7 +534,7 @@ func (s *SVM) Decision(row []relational.Value) float64 {
 	}
 	d := s.kernel.dims
 	for i, ay := range s.svAlphaY {
-		sum += ay * s.kernel.Eval(s.svBlock[i*d:(i+1)*d], row)
+		sum += float64(ay * s.kernel.Eval(s.svBlock[i*d:(i+1)*d], row))
 	}
 	return sum
 }
@@ -605,7 +605,7 @@ func (s *SVM) PredictBatch(ds *ml.Dataset) []int8 {
 			}
 			sum := s.b
 			for i, c := range cnt {
-				sum += s.svAlphaY[i] * lut[c]
+				sum += float64(s.svAlphaY[i] * lut[c])
 			}
 			if sum >= 0 {
 				out[from+k] = 1

@@ -81,13 +81,15 @@ func TestKernelValidation(t *testing.T) {
 
 func TestLinearlySeparable(t *testing.T) {
 	// y = (x0 == 1): separable by a linear kernel on one-hot features.
-	ds := &ml.Dataset{Features: feats(2, 3)}
+	var xs []relational.Value
+	var ys []int8
 	r := rng.New(1)
 	for i := 0; i < 60; i++ {
 		x0 := relational.Value(i % 2)
-		ds.X = append(ds.X, x0, relational.Value(r.Intn(3)))
-		ds.Y = append(ds.Y, int8(x0))
+		xs = append(xs, x0, relational.Value(r.Intn(3)))
+		ys = append(ys, int8(x0))
 	}
+	ds := mustRows(feats(2, 3), xs, ys)
 	for _, kind := range []KernelKind{Linear, Quadratic, RBF} {
 		cfg := Config{Kernel: kind, C: 10, Gamma: 0.5, Seed: 7}
 		s, err := New(cfg)
@@ -108,15 +110,17 @@ func TestRBFLearnsXOR(t *testing.T) {
 	// (one-hot makes it 4 dims where it IS separable... so use matching
 	// parity over two trinary features to require a nonlinear boundary on
 	// match counts). Simpler: verify RBF gets XOR right with enough C.
-	ds := &ml.Dataset{Features: feats(2, 2)}
 	pts := [][]relational.Value{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	ys := []int8{0, 1, 1, 0}
+	labels := []int8{0, 1, 1, 0}
+	var xs []relational.Value
+	var ys []int8
 	for rep := 0; rep < 10; rep++ {
 		for i, p := range pts {
-			ds.X = append(ds.X, p...)
-			ds.Y = append(ds.Y, ys[i])
+			xs = append(xs, p...)
+			ys = append(ys, labels[i])
 		}
 	}
+	ds := mustRows(feats(2, 2), xs, ys)
 	s, err := New(Config{Kernel: RBF, C: 100, Gamma: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -130,11 +134,7 @@ func TestRBFLearnsXOR(t *testing.T) {
 }
 
 func TestSingleClassDegenerate(t *testing.T) {
-	ds := &ml.Dataset{
-		Features: feats(2),
-		X:        []relational.Value{0, 1, 0},
-		Y:        []int8{1, 1, 1},
-	}
+	ds := mustRows(feats(2), []relational.Value{0, 1, 0}, []int8{1, 1, 1})
 	s, err := New(Config{Kernel: RBF, C: 1, Gamma: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,8 @@ func TestSingleClassDegenerate(t *testing.T) {
 // the label with flip-noise, feature 1 is irrelevant. Tiny domains and many
 // examples guarantee duplicated rows, so zero-curvature pairs occur.
 func noisyDataset(n int, seed uint64) *ml.Dataset {
-	ds := &ml.Dataset{Features: feats(2, 4)}
+	var xs []relational.Value
+	var ys []int8
 	r := rng.New(seed)
 	for i := 0; i < n; i++ {
 		x0 := relational.Value(r.Intn(2))
@@ -159,10 +160,10 @@ func noisyDataset(n int, seed uint64) *ml.Dataset {
 		if r.Float64() < 0.1 {
 			y = 1 - y
 		}
-		ds.X = append(ds.X, x0, relational.Value(r.Intn(4)))
-		ds.Y = append(ds.Y, y)
+		xs = append(xs, x0, relational.Value(r.Intn(4)))
+		ys = append(ys, y)
 	}
-	return ds
+	return mustRows(feats(2, 4), xs, ys)
 }
 
 // TestOnDemandKernelMatchesGramCache drops the cache threshold below n so
@@ -193,7 +194,7 @@ func TestOnDemandKernelMatchesGramCache(t *testing.T) {
 	for k, kind := range kinds {
 		onDemand := fit(kind)
 		for i := 0; i < ds.NumExamples(); i++ {
-			row := ds.Row(i)
+			row := rowOf(ds, i)
 			if a, b := cached[k].Predict(row), onDemand.Predict(row); a != b {
 				t.Fatalf("%v: example %d: cached fit predicts %d, on-demand fit %d", kind, i, a, b)
 			}
@@ -223,19 +224,21 @@ func TestEmptyTrainRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Fit(&ml.Dataset{Features: feats(2)}); err == nil {
+	if err := s.Fit(mustRows(feats(2), nil, nil)); err == nil {
 		t.Fatal("expected empty-train error")
 	}
 }
 
 func TestSubsampleCap(t *testing.T) {
 	r := rng.New(5)
-	ds := &ml.Dataset{Features: feats(2, 4)}
+	var xs []relational.Value
+	var ys []int8
 	for i := 0; i < 500; i++ {
 		x0 := relational.Value(i % 2)
-		ds.X = append(ds.X, x0, relational.Value(r.Intn(4)))
-		ds.Y = append(ds.Y, int8(x0))
+		xs = append(xs, x0, relational.Value(r.Intn(4)))
+		ys = append(ys, int8(x0))
 	}
+	ds := mustRows(feats(2, 4), xs, ys)
 	s, err := New(Config{Kernel: RBF, C: 10, Gamma: 0.5, SubsampleCap: 100, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -263,12 +266,14 @@ func TestFKMemorization(t *testing.T) {
 	}
 	// ensure both classes exist
 	labelOf[0], labelOf[1] = 0, 1
-	ds := &ml.Dataset{Features: []ml.Feature{{Name: "FK", Cardinality: nR, IsFK: true}}}
+	var xs []relational.Value
+	var ys []int8
 	for i := 0; i < nR*8; i++ {
 		fk := relational.Value(i % nR)
-		ds.X = append(ds.X, fk)
-		ds.Y = append(ds.Y, labelOf[fk])
+		xs = append(xs, fk)
+		ys = append(ys, labelOf[fk])
 	}
+	ds := mustRows([]ml.Feature{{Name: "FK", Cardinality: nR, IsFK: true}}, xs, ys)
 	s, err := New(Config{Kernel: RBF, C: 100, Gamma: 1, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
@@ -289,12 +294,14 @@ func TestFKMemorization(t *testing.T) {
 
 func TestDeterministicWithSeed(t *testing.T) {
 	r := rng.New(19)
-	ds := &ml.Dataset{Features: feats(3, 3)}
+	var xs []relational.Value
+	var ys []int8
 	for i := 0; i < 80; i++ {
 		a, b := r.Intn(3), r.Intn(3)
-		ds.X = append(ds.X, relational.Value(a), relational.Value(b))
-		ds.Y = append(ds.Y, int8((a+b)%2))
+		xs = append(xs, relational.Value(a), relational.Value(b))
+		ys = append(ys, int8((a+b)%2))
 	}
+	ds := mustRows(feats(3, 3), xs, ys)
 	fit := func() []int8 {
 		s, err := New(Config{Kernel: RBF, C: 10, Gamma: 0.5, Seed: 23})
 		if err != nil {
@@ -305,7 +312,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 		}
 		var preds []int8
 		for i := 0; i < ds.NumExamples(); i++ {
-			preds = append(preds, s.Predict(ds.Row(i)))
+			preds = append(preds, s.Predict(rowOf(ds, i)))
 		}
 		return preds
 	}
@@ -375,4 +382,18 @@ func TestGramBlockedMatchesGramRows(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mustRows is ml.FromRows for test blocks that are valid by construction.
+func mustRows(features []ml.Feature, x []relational.Value, y []int8) *ml.Dataset {
+	d, err := ml.FromRows(features, x, y)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// rowOf reads example i through RowInto into a fresh buffer.
+func rowOf(d *ml.Dataset, i int) []relational.Value {
+	return d.RowInto(make([]relational.Value, d.NumFeatures()), i)
 }

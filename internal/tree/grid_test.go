@@ -14,17 +14,18 @@ import (
 // grid to cut a different tree.
 func gridDataset(n int, seed uint64) *ml.Dataset {
 	r := rng.New(seed)
-	ds := &ml.Dataset{Features: feats(60, 3, 4, 2)}
+	var xs []relational.Value
+	var ys []int8
 	for i := 0; i < n; i++ {
 		fk, a, b, c := r.Intn(60), r.Intn(3), r.Intn(4), r.Intn(2)
 		y := int8((fk%3 + a*b + c) % 2)
 		if r.Intn(6) == 0 {
 			y = 1 - y
 		}
-		ds.X = append(ds.X, relational.Value(fk), relational.Value(a), relational.Value(b), relational.Value(c))
-		ds.Y = append(ds.Y, y)
+		xs = append(xs, relational.Value(fk), relational.Value(a), relational.Value(b), relational.Value(c))
+		ys = append(ys, y)
 	}
-	return ds
+	return mustRows(feats(60, 3, 4, 2), xs, ys)
 }
 
 // gridConfigs is the minsplit × cp cross product at a criterion.

@@ -44,13 +44,9 @@ func TestFromParamsRejectsMalformedTrees(t *testing.T) {
 // (the model codec adds the byte layer on top).
 func TestExportImportRoundTrip(t *testing.T) {
 	features := []ml.Feature{{Name: "a", Cardinality: 4}, {Name: "b", Cardinality: 3}}
-	ds := &ml.Dataset{
-		Features: features,
-		X: []relational.Value{
-			0, 0, 1, 0, 2, 1, 3, 1, 0, 2, 1, 2, 2, 0, 3, 2,
-		},
-		Y: []int8{0, 0, 1, 1, 0, 1, 1, 0},
-	}
+	ds := mustRows(features, []relational.Value{
+		0, 0, 1, 0, 2, 1, 3, 1, 0, 2, 1, 2, 2, 0, 3, 2,
+	}, []int8{0, 0, 1, 1, 0, 1, 1, 0})
 	tr := New(Config{Criterion: Gini, MinSplit: 2, CP: 0})
 	if err := tr.Fit(ds); err != nil {
 		t.Fatal(err)

@@ -18,29 +18,28 @@ func TestRelabelInvariance(t *testing.T) {
 		r := rng.New(seed)
 		const card = 8
 		n := r.Intn(120) + 40
-		ds := &ml.Dataset{Features: []ml.Feature{
+		fs := []ml.Feature{
 			{Name: "a", Cardinality: card},
 			{Name: "b", Cardinality: 3},
-		}}
+		}
+		var xs []relational.Value
+		var ys []int8
 		for i := 0; i < n; i++ {
 			a := r.Intn(card)
-			ds.X = append(ds.X, relational.Value(a), relational.Value(r.Intn(3)))
+			xs = append(xs, relational.Value(a), relational.Value(r.Intn(3)))
 			y := int8(a % 2)
 			if r.Bernoulli(0.1) {
 				y = 1 - y
 			}
-			ds.Y = append(ds.Y, y)
+			ys = append(ys, y)
 		}
+		ds := mustRows(fs, xs, ys)
 		// Permute feature 0's codes.
 		perm := r.Perm(card)
-		relabeled := &ml.Dataset{
-			Features: ds.Features,
-			X:        append([]relational.Value(nil), ds.X...),
-			Y:        ds.Y,
-		}
 		for i := 0; i < n; i++ {
-			relabeled.X[i*2] = relational.Value(perm[ds.X[i*2]])
+			xs[i*2] = relational.Value(perm[xs[i*2]])
 		}
+		relabeled := mustRows(fs, xs, ys)
 
 		t1 := New(Config{Criterion: Gini, MinSplit: 5, CP: 1e-3})
 		t2 := New(Config{Criterion: Gini, MinSplit: 5, CP: 1e-3})
@@ -52,7 +51,7 @@ func TestRelabelInvariance(t *testing.T) {
 		}
 		// Every original row and its relabeled twin must classify alike.
 		for i := 0; i < n; i++ {
-			if t1.Predict(ds.Row(i)) != t2.Predict(relabeled.Row(i)) {
+			if t1.Predict(rowOf(ds, i)) != t2.Predict(rowOf(relabeled, i)) {
 				return false
 			}
 		}
@@ -70,14 +69,16 @@ func TestPredictionsMatchLeafMajorities(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := r.Intn(150) + 30
-		ds := &ml.Dataset{Features: []ml.Feature{
+		var xs []relational.Value
+		var ys []int8
+		for i := 0; i < n; i++ {
+			xs = append(xs, relational.Value(r.Intn(6)), relational.Value(r.Intn(4)))
+			ys = append(ys, int8(r.Intn(2)))
+		}
+		ds := mustRows([]ml.Feature{
 			{Name: "a", Cardinality: 6},
 			{Name: "b", Cardinality: 4},
-		}}
-		for i := 0; i < n; i++ {
-			ds.X = append(ds.X, relational.Value(r.Intn(6)), relational.Value(r.Intn(4)))
-			ds.Y = append(ds.Y, int8(r.Intn(2)))
-		}
+		}, xs, ys)
 		tr := New(Config{Criterion: InfoGain, MinSplit: 1, CP: 0})
 		if err := tr.Fit(ds); err != nil {
 			return false
@@ -88,7 +89,7 @@ func TestPredictionsMatchLeafMajorities(t *testing.T) {
 		type key [2]relational.Value
 		counts := map[key][2]int{}
 		for i := 0; i < n; i++ {
-			k := key{ds.Row(i)[0], ds.Row(i)[1]}
+			k := key{ds.At(i, 0), ds.At(i, 1)}
 			c := counts[k]
 			c[ds.Label(i)]++
 			counts[k] = c

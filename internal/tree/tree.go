@@ -218,7 +218,7 @@ func binaryEntropy(p float64) float64 {
 	if p <= 0 || p >= 1 {
 		return 0
 	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
+	return float64(-p*math.Log2(p)) - float64((1-p)*math.Log2(1-p))
 }
 
 // split describes a candidate split during search. gain is the tree-level
@@ -531,7 +531,7 @@ func (t *Tree) evalFeature(j int, vals []vc, nodeN, nodePos int, nodeImp, totalN
 		rightPos := nodePos - leftPos
 		wl := float64(leftN) / float64(nodeN)
 		wr := float64(rightN) / float64(nodeN)
-		childImp := wl*t.impurity(leftPos, leftN) + wr*t.impurity(rightPos, rightN)
+		childImp := float64(wl*t.impurity(leftPos, leftN)) + float64(wr*t.impurity(rightPos, rightN))
 		decrease := nodeImp - childImp
 		score := decrease
 		if t.cfg.Criterion == GainRatio {

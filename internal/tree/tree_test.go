@@ -12,12 +12,25 @@ import (
 
 // mkDataset builds a dataset from explicit rows.
 func mkDataset(features []ml.Feature, rows [][]relational.Value, ys []int8) *ml.Dataset {
-	d := &ml.Dataset{Features: features}
+	var xs []relational.Value
 	for _, r := range rows {
-		d.X = append(d.X, r...)
+		xs = append(xs, r...)
 	}
-	d.Y = append(d.Y, ys...)
+	return mustRows(features, xs, ys)
+}
+
+// mustRows is ml.FromRows for test blocks that are valid by construction.
+func mustRows(features []ml.Feature, x []relational.Value, y []int8) *ml.Dataset {
+	d, err := ml.FromRows(features, x, y)
+	if err != nil {
+		panic(err)
+	}
 	return d
+}
+
+// rowOf reads example i through RowInto into a fresh buffer.
+func rowOf(d *ml.Dataset, i int) []relational.Value {
+	return d.RowInto(make([]relational.Value, d.NumFeatures()), i)
 }
 
 func feats(cards ...int) []ml.Feature {
@@ -30,7 +43,7 @@ func feats(cards ...int) []ml.Feature {
 
 func TestFitRejectsEmpty(t *testing.T) {
 	tr := New(Config{Criterion: Gini, MinSplit: 1})
-	if err := tr.Fit(&ml.Dataset{Features: feats(2)}); err == nil {
+	if err := tr.Fit(mustRows(feats(2), nil, nil)); err == nil {
 		t.Fatal("expected error on empty dataset")
 	}
 }
@@ -172,7 +185,8 @@ func TestLargeDomainFKRepresentative(t *testing.T) {
 		if withXr {
 			fs = append(fs, ml.Feature{Name: "Xr", Cardinality: 2})
 		}
-		d := &ml.Dataset{Features: fs}
+		var xs []relational.Value
+		var ys []int8
 		rr := rng.New(11)
 		for i := 0; i < nS; i++ {
 			fk := relational.Value(rr.Intn(nR))
@@ -181,13 +195,13 @@ func TestLargeDomainFKRepresentative(t *testing.T) {
 			if rr.Bernoulli(0.05) {
 				y = 1 - y
 			}
-			d.X = append(d.X, noise, fk)
+			xs = append(xs, noise, fk)
 			if withXr {
-				d.X = append(d.X, xr[fk])
+				xs = append(xs, xr[fk])
 			}
-			d.Y = append(d.Y, y)
+			ys = append(ys, y)
 		}
-		return d
+		return mustRows(fs, xs, ys)
 	}
 	joinAll := build(true)
 	noJoin := build(false)
@@ -336,11 +350,13 @@ func TestTreeBeatsOrMatchesMajorityQuick(t *testing.T) {
 		r := rng.New(seed)
 		n := r.Intn(80) + 20
 		card := r.Intn(6) + 2
-		ds := &ml.Dataset{Features: feats(card, 3)}
+		var xs []relational.Value
+		var ys []int8
 		for i := 0; i < n; i++ {
-			ds.X = append(ds.X, relational.Value(r.Intn(card)), relational.Value(r.Intn(3)))
-			ds.Y = append(ds.Y, int8(r.Intn(2)))
+			xs = append(xs, relational.Value(r.Intn(card)), relational.Value(r.Intn(3)))
+			ys = append(ys, int8(r.Intn(2)))
 		}
+		ds := mustRows(feats(card, 3), xs, ys)
 		tr := New(Config{Criterion: Gini, MinSplit: 1, CP: 0})
 		if err := tr.Fit(ds); err != nil {
 			return false
@@ -351,7 +367,7 @@ func TestTreeBeatsOrMatchesMajorityQuick(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			p := tr.Predict(ds.Row(i))
+			p := tr.Predict(rowOf(ds, i))
 			if p != 0 && p != 1 {
 				return false
 			}
@@ -501,22 +517,24 @@ func requireOracleSplits(t *testing.T, tr *Tree, ds *ml.Dataset) {
 func TestBatchSplitMatchesRowAtATime(t *testing.T) {
 	r := rng.New(23)
 	n := 3 * parallelSplitThreshold
-	ds := &ml.Dataset{Features: []ml.Feature{
-		{Name: "FK", Cardinality: 900, IsFK: true},
-		{Name: "a", Cardinality: 4},
-		{Name: "b", Cardinality: 2},
-	}}
+	var xs []relational.Value
+	var ys []int8
 	for i := 0; i < n; i++ {
 		fk := relational.Value(r.Intn(900))
 		a := relational.Value(r.Intn(4))
 		b := relational.Value(r.Intn(2))
-		ds.X = append(ds.X, fk, a, b)
+		xs = append(xs, fk, a, b)
 		y := int8((int(fk)/30 + int(a)) % 2)
 		if r.Intn(10) == 0 {
 			y = 1 - y
 		}
-		ds.Y = append(ds.Y, y)
+		ys = append(ys, y)
 	}
+	ds := mustRows([]ml.Feature{
+		{Name: "FK", Cardinality: 900, IsFK: true},
+		{Name: "a", Cardinality: 4},
+		{Name: "b", Cardinality: 2},
+	}, xs, ys)
 	for _, crit := range []Criterion{Gini, InfoGain, GainRatio} {
 		t.Run(crit.String(), func(t *testing.T) {
 			tr := New(Config{Criterion: crit, MinSplit: 20, CP: 1e-4})
@@ -595,13 +613,15 @@ func TestBatchSplitSequentialForced(t *testing.T) {
 
 	r := rng.New(31)
 	n := parallelSplitThreshold + 100
-	ds := &ml.Dataset{Features: feats(50, 3)}
+	var xs []relational.Value
+	var ys []int8
 	for i := 0; i < n; i++ {
 		a := relational.Value(r.Intn(50))
 		b := relational.Value(r.Intn(3))
-		ds.X = append(ds.X, a, b)
-		ds.Y = append(ds.Y, int8(int(a)%2))
+		xs = append(xs, a, b)
+		ys = append(ys, int8(int(a)%2))
 	}
+	ds := mustRows(feats(50, 3), xs, ys)
 	cfg := Config{Criterion: Gini, MinSplit: 10, CP: 1e-3}
 	tr := New(cfg)
 	if err := tr.Fit(ds); err != nil {

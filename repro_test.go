@@ -14,6 +14,7 @@ import (
 	"repro/internal/knn"
 	"repro/internal/linear"
 	"repro/internal/ml"
+	"repro/internal/relational"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/svm"
@@ -226,17 +227,18 @@ func TestClaimLinearOverfitsOnWideFK(t *testing.T) {
 		// 600-value FK, ratio ≈ 1.7: far below the linear threshold.
 		r := rng.New(seed)
 		const nR = 600
-		ds := &ml.Dataset{Features: []ml.Feature{{Name: "FK", Cardinality: nR, IsFK: true}}}
+		var xs []relational.Value
+		var ys []int8
 		for i := 0; i < n; i++ {
 			fk := r.Intn(nR)
 			y := int8(fk % 2)
 			if r.Bernoulli(0.25) {
 				y = 1 - y
 			}
-			ds.X = append(ds.X, int32(fk))
-			ds.Y = append(ds.Y, y)
+			xs = append(xs, int32(fk))
+			ys = append(ys, y)
 		}
-		return ds
+		return mustRows([]ml.Feature{{Name: "FK", Cardinality: nR, IsFK: true}}, xs, ys)
 	}
 	train := gen(1000, 43)
 	test := gen(4000, 47)
@@ -248,4 +250,13 @@ func TestClaimLinearOverfitsOnWideFK(t *testing.T) {
 	if overfit < 0.05 {
 		t.Fatalf("LR should visibly overfit a ratio-1.7 FK: gap %v", overfit)
 	}
+}
+
+// mustRows is ml.FromRows for test blocks that are valid by construction.
+func mustRows(features []ml.Feature, x []relational.Value, y []int8) *ml.Dataset {
+	d, err := ml.FromRows(features, x, y)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
