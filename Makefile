@@ -82,13 +82,16 @@ lint:
 # burst for each fuzzer — the same step CI runs.
 # Go may fuse `x*y + z` into one rounding on arm64, so every product that
 # feeds an add is wrapped in float64(...), which forbids fusion. This fails
-# if a fused multiply-add reappears in this module's arm64 code.
+# if a fused multiply-add reappears in this module's arm64 code: the two
+# binaries, and the test binaries of the packages whose bit-identity oracles
+# and tolerance tests do float arithmetic.
+UNFUSED_TESTS = mat ann svm nb linear tree ml
 arm64-unfused:
 	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	GOARCH=arm64 go build -o "$$dir/hamlet" ./cmd/hamlet; \
 	GOARCH=arm64 go build -o "$$dir/hamletd" ./cmd/hamletd; \
-	GOARCH=arm64 go test -c -o "$$dir/mat.test" ./internal/mat; \
-	fused=$$(for b in hamlet hamletd mat.test; do go tool objdump "$$dir/$$b"; done | \
+	for p in $(UNFUSED_TESTS); do GOARCH=arm64 go test -c -o "$$dir/$$p.test" ./internal/$$p; done; \
+	fused=$$(for b in hamlet hamletd $(addsuffix .test,$(UNFUSED_TESTS)); do go tool objdump "$$dir/$$b"; done | \
 		awk '/^TEXT /{sym=$$2} /FMADDD|FMSUBD|FNMADDD|FNMSUBD/ && sym ~ /^repro\//{print sym}' | sort -u); \
 	if [ -n "$$fused" ]; then echo "fused multiply-adds in:"; echo "$$fused"; exit 1; fi
 

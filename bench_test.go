@@ -329,11 +329,18 @@ func benchJoinPipeline(b *testing.B, lazy bool) {
 			peakLive = live - baseline
 		}
 		b.StartTimer()
-		buf := make([]relational.Value, ds.NumFeatures())
-		n := ds.NumExamples()
-		for r := 0; r < n; r++ {
-			row := ds.RowInto(buf, r)
-			sink += row[len(row)-1]
+		buf := make([]relational.Value, 256)
+		for j := 0; j < ds.NumFeatures(); j++ {
+			for from := 0; ; {
+				m := ds.ScanFeature(buf, j, from)
+				if m == 0 {
+					break
+				}
+				for _, v := range buf[:m] {
+					sink += v
+				}
+				from += m
+			}
 		}
 		runtime.ReadMemStats(&m2)
 		allocTotal += m2.TotalAlloc - m0.TotalAlloc

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fk"
 	"repro/internal/ml"
+	"repro/internal/relational"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/tree"
@@ -82,9 +83,11 @@ func run() error {
 	for _, v := range perm[:40] {
 		withheld[int32(v)] = true
 	}
+	vals := make([]relational.Value, train.NumExamples())
+	train.ScanFeature(vals, fkCol, 0)
 	var keep []int
-	for i := 0; i < train.NumExamples(); i++ {
-		if !withheld[train.At(i, fkCol)] {
+	for i, v := range vals {
+		if !withheld[v] {
 			keep = append(keep, i)
 		}
 	}

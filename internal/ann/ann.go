@@ -400,32 +400,6 @@ func (m *MLP) Probability(row []relational.Value) float64 {
 	return sigmoid(z3)
 }
 
-// hiddenActivation returns the post-ReLU activation of second-hidden-layer
-// unit v for a row; the finite-difference gradient test uses it to form the
-// analytic output-layer gradient.
-func (m *MLP) hiddenActivation(row []relational.Value, v int) float64 {
-	h1 := m.cfg.Hidden1
-	z1 := make([]float64, h1)
-	copy(z1, m.b1)
-	for j, val := range row {
-		k := m.enc.Index(j, val)
-		w := m.w1[k*h1 : (k+1)*h1]
-		for u := range z1 {
-			z1[u] += w[u]
-		}
-	}
-	z2v := m.b2[v]
-	for u := 0; u < h1; u++ {
-		if z1[u] > 0 {
-			z2v += float64(z1[u] * m.w2[u*m.cfg.Hidden2+v])
-		}
-	}
-	if z2v < 0 {
-		return 0
-	}
-	return z2v
-}
-
 // Predict classifies one example.
 func (m *MLP) Predict(row []relational.Value) int8 {
 	if m.Probability(row) >= 0.5 {
@@ -440,20 +414,21 @@ func (m *MLP) Predict(row []relational.Value) int8 {
 const predictChunk = 256
 
 // PredictBatch implements ml.BatchPredictor: one batched forward pass per
-// chunk (SpGemmOneHot + Gemm + Gemv over the dataset's active-index matrix)
-// instead of a per-example Probability call that allocates both hidden
-// layers per row. Chunks fan out across ml.ParallelFor with disjoint output
-// slots and private scratch, so results are deterministic; each example's
-// decision value folds in the same order as Probability's loops (the dense
-// sums only add exact ±0 terms where Probability skips inactive units), so
-// the classes agree with Predict example for example.
+// chunk (SpGemmOneHot over the dataset's active-index matrix, then
+// ClassifyHidden's Gemm + Gemv tail) instead of a per-example Probability
+// call that allocates both hidden layers per row. Chunks fan out across
+// ml.ParallelFor with disjoint output slots and private scratch, so results
+// are deterministic; each example's decision value folds in the same order
+// as Probability's loops (the dense sums only add exact ±0 terms where
+// Probability skips inactive units), so the classes agree with Predict
+// example for example.
 func (m *MLP) PredictBatch(ds *ml.Dataset) []int8 {
 	n := ds.NumExamples()
 	out := make([]int8, n)
 	if n == 0 {
 		return out
 	}
-	h1, h2 := m.cfg.Hidden1, m.cfg.Hidden2
+	h1 := m.cfg.Hidden1
 	d := ds.NumFeatures()
 	idxMat, _ := ml.ScanActiveIndices(ds, m.enc)
 	chunks := (n + predictChunk - 1) / predictChunk
@@ -462,32 +437,8 @@ func (m *MLP) PredictBatch(ds *ml.Dataset) []int8 {
 		hi := min(lo+predictChunk, n)
 		bs := hi - lo
 		z1 := make([]float64, bs*h1)
-		z2 := make([]float64, bs*h2)
-		z3 := make([]float64, bs)
 		mat.SpGemmOneHot(z1, h1, idxMat[lo*d:hi*d], d, m.w1, h1, bs, d, h1, m.b1)
-		for i, v := range z1 {
-			if v < 0 {
-				z1[i] = 0
-			}
-		}
-		for t := 0; t < bs; t++ {
-			copy(z2[t*h2:(t+1)*h2], m.b2)
-		}
-		mat.Gemm(z2, h2, z1, h1, m.w2, h2, bs, h2, h1)
-		for i, v := range z2 {
-			if v < 0 {
-				z2[i] = 0
-			}
-		}
-		for t := 0; t < bs; t++ {
-			z3[t] = m.b3
-		}
-		mat.Gemv(z3, z2, h2, m.w3, bs, h2)
-		for t := 0; t < bs; t++ {
-			if sigmoid(z3[t]) >= 0.5 {
-				out[lo+t] = 1
-			}
-		}
+		m.ClassifyHidden(out[lo:hi], z1, bs)
 	})
 	return out
 }

@@ -139,7 +139,8 @@ func TestDeterministicWithSeed(t *testing.T) {
 		if err := m.Fit(ds); err != nil {
 			t.Fatal(err)
 		}
-		return m.Probability(ds.RowInto(make([]relational.Value, ds.NumFeatures()), 0))
+		x, _ := ml.ScanRowMajor(ds)
+		return m.Probability(x[:ds.NumFeatures()])
 	}
 	if fit() != fit() {
 		t.Fatal("same seed must reproduce the model")
@@ -165,10 +166,10 @@ func TestL2ShrinksWeights(t *testing.T) {
 		}
 		s := 0.0
 		for _, w := range m.w1 {
-			s += w * w
+			s += float64(w * w)
 		}
 		for _, w := range m.w2 {
-			s += w * w
+			s += float64(w * w)
 		}
 		return s
 	}
@@ -183,15 +184,16 @@ func (m *MLP) fitRows(train *ml.Dataset, r *rng.RNG, order []int) {
 	h1, h2 := m.cfg.Hidden1, m.cfg.Hidden2
 	n := train.NumExamples()
 
-	// exampleAt yields example ei's active one-hot indices and label through
-	// per-call scratch-row gathers.
-	rowBuf := make([]relational.Value, train.NumFeatures())
-	idxBuf := make([]int32, train.NumFeatures())
+	// exampleAt yields example ei's active one-hot indices and label from
+	// the pinned row-major block.
+	k := train.NumFeatures()
+	x, y := ml.ScanRowMajor(train)
+	idxBuf := make([]int32, k)
 	exampleAt := func(i int) ([]int32, float64) {
-		for j, v := range train.RowInto(rowBuf, i) {
+		for j, v := range x[i*k : (i+1)*k] {
 			idxBuf[j] = int32(m.enc.Index(j, v))
 		}
-		return idxBuf, float64(train.Label(i))
+		return idxBuf, float64(y[i])
 	}
 
 	// Gradient accumulators reused across batches.
@@ -412,9 +414,10 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 					}
 				}
 			}
-			buf := make([]relational.Value, ds.NumFeatures())
+			x, _ := ml.ScanRowMajor(ds)
+			k := ds.NumFeatures()
 			for i := 0; i < ds.NumExamples(); i++ {
-				rowi := ds.RowInto(buf, i)
+				rowi := x[i*k : (i+1)*k]
 				if row.Probability(rowi) != col.Probability(rowi) {
 					t.Fatalf("%s: probability diverged on example %d", name, i)
 				}
@@ -452,9 +455,8 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := m.PredictBatch(ds)
-	buf := make([]relational.Value, ds.NumFeatures())
 	for i := range got {
-		if want := m.Predict(ds.RowInto(buf, i)); got[i] != want {
+		if want := m.Predict(xs[i*2 : (i+1)*2]); got[i] != want {
 			t.Fatalf("example %d: batch class %d != Predict %d", i, got[i], want)
 		}
 	}
@@ -467,4 +469,37 @@ func mustRows(features []ml.Feature, x []relational.Value, y []int8) *ml.Dataset
 		panic(err)
 	}
 	return d
+}
+
+// TestClassifyHiddenMatchesPredictAtTinyNegativeLogit pins the MLP's three
+// classification paths to one test on a logit in (-2^-54, 0), where
+// math.Exp rounds to 1 and the sigmoid is exactly 0.5: Predict returns 1
+// there, so PredictBatch and ClassifyHidden must too. A sign test on the
+// logit returns 0.
+func TestClassifyHiddenMatchesPredictAtTinyNegativeLogit(t *testing.T) {
+	fs := feats(2, 3)
+	for _, b3 := range []float64{-1e-17, -5e-17} {
+		m, err := FromParams(fs, Params{
+			Hidden1: 2, Hidden2: 2,
+			W1: make([]float64, 5*2), B1: []float64{0.5, -0.25},
+			W2: []float64{1, 2, 3, 4}, B2: []float64{0.125, 0},
+			W3: make([]float64, 2), B3: b3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := []relational.Value{1, 2}
+		if got := m.Predict(row); got != 1 {
+			t.Fatalf("B3=%g: Predict = %d, want 1 (sigmoid(B3) = %v)", b3, got, sigmoid(b3))
+		}
+		z := []float64{0.5, -0.25}
+		cls := []int8{-1}
+		m.ClassifyHidden(cls, z, 1)
+		if cls[0] != 1 {
+			t.Fatalf("B3=%g: ClassifyHidden = %d, Predict = 1", b3, cls[0])
+		}
+		if got := m.PredictBatch(mustRows(fs, row, []int8{0})); got[0] != 1 {
+			t.Fatalf("B3=%g: PredictBatch = %d, Predict = 1", b3, got[0])
+		}
+	}
 }

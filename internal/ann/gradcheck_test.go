@@ -13,9 +13,10 @@ import (
 // a dataset (no regularization), used by the finite-difference check.
 func lossAt(m *MLP, ds *ml.Dataset) float64 {
 	loss := 0.0
-	row := make([]relational.Value, ds.NumFeatures())
-	for i := 0; i < ds.NumExamples(); i++ {
-		p := m.Probability(ds.RowInto(row, i))
+	x, y := ml.ScanRowMajor(ds)
+	k := ds.NumFeatures()
+	for i := range y {
+		p := m.Probability(x[i*k : (i+1)*k])
 		// Clamp for numerical safety.
 		if p < 1e-12 {
 			p = 1e-12
@@ -23,7 +24,7 @@ func lossAt(m *MLP, ds *ml.Dataset) float64 {
 		if p > 1-1e-12 {
 			p = 1 - 1e-12
 		}
-		if ds.Label(i) == 1 {
+		if y[i] == 1 {
 			loss += -math.Log(p)
 		} else {
 			loss += -math.Log(1 - p)
@@ -97,17 +98,44 @@ func TestFiniteDifferenceGradient(t *testing.T) {
 
 		// Analytic gradient at the current parameters.
 		analytic := 0.0
-		row := make([]relational.Value, ds.NumFeatures())
-		for i := 0; i < ds.NumExamples(); i++ {
-			ds.RowInto(row, i)
+		x, y := ml.ScanRowMajor(ds)
+		k := ds.NumFeatures()
+		for i := range y {
+			row := x[i*k : (i+1)*k]
 			p := m.Probability(row)
 			// Recompute z2[v] for this row: forward pass up to layer 2.
 			z2v := m.hiddenActivation(row, v)
-			analytic += (p - float64(ds.Label(i))) * z2v
+			analytic += float64((p - float64(y[i])) * z2v)
 		}
 		analytic /= float64(ds.NumExamples())
 		if math.Abs(fd-analytic) > 1e-6*(1+math.Abs(fd)) {
 			t.Fatalf("w3[%d]: finite diff %v vs analytic %v", v, fd, analytic)
 		}
 	}
+}
+
+// hiddenActivation returns the post-ReLU activation of second-hidden-layer
+// unit v for a row; the finite-difference gradient test uses it to form the
+// analytic output-layer gradient.
+func (m *MLP) hiddenActivation(row []relational.Value, v int) float64 {
+	h1 := m.cfg.Hidden1
+	z1 := make([]float64, h1)
+	copy(z1, m.b1)
+	for j, val := range row {
+		k := m.enc.Index(j, val)
+		w := m.w1[k*h1 : (k+1)*h1]
+		for u := range z1 {
+			z1[u] += w[u]
+		}
+	}
+	z2v := m.b2[v]
+	for u := 0; u < h1; u++ {
+		if z1[u] > 0 {
+			z2v += float64(z1[u] * m.w2[u*m.cfg.Hidden2+v])
+		}
+	}
+	if z2v < 0 {
+		return 0
+	}
+	return z2v
 }

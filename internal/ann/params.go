@@ -91,8 +91,10 @@ func (m *MLP) ExportHiddenLinear(features []ml.Feature) ([]float64, []float64, i
 // pre-activations packed row-major in z (clobbered as scratch), it applies
 // ReLU, the dense layers (mat.Gemm/Gemv, whose sequential k-accumulation
 // makes each output element bit-identical to Probability's loops for
-// identical z), and classifies on the sign of the logit — sigmoid is
-// monotone with sigmoid(0) = 0.5, so z3 >= 0 is exactly Probability >= 0.5.
+// identical z), and classifies by Predict's own test, sigmoid(z3) >= 0.5.
+// The logit's sign is not that test: for z3 in (-2^-54, 0), math.Exp(z3)
+// rounds to 1 and the sigmoid to exactly 0.5, which Predict calls class 1.
+// It is the MLP's one dense tail: PredictBatch ends in it too.
 func (m *MLP) ClassifyHidden(dst []int8, z []float64, n int) {
 	if n == 0 {
 		return
@@ -119,10 +121,9 @@ func (m *MLP) ClassifyHidden(dst []int8, z []float64, n int) {
 	}
 	mat.Gemv(z3, z2, h2, m.w3, n, h2)
 	for t := 0; t < n; t++ {
-		if z3[t] >= 0 {
+		dst[t] = 0
+		if sigmoid(z3[t]) >= 0.5 {
 			dst[t] = 1
-		} else {
-			dst[t] = 0
 		}
 	}
 }

@@ -338,7 +338,9 @@ func TestNewEnvDeterministicSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1.Split.Train.At(0, 0) != e2.Split.Train.At(0, 0) {
+	row1 := e1.Split.Train.CopyRow(make([]relational.Value, e1.Split.Train.Schema().Width()), 0)
+	row2 := e2.Split.Train.CopyRow(make([]relational.Value, e2.Split.Train.Schema().Width()), 0)
+	if row1[0] != row2[0] {
 		t.Fatal("env split not deterministic")
 	}
 	_ = rng.New(1) // keep import

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fk"
 	"repro/internal/ml"
+	"repro/internal/relational"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/texttable"
@@ -269,9 +270,11 @@ func fkIndex(ds *ml.Dataset) int {
 
 // filterRows drops training rows whose FK value is withheld.
 func filterRows(ds *ml.Dataset, fkIdx int, withheld map[int32]bool) *ml.Dataset {
+	vals := make([]relational.Value, ds.NumExamples())
+	ds.ScanFeature(vals, fkIdx, 0)
 	var keep []int
-	for i := 0; i < ds.NumExamples(); i++ {
-		if !withheld[ds.At(i, fkIdx)] {
+	for i, v := range vals {
+		if !withheld[v] {
 			keep = append(keep, i)
 		}
 	}

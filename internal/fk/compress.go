@@ -77,9 +77,12 @@ func NewSortBased(train *ml.Dataset, fkCol, l int, r *rng.RNG) (*SortBased, erro
 	}
 	// Estimate H(Y | FK = v) per value.
 	counts := make([][2]int, m)
-	for i := 0; i < train.NumExamples(); i++ {
-		v := train.At(i, fkCol)
-		counts[v][int(train.Label(i))]++
+	vals := make([]relational.Value, train.NumExamples())
+	labels := make([]int8, len(vals))
+	train.ScanFeature(vals, fkCol, 0)
+	train.ScanLabels(labels, 0)
+	for i, v := range vals {
+		counts[v][labels[i]]++
 	}
 	type ventry struct {
 		v relational.Value

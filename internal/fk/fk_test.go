@@ -164,19 +164,22 @@ func TestCompressFeature(t *testing.T) {
 	if out.Features[0].Cardinality != 5 {
 		t.Fatalf("cardinality %d, want 5", out.Features[0].Cardinality)
 	}
+	k := ds.NumFeatures()
+	x, y := ml.ScanRowMajor(ds)
+	outX, outY := ml.ScanRowMajor(out)
 	for i := 0; i < out.NumExamples(); i++ {
-		if v := out.At(i, 0); int(v) >= 5 {
+		if v := outX[i*k]; int(v) >= 5 {
 			t.Fatalf("row %d carries uncompressed value %d", i, v)
 		}
-		if out.At(i, 0) != h.Map(ds.At(i, 0)) {
+		if outX[i*k] != h.Map(x[i*k]) {
 			t.Fatal("compression mapping not applied consistently")
 		}
-		for j := 1; j < ds.NumFeatures(); j++ {
-			if out.At(i, j) != ds.At(i, j) {
+		for j := 1; j < k; j++ {
+			if outX[i*k+j] != x[i*k+j] {
 				t.Fatalf("row %d feature %d changed", i, j)
 			}
 		}
-		if out.Label(i) != ds.Label(i) {
+		if outY[i] != y[i] {
 			t.Fatalf("row %d label changed", i)
 		}
 	}
@@ -345,8 +348,9 @@ func TestFrequencyBasedWithCompressFeature(t *testing.T) {
 	if out.Features[0].Cardinality != 5 {
 		t.Fatalf("cardinality %d", out.Features[0].Cardinality)
 	}
+	outX, _ := ml.ScanRowMajor(out)
 	for i := 0; i < out.NumExamples(); i++ {
-		if int(out.At(i, 0)) >= 5 {
+		if int(outX[i*out.NumFeatures()]) >= 5 {
 			t.Fatal("uncompressed value leaked")
 		}
 	}

@@ -35,8 +35,10 @@ func NewFrequencyBased(train *ml.Dataset, fkCol, l int) (*FrequencyBased, error)
 		l = m
 	}
 	counts := make([]int, m)
-	for i := 0; i < train.NumExamples(); i++ {
-		counts[train.At(i, fkCol)]++
+	col := make([]relational.Value, train.NumExamples())
+	train.ScanFeature(col, fkCol, 0)
+	for _, v := range col {
+		counts[v]++
 	}
 	type vc struct {
 		v relational.Value

@@ -108,15 +108,7 @@ func NewXRSmoother(train *ml.Dataset, fkFeature int, dim *relational.Table, seed
 		}
 		s.xrRows[v] = row
 	}
-	seen := make(map[relational.Value]bool)
-	for i := 0; i < train.NumExamples(); i++ {
-		seen[train.At(i, fkFeature)] = true
-	}
-	for v := relational.Value(0); int(v) < card; v++ {
-		if seen[v] {
-			s.seenFK = append(s.seenFK, v)
-		}
-	}
+	s.seenFK = seenValues(train.SelectFeatures([]int{fkFeature}))[0]
 	if len(s.seenFK) == 0 {
 		return nil, fmt.Errorf("fk: no FK values seen in training")
 	}

@@ -39,8 +39,9 @@ func TestExactMatchWins(t *testing.T) {
 	if err := k.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
+	x, y := ml.ScanRowMajor(ds)
 	for i := 0; i < 3; i++ {
-		if k.Predict(ds.RowInto(make([]relational.Value, 2), i)) != ds.Label(i) {
+		if k.Predict(x[i*2:(i+1)*2]) != y[i] {
 			t.Fatalf("1-NN must have perfect training accuracy, wrong at %d", i)
 		}
 	}

@@ -110,7 +110,7 @@ func TestLogRegDeterministic(t *testing.T) {
 		if err := m.Fit(ds); err != nil {
 			t.Fatal(err)
 		}
-		return m.Decision(ds.RowInto(make([]relational.Value, ds.NumFeatures()), 0))
+		return m.Decision(xs[:ds.NumFeatures()])
 	}
 	if fit() != fit() {
 		t.Fatal("same seed must reproduce the model")
@@ -179,7 +179,7 @@ func TestL2ShrinksWeightNorm(t *testing.T) {
 		}
 		s := 0.0
 		for _, w := range m.w {
-			s += w * w
+			s += float64(w * w)
 		}
 		return s
 	}
@@ -223,9 +223,10 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		if len(got) != ds.NumExamples() {
 			t.Fatalf("%s: PredictBatch returned %d classes for %d examples", name, len(got), ds.NumExamples())
 		}
-		buf := make([]relational.Value, ds.NumFeatures())
+		x, _ := ml.ScanRowMajor(ds)
+		k := ds.NumFeatures()
 		for i := range got {
-			if want := m.Predict(ds.RowInto(buf, i)); got[i] != want {
+			if want := m.Predict(x[i*k : (i+1)*k]); got[i] != want {
 				t.Fatalf("%s: example %d: batch class %d != Predict %d", name, i, got[i], want)
 			}
 		}
@@ -238,10 +239,11 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 // accuracySequential is the historical per-row Accuracy loop, kept here as
 // the reference the BatchPredictor fast path is pinned against.
 func accuracySequential(c ml.Classifier, ds *ml.Dataset) float64 {
-	buf := make([]relational.Value, ds.NumFeatures())
+	x, y := ml.ScanRowMajor(ds)
+	k := ds.NumFeatures()
 	correct := 0
-	for i := 0; i < ds.NumExamples(); i++ {
-		if c.Predict(ds.RowInto(buf, i)) == ds.Label(i) {
+	for i := range y {
+		if c.Predict(x[i*k:(i+1)*k]) == y[i] {
 			correct++
 		}
 	}

@@ -6,17 +6,16 @@ import (
 	"repro/internal/relational"
 )
 
-// accuracyOracle is the reference Accuracy is pinned against: one RowInto
-// and one Label per example, no batching.
+// accuracyOracle is the reference Accuracy is pinned against: one per-row
+// exampleOf read per example, no batching.
 func accuracyOracle(c Classifier, ds *Dataset) float64 {
 	n := ds.NumExamples()
 	if n == 0 {
 		return 0
 	}
 	correct := 0
-	buf := make([]relational.Value, ds.NumFeatures())
 	for i := 0; i < n; i++ {
-		if c.Predict(ds.RowInto(buf, i)) == ds.Label(i) {
+		if row, y := exampleOf(ds, i); c.Predict(row) == y {
 			correct++
 		}
 	}
@@ -38,14 +37,13 @@ func (parityClassifier) Predict(row []relational.Value) int8 {
 
 // batchParity is parityClassifier with a BatchPredictor, so Accuracy takes
 // its batch branch: PredictBatch classifies example by example through
-// RowInto.
+// exampleOf.
 type batchParity struct{ parityClassifier }
 
 func (b batchParity) PredictBatch(ds *Dataset) []int8 {
 	out := make([]int8, ds.NumExamples())
-	buf := make([]relational.Value, ds.NumFeatures())
 	for i := range out {
-		out[i] = b.Predict(ds.RowInto(buf, i))
+		out[i] = b.Predict(rowOf(ds, i))
 	}
 	return out
 }

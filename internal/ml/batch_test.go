@@ -12,7 +12,7 @@ import (
 // columnar, with and without split-style select views, in memory and
 // spilled under a cache of a few segments), and composed Subset/
 // SelectFeatures remaps. All are views of the same cells, so the batch
-// reads must agree with the scalar accessors on each.
+// reads must agree with the per-row CopyRow oracle (exampleOf) on each.
 func batchBackings(t *testing.T) map[string]*Dataset {
 	t.Helper()
 	_, jv := viewStar(t, 400, 12, 9)
@@ -101,7 +101,7 @@ func batchBackings(t *testing.T) map[string]*Dataset {
 }
 
 // TestScanFeatureMatchesAt pins ScanFeature (all offsets, short buffers) to
-// At on every backing.
+// the per-row CopyRow oracle on every backing.
 func TestScanFeatureMatchesAt(t *testing.T) {
 	for name, ds := range batchBackings(t) {
 		n := ds.NumExamples()
@@ -120,8 +120,8 @@ func TestScanFeatureMatchesAt(t *testing.T) {
 					t.Fatalf("%s: ScanFeature(%d,%d) returned %d want %d", name, j, from, m, want)
 				}
 				for k := 0; k < m; k++ {
-					if got, want := buf[k], ds.At(from+k, j); got != want {
-						t.Fatalf("%s: ScanFeature(%d,%d)[%d] = %d, At = %d", name, j, from, k, got, want)
+					if got, want := buf[k], rowOf(ds, from+k)[j]; got != want {
+						t.Fatalf("%s: ScanFeature(%d,%d)[%d] = %d, CopyRow = %d", name, j, from, k, got, want)
 					}
 				}
 			}
@@ -129,7 +129,8 @@ func TestScanFeatureMatchesAt(t *testing.T) {
 	}
 }
 
-// TestScanLabelsMatchesLabel pins ScanLabels to Label on every backing.
+// TestScanLabelsMatchesLabel pins ScanLabels to the per-row CopyRow oracle
+// on every backing.
 func TestScanLabelsMatchesLabel(t *testing.T) {
 	for name, ds := range batchBackings(t) {
 		n := ds.NumExamples()
@@ -147,8 +148,8 @@ func TestScanLabelsMatchesLabel(t *testing.T) {
 				t.Fatalf("%s: ScanLabels(%d) returned %d want %d", name, from, m, want)
 			}
 			for k := 0; k < m; k++ {
-				if buf[k] != ds.Label(from+k) {
-					t.Fatalf("%s: ScanLabels(%d)[%d] = %d, Label = %d", name, from, k, buf[k], ds.Label(from+k))
+				if want := labelOf(ds, from+k); buf[k] != want {
+					t.Fatalf("%s: ScanLabels(%d)[%d] = %d, CopyRow = %d", name, from, k, buf[k], want)
 				}
 			}
 		}
@@ -156,8 +157,8 @@ func TestScanLabelsMatchesLabel(t *testing.T) {
 }
 
 // TestGatherFeaturesMatchesAt pins GatherFeatures — a strided column-major
-// block of features and labels over repeated, unordered rows — to At and
-// Label on every backing.
+// block of features and labels over repeated, unordered rows — to the
+// per-row CopyRow oracle on every backing.
 func TestGatherFeaturesMatchesAt(t *testing.T) {
 	for name, ds := range batchBackings(t) {
 		n := ds.NumExamples()
@@ -171,9 +172,10 @@ func TestGatherFeaturesMatchesAt(t *testing.T) {
 		ds.GatherFeatures(block, stride, feats, rows)
 		for i, j := range feats {
 			for k, r := range rows {
-				want := relational.Value(ds.Label(r))
+				row, y := exampleOf(ds, r)
+				want := relational.Value(y)
 				if j != LabelColumn {
-					want = ds.At(r, j)
+					want = row[j]
 				}
 				if got := block[i*stride+k]; got != want {
 					t.Fatalf("%s: GatherFeatures feature %d row %d = %d, want %d", name, j, r, got, want)
@@ -183,40 +185,42 @@ func TestGatherFeaturesMatchesAt(t *testing.T) {
 	}
 }
 
-// countingRelation forwards to a source relation and counts At calls.
+// countingRelation forwards to a source relation and counts CopyRow calls,
+// the one per-row read a relation keeps.
 type countingRelation struct {
 	*relational.SegmentedTable
-	at *int
+	copies *int
 }
 
-func (c countingRelation) At(row, col int) relational.Value {
-	*c.at++
-	return c.SegmentedTable.At(row, col)
+func (c countingRelation) CopyRow(dst []relational.Value, row int) []relational.Value {
+	*c.copies++
+	return c.SegmentedTable.CopyRow(dst, row)
 }
 
-// TestScanLabelsSubsetGathers checks that ScanLabels on a row-remapped
-// dataset (a Subset, as cross-validation builds) reads the target column
-// through the relation's gather, not one At per example.
+// TestScanLabelsSubsetGathers checks that ScanLabels on a Subset of a Subset
+// reads the target column through the relation's gather, not one row read
+// per example, and agrees with the composed remap.
 func TestScanLabelsSubsetGathers(t *testing.T) {
 	_, jv := viewStar(t, 300, 12, 9)
 	st, err := relational.MaterializeSegmented(jv, "st", relational.SegmentOptions{SegmentSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ats int
-	ds, err := FromRelation(countingRelation{st, &ats}, ViewColumns(jv, JoinAll, nil), 0)
+	var copies int
+	ds, err := FromRelation(countingRelation{st, &copies}, ViewColumns(jv, JoinAll, nil), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := ds.Subset([]int{299, 5, 5, 140, 0, 77})
+	outer := ds.Subset([]int{299, 5, 5, 140, 0, 77})
+	sub := outer.Subset([]int{5, 0, 3, 3})
 	got := make([]int8, sub.NumExamples())
 	sub.ScanLabels(got, 0)
-	if ats != 0 {
-		t.Fatalf("ScanLabels on a Subset made %d At calls, want a gather", ats)
+	if copies != 0 {
+		t.Fatalf("ScanLabels on a Subset made %d CopyRow calls, want a gather", copies)
 	}
-	for i := range got {
-		if want := sub.Label(i); got[i] != want {
-			t.Fatalf("ScanLabels[%d] = %d, Label = %d", i, got[i], want)
+	for i, r := range []int{77, 299, 140, 140} {
+		if want := labelOf(ds, r); got[i] != want {
+			t.Fatalf("ScanLabels[%d] = %d, source row %d has %d", i, got[i], r, want)
 		}
 	}
 }

@@ -31,23 +31,21 @@ type segmentSized interface{ SegmentSize() int }
 
 // ScanSpans returns the span boundaries the (feature, span) fan-outs cut the
 // example range into: cut points c with c[0] = 0 and c[len(c)-1] = n, span s
-// covering examples [c[s], c[s+1]). When the dataset is an unremapped view
-// over a segmented relation, cuts snap to segment boundaries so every scan
+// covering examples [c[s], c[s+1]). When the dataset reads a segmented
+// relation directly, cuts snap to segment boundaries so every scan
 // task works one segment — one cache pin per task, no mid-task faults, and
 // the segment-per-task parallelism the storage layer is partitioned for
 // (segments are grouped when there are more of them than useful spans, and
 // subdivided when the table is smaller than the worker pool wants).
-// Row-remapped datasets (split views) keep the arithmetic spans: their scans
-// are gathers, not sequential segment walks. Every consumer writes disjoint
+// Datasets over a SelectView (split views, Subsets) keep the arithmetic
+// spans: their scans are gathers, not sequential segment walks. Every consumer writes disjoint
 // cells or reduces in span order, so the choice of boundaries affects
 // performance only — results stay bit-identical.
 func ScanSpans(d *Dataset) []int {
 	n := d.NumExamples()
 	target := columnSpans(n, d.NumFeatures())
-	if d.rows == nil {
-		if ss, ok := d.rel.(segmentSized); ok {
-			return segmentCuts(n, ss.SegmentSize(), target)
-		}
+	if ss, ok := d.rel.(segmentSized); ok {
+		return segmentCuts(n, ss.SegmentSize(), target)
 	}
 	cuts := make([]int, target+1)
 	for s := range cuts {
@@ -142,7 +140,7 @@ func ScanRowMajor(d *Dataset) (block []relational.Value, labels []int8) {
 }
 
 // ScanActiveIndices materializes the one-hot active-index matrix of the
-// dataset — idx[i*d+j] = enc.Index(j, At(i, j)) — plus the label vector,
+// dataset — idx[i*d+j] = enc.Index(j, x_ij) — plus the label vector,
 // consuming each feature column-at-a-time through ScanFeature. The matrix is
 // what the embedding-style learners (logistic regression, the MLP's sparse
 // input layer) index their weight tables with; materializing it once per Fit

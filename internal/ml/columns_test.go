@@ -5,7 +5,7 @@ import (
 )
 
 // TestScanRowMajorMatchesAt pins the ScanRowMajor materialization to the
-// scalar accessors on every backing the batch contract supports.
+// per-row CopyRow oracle on every backing the batch contract supports.
 func TestScanRowMajorMatchesAt(t *testing.T) {
 	for name, ds := range batchBackings(t) {
 		block, labels := ScanRowMajor(ds)
@@ -18,14 +18,14 @@ func TestScanRowMajorMatchesAt(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < k; j++ {
-				if got, want := block[i*k+j], ds.At(i, j); got != want {
-					t.Fatalf("%s: block[%d,%d] = %d, At = %d", name, i, j, got, want)
+				if got, want := block[i*k+j], rowOf(ds, i)[j]; got != want {
+					t.Fatalf("%s: block[%d,%d] = %d, CopyRow = %d", name, i, j, got, want)
 				}
 			}
 		}
 		for i, y := range labels {
-			if want := ds.Label(i); y != want {
-				t.Fatalf("%s: labels[%d] = %d, Label = %d", name, i, y, want)
+			if want := labelOf(ds, i); y != want {
+				t.Fatalf("%s: labels[%d] = %d, CopyRow = %d", name, i, y, want)
 			}
 		}
 	}
@@ -46,12 +46,12 @@ func TestScanActiveIndicesMatchesEncoder(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < d; j++ {
-				if got, want := int(idx[i*d+j]), enc.Index(j, ds.At(i, j)); got != want {
+				if got, want := int(idx[i*d+j]), enc.Index(j, rowOf(ds, i)[j]); got != want {
 					t.Fatalf("%s: idx[%d,%d] = %d, enc.Index = %d", name, i, j, got, want)
 				}
 			}
-			if labels[i] != ds.Label(i) {
-				t.Fatalf("%s: labels[%d] = %d, Label = %d", name, i, labels[i], ds.Label(i))
+			if labels[i] != labelOf(ds, i) {
+				t.Fatalf("%s: labels[%d] = %d, CopyRow = %d", name, i, labels[i], labelOf(ds, i))
 			}
 		}
 	}

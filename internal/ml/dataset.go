@@ -37,75 +37,36 @@ type Feature struct {
 }
 
 // Dataset is an immutable supervised learning problem: n examples, d
-// categorical features, binary labels. It is a view over a relation: a
-// source relational.Relation (a physical Table, a zero-copy JoinView, a
-// split SelectView, a SegmentedTable), a per-feature source column, the
-// source target column, and an optional row remap. FromRelation and FromRows
-// build one; Subset and SelectFeatures compose remaps without copying.
+// categorical features, binary labels. It is a column projection of a
+// relation: a source relational.Relation (a physical Table, a zero-copy
+// JoinView, a split SelectView, a SegmentedTable), a per-feature source
+// column and the source target column, with nothing else. FromRelation and
+// FromRows build one; Subset wraps the relation in a SelectView and
+// SelectFeatures remaps the columns, neither copying example data. Reads are
+// batched: ScanFeature, ScanLabels and GatherFeatures (or ScanRowMajor over
+// all of them).
 type Dataset struct {
 	Features []Feature
 
 	rel    relational.Relation
 	cols   []int // per-feature source column
 	target int   // source target column
-	rows   []int // source row of each example; nil = the first n rows
-	n      int   // example count when rows == nil
-}
-
-// srcRow maps an example index to a source row index.
-func (d *Dataset) srcRow(i int) int {
-	if d.rows == nil {
-		return i
-	}
-	return d.rows[i]
 }
 
 // NumExamples returns n.
-func (d *Dataset) NumExamples() int {
-	if d.rows != nil {
-		return len(d.rows)
-	}
-	return d.n
-}
+func (d *Dataset) NumExamples() int { return d.rel.NumRows() }
 
 // NumFeatures returns the feature count.
 func (d *Dataset) NumFeatures() int { return len(d.Features) }
 
-// RowInto copies example i's feature codes into dst (len >= NumFeatures)
-// and returns dst truncated to the feature count. It never aliases dataset
-// storage and writes only into dst, so it is safe for concurrent use.
-func (d *Dataset) RowInto(dst []relational.Value, i int) []relational.Value {
-	dst = dst[:len(d.cols)]
-	r := d.srcRow(i)
-	for j, c := range d.cols {
-		dst[j] = d.rel.At(r, c)
-	}
-	return dst
-}
-
-// At returns the value of feature j of example i. It is the cheapest
-// accessor for single-cell reads (no row assembly) and is safe for
-// concurrent use.
-func (d *Dataset) At(i, j int) relational.Value {
-	return d.rel.At(d.srcRow(i), d.cols[j])
-}
-
-// ScanFeature is the batch read path: it fills dst with consecutive values
-// of feature j starting at example from, returning how many were written
-// (min(len(dst), NumExamples()-from); 0 past the end). It devirtualizes into
-// the storage engine's own column loop: a scan of the relation's column, or
-// one gather of the rows when the dataset is a Subset. Safe for concurrent
-// use: it writes only into dst.
+// ScanFeature is the sequential batch read: it fills dst with consecutive
+// values of feature j starting at example from, returning how many were
+// written (min(len(dst), NumExamples()-from); 0 past the end). It is one
+// ScanColumn of the relation's column, which a Subset's SelectView serves
+// with one gather of its rows. Safe for concurrent use: it writes only into
+// dst.
 func (d *Dataset) ScanFeature(dst []relational.Value, j, from int) int {
-	m := min(len(dst), d.NumExamples()-from)
-	if m <= 0 {
-		return 0
-	}
-	if d.rows == nil {
-		return d.rel.ScanColumn(d.cols[j], from, dst[:m])
-	}
-	d.rel.GatherColumns(dst, m, d.cols[j:j+1], d.rows[from:from+m])
-	return m
+	return d.rel.ScanColumn(d.cols[j], from, dst)
 }
 
 // LabelColumn is the feature index GatherFeatures reads as the example's
@@ -113,26 +74,20 @@ func (d *Dataset) ScanFeature(dst []relational.Value, j, from int) int {
 // labels in the same call.
 const LabelColumn = -1
 
-// featureScratch is GatherFeatures' pooled working memory: the source
-// column list and, for row-remapped views, the composed source rows.
-type featureScratch struct {
-	cols []int
-	rows []int
-}
-
-var featurePool = sync.Pool{New: func() any { return new(featureScratch) }}
+// colsPool holds GatherFeatures' source column lists.
+var colsPool = sync.Pool{New: func() any { return new([]int) }}
 
 // GatherFeatures fills the column-major block dst with features feats of
 // the examples rows: feature feats[i] of example rows[k] lands at
 // dst[i*stride+k], and stride must be >= len(rows). A feats entry equal to
 // LabelColumn reads the label instead. The block is one relational
-// GatherColumns call over the composed source columns and rows, so a
-// spilled table pins each touched segment once for all the features. Safe
-// for concurrent use: it writes only into dst.
+// GatherColumns call over the source columns, so a spilled table pins each
+// touched segment once for all the features. Safe for concurrent use: it
+// writes only into dst.
 func (d *Dataset) GatherFeatures(dst []relational.Value, stride int, feats []int, rows []int) {
-	sc := featurePool.Get().(*featureScratch)
-	defer featurePool.Put(sc)
-	cols := sc.cols[:0]
+	sc := colsPool.Get().(*[]int)
+	defer colsPool.Put(sc)
+	cols := (*sc)[:0]
 	for _, j := range feats {
 		if j == LabelColumn {
 			j = d.target
@@ -141,39 +96,20 @@ func (d *Dataset) GatherFeatures(dst []relational.Value, stride int, feats []int
 		}
 		cols = append(cols, j)
 	}
-	sc.cols = cols
-	if d.rows != nil {
-		src := sc.rows[:0]
-		for _, r := range rows {
-			src = append(src, d.rows[r])
-		}
-		sc.rows, rows = src, src
-	}
+	*sc = cols
 	d.rel.GatherColumns(dst, stride, cols, rows)
 }
 
 // ScanLabels fills dst with consecutive labels starting at example from and
 // returns the count written — the label companion of ScanFeature. Learners
-// on the batch path call it once per Fit and then index the materialized
-// label vector instead of paying a virtual Label call per example per pass.
+// call it once per Fit and then index the label vector.
 func (d *Dataset) ScanLabels(dst []int8, from int) int {
-	m := min(len(dst), d.NumExamples()-from)
-	if m <= 0 {
-		return 0
-	}
-	// Batch the target column: a contiguous scan without a row remap, a
-	// gather of the remapped rows (a Subset) with one.
-	target := []int{d.target}
+	m := max(0, min(len(dst), d.NumExamples()-from))
 	buf := make([]relational.Value, min(m, 4096))
 	for at := 0; at < m; {
-		got := min(len(buf), m-at)
-		if d.rows == nil {
-			got = d.rel.ScanColumn(d.target, from+at, buf[:got])
-		} else {
-			d.rel.GatherColumns(buf, got, target, d.rows[from+at:from+at+got])
-		}
-		for i := 0; i < got; i++ {
-			dst[at+i] = int8(buf[i])
+		got := d.rel.ScanColumn(d.target, from+at, buf[:min(len(buf), m-at)])
+		for i, v := range buf[:got] {
+			dst[at+i] = int8(v)
 		}
 		at += got
 	}
@@ -196,22 +132,17 @@ func (d *Dataset) FeatureRange(j int) (lo, hi relational.Value, ok bool) {
 	return cr.ColumnRange(d.cols[j])
 }
 
-// Label returns example i's class in {0, 1}.
-func (d *Dataset) Label(i int) int8 {
-	return int8(d.rel.At(d.srcRow(i), d.target))
-}
-
 // PositiveFraction returns the empirical P(Y=1).
 func (d *Dataset) PositiveFraction() float64 {
 	n := d.NumExamples()
 	if n == 0 {
 		return 0
 	}
+	labels := make([]int8, n)
+	d.ScanLabels(labels, 0)
 	pos := 0
-	for i := 0; i < n; i++ {
-		if d.Label(i) == 1 {
-			pos++
-		}
+	for _, y := range labels {
+		pos += int(y)
 	}
 	return float64(pos) / float64(n)
 }
@@ -226,19 +157,20 @@ func (d *Dataset) MajorityClass() int8 {
 }
 
 // Subset returns a view of the dataset restricted to the given example
-// indices, in order. No example data is copied: the result shares d's
-// relation, composing row remaps. Indices may repeat. When d has no row
-// remap yet the idx slice is retained as-is (callers must not mutate it
-// afterwards); when composing with an existing remap it is only read.
+// indices, in order: the dataset over a relational.SelectView of its
+// relation. No example data is copied, and indices may repeat. A Subset of
+// a Subset composes the two index lists into one remap (NewSelectView), so
+// reads go through at most one indirection. When d's relation is not
+// already a SelectView the idx slice is retained as-is (callers must not
+// mutate it afterwards). An index outside [0, NumExamples()) is a
+// programming error and panics.
 func (d *Dataset) Subset(idx []int) *Dataset {
-	out := *d
-	out.rows = idx
-	if d.rows != nil {
-		out.rows = make([]int, len(idx))
-		for k, i := range idx {
-			out.rows[k] = d.rows[i]
-		}
+	sv, err := relational.NewSelectView(d.rel, idx)
+	if err != nil {
+		panic("ml: Subset: " + err.Error())
 	}
+	out := *d
+	out.rel = sv
 	return &out
 }
 
@@ -288,14 +220,13 @@ func FromRelation(r relational.Relation, featureCols []int, targetCol int) (*Dat
 		rel:      r,
 		cols:     append([]int(nil), featureCols...),
 		target:   targetCol,
-		n:        r.NumRows(),
 	}, nil
 }
 
-// RowSchema is the schema of the table FromRows builds for features: one
+// rowSchema is the schema of the table FromRows builds for features: one
 // feature column per feature, named by position ("x0", "x1", ...) so that
 // empty or repeated feature names stay legal, then the binary target "y".
-func RowSchema(features []Feature) *relational.Schema {
+func rowSchema(features []Feature) *relational.Schema {
 	cols := make([]relational.Column, len(features)+1)
 	for j, f := range features {
 		name := "x" + strconv.Itoa(j)
@@ -310,7 +241,8 @@ func RowSchema(features []Feature) *relational.Schema {
 // y holds the labels. The block is validated on the way in: it must be
 // whole rows of at least one feature, every code must lie inside its
 // feature's Cardinality, and every label must be 0 or 1. The dataset keeps
-// features verbatim and copies x and y.
+// features verbatim and copies x and y into the table, one example at a
+// time, with no intermediate block.
 func FromRows(features []Feature, x []relational.Value, y []int8) (*Dataset, error) {
 	k := len(features)
 	if k == 0 {
@@ -319,13 +251,14 @@ func FromRows(features []Feature, x []relational.Value, y []int8) (*Dataset, err
 	if len(x) != k*len(y) {
 		return nil, fmt.Errorf("ml: %d feature values are not %d rows of %d features", len(x), len(y), k)
 	}
-	block := make([]relational.Value, 0, len(y)*(k+1))
+	t := relational.NewTable("rows", rowSchema(features), len(y))
+	row := make([]relational.Value, k+1)
 	for i, label := range y {
-		block = append(append(block, x[i*k:(i+1)*k]...), relational.Value(label))
-	}
-	t := relational.NewTable("rows", RowSchema(features), 0)
-	if err := t.AppendRows(block); err != nil {
-		return nil, fmt.Errorf("ml: %w", err)
+		copy(row, x[i*k:(i+1)*k])
+		row[k] = relational.Value(label)
+		if err := t.AppendRow(row); err != nil {
+			return nil, fmt.Errorf("ml: example %d: %w", i, err)
+		}
 	}
 	cols := make([]int, k)
 	for j := range cols {

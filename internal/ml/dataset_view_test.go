@@ -40,22 +40,20 @@ func viewStar(t *testing.T, nS, nR int, seed uint64) (*relational.StarSchema, *r
 	return ss, jv
 }
 
-// sameDataset compares two datasets example by example through the safe
-// accessors.
+// sameDataset compares two datasets example by example through the per-row
+// exampleOf oracle.
 func sameDataset(t *testing.T, want, got *Dataset) {
 	t.Helper()
 	if want.NumExamples() != got.NumExamples() || want.NumFeatures() != got.NumFeatures() {
 		t.Fatalf("shape (%d,%d) vs (%d,%d)",
 			want.NumExamples(), want.NumFeatures(), got.NumExamples(), got.NumFeatures())
 	}
-	wbuf := make([]relational.Value, want.NumFeatures())
-	gbuf := make([]relational.Value, got.NumFeatures())
 	for i := 0; i < want.NumExamples(); i++ {
-		if want.Label(i) != got.Label(i) {
-			t.Fatalf("label %d: %d vs %d", i, want.Label(i), got.Label(i))
+		wbuf, wy := exampleOf(want, i)
+		gbuf, gy := exampleOf(got, i)
+		if wy != gy {
+			t.Fatalf("label %d: %d vs %d", i, wy, gy)
 		}
-		want.RowInto(wbuf, i)
-		got.RowInto(gbuf, i)
 		for j := range wbuf {
 			if wbuf[j] != gbuf[j] {
 				t.Fatalf("cell (%d,%d): %d vs %d", i, j, wbuf[j], gbuf[j])
@@ -83,13 +81,13 @@ func TestViewDatasetObservesBaseWrites(t *testing.T) {
 	if err := ss.Fact.Set(9, 1, newVal); err != nil {
 		t.Fatal(err)
 	}
-	if got := ds.At(9, 0); got != newVal {
+	if got := rowOf(ds, 9)[0]; got != newVal {
 		t.Fatalf("dataset did not observe fact write: %d want %d", got, newVal)
 	}
-	if got := sub.At(1, 0); got != newVal {
+	if got := rowOf(sub, 1)[0]; got != newVal {
 		t.Fatalf("subset did not observe fact write: %d want %d", got, newVal)
 	}
-	if got := sel.At(1, 1); got != newVal {
+	if got := rowOf(sel, 1)[1]; got != newVal {
 		t.Fatalf("feature-selected view did not observe fact write: %d want %d", got, newVal)
 	}
 
@@ -101,7 +99,7 @@ func TestViewDatasetObservesBaseWrites(t *testing.T) {
 	if err := dim.Set(fk, 1, newXr); err != nil {
 		t.Fatal(err)
 	}
-	if got := sel.At(0, 0); got != newXr {
+	if got := rowOf(sel, 0)[0]; got != newXr {
 		t.Fatalf("view stack did not observe dimension write: %d want %d", got, newXr)
 	}
 
@@ -110,7 +108,7 @@ func TestViewDatasetObservesBaseWrites(t *testing.T) {
 	if err := ss.Fact.Set(5, 0, 1-oldY); err != nil {
 		t.Fatal(err)
 	}
-	if got := sel.Label(0); got != int8(1-oldY) {
+	if got := labelOf(sel, 0); got != int8(1-oldY) {
 		t.Fatalf("label did not read through: %d want %d", got, 1-oldY)
 	}
 
@@ -120,7 +118,7 @@ func TestViewDatasetObservesBaseWrites(t *testing.T) {
 	if err := dim.Set(fk, 1, oldXr); err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.At(0, 0); got != newXr {
+	if got := rowOf(snap, 0)[0]; got != newXr {
 		t.Fatalf("materialized dataset changed under a base write: %d want %d", got, newXr)
 	}
 }

@@ -25,9 +25,28 @@ func snapshot(d *Dataset) *Dataset {
 	return mustRows(d.Features, x, y)
 }
 
-// rowOf reads example i through RowInto into a fresh buffer.
+// exampleOf reads example i through its relation's per-row CopyRow: the
+// oracle the batch reads (ScanFeature, ScanLabels, GatherFeatures) are
+// pinned against, since it shares no code with them.
+func exampleOf(d *Dataset, i int) ([]relational.Value, int8) {
+	src := d.rel.CopyRow(make([]relational.Value, d.rel.Schema().Width()), i)
+	row := make([]relational.Value, len(d.cols))
+	for j, c := range d.cols {
+		row[j] = src[c]
+	}
+	return row, int8(src[d.target])
+}
+
+// rowOf is example i's feature codes, read through exampleOf.
 func rowOf(d *Dataset, i int) []relational.Value {
-	return d.RowInto(make([]relational.Value, d.NumFeatures()), i)
+	row, _ := exampleOf(d, i)
+	return row
+}
+
+// labelOf is example i's label, read through exampleOf.
+func labelOf(d *Dataset, i int) int8 {
+	_, y := exampleOf(d, i)
+	return y
 }
 
 var tinyFeatures = []Feature{
@@ -55,7 +74,7 @@ func TestDatasetAccessors(t *testing.T) {
 	if got := rowOf(d, 3); got[0] != 1 || got[1] != 2 {
 		t.Fatalf("Row(3) = %v", got)
 	}
-	if d.Label(2) != 1 {
+	if labelOf(d, 2) != 1 {
 		t.Fatal("Label(2) wrong")
 	}
 	if d.PositiveFraction() != 0.5 {
@@ -69,7 +88,7 @@ func TestDatasetAccessors(t *testing.T) {
 func TestSubsetAndSelectFeatures(t *testing.T) {
 	d := tinyDataset()
 	s := d.Subset([]int{3, 0})
-	if s.NumExamples() != 2 || s.Label(0) != 1 || rowOf(s, 1)[1] != 0 {
+	if s.NumExamples() != 2 || labelOf(s, 0) != 1 || rowOf(s, 1)[1] != 0 {
 		t.Fatalf("Subset wrong: %+v", s)
 	}
 	f := d.SelectFeatures([]int{1})
@@ -124,9 +143,9 @@ func TestMatchCountEqualsOneHotDot(t *testing.T) {
 		va, vb := oneHot(a), oneHot(b)
 		dot, sq := 0.0, 0.0
 		for i := range va {
-			dot += va[i] * vb[i]
+			dot += float64(va[i] * vb[i])
 			diff := va[i] - vb[i]
-			sq += diff * diff
+			sq += float64(diff * diff)
 		}
 		m := MatchCount(a, b)
 		return float64(m) == dot && math.Abs(sq-2*float64(d-m)) < 1e-12
@@ -397,11 +416,11 @@ func TestFromRowsKeepsFeatures(t *testing.T) {
 		t.Fatal("FromRows must keep the caller's features")
 	}
 	x[0] = 0
-	if got := rowOf(d, 0); got[0] != 2 || got[1] != 1 || got[2] != 3 || got[3] != 0 || d.Label(0) != 1 {
-		t.Fatalf("row 0 = %v label %d", got, d.Label(0))
+	if got := rowOf(d, 0); got[0] != 2 || got[1] != 1 || got[2] != 3 || got[3] != 0 || labelOf(d, 0) != 1 {
+		t.Fatalf("row 0 = %v label %d", got, labelOf(d, 0))
 	}
-	if got := rowOf(d, 1); got[3] != 3 || d.Label(1) != 0 {
-		t.Fatalf("row 1 = %v label %d", got, d.Label(1))
+	if got := rowOf(d, 1); got[3] != 3 || labelOf(d, 1) != 0 {
+		t.Fatalf("row 1 = %v label %d", got, labelOf(d, 1))
 	}
 	if empty := mustRows(feats, nil, nil); empty.NumExamples() != 0 || empty.NumFeatures() != 4 {
 		t.Fatalf("empty block: shape (%d,%d)", empty.NumExamples(), empty.NumFeatures())

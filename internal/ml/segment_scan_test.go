@@ -142,7 +142,7 @@ func TestFeatureRangeRouting(t *testing.T) {
 		// The bound must cover every visible value (sound over-approximation).
 		n := ds.NumExamples()
 		for i := 0; i < n; i++ {
-			if v := ds.At(i, j); v < lo || v > hi {
+			if v := rowOf(ds, i)[j]; v < lo || v > hi {
 				t.Fatalf("feature %d: value %d outside reported range [%d,%d]", j, v, lo, hi)
 			}
 		}

@@ -194,11 +194,12 @@ func TestAlphaDefaultAndName(t *testing.T) {
 // oracle the batched counting path is pinned against.
 func rowCounts(train *ml.Dataset, enc *ml.Encoder) (classN [2]float64, counts []float64) {
 	counts = make([]float64, enc.Dims*2)
-	buf := make([]relational.Value, train.NumFeatures())
-	for i := 0; i < train.NumExamples(); i++ {
-		c := int(train.Label(i))
+	x, y := ml.ScanRowMajor(train)
+	k := train.NumFeatures()
+	for i := range y {
+		c := int(y[i])
 		classN[c]++
-		for j, v := range train.RowInto(buf, i) {
+		for j, v := range x[i*k : (i+1)*k] {
 			counts[enc.Index(j, v)*2+c]++
 		}
 	}

@@ -30,8 +30,8 @@ func randomWideTable(t testing.TB, n int, seed uint64) *Table {
 	return tab
 }
 
-// requireSameRelation checks two relations cell-for-cell through At,
-// CopyRow, ScanColumn, and GatherColumns.
+// requireSameRelation checks two relations cell-for-cell through CopyRow,
+// ScanColumn, and GatherColumns.
 func requireSameRelation(t *testing.T, want, got Relation) {
 	t.Helper()
 	if want.NumRows() != got.NumRows() {
@@ -50,9 +50,6 @@ func requireSameRelation(t *testing.T, want, got Relation) {
 		for j := 0; j < w; j++ {
 			if rowW[j] != rowG[j] {
 				t.Fatalf("CopyRow(%d)[%d]: want %d got %d", i, j, rowW[j], rowG[j])
-			}
-			if a, b := want.At(i, j), got.At(i, j); a != b {
-				t.Fatalf("At(%d,%d): want %d got %d", i, j, a, b)
 			}
 		}
 	}
@@ -231,14 +228,15 @@ func TestViewStackScanColumn(t *testing.T) {
 // sentinel marks dst cells a batch read must leave alone.
 const sentinel Value = -7
 
-// requireReadContract pins rel's ScanColumn and GatherColumns to At: scans
-// from every offset including the end and past it, and gathers of
-// repeated, unordered rows into a block whose stride leaves a gap after
-// each column, plus the empty-rows and empty-cols edges. Cells outside the
-// requested ranges must stay untouched.
+// requireReadContract pins rel's ScanColumn and GatherColumns to its
+// CopyRow: scans from every offset including the end and past it, and
+// gathers of repeated, unordered rows into a block whose stride leaves a gap
+// after each column, plus the empty-rows and empty-cols edges. Cells outside
+// the requested ranges must stay untouched.
 func requireReadContract(t *testing.T, name string, rel Relation) {
 	t.Helper()
 	w, n := rel.Schema().Width(), rel.NumRows()
+	at := copiedRows(rel)
 	buf := make([]Value, 13)
 	for j := 0; j < w; j++ {
 		for _, from := range []int{0, 1, n / 2, n - 13, n - 1, n, n + 4} {
@@ -255,7 +253,7 @@ func requireReadContract(t *testing.T, name string, rel Relation) {
 			for k := range buf {
 				want := sentinel
 				if k < m {
-					want = rel.At(from+k, j)
+					want = at[from+k][j]
 				}
 				if buf[k] != want {
 					t.Fatalf("%s: ScanColumn(%d,%d)[%d] = %d, want %d", name, j, from, k, buf[k], want)
@@ -286,7 +284,7 @@ func requireReadContract(t *testing.T, name string, rel Relation) {
 		for k := 0; k < stride; k++ {
 			want := sentinel
 			if k < len(rows) {
-				want = rel.At(rows[k], c)
+				want = at[rows[k]][c]
 			}
 			if got := block[i*stride+k]; got != want {
 				t.Fatalf("%s: GatherColumns column %d [%d] = %d, want %d", name, c, k, got, want)
@@ -302,6 +300,22 @@ func requireReadContract(t *testing.T, name string, rel Relation) {
 			t.Fatalf("%s: an empty gather wrote block[%d] = %d", name, k, v)
 		}
 	}
+}
+
+// copiedRows reads every row of rel through CopyRow, the per-row read
+// every Relation keeps.
+func copiedRows(rel Relation) [][]Value {
+	w := rel.Schema().Width()
+	out := make([][]Value, rel.NumRows())
+	for i := range out {
+		out[i] = rel.CopyRow(make([]Value, w), i)
+	}
+	return out
+}
+
+// cell reads one cell of rel through CopyRow.
+func cell(rel Relation, row, col int) Value {
+	return rel.CopyRow(make([]Value, rel.Schema().Width()), row)[col]
 }
 
 // TestMaterializeColumnarMatchesMaterialize checks that a default-size

@@ -19,7 +19,7 @@ type dimPlan struct {
 // as a zero-copy Relation: the fact table's columns followed by every
 // dimension table's feature columns (primary keys are dropped — they are
 // redundant with the FK columns), with nothing materialized. Because each
-// dimension's primary key is the dense identity, At resolves a foreign
+// dimension's primary key is the dense identity, a read resolves a foreign
 // column with a single extra array index: fact FK lookup, then direct
 // dimension row access. The view holds only the schema and per-column plan
 // (O(width) memory) regardless of n_S, which is what cuts JoinAll peak
@@ -31,7 +31,7 @@ type dimPlan struct {
 // "<dim>.<col>". Open-domain FKs still join (the paper joins Expedia's
 // search table); openness only matters for which columns a feature view may
 // use. Referential integrity (every FK within its dimension's row range) is
-// checked once at construction so At and CopyRow run unchecked.
+// checked once at construction so the reads run unchecked.
 type JoinView struct {
 	fact   *Table
 	schema *Schema
@@ -105,17 +105,6 @@ func (v *JoinView) Schema() *Schema { return v.schema }
 // NumRows implements Relation.
 func (v *JoinView) NumRows() int { return v.fact.NumRows() }
 
-// At implements Relation: fact columns read through; foreign columns resolve
-// the FK indirection at access time.
-func (v *JoinView) At(row, col int) Value {
-	if col < v.factW {
-		return v.fact.At(row, col)
-	}
-	p := &v.plans[v.colPlan[col-v.factW]]
-	fk := v.fact.At(row, p.fkCol)
-	return p.dim.At(int(fk), int(v.colDim[col-v.factW]))
-}
-
 // CopyRow implements Relation: one contiguous fact-row copy, then one FK
 // lookup per dimension (not per cell).
 func (v *JoinView) CopyRow(dst []Value, row int) []Value {
@@ -137,8 +126,8 @@ func (v *JoinView) CopyRow(dst []Value, row int) []Value {
 
 // ScanColumn implements Relation. A fact column is a strided scan of the
 // fact table; a foreign column is a gather — read the FK column, then index
-// the dimension's storage — which is exactly the batched form of the
-// per-cell indirection At performs. Referential integrity was validated at
+// the dimension's storage — the batched form of CopyRow's per-row FK
+// lookup. Referential integrity was validated at
 // construction, so the inner loops run unchecked.
 func (v *JoinView) ScanColumn(col int, from int, dst []Value) int {
 	m := scanLen(v.fact.NumRows(), from, len(dst))

@@ -6,13 +6,14 @@ import (
 )
 
 // Relation is the read interface over rectangular categorical data: a
-// schema, a row count, random cell access, and batch column reads. *Table
-// and *SegmentedTable implement it with physical storage; JoinView and
-// SelectView implement it lazily, resolving accesses through foreign-key or
-// index indirection without materializing the result. Learners and
-// experiment harnesses consume data exclusively through this interface (via
-// ml.FromRelation), which is what lets a JoinAll pipeline run without ever
-// paying for the joined table.
+// schema, a row count, a row copy, and batch column reads. *Table and
+// *SegmentedTable implement it with physical storage; JoinView and
+// SelectView implement it lazily, resolving reads through foreign-key or
+// index indirection without materializing the result. Per-cell access (At,
+// Row) lives on *Table alone, the in-memory storage serving and the
+// dimension tables read. Learners and experiment harnesses consume data
+// exclusively through this interface (via ml.FromRelation), which is what
+// lets a JoinAll pipeline run without ever paying for the joined table.
 //
 // Implementations must be safe for concurrent readers: every method may be
 // called from multiple goroutines once the relation is constructed, and the
@@ -22,8 +23,6 @@ type Relation interface {
 	Schema() *Schema
 	// NumRows returns the row count.
 	NumRows() int
-	// At returns the value at (row, col). Both indices must be in range.
-	At(row, col int) Value
 	// CopyRow copies row i into dst, which must have length >= the schema
 	// width, and returns dst truncated to the width. It is the bulk fast
 	// path: implementations resolve any per-row indirection (FK lookups,
@@ -36,13 +35,12 @@ type Relation interface {
 	// rows, and a physical table walks its own storage.
 	ScanColumn(col int, from int, dst []Value) int
 	// GatherColumns fills the column-major block dst with column cols[i] of
-	// the given rows: dst[i*stride+k] = At(rows[k], cols[i]) for every i and
-	// k, and stride must be >= len(rows). Rows may repeat and come in any
-	// order. It is the random-access batch read of row-subset consumers (a
-	// split view, a decision-tree node's example set): one call per block
-	// instead of one virtual At per cell, and an engine with a per-segment
-	// access cost (the spilled SegmentedTable) pays it once per touched
-	// segment for all the columns.
+	// the given rows: dst[i*stride+k] is cell (rows[k], cols[i]) for every i
+	// and k, and stride must be >= len(rows). Rows may repeat and come in
+	// any order. It is the random-access batch read of row-subset consumers
+	// (a split view, a decision-tree node's example set): one call per
+	// block, and an engine with a per-segment access cost (the spilled
+	// SegmentedTable) pays it once per touched segment for all the columns.
 	GatherColumns(dst []Value, stride int, cols []int, rows []int)
 }
 
@@ -79,21 +77,32 @@ func Materialize(r Relation, name string) *Table {
 
 // SelectView is a lazy row-subset view over any relation: row i of the view
 // is row idx[i] of the source. Indices may repeat. It is the substrate of
-// train/validation/test splits; Materialize copies one out when physical
-// storage is needed.
+// train/validation/test splits and of ml.Dataset.Subset, and the one row
+// remap in the repository; Materialize copies one out when physical storage
+// is needed.
 type SelectView struct {
 	src Relation
 	idx []int
 }
 
 // NewSelectView validates the indices and wraps the source. The index slice
-// is retained, not copied; callers must not mutate it afterwards.
+// is retained, not copied; callers must not mutate it afterwards. Over
+// another SelectView the two remaps compose into one fresh index list over
+// that view's source, so a view of a view still reads through a single
+// indirection.
 func NewSelectView(src Relation, idx []int) (*SelectView, error) {
 	n := src.NumRows()
 	for k, i := range idx {
 		if i < 0 || i >= n {
 			return nil, fmt.Errorf("relational: select view index %d: row %d outside [0,%d)", k, i, n)
 		}
+	}
+	if sv, ok := src.(*SelectView); ok {
+		composed := make([]int, len(idx))
+		for k, i := range idx {
+			composed[k] = sv.idx[i]
+		}
+		src, idx = sv.src, composed
 	}
 	return &SelectView{src: src, idx: idx}, nil
 }
@@ -103,9 +112,6 @@ func (v *SelectView) Schema() *Schema { return v.src.Schema() }
 
 // NumRows implements Relation.
 func (v *SelectView) NumRows() int { return len(v.idx) }
-
-// At implements Relation.
-func (v *SelectView) At(row, col int) Value { return v.src.At(v.idx[row], col) }
 
 // CopyRow implements Relation.
 func (v *SelectView) CopyRow(dst []Value, row int) []Value {

@@ -3,6 +3,7 @@ package relational
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -171,8 +172,10 @@ func verifyFD(t Relation, det, dep int) error {
 	for i := range seen {
 		seen[i] = -1
 	}
+	row := make([]Value, schema.Width())
 	for i, n := 0, t.NumRows(); i < n; i++ {
-		d, v := t.At(i, det), t.At(i, dep)
+		t.CopyRow(row, i)
+		d, v := row[det], row[dep]
 		if seen[d] == -1 {
 			seen[d] = v
 			continue
@@ -226,8 +229,8 @@ func TestJoinProducesFDAndWidth(t *testing.T) {
 	if stateCol < 0 || revCol < 0 {
 		t.Fatalf("joined schema missing dimension columns: %v", joined.Schema().Names())
 	}
-	if joined.At(1, stateCol) != 1 || joined.At(1, revCol) != 0 {
-		t.Fatalf("join lookup wrong: state=%d rev=%d", joined.At(1, stateCol), joined.At(1, revCol))
+	if state, rev := cell(joined, 1, stateCol), cell(joined, 1, revCol); state != 1 || rev != 0 {
+		t.Fatalf("join lookup wrong: state=%d rev=%d", state, rev)
 	}
 }
 
@@ -311,12 +314,8 @@ func TestSplitFractions(t *testing.T) {
 	}
 	// Determinism.
 	sp2, _ := PaperSplit(big, rng.New(1))
-	for i := 0; i < sp.Train.NumRows(); i++ {
-		for j := 0; j < sp.Train.Schema().Width(); j++ {
-			if sp.Train.At(i, j) != sp2.Train.At(i, j) {
-				t.Fatal("split not deterministic")
-			}
-		}
+	if !reflect.DeepEqual(copiedRows(sp.Train), copiedRows(sp2.Train)) {
+		t.Fatal("split not deterministic")
 	}
 }
 

@@ -70,7 +70,7 @@ func TestCorruptSegmentDetected(t *testing.T) {
 	}
 
 	before := StorageCorruptionDetected.Value()
-	cse := readPanic(t, func() { st.At(0, 0) })
+	cse := readPanic(t, func() { st.ScanColumn(0, 0, make([]Value, 1)) })
 	if cse.Table != tab.Name+"_seg" || cse.Segment != 0 {
 		t.Fatalf("error names %s segment %d, want %s segment 0", cse.Table, cse.Segment, tab.Name+"_seg")
 	}
@@ -81,7 +81,7 @@ func TestCorruptSegmentDetected(t *testing.T) {
 		t.Fatal("corruption counter did not move")
 	}
 	// The second segment's blob is untouched; reads there still work.
-	if got, want := st.At(segSize, 0), tab.At(segSize, 0); got != want {
+	if got, want := cell(st, segSize, 0), tab.At(segSize, 0); got != want {
 		t.Fatalf("clean segment read %d, want %d", got, want)
 	}
 }
@@ -98,7 +98,7 @@ func TestCorruptHeaderDetected(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cse := readPanic(t, func() { st.At(0, 0) })
+	cse := readPanic(t, func() { st.ScanColumn(0, 0, make([]Value, 1)) })
 	if !strings.Contains(cse.Err.Error(), "magic") {
 		t.Fatalf("header corruption error %q does not mention magic", cse.Err)
 	}
@@ -242,7 +242,7 @@ func TestPagerShortRead(t *testing.T) {
 	if inj.FiredTotal() != 0 {
 		t.Fatalf("append path fired read faults: %s", inj.FiredString())
 	}
-	cse := readPanic(t, func() { st.At(0, 0) })
+	cse := readPanic(t, func() { st.ScanColumn(0, 0, make([]Value, 1)) })
 	if !fault.IsDiskFault(cse.Err) {
 		t.Fatalf("short read surfaced as %v, want a disk fault", cse.Err)
 	}

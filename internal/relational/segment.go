@@ -368,23 +368,6 @@ func (t *SegmentedTable) release(si int) {
 	t.entries[si].pins.Add(-1)
 }
 
-// At implements Relation. With an active pager every call pins and unpins
-// one segment; batch readers should prefer ScanColumn or GatherColumns,
-// which pin each touched segment once per call.
-func (t *SegmentedTable) At(row, col int) Value {
-	if len(t.entries) == 0 {
-		// Whole table still in the open tail (never evictable): a direct
-		// read of the single slab, as in GatherColumns. Split views and
-		// per-example scoring read cells one at a time through here.
-		return t.tail.cols[col].at(row)
-	}
-	si, off := t.locate(row)
-	s := t.acquire(si)
-	v := s.cols[col].at(off)
-	t.release(si)
-	return v
-}
-
 // CopyRow implements Relation: one pin, one strided read per column.
 func (t *SegmentedTable) CopyRow(dst []Value, row int) []Value {
 	si, off := t.locate(row)

@@ -155,23 +155,19 @@ func TestMaterializeSegmented(t *testing.T) {
 }
 
 // badCell wraps a relation and reports one cell outside its column's
-// domain, through ScanColumn and At alike — a corrupted source.
+// domain, through ScanColumn and CopyRow alike — a corrupted source.
 type badCell struct {
 	Relation
 	row, col int
 }
 
-func (b badCell) At(i, j int) Value {
-	if i == b.row && j == b.col {
-		return Value(b.Schema().Cols[j].Domain.Size)
-	}
-	return b.Relation.At(i, j)
-}
+// bad is the corrupted cell's value: its column's domain size.
+func (b badCell) bad() Value { return Value(b.Schema().Cols[b.col].Domain.Size) }
 
 func (b badCell) CopyRow(dst []Value, i int) []Value {
 	dst = b.Relation.CopyRow(dst, i)
 	if i == b.row {
-		dst[b.col] = b.At(i, b.col)
+		dst[b.col] = b.bad()
 	}
 	return dst
 }
@@ -179,7 +175,7 @@ func (b badCell) CopyRow(dst []Value, i int) []Value {
 func (b badCell) ScanColumn(col, from int, dst []Value) int {
 	m := b.Relation.ScanColumn(col, from, dst)
 	if col == b.col && b.row >= from && b.row < from+m {
-		dst[b.row-from] = b.At(b.row, col)
+		dst[b.row-from] = b.bad()
 	}
 	return m
 }
@@ -443,10 +439,11 @@ func requireEquivalentAppends(t *testing.T, segSize int, raw []byte) {
 	if rt.NumRows() != st.NumRows() {
 		t.Fatalf("row counts diverged: %d vs %d", rt.NumRows(), st.NumRows())
 	}
+	rows := copiedRows(st)
 	for i := 0; i < rt.NumRows(); i++ {
 		for j := 0; j < w; j++ {
-			if rt.At(i, j) != st.At(i, j) {
-				t.Fatalf("At(%d,%d) diverged", i, j)
+			if rt.At(i, j) != rows[i][j] {
+				t.Fatalf("CopyRow(%d)[%d] diverged", i, j)
 			}
 		}
 	}
@@ -471,7 +468,7 @@ func requireEquivalentAppends(t *testing.T, segSize int, raw []byte) {
 			t.Fatalf("ColumnRange(%d) ok=%v on %d rows", j, ok, st.NumRows())
 		}
 		for i := 0; i < st.NumRows(); i++ {
-			if v := st.At(i, j); v < lo || v > hi {
+			if v := rows[i][j]; v < lo || v > hi {
 				t.Fatalf("ColumnRange(%d) = [%d,%d] excludes present value %d", j, lo, hi, v)
 			}
 		}

@@ -120,7 +120,7 @@ func (t *Table) Row(i int) []Value {
 	return t.rows[i*t.width : (i+1)*t.width : (i+1)*t.width]
 }
 
-// At implements Relation.
+// At returns the value at (row, col); both indices must be in range.
 func (t *Table) At(row, col int) Value {
 	return t.rows[row*t.width+col]
 }

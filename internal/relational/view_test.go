@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -103,10 +104,11 @@ func sameRelation(t *testing.T, want, got Relation) {
 	if want.NumRows() != got.NumRows() {
 		t.Fatalf("rows %d vs %d", want.NumRows(), got.NumRows())
 	}
-	for i := 0; i < want.NumRows(); i++ {
+	wantRows, gotRows := copiedRows(want), copiedRows(got)
+	for i := range wantRows {
 		for j := 0; j < ws.Width(); j++ {
-			if want.At(i, j) != got.At(i, j) {
-				t.Fatalf("cell (%d,%d): %d vs %d", i, j, want.At(i, j), got.At(i, j))
+			if wantRows[i][j] != gotRows[i][j] {
+				t.Fatalf("cell (%d,%d): %d vs %d", i, j, wantRows[i][j], gotRows[i][j])
 			}
 		}
 	}
@@ -124,14 +126,15 @@ func TestJoinViewMatchesEagerJoinByteForByte(t *testing.T) {
 	sameRelation(t, ref, jv)
 	// Materialize(view) must reproduce the eager output exactly.
 	sameRelation(t, ref, Materialize(jv, ref.Name))
-	// CopyRow agrees with At.
+	// CopyRow agrees with a one-cell ScanColumn.
 	w := jv.Schema().Width()
 	buf := make([]Value, w)
+	one := make([]Value, 1)
 	for _, i := range []int{0, 1, 99, 199} {
 		jv.CopyRow(buf, i)
 		for j := 0; j < w; j++ {
-			if buf[j] != jv.At(i, j) {
-				t.Fatalf("CopyRow(%d)[%d] = %d, At = %d", i, j, buf[j], jv.At(i, j))
+			if jv.ScanColumn(j, i, one); buf[j] != one[0] {
+				t.Fatalf("CopyRow(%d)[%d] = %d, ScanColumn = %d", i, j, buf[j], one[0])
 			}
 		}
 	}
@@ -161,12 +164,12 @@ func TestJoinViewObservesBaseWrites(t *testing.T) {
 	fk1 := ss.Fact.Schema().Index("fk1")
 	row := 9
 	dimRow := int(ss.Fact.At(row, fk1))
-	old := jv.At(row, col)
+	old := cell(jv, row, col)
 	newVal := (old + 1) % 4
 	if err := dim.Set(dimRow, 1, newVal); err != nil {
 		t.Fatal(err)
 	}
-	if got := jv.At(row, col); got != newVal {
+	if got := cell(jv, row, col); got != newVal {
 		t.Fatalf("join view did not observe dimension write: got %d, want %d", got, newVal)
 	}
 	// A materialized snapshot, by contrast, must NOT change.
@@ -193,12 +196,22 @@ func TestSelectViewRemap(t *testing.T) {
 	if sv.NumRows() != len(idx) {
 		t.Fatalf("select view rows %d", sv.NumRows())
 	}
+	base, got := copiedRows(jv), copiedRows(sv)
 	for k, i := range idx {
-		for j := 0; j < jv.Schema().Width(); j++ {
-			if sv.At(k, j) != jv.At(i, j) {
-				t.Fatalf("select view cell (%d,%d) mismatch", k, j)
-			}
+		if !reflect.DeepEqual(got[k], base[i]) {
+			t.Fatalf("select view row %d = %v, want source row %d = %v", k, got[k], i, base[i])
 		}
+	}
+	// A view over a view composes into one remap over the base relation.
+	sv2, err := NewSelectView(sv, []int{4, 0, 2, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sv2.src != Relation(jv) || !reflect.DeepEqual(sv2.idx, []int{15, 29, 7, 7}) {
+		t.Fatalf("composed view reads %T through %v, want the join through [15 29 7 7]", sv2.src, sv2.idx)
+	}
+	if _, err := NewSelectView(sv, []int{5}); err == nil {
+		t.Fatal("an index past the outer view must be rejected")
 	}
 	if _, err := NewSelectView(jv, []int{30}); err == nil {
 		t.Fatal("out-of-range index must be rejected")

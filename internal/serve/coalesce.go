@@ -164,9 +164,14 @@ func (c *Coalescer) putBatch(b *cbatch) {
 }
 
 // Predict scores one request against snap, micro-batching with concurrent
-// callers when that pays. Results are indistinguishable from
-// snap.Engine.Predict: same classes and scores, same validation errors, and
-// always from snap's engine regardless of hot-swaps racing this call.
+// callers when that pays. Validation errors are snap.Engine.Predict's, and
+// the result always comes from snap's engine regardless of hot-swaps racing
+// this call. Only BatchServeable engines (the MLP) batch, and their batched
+// class is not bit-identical to Predict's: the hoisted first layer folds
+// each dimension group's rows before adding them, where Probability folds
+// every row in sequence, so z1 can differ in the last bits and a logit
+// within rounding of zero can flip class. Every other engine answers
+// through Predict itself.
 func (c *Coalescer) Predict(snap *Snapshot, req []relational.Value) (Prediction, error) {
 	return c.PredictCtx(context.Background(), snap, req)
 }

@@ -114,12 +114,6 @@ type Engine struct {
 	hw     []float64
 	hwidth int
 
-	bp ml.BatchPredictor // non-nil when the classifier batch-classifies
-	// batchSchema and batchCols lay out bp's batch table: the model
-	// features (ml.RowSchema) then an unused target column.
-	batchSchema *relational.Schema
-	batchCols   []int
-
 	scratchPool sync.Pool
 }
 
@@ -318,14 +312,6 @@ func NewEngine(m *model.Model, ss *relational.StarSchema) (*Engine, error) {
 			}
 		}
 	}
-	if bp, ok := cls.(ml.BatchPredictor); ok {
-		e.bp = bp
-		e.batchSchema = ml.RowSchema(m.Features)
-		e.batchCols = make([]int, len(m.Features))
-		for j := range e.batchCols {
-			e.batchCols[j] = j
-		}
-	}
 	e.inputIndex = make(map[string]int, len(e.inputs))
 	for i, f := range e.inputs {
 		e.inputIndex[f.Name] = i
@@ -360,14 +346,12 @@ func (e *Engine) Factorized() bool { return e.linear }
 func (e *Engine) HiddenFactorized() bool { return e.hidden }
 
 // BatchServeable reports whether batching concurrent requests into one call
-// buys this engine anything: a factorized first layer or a batch-classifying
-// model. Linear engines are excluded on purpose — their factorized score is
-// a handful of adds, far cheaper than any batching handoff — as are gather
-// fallbacks with no batch form (tree, kNN). The coalescer scores any engine
+// buys this engine anything: only a factorized first layer (the MLP) does.
+// Linear engines are excluded on purpose — their factorized score is a
+// handful of adds, far cheaper than any batching handoff — as are the gather
+// fallbacks (tree, kNN, non-linear SVM). The coalescer scores any engine
 // correctly; this is the routing hint for when it should be in the path.
-func (e *Engine) BatchServeable() bool {
-	return e.hidden || (e.bp != nil && !e.linear && e.scorer == nil)
-}
+func (e *Engine) BatchServeable() bool { return e.hidden }
 
 // InputFeatures returns the request layout: one value per entry, in order.
 func (e *Engine) InputFeatures() []InputFeature { return e.inputs }
@@ -569,13 +553,15 @@ const predictBatchMorsel = 64
 // already one addend per fact feature plus one per dimension, and batching
 // it through an index-matrix kernel was measured strictly slower (two extra
 // memory operations per addend; see the ServeBatch bench pair's history).
-// The batch win lands on the gather path instead: for fallback models that
-// implement ml.BatchPredictor (the MLP's GEMM forward), the chunks only
-// assemble the joined rows into one dense block, and a single batched
-// forward pass classifies the whole batch — replacing a per-request
-// Probability call that allocates both hidden layers per row. The batch
-// classes equal the model's per-row Predict (ml.BatchPredictor's contract),
-// so the response is unchanged.
+// The batch win lands on the MLP instead: its first layer is built from
+// hoisted per-dimension partials and one dense tail pass (ClassifyHidden)
+// classifies each chunk, replacing a per-request Probability call that
+// allocates both hidden layers per row. That is not bit-identical to
+// Predict: the partials fold each dimension group's first-layer rows before
+// adding them, while Probability folds every row in sequence, so z1 can
+// differ in the last bits and a logit within rounding of zero can flip
+// class. The serving equivalence tests pin the classes on their data.
+// Every other model takes the per-request gather path.
 func (e *Engine) PredictBatch(reqs [][]relational.Value) ([]Prediction, error) {
 	for i, req := range reqs {
 		if err := e.Validate(req); err != nil {
@@ -600,31 +586,6 @@ func (e *Engine) PredictBatch(reqs [][]relational.Value) ([]Prediction, error) {
 				out[i] = Prediction{Class: cls[i-lo]}
 			}
 		})
-		return out, nil
-	}
-	if bp := e.bp; bp != nil && !e.linear && e.scorer == nil {
-		w := len(e.batchCols) + 1
-		block := make([]relational.Value, len(reqs)*w)
-		ml.ParallelFor(chunks, func(c int) {
-			lo := c * predictBatchMorsel
-			hi := min(lo+predictBatchMorsel, len(reqs))
-			sc := e.getScratch()
-			for i := lo; i < hi; i++ {
-				copy(block[i*w:], e.assembleModelRow(sc, reqs[i]))
-			}
-			e.putScratch(sc)
-		})
-		t := relational.NewTable("batch", e.batchSchema, 0)
-		if err := t.AppendRows(block); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		ds, err := ml.FromRelation(t, e.batchCols, w-1)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		for i, cls := range bp.PredictBatch(ds) {
-			out[i] = Prediction{Class: cls}
-		}
 		return out, nil
 	}
 	ml.ParallelFor(chunks, func(c int) {

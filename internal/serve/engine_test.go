@@ -46,14 +46,15 @@ func TestFallbackMatchesEagerPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := make([]relational.Value, len(engine.InputFeatures()))
-	rowBuf := make([]relational.Value, train.NumFeatures())
+	eagerX, _ := ml.ScanRowMajor(eager)
+	k := eager.NumFeatures()
 	for i := 0; i < ss.Fact.NumRows(); i++ {
 		engine.RequestFromFactRow(req, ss.Fact.Row(i))
 		p, err := engine.Predict(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := tr.Predict(eager.RowInto(rowBuf, i)); p.Class != want {
+		if want := tr.Predict(eagerX[i*k : (i+1)*k]); p.Class != want {
 			t.Fatalf("row %d: served class %d != eager Predict %d", i, p.Class, want)
 		}
 	}

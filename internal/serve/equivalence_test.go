@@ -111,6 +111,8 @@ func TestFactorizedBitIdenticalToJoined(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			eagerX, _ := ml.ScanRowMajor(eager)
+			k := eager.NumFeatures()
 			for name, cls := range trainLinearFamily(t, train) {
 				t.Run(name, func(t *testing.T) {
 					m, err := model.New(cls, train.Features, nil)
@@ -136,7 +138,6 @@ func TestFactorizedBitIdenticalToJoined(t *testing.T) {
 
 					n := ss.Fact.NumRows()
 					req := make([]relational.Value, len(engine.InputFeatures()))
-					rowBuf := make([]relational.Value, train.NumFeatures())
 					for i := 0; i < n; i++ {
 						engine.RequestFromFactRow(req, ss.Fact.Row(i))
 						pf, err := engine.PredictFactorized(req)
@@ -153,7 +154,7 @@ func TestFactorizedBitIdenticalToJoined(t *testing.T) {
 						if pf.Class != pj.Class {
 							t.Fatalf("row %d: factorized class %d != joined class %d", i, pf.Class, pj.Class)
 						}
-						if want := served.Predict(eager.RowInto(rowBuf, i)); pf.Class != want {
+						if want := served.Predict(eagerX[i*k : (i+1)*k]); pf.Class != want {
 							t.Fatalf("row %d: factorized class %d != eager-join Predict %d", i, pf.Class, want)
 						}
 					}

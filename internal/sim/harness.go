@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/ml"
-	"repro/internal/relational"
 	"repro/internal/rng"
 )
 
@@ -122,14 +121,13 @@ func oneRun(sc Scenario, learner Learner, r *rng.RNG, pinned *TrialData) (out ru
 			return out
 		}
 		// The pinned test set is shared by every concurrent run, so each run
-		// reads it through its own row buffer, never the Dataset's scratch.
+		// scans its own row-major copy of it.
 		test := pinned.Test[v]
-		p := make([]int8, test.NumExamples())
-		o := make([]int8, test.NumExamples())
-		row := make([]relational.Value, test.NumFeatures())
-		for i := 0; i < test.NumExamples(); i++ {
-			p[i] = c.Predict(test.RowInto(row, i))
-			o[i] = test.Label(i)
+		x, o := ml.ScanRowMajor(test)
+		k := test.NumFeatures()
+		p := make([]int8, len(o))
+		for i := range p {
+			p[i] = c.Predict(x[i*k : (i+1)*k])
 		}
 		out.preds[v] = p
 		out.observed[v] = o

@@ -77,9 +77,9 @@ func TestOneXrBayesConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	test := trial.Test[ml.JoinAll]
-	for i := 0; i < test.NumExamples(); i++ {
-		if test.Label(i) != trial.BayesTest[i] {
+	_, labels := ml.ScanRowMajor(trial.Test[ml.JoinAll])
+	for i, y := range labels {
+		if y != trial.BayesTest[i] {
 			t.Fatalf("noise-free labels must match Bayes at %d", i)
 		}
 	}
@@ -95,14 +95,14 @@ func TestOneXrNoiseRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	test := trial.Test[ml.JoinAll]
+	_, labels := ml.ScanRowMajor(trial.Test[ml.JoinAll])
 	flips := 0
-	for i := 0; i < test.NumExamples(); i++ {
-		if test.Label(i) != trial.BayesTest[i] {
+	for i, y := range labels {
+		if y != trial.BayesTest[i] {
 			flips++
 		}
 	}
-	rate := float64(flips) / float64(test.NumExamples())
+	rate := float64(flips) / float64(len(labels))
 	if math.Abs(rate-0.2) > 0.05 {
 		t.Fatalf("noise rate %v, want ≈0.2", rate)
 	}
@@ -125,8 +125,10 @@ func TestOneXrSkewSamplers(t *testing.T) {
 		ds := trial.Train[ml.NoJoin]
 		fkIdx := ds.NumFeatures() - 1
 		counts := map[int]int{}
-		for i := 0; i < ds.NumExamples(); i++ {
-			counts[int(ds.At(i, fkIdx))]++
+		fks := make([]relational.Value, ds.NumExamples())
+		ds.ScanFeature(fks, fkIdx, 0)
+		for _, v := range fks {
+			counts[int(v)]++
 		}
 		if counts[0] < ds.NumExamples()/5 {
 			t.Fatalf("%v skew head mass too small: %d/%d", skew.Kind, counts[0], ds.NumExamples())
@@ -154,8 +156,9 @@ func TestXSXRNoiseFree(t *testing.T) {
 	}
 	// H(Y|X) = 0: observed test labels equal Bayes labels.
 	test := trial.Test[ml.JoinAll]
-	for i := 0; i < test.NumExamples(); i++ {
-		if test.Label(i) != trial.BayesTest[i] {
+	_, labels := ml.ScanRowMajor(test)
+	for i, y := range labels {
+		if y != trial.BayesTest[i] {
 			t.Fatalf("XSXR must be noise-free, mismatch at %d", i)
 		}
 	}
@@ -178,9 +181,10 @@ func TestXSXRFDHolds(t *testing.T) {
 	// Features: XS0 XS1 FK XR0 XR1 XR2 — FK at index 2.
 	fkIdx := 2
 	seen := map[int32][3]int32{}
-	row := make([]relational.Value, ds.NumFeatures())
+	x, _ := ml.ScanRowMajor(ds)
+	k := ds.NumFeatures()
 	for i := 0; i < ds.NumExamples(); i++ {
-		ds.RowInto(row, i)
+		row := x[i*k : (i+1)*k]
 		xr := [3]int32{row[3], row[4], row[5]}
 		if prev, ok := seen[row[fkIdx]]; ok && prev != xr {
 			t.Fatalf("FD FK→XR violated for FK=%d", row[fkIdx])
@@ -200,9 +204,10 @@ func TestRepOneXrReplication(t *testing.T) {
 	}
 	ds := trial.Train[ml.JoinAll]
 	// Features: XS0 XS1 FK Xr XR1 XR2 XR3 XR4 — all XR equal Xr.
-	row := make([]relational.Value, ds.NumFeatures())
+	x, _ := ml.ScanRowMajor(ds)
+	k := ds.NumFeatures()
 	for i := 0; i < ds.NumExamples(); i++ {
-		ds.RowInto(row, i)
+		row := x[i*k : (i+1)*k]
 		xr := row[3]
 		for j := 4; j < 8; j++ {
 			if row[j] != xr {

@@ -280,9 +280,9 @@ func requireBatchMatchesPredict(t *testing.T, name string, s *SVM, ds *ml.Datase
 	if len(got) != ds.NumExamples() {
 		t.Fatalf("%s: %d classes for %d examples", name, len(got), ds.NumExamples())
 	}
-	buf := make([]relational.Value, ds.NumFeatures())
+	rows, _ := rowsOf(ds)
 	for i, cls := range got {
-		if want := s.Predict(ds.RowInto(buf, i)); cls != want {
+		if want := s.Predict(rows[i]); cls != want {
 			t.Fatalf("%s: example %d: PredictBatch %d, Predict %d", name, i, cls, want)
 		}
 	}

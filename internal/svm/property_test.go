@@ -91,8 +91,10 @@ func TestRelabelInvariance(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		rows, _ := rowsOf(ds)
+		twins, _ := rowsOf(relabeled)
 		for i := 0; i < n; i++ {
-			if s1.Predict(rowOf(ds, i)) != s2.Predict(rowOf(relabeled, i)) {
+			if s1.Predict(rows[i]) != s2.Predict(twins[i]) {
 				return false
 			}
 		}

@@ -45,16 +45,16 @@ func TestKernelsMatchExplicitOneHot(t *testing.T) {
 		va, vb := oneHot(a), oneHot(b)
 		dot, sq := 0.0, 0.0
 		for i := range va {
-			dot += va[i] * vb[i]
+			dot += float64(va[i] * vb[i])
 			diff := va[i] - vb[i]
-			sq += diff * diff
+			sq += float64(diff * diff)
 		}
 		gamma := 0.3
 		lin, _ := NewKernel(Linear, 0, d)
 		quad, _ := NewKernel(Quadratic, gamma, d)
 		rbf, _ := NewKernel(RBF, gamma, d)
 		ok := math.Abs(lin.Eval(a, b)-dot) < 1e-12 &&
-			math.Abs(quad.Eval(a, b)-(gamma*dot)*(gamma*dot)) < 1e-12 &&
+			math.Abs(quad.Eval(a, b)-float64((gamma*dot)*(gamma*dot))) < 1e-12 &&
 			math.Abs(rbf.Eval(a, b)-math.Exp(-gamma*sq)) < 1e-12
 		// Self-consistency.
 		ok = ok && math.Abs(lin.Self()-lin.Eval(a, a)) < 1e-12 &&
@@ -193,8 +193,8 @@ func TestOnDemandKernelMatchesGramCache(t *testing.T) {
 	defer func() { gramCacheCap = old }()
 	for k, kind := range kinds {
 		onDemand := fit(kind)
-		for i := 0; i < ds.NumExamples(); i++ {
-			row := rowOf(ds, i)
+		rows, _ := rowsOf(ds)
+		for i, row := range rows {
 			if a, b := cached[k].Predict(row), onDemand.Predict(row); a != b {
 				t.Fatalf("%v: example %d: cached fit predicts %d, on-demand fit %d", kind, i, a, b)
 			}
@@ -311,8 +311,9 @@ func TestDeterministicWithSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		var preds []int8
-		for i := 0; i < ds.NumExamples(); i++ {
-			preds = append(preds, s.Predict(rowOf(ds, i)))
+		rows, _ := rowsOf(ds)
+		for _, row := range rows {
+			preds = append(preds, s.Predict(row))
 		}
 		return preds
 	}
@@ -393,7 +394,14 @@ func mustRows(features []ml.Feature, x []relational.Value, y []int8) *ml.Dataset
 	return d
 }
 
-// rowOf reads example i through RowInto into a fresh buffer.
-func rowOf(d *ml.Dataset, i int) []relational.Value {
-	return d.RowInto(make([]relational.Value, d.NumFeatures()), i)
+// rowsOf pins d's examples with ml.ScanRowMajor: rows[i] is example i's
+// codes and labels[i] its class.
+func rowsOf(d *ml.Dataset) (rows [][]relational.Value, labels []int8) {
+	x, y := ml.ScanRowMajor(d)
+	k := d.NumFeatures()
+	rows = make([][]relational.Value, len(y))
+	for i := range rows {
+		rows[i] = x[i*k : (i+1)*k]
+	}
+	return rows, y
 }

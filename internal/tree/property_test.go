@@ -50,8 +50,10 @@ func TestRelabelInvariance(t *testing.T) {
 			return false
 		}
 		// Every original row and its relabeled twin must classify alike.
+		rows, _ := rowsOf(ds)
+		twins, _ := rowsOf(relabeled)
 		for i := 0; i < n; i++ {
-			if t1.Predict(rowOf(ds, i)) != t2.Predict(rowOf(relabeled, i)) {
+			if t1.Predict(rows[i]) != t2.Predict(twins[i]) {
 				return false
 			}
 		}
@@ -88,10 +90,11 @@ func TestPredictionsMatchLeafMajorities(t *testing.T) {
 		// set of identical rows the prediction must be that set's majority.
 		type key [2]relational.Value
 		counts := map[key][2]int{}
+		rows, labels := rowsOf(ds)
 		for i := 0; i < n; i++ {
-			k := key{ds.At(i, 0), ds.At(i, 1)}
+			k := key{rows[i][0], rows[i][1]}
 			c := counts[k]
-			c[ds.Label(i)]++
+			c[labels[i]]++
 			counts[k] = c
 		}
 		for k, c := range counts {

@@ -28,9 +28,16 @@ func mustRows(features []ml.Feature, x []relational.Value, y []int8) *ml.Dataset
 	return d
 }
 
-// rowOf reads example i through RowInto into a fresh buffer.
-func rowOf(d *ml.Dataset, i int) []relational.Value {
-	return d.RowInto(make([]relational.Value, d.NumFeatures()), i)
+// rowsOf pins d's examples with ml.ScanRowMajor: rows[i] is example i's
+// codes and labels[i] its class.
+func rowsOf(d *ml.Dataset) (rows [][]relational.Value, labels []int8) {
+	x, y := ml.ScanRowMajor(d)
+	k := d.NumFeatures()
+	rows = make([][]relational.Value, len(y))
+	for i := range rows {
+		rows[i] = x[i*k : (i+1)*k]
+	}
+	return rows, y
 }
 
 func feats(cards ...int) []ml.Feature {
@@ -366,8 +373,9 @@ func TestTreeBeatsOrMatchesMajorityQuick(t *testing.T) {
 		if ml.Accuracy(tr, ds) < ml.Accuracy(maj, ds) {
 			return false
 		}
+		rows, _ := rowsOf(ds)
 		for i := 0; i < n; i++ {
-			p := tr.Predict(rowOf(ds, i))
+			p := tr.Predict(rows[i])
 			if p != 0 && p != 1 {
 				return false
 			}
@@ -416,23 +424,24 @@ func TestCriterionString(t *testing.T) {
 
 // oracleSplit is the historical row-at-a-time split search, kept as the
 // reference the batched bestSplit is pinned against: per feature, a map
-// tally of (count, positives) over the node's examples via per-cell At. It
-// tallies every feature, constant ones included — no constant-feature skip.
-func oracleSplit(t *Tree, ds *ml.Dataset, idx []int) *split {
+// tally of (count, positives) over the node's examples, read cell by cell
+// from the pinned rows. It tallies every feature, constant ones included —
+// no constant-feature skip.
+func oracleSplit(t *Tree, rows [][]relational.Value, labels []int8, idx []int) *split {
 	var best *split
 	nodeN, nodePos := len(idx), 0
 	for _, i := range idx {
-		nodePos += int(ds.Label(i))
+		nodePos += int(labels[i])
 	}
 	nodeImp := t.impurity(nodePos, nodeN)
-	totalN := float64(ds.NumExamples())
-	for j := 0; j < ds.NumFeatures(); j++ {
+	totalN := float64(len(rows))
+	for j := range rows[0] {
 		cnt := make(map[relational.Value][2]int)
 		for _, i := range idx {
-			v := ds.At(i, j)
+			v := rows[i][j]
 			c := cnt[v]
 			c[0]++
-			c[1] += int(ds.Label(i))
+			c[1] += int(labels[i])
 			cnt[v] = c
 		}
 		if len(cnt) < 2 {
@@ -457,10 +466,11 @@ func requireOracleSplits(t *testing.T, tr *Tree, ds *ml.Dataset) {
 	if tr.NumLeaves() < 2 {
 		t.Fatal("tree learned nothing; the equivalence check is vacuous")
 	}
+	rows, labels := rowsOf(ds)
 	countPos := func(idx []int) int {
 		pos := 0
 		for _, i := range idx {
-			pos += int(ds.Label(i))
+			pos += int(labels[i])
 		}
 		return pos
 	}
@@ -478,7 +488,7 @@ func requireOracleSplits(t *testing.T, tr *Tree, ds *ml.Dataset) {
 		if nd.n != len(idx) {
 			t.Fatalf("node %d holds %d examples, oracle routing gives %d", at, nd.n, len(idx))
 		}
-		best := oracleSplit(tr, ds, idx)
+		best := oracleSplit(tr, rows, labels, idx)
 		if nd.feature < 0 {
 			pos := countPos(idx)
 			open := pos > 0 && pos < len(idx) && len(idx) >= tr.cfg.MinSplit &&
@@ -497,7 +507,7 @@ func requireOracleSplits(t *testing.T, tr *Tree, ds *ml.Dataset) {
 		}
 		var left, right []int
 		for _, i := range idx {
-			if nd.goLeft[ds.At(i, nd.feature)] {
+			if nd.goLeft[rows[i][nd.feature]] {
 				left = append(left, i)
 			} else {
 				right = append(right, i)
