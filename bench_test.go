@@ -537,7 +537,7 @@ func BenchmarkSVMKernelCacheGemm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := make([]float32, n*n)
+	dst := make([]float32, svm.GramLen(n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

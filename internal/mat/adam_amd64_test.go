@@ -8,3 +8,12 @@ var vectorAdam = func() func(w, m, v, g []float64, k *AdamStep) {
 	}
 	return nil
 }()
+
+// vectorFold is the assembly FoldPanels body the tests call directly, or
+// nil on a CPU without AVX.
+var vectorFold = func() func(a, b []float32, ay []float64, list []int32, out *[8]float64) {
+	if hasAVX {
+		return foldPanelsAVX
+	}
+	return nil
+}()

@@ -4,3 +4,6 @@ package mat
 
 // vectorAdam is nil off amd64: there is no assembly Adam body to test.
 var vectorAdam func(w, m, v, g []float64, k *AdamStep)
+
+// vectorFold is nil off amd64: there is no assembly FoldPanels body to test.
+var vectorFold func(a, b []float32, ay []float64, list []int32, out *[8]float64)

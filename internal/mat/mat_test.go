@@ -287,6 +287,12 @@ func checkKernels(t *testing.T, seed uint64, m, n, k, lda, ldb, ldc int) {
 	// with L2 off or on.
 	ak := adamStepFor(1+r.Intn(500), []float64{0, 1e-3, r.Float64()}[r.Intn(3)], r.Float64())
 	checkAdam(t, r, n, &ak)
+
+	// FoldPanels over an n×n panel matrix: one random panel pair (the
+	// padded last panel and a == b included) over every list shape.
+	if panels := (n + 3) / 4; panels > 0 {
+		checkFold(t, r, n, [][2]int{{r.Intn(panels), r.Intn(panels)}, {panels - 1, panels - 1}})
+	}
 }
 
 // naiveAdam is the learners' historical scalar Adam loop, written out with
@@ -390,6 +396,129 @@ func checkAdam(t *testing.T, r *rng.RNG, n int, k *AdamStep) {
 	}
 }
 
+// naiveFoldRow is one panel row's fold over the list, Σ ay[x]·float64(row[x])
+// in list order from +0: the plain loop every FoldPanels lane must match.
+func naiveFoldRow(panel []float32, lane int, ay []float64, list []int32) float64 {
+	sum := 0.0
+	for _, x := range list {
+		sum += float64(ay[x] * float64(panel[4*int(x)+lane]))
+	}
+	return sum
+}
+
+// fillPanels fills the n real rows of an n-column matrix in 4-row panel
+// layout (row i, column j at (i>>2)*4n + 4j + i&3) and leaves the padding
+// rows of a short last panel zero: mostly ordinary entries, with ±0,
+// float32 subnormals, huge magnitudes, ±Inf and NaN mixed in.
+func fillPanels(r *rng.RNG, dst []float32, n int) {
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var v float32
+			switch r.Intn(16) {
+			case 0:
+				v = 0
+			case 1:
+				v = float32(math.Copysign(0, -1))
+			case 2:
+				v = float32(r.Intn(1<<10)-1<<9) * math.SmallestNonzeroFloat32
+			case 3:
+				v = float32(r.NormFloat64() * 1e37)
+			case 4:
+				v = float32(math.Inf(1 - 2*r.Intn(2)))
+			case 5:
+				v = float32(math.NaN())
+			default:
+				v = float32(r.NormFloat64())
+			}
+			dst[(i>>2)*4*n+4*j+i&3] = v
+		}
+	}
+}
+
+// foldLists returns the column lists checkFold folds over n ≥ 1 columns:
+// empty, a single entry, every column, and ascending random subsets (one
+// forced to end at n-1).
+func foldLists(r *rng.RNG, n int) [][]int32 {
+	lists := [][]int32{nil}
+	full := make([]int32, n)
+	for x := range full {
+		full[x] = int32(x)
+	}
+	lists = append(lists, []int32{int32(r.Intn(n))}, full)
+	for rep := 0; rep < 2; rep++ {
+		var sub []int32
+		for x := 0; x < n; x++ {
+			if r.Intn(2) == 0 || (rep == 0 && x == n-1) {
+				sub = append(sub, int32(x))
+			}
+		}
+		lists = append(lists, sub)
+	}
+	return lists
+}
+
+// checkFold fills an n×n matrix in 4-row panel layout and random weights
+// (fillAdam's mix), then runs FoldPanels, the Go loop and (where the CPU has
+// one) the vector body on the given panel pairs over every foldLists list,
+// requiring every one of the eight sums to match naiveFoldRow bit for bit,
+// NaN payloads aside. pairs nil means every pair of panels, a == b
+// included.
+func checkFold(t *testing.T, r *rng.RNG, n int, pairs [][2]int) {
+	t.Helper()
+	panels := (n + 3) / 4
+	m := make([]float32, panels*4*n)
+	fillPanels(r, m, n)
+	ay := make([]float64, n)
+	fillAdam(r, ay)
+	if pairs == nil {
+		for p := 0; p < panels; p++ {
+			for q := 0; q < panels; q++ {
+				pairs = append(pairs, [2]int{p, q})
+			}
+		}
+	}
+	type body struct {
+		name string
+		fn   func(a, b []float32, ay []float64, list []int32, out *[8]float64)
+	}
+	bodies := []body{{"FoldPanels", FoldPanels}, {"foldPanelsGo", foldPanelsGo}}
+	if vectorFold != nil {
+		bodies = append(bodies, body{"foldPanelsAVX", vectorFold})
+	}
+	for _, list := range foldLists(r, n) {
+		for _, pq := range pairs {
+			a := m[pq[0]*4*n : (pq[0]+1)*4*n]
+			b := m[pq[1]*4*n : (pq[1]+1)*4*n]
+			var want [8]float64
+			for l := 0; l < 4; l++ {
+				want[l] = naiveFoldRow(a, l, ay, list)
+				want[4+l] = naiveFoldRow(b, l, ay, list)
+			}
+			for _, bd := range bodies {
+				out := [8]float64{1, 2, 3, 4, 5, 6, 7, 8} // overwritten, never accumulated into
+				bd.fn(a, b, ay, list, &out)
+				sameOrNaN(t, fmt.Sprintf("%s n=%d panels %v list %v", bd.name, n, pq, list), out[:], want[:])
+			}
+		}
+	}
+}
+
+// TestFoldPanelsRejectsOutOfRangeList requires a list entry outside the
+// panels or the weights to panic instead of reading past them.
+func TestFoldPanelsRejectsOutOfRangeList(t *testing.T) {
+	for _, list := range [][]int32{{-1, 0}, {0, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("list %v over 3 columns did not panic", list)
+				}
+			}()
+			var out [8]float64
+			FoldPanels(make([]float32, 12), make([]float32, 12), make([]float64, 3), list, &out)
+		}()
+	}
+}
+
 func TestPackU16RowsRejectsWideCodes(t *testing.T) {
 	dst := make([]uint64, PackedWords(3))
 	if PackU16Rows(dst, []int32{1, 70000, 2}, 1, 3) {
@@ -436,11 +565,22 @@ func TestKernelsMatchNaive(t *testing.T) {
 			}
 		}
 	}
+
+	// FoldPanels over every n from 1 to 23: each short last panel
+	// (n%4 = 1, 2, 3) after each panel count, every panel pair, a == b
+	// included.
+	r = rng.New(41)
+	for n := 1; n < 24; n++ {
+		for rep := 0; rep < 3; rep++ {
+			checkFold(t, r, n, nil)
+		}
+	}
 }
 
 // FuzzMatEquivalence fuzzes every mat kernel against its naive reference,
 // pinning bit-identical outputs across random shapes, strides, and value
-// mixes (Adam: lengths 0–23, L2 on and off, steps up to 500) — the CI fuzz
+// mixes (Adam: lengths 0–23, L2 on and off, steps up to 500; FoldPanels:
+// 0–23 columns, random panel pairs and lists) — the CI fuzz
 // smoke runs it alongside the codec fuzzers.
 func FuzzMatEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(3), uint8(4), uint8(0), uint8(0), uint8(0))

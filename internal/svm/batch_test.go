@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -14,7 +15,8 @@ import (
 
 // smoOracle is the historical SMO loop, kept as the reference smo is
 // pinned against: f(i) is refolded on every call, with no memo and no
-// blocking. It reports the iteration count it stopped at in *iters.
+// panels, over the active set as a bitmap. It reports the iteration count
+// it stopped at in *iters.
 func smoOracle(iters *int) func(p *problem) ([]float64, float64) {
 	return func(p *problem) ([]float64, float64) {
 		n, y, kcache, r := p.n, p.y, p.kcache, p.r
@@ -34,13 +36,15 @@ func smoOracle(iters *int) func(p *problem) ([]float64, float64) {
 		f := func(i int) float64 {
 			sum := 0.0
 			if kcache != nil {
-				krow := kcache[i*n : (i+1)*n]
+				// The cached row, read through kij, which only widens
+				// the float32 entry: the oracle does not depend on the
+				// cache's layout.
 				for wi, word := range activeMask {
 					base := wi << 6
 					for word != 0 {
 						j := base + bits.TrailingZeros64(word)
 						word &= word - 1
-						sum += float64(ay[j] * float64(krow[j]))
+						sum += float64(ay[j] * kij(i, j))
 					}
 				}
 			} else {
@@ -119,6 +123,21 @@ func smoOracle(iters *int) func(p *problem) ([]float64, float64) {
 	}
 }
 
+// tinyDataset is n random rows of three features with alternating
+// labels, so both classes are present from n = 2.
+func tinyDataset(n int, seed uint64) *ml.Dataset {
+	r := rng.New(seed)
+	xs := make([]relational.Value, 3*n)
+	ys := make([]int8, n)
+	for i := range ys {
+		for f := 0; f < 3; f++ {
+			xs[3*i+f] = relational.Value(r.Intn(3))
+		}
+		ys[i] = int8(i % 2)
+	}
+	return mustRows(feats(3, 3, 3), xs, ys)
+}
+
 // flightsJoin returns the join view of a small Flights star schema with
 // its JoinAll feature columns and target column.
 func flightsJoin(t *testing.T, scale int, seed uint64) (jv *relational.JoinView, cols []int, target int) {
@@ -161,10 +180,10 @@ func sameParams(t *testing.T, name string, got, want Params) {
 	}
 }
 
-// TestFitMatchesOracle pins Fit's memoized, blocked SMO to the historical
-// loop: identical support rows, multiplier bits and bias for every kernel
-// and several seeds, for a fit stopped by MaxIter, and for the cacheless
-// branch.
+// TestFitMatchesOracle pins Fit's memoized, panel-folding SMO to the
+// historical loop: identical support rows, multiplier bits and bias for
+// every kernel and several seeds, for tiny fits of one and two panels, for
+// a fit stopped by MaxIter, and for the cacheless branch.
 func TestFitMatchesOracle(t *testing.T) {
 	type fitCase struct {
 		name   string
@@ -191,6 +210,18 @@ func TestFitMatchesOracle(t *testing.T) {
 					cfg:  Config{Kernel: kind, C: c, Gamma: 0.1, SubsampleCap: 200, Seed: seed},
 				})
 			}
+		}
+	}
+	// Tiny fits: every n up to 4 is one panel (padded past n below 4), so
+	// every second multiplier j* falls in the missed row's own panel
+	// (FoldPanels with a == b); 5 and 6 add a short second panel.
+	for _, n := range []int{2, 3, 4, 5, 6} {
+		for _, kind := range []KernelKind{Linear, Quadratic, RBF} {
+			cases = append(cases, fitCase{
+				name: fmt.Sprintf("%v/tiny-%d", kind, n),
+				ds:   tinyDataset(n, uint64(n)),
+				cfg:  Config{Kernel: kind, C: 10, Gamma: 0.5, Seed: uint64(n)},
+			})
 		}
 	}
 	cases = append(cases, fitCase{

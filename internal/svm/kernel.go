@@ -99,17 +99,30 @@ func (k *Kernel) OfMatch(m float64) float64 {
 // gramBlockRows is the i-extent of one GramBlocked task: one task's match
 // counts (gramBlockRows × n int32) stay a few hundred KiB even at the 4096
 // cache cap, and a full cache build yields enough tasks to saturate the pool.
+// A multiple of 4, so every task owns whole panels.
 const gramBlockRows = 32
 
-// GramBlocked fills the n×n Gram matrix from a dense row-major block of n
-// categorical rows (block[i*d:(i+1)*d] is row i, d = the kernel's feature
-// count): the match counts of an i-block against columns [i0, n) come from
-// one blocked mat.MatchCounts call — the X·Xᵀ product of the one-hot
-// encodings, never expanded — and kernel values are a (d+1)-entry lookup
-// table indexed by count, since every kernel is a function of the match
-// count alone. i-blocks fan out across ml.ParallelFor writing disjoint row
-// ranges of the strict upper triangle (deterministic regardless of
-// scheduling), and the lower triangle is mirrored afterwards.
+// GramLen is the length of the Gram cache of n rows: n entries for each
+// row, the rows padded to a multiple of 4.
+func GramLen(n int) int { return ((n + 3) &^ 3) * n }
+
+// gramAt is the index of K[i][j] in the Gram cache of n rows. The cache is
+// a sequence of 4-row panels, each storing its rows' four entries of
+// column j side by side, so a walk over columns reads four rows as one
+// sequential stream (see mat.FoldPanels).
+func gramAt(i, j, n int) int { return (i>>2)*4*n + 4*j + i&3 }
+
+// GramBlocked fills the Gram matrix of n categorical rows into dst, of
+// length GramLen(n), at gramAt's panel index, from a dense row-major block
+// (block[i*d:(i+1)*d] is row i, d = the kernel's feature count); the
+// padding rows of a short last panel are left as dst had them. The match
+// counts of an i-block against columns [i0, n) come from one blocked
+// mat.MatchCounts call — the X·Xᵀ product of the one-hot encodings, never
+// expanded — and kernel values are a (d+1)-entry lookup table indexed by
+// count, since every kernel is a function of the match count alone.
+// i-blocks fan out across ml.ParallelFor writing disjoint panels
+// (deterministic regardless of scheduling), and the panels left of each
+// block's diagonal are mirrored afterwards.
 //
 // Each entry is float32 of the kernel table entry for the same integer m a
 // per-pair Eval looks up, so the cache is bit-identical to evaluating every
@@ -151,29 +164,61 @@ func (k *Kernel) gram(dst []float32, block []relational.Value, packed []uint64, 
 		} else {
 			mat.MatchCounts(cnt, w, block[i0*d:i1*d], d, block[i0*d:n*d], d, i1-i0, w, d)
 		}
-		for i := i0; i < i1; i++ {
-			row := dst[i*n : (i+1)*n]
-			crow := cnt[(i-i0)*w : (i-i0+1)*w]
-			for j := i + 1; j < n; j++ {
-				row[j] = lut[crow[j-i0]]
+		// Each panel p0 (rows p0..p0+3) fills columns p0 onward: both
+		// entries of a pair in the 4×4 diagonal square read the pair's
+		// upper count, and the columns right of the square read each row's
+		// counts.
+		for p0 := i0; p0 < i1; p0 += 4 {
+			panel := dst[p0*n : (p0+4)*n]
+			lanes := min(4, n-p0)
+			for l := 0; l < lanes; l++ {
+				for c := 0; c < lanes; c++ {
+					lo, hi := min(l, c), max(l, c)
+					v := self
+					if lo != hi {
+						v = lut[cnt[(p0+lo-i0)*w+p0+hi-i0]]
+					}
+					panel[4*(p0+c)+l] = v
+				}
 			}
-			row[i] = self
+			if lanes < 4 {
+				continue // a short panel is the last: no columns right of it
+			}
+			c0 := cnt[(p0-i0)*w+p0+4-i0 : (p0-i0+1)*w]
+			c1 := cnt[(p0+1-i0)*w+p0+4-i0 : (p0-i0+2)*w]
+			c2 := cnt[(p0+2-i0)*w+p0+4-i0 : (p0-i0+3)*w]
+			c3 := cnt[(p0+3-i0)*w+p0+4-i0 : (p0-i0+4)*w]
+			c1, c2, c3 = c1[:len(c0)], c2[:len(c0)], c3[:len(c0)]
+			right := panel[4*(p0+4):]
+			for x, m := range c0 {
+				q := right[4*x : 4*x+4 : 4*x+4]
+				q[0], q[1], q[2], q[3] = lut[m], lut[c1[x]], lut[c2[x]], lut[c3[x]]
+			}
 		}
 	})
 
-	// Mirror the upper triangle in square tiles: reads walk tile rows that
-	// stay cache-resident and writes land in contiguous runs, instead of
-	// one column-strided write (a fresh cache line each) per entry.
-	const mirrorTile = 64
-	for i0 := 0; i0 < n; i0 += mirrorTile {
-		i1 := min(i0+mirrorTile, n)
-		for j0 := i0; j0 < n; j0 += mirrorTile {
-			j1 := min(j0+mirrorTile, n)
-			for j := max(j0, i0+1); j < j1; j++ {
-				row := dst[j*n:]
-				hi := min(i1, j)
-				for i := i0; i < hi; i++ {
-					row[i] = dst[i*n+j]
+	// Mirror the panels left of the diagonal: the 4×4 square of panel q at
+	// columns 4p..4p+3 is the transpose of panel p's square at columns
+	// 4q..4q+3. Each square is 16 contiguous entries, so the copy reads one
+	// 64-byte run per source square and writes panel q left to right.
+	panels := (n + 3) / 4
+	for q := 1; q < panels; q++ {
+		rows := min(4, n-4*q)
+		dq := dst[q*4*n:]
+		for p := 0; p < q; p++ {
+			sq := (*[16]float32)(dq[16*p:])
+			if rows == 4 {
+				s := (*[16]float32)(dst[p*4*n+16*q:])
+				sq[0], sq[1], sq[2], sq[3] = s[0], s[4], s[8], s[12]
+				sq[4], sq[5], sq[6], sq[7] = s[1], s[5], s[9], s[13]
+				sq[8], sq[9], sq[10], sq[11] = s[2], s[6], s[10], s[14]
+				sq[12], sq[13], sq[14], sq[15] = s[3], s[7], s[11], s[15]
+				continue
+			}
+			src := dst[p*4*n+16*q : p*4*n+16*q+4*rows]
+			for c := 0; c < 4; c++ {
+				for l := 0; l < rows; l++ {
+					sq[4*c+l] = src[4*l+c]
 				}
 			}
 		}

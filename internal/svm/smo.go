@@ -3,7 +3,7 @@ package svm
 import (
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/mat"
@@ -82,7 +82,7 @@ type problem struct {
 	block     []relational.Value // n×d row-major training codes
 	y         []float64
 	k         *Kernel
-	kcache    []float32 // n×n Gram matrix; nil past gramCacheCap
+	kcache    []float32 // Gram matrix at gramAt's panel index; nil past gramCacheCap
 	r         *rng.RNG
 	C, tol    float64
 	maxIter   int
@@ -93,7 +93,7 @@ type problem struct {
 // exists, else a table lookup of the two rows' match count.
 func (p *problem) kij(i, j int) float64 {
 	if p.kcache != nil {
-		return float64(p.kcache[i*p.n+j])
+		return float64(p.kcache[gramAt(i, j, p.n)])
 	}
 	if i == j {
 		return p.k.Self()
@@ -193,7 +193,7 @@ func (s *SVM) fitSample(smp *sample, solve func(*problem) (alpha []float64, b fl
 	// cache is affordable and much faster. The build is a blocked X·Xᵀ over
 	// the sample's packed rows (see gram).
 	if n <= gramCacheCap {
-		p.kcache = make([]float32, n*n)
+		p.kcache = make([]float32, GramLen(n))
 		t0 := time.Now()
 		k.gram(p.kcache, smp.block, smp.packed, n)
 		gramSpan.ObserveSince(t0)
@@ -353,37 +353,46 @@ func (s *SVM) packSupport() {
 	}
 }
 
-// fBlock is the number of consecutive rows one memo miss of f folds from
-// the Gram cache — foldPair's two accumulators. Two measured a little
-// faster than four.
-const fBlock = 2
-
 // smo is Platt's simplified SMO over p, returning the multipliers and bias.
 //
 // Its read is f(i) = Σ_j α_j y_j k(i,j) + b, which depends only on the
 // multipliers and b — and those change at one site, the pair update. A
 // version counter bumped there lets f return a per-row memo while its
 // version is current: a pass after the last change, and the re-reads of
-// rows a blocked miss already folded, cost one load. Every memoized value
-// was computed by the same fold in the same order as an unmemoized call at
-// that version, so the trajectory and the fitted model are unchanged.
+// rows a miss already folded, cost one load. Every memoized value was
+// computed by the same fold in the same order as an unmemoized call at that
+// version, so the trajectory and the fitted model are unchanged.
+//
+// With the Gram cache present, a miss folds eight rows in one walk of the
+// active set (mat.FoldPanels): the 4-row panel holding the missed row i,
+// and the panel holding j* = jr + (jr ≥ i), where jr is the generator's
+// next draw, peeked from a copy so the trajectory is untouched. Every row
+// i' ≥ i of i's panel that violates KKT before the generator moves draws
+// j = jr + (jr ≥ i'): j* when jr < i or jr ≥ i', and otherwise jr itself,
+// which lies in i's panel. So until the generator moves, the second
+// multiplier drawn for any row of i's panel from i on is already folded.
 func smo(p *problem) ([]float64, float64) {
-	n, y, kcache := p.n, p.y, p.kcache
+	n, y, kcache, r := p.n, p.y, p.kcache, p.r
 	alpha := make([]float64, n)
 	b := 0.0
 
-	// ay[j] caches α_j·y_j for f's hot loop, and activeMask tracks the
-	// nonzero-α set as a bitmap (bit j ⟺ α_j > 0). Each ay entry is
-	// refreshed from the same two operands the historical `alpha[j] * y[j]`
-	// recomputed per term, so every product f folds carries identical bits,
-	// and the mask is exactly the historical `alpha[j] != 0` skip set.
+	// ay[j] caches α_j·y_j for f's fold, and active lists the nonzero-α set
+	// ascending (j listed ⟺ α_j > 0), kept sorted at the pair update. Each
+	// ay entry is refreshed from the same two operands the historical
+	// `alpha[j] * y[j]` recomputed per term, so every product f folds
+	// carries identical bits, and the list walks the historical
+	// `alpha[j] != 0` skip set in the historical ascending order.
 	ay := make([]float64, n)
-	activeMask := make([]uint64, (n+63)/64)
-	setActive := func(j int, on bool) {
+	active := make([]int32, 0, n)
+	setActive := func(j int, was, on bool) {
+		if was == on {
+			return
+		}
+		k, _ := slices.BinarySearch(active, int32(j))
 		if on {
-			activeMask[j>>6] |= 1 << (j & 63)
+			active = slices.Insert(active, k, int32(j))
 		} else {
-			activeMask[j>>6] &^= 1 << (j & 63)
+			active = slices.Delete(active, k, k+1)
 		}
 	}
 
@@ -391,36 +400,43 @@ func smo(p *problem) ([]float64, float64) {
 	fval := make([]float64, n)
 	fver := make([]uint64, n)
 	version := uint64(1)
+	var sums [8]float64
+	// keep memoizes the four sums of the panel whose first row is p0,
+	// skipping the padding rows of a short last panel.
+	keep := func(p0 int, s []float64) {
+		for l, v := range s[:min(4, n-p0)] {
+			fval[p0+l], fver[p0+l] = v+b, version
+		}
+	}
 
-	// With the cache present a miss walks the active bitmap (TrailingZeros
-	// yields ascending j, the historical fold order) against the raw
-	// float32 cache rows of i and the next fBlock-1 rows, which the pass
-	// reads next. Without the cache, the historical kij fold is unchanged.
+	// Without the cache, the historical kij fold is unchanged.
 	f := func(i int) float64 {
 		if fver[i] == version {
 			return fval[i]
 		}
-		switch {
-		case kcache != nil && i+fBlock <= n:
-			s0, s1 := foldPair(kcache[i*n:(i+1)*n], kcache[(i+1)*n:(i+2)*n], ay, activeMask)
-			fval[i], fval[i+1] = s0+b, s1+b
-			fver[i+1] = version
-		case kcache != nil:
-			fval[i] = foldRow(kcache[i*n:(i+1)*n], ay, activeMask) + b
-		default:
+		if kcache == nil {
 			sum := 0.0
 			for j := 0; j < n; j++ {
 				if alpha[j] != 0 {
 					sum += float64(alpha[j] * y[j] * p.kij(i, j))
 				}
 			}
-			fval[i] = sum + b
+			fval[i], fver[i] = sum+b, version
+			return fval[i]
 		}
-		fver[i] = version
+		peek := *r
+		j := peek.Intn(n - 1)
+		if j >= i {
+			j++
+		}
+		pi, pj := i&^3, j&^3
+		mat.FoldPanels(kcache[pi*n:(pi+4)*n], kcache[pj*n:(pj+4)*n], ay, active, &sums)
+		keep(pj, sums[4:])
+		keep(pi, sums[:4])
 		return fval[i]
 	}
 
-	C, tol, r := p.C, p.tol, p.r
+	C, tol := p.C, p.tol
 	passes, iter := 0, 0
 	for passes < p.maxPasses && iter < p.maxIter {
 		passT0 := time.Now()
@@ -476,8 +492,8 @@ func smo(p *problem) ([]float64, float64) {
 			}
 			alpha[i], alpha[j] = aiNew, ajNew
 			ay[i], ay[j] = aiNew*y[i], ajNew*y[j]
-			setActive(i, aiNew > 0)
-			setActive(j, ajNew > 0)
+			setActive(i, ai > 0, aiNew > 0)
+			setActive(j, aj > 0, ajNew > 0)
 			version++
 			changed++
 		}
@@ -489,41 +505,6 @@ func smo(p *problem) ([]float64, float64) {
 		}
 	}
 	return alpha, b
-}
-
-// foldRow returns Σ_j ay[j]·krow[j] over the set bits j of active in
-// ascending order: f's fold for one Gram row.
-func foldRow(krow []float32, ay []float64, active []uint64) float64 {
-	ay = ay[:len(krow)]
-	sum := 0.0
-	for wi, word := range active {
-		base := wi << 6
-		for word != 0 {
-			j := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			sum += float64(ay[j] * float64(krow[j]))
-		}
-	}
-	return sum
-}
-
-// foldPair is foldRow for two Gram rows in one bitmap walk. Its two
-// accumulators are independent chains, each performing exactly foldRow's
-// adds in foldRow's order, so both sums carry foldRow's bits — while each
-// chain fills the floating-point add latency the other waits on.
-func foldPair(k0, k1 []float32, ay []float64, active []uint64) (s0, s1 float64) {
-	ay, k1 = ay[:len(k0)], k1[:len(k0)]
-	for wi, word := range active {
-		base := wi << 6
-		for word != 0 {
-			j := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			a := ay[j]
-			s0 += float64(a * float64(k0[j]))
-			s1 += float64(a * float64(k1[j]))
-		}
-	}
-	return s0, s1
 }
 
 // Decision returns the signed decision value Σ αᵢyᵢ k(xᵢ, x) + b.

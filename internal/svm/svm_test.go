@@ -353,10 +353,11 @@ func (k *Kernel) GramRows(dst []float32, rows [][]relational.Value) {
 
 func TestGramBlockedMatchesGramRows(t *testing.T) {
 	// The blocked match-count Gram build (mat.MatchCounts + lookup table,
-	// parallel i-blocks) must reproduce the per-pair Eval build bit for bit
-	// for every kernel kind, across sizes that exercise partial blocks.
+	// parallel i-blocks, panel layout) must reproduce the per-pair Eval
+	// build bit for bit at every panel index for every kernel kind, across
+	// sizes that exercise partial blocks and every short last panel.
 	r := rng.New(97)
-	for _, n := range []int{1, 5, 31, 70} {
+	for _, n := range []int{1, 2, 3, 5, 31, 70} {
 		const d = 6
 		block := make([]relational.Value, n*d)
 		for i := range block {
@@ -373,12 +374,14 @@ func TestGramBlockedMatchesGramRows(t *testing.T) {
 			}
 			want := make([]float32, n*n)
 			k.GramRows(want, rows)
-			got := make([]float32, n*n)
+			got := make([]float32, GramLen(n))
 			k.GramBlocked(got, block, n)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v n=%d: entry (%d,%d) diverged: blocked %v vs rows %v",
-						kind, n, i/n, i%n, got[i], want[i])
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if g, w := got[gramAt(i, j, n)], want[i*n+j]; g != w {
+						t.Fatalf("%v n=%d: entry (%d,%d) diverged: blocked %v vs rows %v",
+							kind, n, i, j, g, w)
+					}
 				}
 			}
 		}
