@@ -73,7 +73,7 @@ lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	go vet ./...
 	GOARCH=arm64 go build ./...
-	GOARCH=arm64 go vet ./internal/mat ./internal/ann
+	GOARCH=arm64 go vet ./internal/mat ./internal/ann ./internal/svm
 	$(MAKE) arm64-unfused
 	@if command -v staticcheck >/dev/null; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi

@@ -13,6 +13,18 @@ var hasAVX = func() bool {
 	return xcr0&6 == 6
 }()
 
+// hasAVX2 reports whether, on top of hasAVX, the CPU implements AVX2
+// (CPUID.7.0:EBX.AVX2) and POPCNT (CPUID.1:ECX.POPCNT).
+var hasAVX2 = func() bool {
+	const popcnt, avx2 = 1 << 23, 1 << 5
+	if maxID, _, _, _ := cpuid(0, 0); !hasAVX || maxID < 7 {
+		return false
+	}
+	_, _, ecx, _ := cpuid(1, 0)
+	_, ebx, _, _ := cpuid(7, 0)
+	return ecx&popcnt != 0 && ebx&avx2 != 0
+}()
+
 // adamVec runs the 4-wide AVX body over the longest multiple-of-4 prefix
 // of w and returns its length, or 0 when the CPU lacks AVX.
 func adamVec(w, m, v, g []float64, k *AdamStep) int {

@@ -17,3 +17,12 @@ var vectorFold = func() func(a, b []float32, ay []float64, list []int32, out *[8
 	}
 	return nil
 }()
+
+// vectorMatch is the assembly MatchCountsU16 body the tests call directly,
+// or nil on a CPU without AVX2 and POPCNT.
+var vectorMatch = func() func(dst []int32, ldd int, a, b []uint64, m, n, d int) {
+	if hasAVX2 {
+		return matchCountsAVX2
+	}
+	return nil
+}()

@@ -7,3 +7,7 @@ var vectorAdam func(w, m, v, g []float64, k *AdamStep)
 
 // vectorFold is nil off amd64: there is no assembly FoldPanels body to test.
 var vectorFold func(a, b []float32, ay []float64, list []int32, out *[8]float64)
+
+// vectorMatch is nil off amd64: there is no assembly MatchCountsU16 body to
+// test.
+var vectorMatch func(dst []int32, ldd int, a, b []uint64, m, n, d int)

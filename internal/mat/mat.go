@@ -17,12 +17,14 @@
 // every kernel bit-identical to its naive reference across shapes and
 // strides.
 //
-// Adam is the one kernel with an assembly body: on amd64 with AVX it
-// updates four elements per instruction with VEX-256 multiplies, adds,
-// subtracts, divides and square roots and no fused multiply-add. Each is a
-// correctly rounded IEEE-754 operation per lane, applied in the scalar
-// loop's order, so the vector body and the scalar loop agree bit for bit
-// (a NaN result's payload aside).
+// Three kernels have amd64 assembly bodies, picked once at init from CPUID,
+// with a Go loop for other CPUs and GOARCHes. Adam and FoldPanels (AVX)
+// work four independent lanes per instruction with VEX-256 multiplies,
+// adds, subtracts, divides and square roots and no fused multiply-add.
+// Each is a correctly rounded IEEE-754 operation per lane, applied in the
+// scalar loop's order, so the vector body and the scalar loop agree bit for
+// bit (a NaN result's payload aside). MatchCountsU16 (AVX2) compares 16
+// lanes per instruction; its counts are integers, equal to the SWAR loop's.
 // Go may fuse `x*y + z` into one multiply-add (arm64 does), which skips
 // the product's rounding. Every product that feeds an addition is therefore
 // wrapped in an explicit float64 conversion, which the Go spec says forbids
@@ -375,13 +377,32 @@ func nonzeroLanes16(x uint64) int32 {
 }
 
 // MatchCountsU16 is MatchCounts over rows packed by PackU16Rows: dst[i*ldd+j]
-// counts the features where packed row i of a equals packed row j of b. Each
-// uint64 word compares four features at once (XOR + SWAR zero-lane popcount),
-// and since padded lanes always match, the count is d minus the mismatching
-// lanes — the same exact integer the int32 kernel produces, just ~4x fewer
-// operations and half the memory traffic. a is m rows, b is n rows, both of
-// PackedWords(d) words.
+// counts the features where packed row i of a equals packed row j of b. a is
+// m rows, b is n rows, both of PackedWords(d) words, and dst is m×n (ldd).
+// Since padded lanes always match, the count is the equal lanes minus the
+// 4·PackedWords(d) − d padding lanes: the same exact integer the int32 kernel
+// produces, with a quarter of the compares and half the memory traffic.
+// Where the CPU and OS support AVX2 and POPCNT, the amd64 body compares 16
+// lanes per instruction (see matchCountsAVX2); the SWAR loop matchCountsGo
+// runs everywhere else. Counts are integers, so both agree exactly.
+// MatchCountsU16 panics when d or ldd is negative or an operand is too
+// short for m, n and d.
 func MatchCountsU16(dst []int32, ldd int, a []uint64, b []uint64, m, n, d int) {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	words := PackedWords(d)
+	if d < 0 || ldd < 0 || len(a) < m*words || len(b) < n*words || len(dst) < (m-1)*ldd+n {
+		panic("mat: MatchCountsU16 operand out of range")
+	}
+	if !matchVec(dst, ldd, a, b, m, n, d) {
+		matchCountsGo(dst, ldd, a, b, m, n, d)
+	}
+}
+
+// matchCountsGo is the SWAR MatchCountsU16 loop: each uint64 word compares
+// four lanes at once (XOR + zero-lane popcount), two rows of b per pass.
+func matchCountsGo(dst []int32, ldd int, a []uint64, b []uint64, m, n, d int) {
 	words := PackedWords(d)
 	for i := 0; i < m; i++ {
 		ai := a[i*words : (i+1)*words]

@@ -257,31 +257,8 @@ func checkKernels(t *testing.T, seed uint64, m, n, k, lda, ldb, ldc int) {
 		}
 	}
 
-	// MatchCountsU16 must reproduce the int32 counts exactly on packed rows
-	// (contiguous rows, so both packs use stride k). Mix in values near the
-	// 16-bit boundary so lane packing is exercised, not just tiny codes.
-	da := make([]int32, m*k)
-	db := make([]int32, n*k)
-	for i := range da {
-		da[i] = int32(r.Intn(4)) * 21845 // 0, 21845, 43690, 65535
-	}
-	for i := range db {
-		db[i] = int32(r.Intn(4)) * 21845
-	}
-	pa := make([]uint64, m*PackedWords(k))
-	pb := make([]uint64, n*PackedWords(k))
-	if !PackU16Rows(pa, da, m, k) || !PackU16Rows(pb, db, n, k) {
-		t.Fatal("PackU16Rows rejected in-range codes")
-	}
-	pc0 := make([]int32, m*ldc+1)
-	pc1 := make([]int32, m*ldc+1)
-	MatchCountsU16(pc0, ldc, pa, pb, m, n, k)
-	naiveMatchCounts(pc1, ldc, da, k, db, k, m, n, k)
-	for i := range pc1 {
-		if pc0[i] != pc1[i] {
-			t.Fatalf("MatchCountsU16: element %d diverged: got %d want %d", i, pc0[i], pc1[i])
-		}
-	}
+	// MatchCountsU16 and its bodies on packed rows of the same shape.
+	checkMatch(t, r, m, n, k, ldc)
 
 	// Adam over n elements at a random step (late steps give C1 == 1),
 	// with L2 off or on.
@@ -292,6 +269,77 @@ func checkKernels(t *testing.T, seed uint64, m, n, k, lda, ldb, ldc int) {
 	// padded last panel and a == b included) over every list shape.
 	if panels := (n + 3) / 4; panels > 0 {
 		checkFold(t, r, n, [][2]int{{r.Intn(panels), r.Intn(panels)}, {panels - 1, panels - 1}})
+	}
+}
+
+// matchLanes are the codes checkMatch draws: lane values that differ from
+// a neighbour in one bit (0 and 1, 0 and 0x8000, 0x7fff and 0xffff, 0xfffe
+// and 0xffff), so a compare that treated a lane's two bytes apart, or
+// dropped its top or bottom bit, would miscount.
+var matchLanes = []int32{0, 1, 0x7fff, 0x8000, 0xfffe, 0xffff}
+
+// checkMatch packs m rows of a and n rows of b, k codes each, from
+// matchLanes (half of b's rows copy a row of a with some lanes flipped in
+// one bit, so counts near k occur too), then requires MatchCountsU16,
+// matchCountsGo and (where the CPU has one) the vector body to write the
+// int32 MatchCounts' counts into dst (ldd ≥ n) and leave every cell
+// outside the m×n block as they found it.
+func checkMatch(t *testing.T, r *rng.RNG, m, n, k, ldd int) {
+	t.Helper()
+	da := make([]int32, m*k)
+	db := make([]int32, n*k)
+	for i := range da {
+		da[i] = matchLanes[r.Intn(len(matchLanes))]
+	}
+	for j := 0; j < n; j++ {
+		row := db[j*k : (j+1)*k]
+		if m > 0 && r.Intn(2) == 0 {
+			copy(row, da[r.Intn(m)*k:])
+			for f := range row {
+				if r.Intn(3) == 0 {
+					row[f] ^= []int32{1, 0x8000}[r.Intn(2)]
+				}
+			}
+			continue
+		}
+		for f := range row {
+			row[f] = matchLanes[r.Intn(len(matchLanes))]
+		}
+	}
+	pa := make([]uint64, m*PackedWords(k))
+	pb := make([]uint64, n*PackedWords(k))
+	if !PackU16Rows(pa, da, m, k) || !PackU16Rows(pb, db, n, k) {
+		t.Fatal("PackU16Rows rejected in-range codes")
+	}
+	size := 0
+	if m > 0 {
+		size = (m-1)*ldd + n + 1
+	}
+	fresh := func() []int32 {
+		dst := make([]int32, size)
+		for i := range dst {
+			dst[i] = -7 // what a cell outside the block must keep
+		}
+		return dst
+	}
+	want := fresh()
+	MatchCounts(want, ldd, da, k, db, k, m, n, k)
+	type body struct {
+		name string
+		fn   func(dst []int32, ldd int, a, b []uint64, m, n, d int)
+	}
+	bodies := []body{{"MatchCountsU16", MatchCountsU16}, {"matchCountsGo", matchCountsGo}}
+	if vectorMatch != nil {
+		bodies = append(bodies, body{"matchCountsAVX2", vectorMatch})
+	}
+	for _, bd := range bodies {
+		got := fresh()
+		bd.fn(got, ldd, pa, pb, m, n, k)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s m=%d n=%d k=%d ldd=%d: dst[%d] = %d, want %d", bd.name, m, n, k, ldd, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -519,6 +567,28 @@ func TestFoldPanelsRejectsOutOfRangeList(t *testing.T) {
 	}
 }
 
+// TestMatchCountsU16RejectsShortOperands requires operands too short for
+// the shape, or a negative d, to panic instead of reading or writing past
+// them.
+func TestMatchCountsU16RejectsShortOperands(t *testing.T) {
+	a, b, dst := make([]uint64, 2*PackedWords(5)), make([]uint64, 3*PackedWords(5)), make([]int32, 2*3)
+	for name, call := range map[string]func(){
+		"a":   func() { MatchCountsU16(dst, 3, a[:PackedWords(5)], b, 2, 3, 5) },
+		"b":   func() { MatchCountsU16(dst, 3, a, b[:1], 2, 3, 5) },
+		"dst": func() { MatchCountsU16(dst, 4, a, b, 2, 3, 5) },
+		"d":   func() { MatchCountsU16(dst, 3, a, b, 2, 3, -5) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s out of range did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 func TestPackU16RowsRejectsWideCodes(t *testing.T) {
 	dst := make([]uint64, PackedWords(3))
 	if PackU16Rows(dst, []int32{1, 70000, 2}, 1, 3) {
@@ -566,6 +636,16 @@ func TestKernelsMatchNaive(t *testing.T) {
 		}
 	}
 
+	// MatchCountsU16 at every row length 1–72 (up to two whole 32-byte
+	// chunks, then every 16- and 8-byte tail and padding width) against
+	// 0–9 rows, with m > 1 and a dst stride wider than n.
+	r = rng.New(53)
+	for k := 1; k <= 72; k++ {
+		for n := 0; n < 10; n++ {
+			checkMatch(t, r, 2+r.Intn(3), n, k, n+1+r.Intn(3))
+		}
+	}
+
 	// FoldPanels over every n from 1 to 23: each short last panel
 	// (n%4 = 1, 2, 3) after each panel count, every panel pair, a == b
 	// included.
@@ -579,9 +659,10 @@ func TestKernelsMatchNaive(t *testing.T) {
 
 // FuzzMatEquivalence fuzzes every mat kernel against its naive reference,
 // pinning bit-identical outputs across random shapes, strides, and value
-// mixes (Adam: lengths 0–23, L2 on and off, steps up to 500; FoldPanels:
-// 0–23 columns, random panel pairs and lists) — the CI fuzz
-// smoke runs it alongside the codec fuzzers.
+// mixes (row lengths up to 72, so MatchCountsU16 reaches two whole 32-byte
+// chunks and every tail; Adam: lengths 0–23, L2 on and off, steps up to
+// 500; FoldPanels: 0–23 columns, random panel pairs and lists) — the CI
+// fuzz smoke runs it alongside the codec fuzzers.
 func FuzzMatEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(3), uint8(4), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(7), uint8(1), uint8(1), uint8(1), uint8(5), uint8(5), uint8(5))
@@ -589,7 +670,29 @@ func FuzzMatEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, m, n, k, sa, sb, sc uint8) {
 		// Bound extents so a fuzz iteration stays tiny; strides are offsets
 		// on top of the minimum legal leading dimension.
-		mi, ni, ki := int(m%24), int(n%24), int(k%24)
+		mi, ni, ki := int(m%24), int(n%24), int(k%73)
 		checkKernels(t, seed, mi, ni, ki, ki+int(sa%5), ni+int(sb%5), ni+int(sc%5))
 	})
+}
+
+// BenchmarkMatchCountsU16 counts one 32-row Gram block against 400 rows at
+// the perfbench Flights widths: d = 23 codes (the NoJoin view) and d = 40
+// (JoinAll), codes drawn so about half the lanes match.
+func BenchmarkMatchCountsU16(b *testing.B) {
+	const m, n = 32, 400
+	for _, d := range []int{23, 40} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			r := rng.New(uint64(d))
+			codes := make([]int32, n*d)
+			for i := range codes {
+				codes[i] = int32(r.Intn(2))
+			}
+			packed := make([]uint64, n*PackedWords(d))
+			PackU16Rows(packed, codes, n, d)
+			dst := make([]int32, m*n)
+			for b.Loop() {
+				MatchCountsU16(dst, n, packed[:m*PackedWords(d)], packed, m, n, d)
+			}
+		})
+	}
 }

@@ -211,7 +211,7 @@ func encodeSVM(w *writer, m *Model) error {
 	return nil
 }
 
-func decodeSVM(r *reader, _ []ml.Feature) (any, error) {
+func decodeSVM(r *reader, features []ml.Feature) (any, error) {
 	var p svm.Params
 	p.Kernel = svm.KernelKind(r.u32())
 	p.Gamma = r.f64()
@@ -223,7 +223,7 @@ func decodeSVM(r *reader, _ []ml.Feature) (any, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	return svm.FromParams(p)
+	return svm.FromParams(features, p)
 }
 
 func encodeKNN(w *writer, m *Model) error {

@@ -3,6 +3,7 @@ package model
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -313,6 +314,58 @@ func TestDecodeRejectsOutOfDomainKNN(t *testing.T) {
 	}
 	if _, err := Decode(&buf); err == nil {
 		t.Fatal("1-NN artifact with an out-of-domain code decoded without error")
+	}
+}
+
+// TestDecodeRejectsBadSVMParams patches a stored SVM's payload — an unknown
+// kernel kind, a kernel over one feature more than the schema holds, and a
+// support code at its feature's cardinality — and requires each decode to
+// fail with an error, not a panic.
+func TestDecodeRejectsBadSVMParams(t *testing.T) {
+	train, _ := trainData(t, 3)
+	s, err := svm.New(svm.Config{Kernel: svm.RBF, C: 1, Gamma: 0.1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.ExportParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.SVAlphaY) == 0 {
+		t.Fatal("fit kept no support vectors")
+	}
+	m, err := New(s, train.Features, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	// The payload ends the artifact: kind u32, γ f64, dims u32, a kernel
+	// flag byte, the support codes (u32 count, u32 each), the multipliers
+	// (u32 count, f64 each), then b.
+	good := buf.Bytes()
+	at := len(good) - (33 + 4*len(p.SVRows) + 8*len(p.SVAlphaY))
+	if got := binary.LittleEndian.Uint32(good[at+12:]); int(got) != len(train.Features) {
+		t.Fatalf("payload dims field reads %d, want %d", got, len(train.Features))
+	}
+	if _, err := Decode(bytes.NewReader(good)); err != nil {
+		t.Fatal(err)
+	}
+	for name, patch := range map[string]struct{ off, v int }{
+		"kernel kind 7":           {0, 7},
+		"dims one past features":  {12, len(train.Features) + 1},
+		"code at its cardinality": {21, train.Features[0].Cardinality},
+	} {
+		raw := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(raw[at+patch.off:], uint32(patch.v))
+		if _, err := Decode(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: SVM artifact decoded without error", name)
+		}
 	}
 }
 

@@ -356,7 +356,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				back, err := FromParams(p)
+				back, err := FromParams(ds.Features, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -373,7 +373,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 	requireBatchMatchesPredict(t, "single-class", s, eval)
 	for _, b := range []float64{1, -1} {
-		kernelless, err := FromParams(Params{Kernel: RBF, Gamma: 1, B: b})
+		kernelless, err := FromParams(feats(2, 4), Params{Kernel: RBF, Gamma: 1, B: b})
 		if err != nil {
 			t.Fatal(err)
 		}

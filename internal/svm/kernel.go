@@ -48,6 +48,9 @@ func (k KernelKind) String() string {
 	}
 }
 
+// known reports whether k is one of the kernels this package defines.
+func (k KernelKind) known() bool { return k == Linear || k == Quadratic || k == RBF }
+
 // Kernel evaluates k(x, z) on categorical rows.
 type Kernel struct {
 	Kind  KernelKind
@@ -59,6 +62,9 @@ type Kernel struct {
 // NewKernel constructs a kernel for rows with d categorical features.
 // Gamma is ignored by Linear.
 func NewKernel(kind KernelKind, gamma float64, d int) (*Kernel, error) {
+	if !kind.known() {
+		return nil, fmt.Errorf("svm: unknown kernel kind %d", int(kind))
+	}
 	if kind != Linear && gamma <= 0 {
 		return nil, fmt.Errorf("svm: %v kernel requires gamma > 0, got %v", kind, gamma)
 	}
@@ -116,10 +122,13 @@ func gramAt(i, j, n int) int { return (i>>2)*4*n + 4*j + i&3 }
 // length GramLen(n), at gramAt's panel index, from a dense row-major block
 // (block[i*d:(i+1)*d] is row i, d = the kernel's feature count); the
 // padding rows of a short last panel are left as dst had them. The match
-// counts of an i-block against columns [i0, n) come from one blocked
-// mat.MatchCounts call — the X·Xᵀ product of the one-hot encodings, never
-// expanded — and kernel values are a (d+1)-entry lookup table indexed by
-// count, since every kernel is a function of the match count alone.
+// counts of an i-block against columns [i0, n) come from one
+// mat.MatchCountsU16 call over the rows packed to 16-bit lanes (its AVX2
+// body where the CPU has one, the SWAR loop elsewhere; the int32
+// mat.MatchCounts when a code does not fit a lane) — the X·Xᵀ product of
+// the one-hot encodings, never expanded — and kernel values are a
+// (d+1)-entry lookup table indexed by count, since every kernel is a
+// function of the match count alone.
 // i-blocks fan out across ml.ParallelFor writing disjoint panels
 // (deterministic regardless of scheduling), and the panels left of each
 // block's diagonal are mirrored afterwards.
@@ -129,9 +138,10 @@ func gramAt(i, j, n int) int { return (i>>2)*4*n + 4*j + i&3 }
 // pair.
 func (k *Kernel) GramBlocked(dst []float32, block []relational.Value, n int) {
 	// Pack rows to 16-bit lanes when the codes fit (they do whenever the
-	// feature domains do — dictionary codes are dense): the SWAR kernel
-	// compares four features per uint64 with half the memory traffic, and
-	// counts are exact integers either way.
+	// feature domains do — dictionary codes are dense): the packed kernel
+	// compares 16 features per AVX2 instruction (four per uint64 in the
+	// SWAR fallback) with half the memory traffic, and counts are exact
+	// integers either way.
 	packed := make([]uint64, n*mat.PackedWords(k.dims))
 	if !mat.PackU16Rows(packed, block, n, k.dims) {
 		packed = nil

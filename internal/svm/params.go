@@ -48,8 +48,14 @@ func (s *SVM) ExportParams() (Params, error) {
 	return p, nil
 }
 
-// FromParams reconstructs a fitted SVM from an exported support set.
-func FromParams(p Params) (*SVM, error) {
+// FromParams reconstructs a fitted SVM from an exported support set over
+// features. The kernel kind must be one this package defines, Dims must
+// equal the feature count, and every support code must lie inside its
+// feature's domain; the kernel's table is built only once Dims is checked.
+func FromParams(features []ml.Feature, p Params) (*SVM, error) {
+	if !p.Kernel.known() {
+		return nil, fmt.Errorf("svm: unknown kernel kind %d", int(p.Kernel))
+	}
 	s := &SVM{cfg: Config{Kernel: p.Kernel, C: 1, Gamma: p.Gamma}, b: p.B}
 	if !p.HasKernel {
 		if p.B != 1 && p.B != -1 {
@@ -57,18 +63,27 @@ func FromParams(p Params) (*SVM, error) {
 		}
 		return s, nil
 	}
-	k, err := NewKernel(p.Kernel, p.Gamma, p.Dims)
+	d := len(features)
+	if p.Dims != d {
+		return nil, fmt.Errorf("svm: kernel over %d features, artifact has %d", p.Dims, d)
+	}
+	if d == 0 || len(p.SVRows)%d != 0 {
+		return nil, fmt.Errorf("svm: support block of %d values is not a multiple of dims %d", len(p.SVRows), d)
+	}
+	nSV := len(p.SVRows) / d
+	if nSV != len(p.SVAlphaY) {
+		return nil, fmt.Errorf("svm: %d support rows but %d multipliers", nSV, len(p.SVAlphaY))
+	}
+	for at, v := range p.SVRows {
+		if f := features[at%d]; v < 0 || int(v) >= f.Cardinality {
+			return nil, fmt.Errorf("svm: support vector %d feature %q: code %d outside domain of size %d", at/d, f.Name, v, f.Cardinality)
+		}
+	}
+	k, err := NewKernel(p.Kernel, p.Gamma, d)
 	if err != nil {
 		return nil, err
 	}
 	s.kernel = k
-	if p.Dims <= 0 || len(p.SVRows)%p.Dims != 0 {
-		return nil, fmt.Errorf("svm: support block of %d values is not a multiple of dims %d", len(p.SVRows), p.Dims)
-	}
-	nSV := len(p.SVRows) / p.Dims
-	if nSV != len(p.SVAlphaY) {
-		return nil, fmt.Errorf("svm: %d support rows but %d multipliers", nSV, len(p.SVAlphaY))
-	}
 	s.svAlphaY = append([]float64(nil), p.SVAlphaY...)
 	s.svBlock = append([]relational.Value(nil), p.SVRows...)
 	s.packSupport()

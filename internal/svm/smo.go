@@ -542,8 +542,9 @@ const predictMorsel = 256
 // at a time through GatherFeatures (on a spilled table, one pin per touched
 // segment), each morsel is packed to 16-bit lanes, and each example's match
 // counts against the whole support set come from one mat.MatchCountsU16
-// call against the support block packed at Fit (the int32 mat.MatchCounts
-// when a code does not fit a lane). The decision folds
+// call (its AVX2 body, or the SWAR loop where the CPU has none) against the
+// support block packed at Fit (the int32 mat.MatchCounts when a code does
+// not fit a lane). The decision folds
 // b + Σ αᵢyᵢ·lut[countᵢ] in support-vector order — Decision's fold term for
 // term, the same table entries Eval looks up — so every class equals
 // Predict's. Scratch is one morsel of codes plus one count per support
