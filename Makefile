@@ -21,7 +21,7 @@ BENCH_REGEX = Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFi
 # off scheduler spikes. The full sweep takes ~2 minutes on one core.
 BENCH_FLAGS = -run xxx -bench '$(BENCH_REGEX)' -benchtime 1s -count 5 -benchmem .
 
-.PHONY: check test bench bench-baseline bench-gate lint arm64-unfused fuzz-smoke load
+.PHONY: check test bench bench-baseline bench-gate lint arm64-unfused amd64-unfused fuzz-smoke load
 
 check: lint test
 
@@ -75,11 +75,10 @@ lint:
 	GOARCH=arm64 go build ./...
 	GOARCH=arm64 go vet ./internal/mat ./internal/ann ./internal/svm
 	$(MAKE) arm64-unfused
+	$(MAKE) amd64-unfused
 	@if command -v staticcheck >/dev/null; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
 
-# fuzz-smoke executes the committed fuzz corpora plus a short randomized
-# burst for each fuzzer — the same step CI runs.
 # Go may fuse `x*y + z` into one rounding on arm64, so every product that
 # feeds an add is wrapped in float64(...), which forbids fusion. This fails
 # if a fused multiply-add reappears in this module's arm64 code: the two
@@ -95,6 +94,14 @@ arm64-unfused:
 		awk '/^TEXT /{sym=$$2} /FMADDD|FMSUBD|FNMADDD|FNMSUBD/ && sym ~ /^repro\//{print sym}' | sort -u); \
 	if [ -n "$$fused" ]; then echo "fused multiply-adds in:"; echo "$$fused"; exit 1; fi
 
+# The amd64 assembly bodies must round every product before its add, as the
+# Go loops they replace do: this fails if any of them names a fused
+# multiply-add or multiply-subtract mnemonic outside a comment.
+amd64-unfused:
+	awk '{ sub(/\/\/.*/, "") } /VFN?M(ADD|SUB)/ { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' internal/mat/*_amd64.s
+
+# fuzz-smoke executes the committed fuzz corpora plus a short randomized
+# burst for each fuzzer — the same step CI runs.
 fuzz-smoke:
 	go test ./internal/model -run xxx -fuzz 'FuzzCodecRoundTrip$$' -fuzztime 20s
 	go test ./internal/model -run xxx -fuzz 'FuzzDecodeGarbage$$' -fuzztime 20s

@@ -361,8 +361,11 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 	// fitRows oracle's example-at-a-time gathers and scalar Adam loop:
 	// identical indices and labels feed an unchanged forward/backward
 	// sequence and the same per-element update arithmetic. The shapes cover
-	// the EffortFast network (32/16) and widths that are not multiples of
-	// four, so mat.Adam's scalar tail runs too.
+	// the EffortFast network (32/16), a short fit of the EffortFull network
+	// (256/64), several 16-column tiles (64x16), a 16-column tile followed by
+	// a 4-column tile and a scalar tail (20x12), and widths that are not
+	// multiples of four, so the Gemm, GemmTA, SpGemmOneHot and Adam tails
+	// run too.
 	r := rng.New(41)
 	var xs []relational.Value
 	var ys []int8
@@ -390,6 +393,13 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 		{"32x16 l2=1e-3", shape(32, 16, 1e-3)},
 		{"19x7 l2=0", shape(19, 7, 0)},
 		{"19x7 l2=1e-3", shape(19, 7, 1e-3)},
+		{"64x16 l2=1e-3", shape(64, 16, 1e-3)},
+		{"20x12 l2=1e-3", shape(20, 12, 1e-3)},
+		{"256x64 l2=1e-3 2 epochs", func() Config {
+			cfg := shape(256, 64, 1e-3)
+			cfg.Epochs = 2
+			return cfg
+		}()},
 	}
 	for _, c := range cfgs {
 		for dsName, ds := range map[string]*ml.Dataset{"table": base, "subset": base.Subset(sub)} {

@@ -1,6 +1,7 @@
 package linear
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ml"
@@ -232,6 +233,130 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		}
 		if ml.Accuracy(m, ds) != accuracySequential(m, ds) {
 			t.Fatalf("%s: batched Accuracy diverged from the sequential loop", name)
+		}
+	}
+}
+
+// softThresholdSwitch is the historical three-way L1 proximal step, kept as
+// the oracle for the branch-free softThreshold.
+func softThresholdSwitch(wk, shrink float64) float64 {
+	switch {
+	case wk > shrink:
+		return wk - shrink
+	case wk < -shrink:
+		return wk + shrink
+	default:
+		return 0
+	}
+}
+
+// TestSoftThresholdMatchesSwitch pins softThreshold to the switch bit for bit
+// over a grid of weights (±0, subnormals, values at and either side of
+// ±shrink, huge, ±Inf, NaN) and shrinks (0, subnormal, ordinary, huge, Inf).
+func TestSoftThresholdMatchesSwitch(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	shrinks := []float64{0, tiny, 1e-300, 1e-4, 0.5, 1, 3, 1e300, math.MaxFloat64, math.Inf(1)}
+	var ws []float64
+	for _, v := range []float64{0, tiny, 2 * tiny, 1e-300, 1e-4, 0.25, 0.5, 1, 2.5, 3, 1e300, math.MaxFloat64, math.Inf(1)} {
+		ws = append(ws, v, -v)
+	}
+	for _, s := range shrinks {
+		ws = append(ws, s, -s, math.Nextafter(s, 0), -math.Nextafter(s, 0),
+			math.Nextafter(s, math.Inf(1)), -math.Nextafter(s, math.Inf(1)))
+	}
+	ws = append(ws, math.NaN(), -math.NaN(), math.Float64frombits(0x7ff8000000000123))
+	for _, s := range shrinks {
+		for _, w := range ws {
+			got, want := softThreshold(w, s), softThresholdSwitch(w, s)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("softThreshold(%v, %v) = %v (%#x), switch gives %v (%#x)",
+					w, s, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// fitSwitch is LogReg.Fit with the historical switch as its proximal step:
+// the whole-fit oracle TestFitMatchesSwitchOracle compares against. It
+// returns how many steps the switch thresholded to 0.
+func fitSwitch(m *LogReg, train *ml.Dataset) (zeroed int) {
+	m.enc = ml.NewEncoder(train.Features)
+	m.w = make([]float64, m.enc.Dims)
+	m.b = 0
+	n := train.NumExamples()
+	r := rng.New(m.cfg.Seed)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	d := train.NumFeatures()
+	idxMat, labels := ml.ScanActiveIndices(train, m.enc)
+	t := 1.0
+	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
+		r.ShuffleInts(order)
+		for _, i := range order {
+			idx, y := idxMat[i*d:(i+1)*d], float64(labels[i])
+			z := m.b
+			for _, k := range idx {
+				z += m.w[k]
+			}
+			g := sigmoid(z) - y
+			eta := m.cfg.LearningRate / math.Sqrt(t)
+			t++
+			m.b -= float64(eta * g)
+			shrink := float64(eta * m.cfg.Lambda)
+			decay := 1 - float64(eta*m.cfg.L2)
+			if decay < 0 {
+				decay = 0
+			}
+			for _, k := range idx {
+				m.w[k] = softThresholdSwitch(float64((m.w[k]-float64(eta*g))*decay), shrink)
+				if m.w[k] == 0 {
+					zeroed++
+				}
+			}
+		}
+	}
+	return zeroed
+}
+
+// TestFitMatchesSwitchOracle requires Fit to produce the switch oracle's
+// weights and bias bit for bit, with L1 off, light and strong, with and
+// without the ridge term. At the strong L1 some steps must land inside
+// ±shrink, so the thresholded-to-0 case is exercised too.
+func TestFitMatchesSwitchOracle(t *testing.T) {
+	r := rng.New(11)
+	var xs []relational.Value
+	var ys []int8
+	for i := 0; i < 600; i++ {
+		x0 := relational.Value(r.Intn(2))
+		y := int8(x0)
+		if r.Bernoulli(0.15) {
+			y = 1 - y
+		}
+		xs = append(xs, x0, relational.Value(r.Intn(40)), relational.Value(r.Intn(3)))
+		ys = append(ys, y)
+	}
+	ds := mustRows(feats(2, 40, 3), xs, ys)
+	for _, lambda := range []float64{0, 1e-4, 1e-2} {
+		for _, l2 := range []float64{0, 1e-3} {
+			cfg := LogRegConfig{Lambda: lambda, L2: l2, Seed: 13}
+			got, want := NewLogReg(cfg), NewLogReg(cfg)
+			if err := got.Fit(ds); err != nil {
+				t.Fatal(err)
+			}
+			zeroed := fitSwitch(want, ds)
+			if math.Float64bits(got.b) != math.Float64bits(want.b) {
+				t.Fatalf("lambda=%g l2=%g: bias %v, oracle %v", lambda, l2, got.b, want.b)
+			}
+			for k := range want.w {
+				if math.Float64bits(got.w[k]) != math.Float64bits(want.w[k]) {
+					t.Fatalf("lambda=%g l2=%g: w[%d] = %v, oracle %v", lambda, l2, k, got.w[k], want.w[k])
+				}
+			}
+			if lambda == 1e-2 && zeroed == 0 {
+				t.Fatalf("lambda=%g l2=%g: no step thresholded to 0, so the inner case went untested", lambda, l2)
+			}
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // mirror the paper's glmnet settings: an automatic lambda path of NLambda
 // values, convergence threshold Thresh, and iteration cap MaxIter.
 type LogRegConfig struct {
-	// Lambda is the L1 penalty (soft-thresholding proximal step).
+	// Lambda is the L1 penalty (soft-thresholding proximal step), ≥ 0.
 	Lambda float64
 	// L2 is an optional ridge penalty (plain weight decay); the paper also
 	// evaluated logistic regression with L2 regularization (§3) and found
@@ -108,22 +108,26 @@ func (m *LogReg) Fit(train *ml.Dataset) error {
 				decay = 0
 			}
 			for _, k := range idx {
-				wk := float64((m.w[k] - float64(eta*g)) * decay)
-				// Soft threshold (proximal L1).
-				switch {
-				case wk > shrink:
-					wk -= shrink
-				case wk < -shrink:
-					wk += shrink
-				default:
-					wk = 0
-				}
-				m.w[k] = wk
+				m.w[k] = softThreshold(float64((m.w[k]-float64(eta*g))*decay), shrink)
 			}
 		}
 		epochSpan.ObserveSince(epochT0)
 	}
 	return nil
+}
+
+// softThreshold is the proximal step of the L1 penalty: wk moved shrink
+// (≥ 0) towards zero, and 0 when it lies within ±shrink or is NaN. It has no
+// data-dependent branch: past ±shrink the clamp is ±shrink, inside it the
+// clamp is wk itself, so wk - wk gives +0, and a NaN (wk, or Inf - Inf at an
+// infinite shrink) becomes 0. That is the three-way switch the tests keep as
+// the oracle, bit for bit, at every wk and every shrink ≥ 0.
+func softThreshold(wk, shrink float64) float64 {
+	wk -= min(max(wk, -shrink), shrink)
+	if wk != wk {
+		return 0
+	}
+	return wk
 }
 
 // Decision returns the log-odds for a row.

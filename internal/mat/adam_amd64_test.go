@@ -26,3 +26,21 @@ var vectorMatch = func() func(dst []int32, ldd int, a, b []uint64, m, n, d int) 
 	}
 	return nil
 }()
+
+// vectorGemm is the assembly Gemm/GemmTA micro-kernel the tests call
+// directly, or nil on a CPU without AVX.
+var vectorGemm = func() func(c []float64, ldc int, a []float64, sI, sK int, b []float64, ldb int, m, n, k int) {
+	if hasAVX {
+		return gemmAVX
+	}
+	return nil
+}()
+
+// vectorOneHot is the assembly SpGemmOneHot body the tests call directly,
+// or nil on a CPU without AVX.
+var vectorOneHot = func() func(c []float64, ldc int, idx []int32, ldi int, w []float64, ldw int, m, d, h int, bias []float64) {
+	if hasAVX {
+		return spGemmOneHotAVX
+	}
+	return nil
+}()

@@ -17,14 +17,19 @@
 // every kernel bit-identical to its naive reference across shapes and
 // strides.
 //
-// Three kernels have amd64 assembly bodies, picked once at init from CPUID,
-// with a Go loop for other CPUs and GOARCHes. Adam and FoldPanels (AVX)
-// work four independent lanes per instruction with VEX-256 multiplies,
-// adds, subtracts, divides and square roots and no fused multiply-add.
-// Each is a correctly rounded IEEE-754 operation per lane, applied in the
-// scalar loop's order, so the vector body and the scalar loop agree bit for
-// bit (a NaN result's payload aside). MatchCountsU16 (AVX2) compares 16
-// lanes per instruction; its counts are integers, equal to the SWAR loop's.
+// Six kernels have amd64 assembly bodies, picked once at init from CPUID,
+// with a Go loop for other CPUs and GOARCHes. Gemm, GemmTA, SpGemmOneHot,
+// Adam and FoldPanels (AVX) work four independent lanes per instruction
+// with VEX-256 multiplies, adds, subtracts, divides and square roots and no
+// fused multiply-add. Each is a correctly rounded IEEE-754 operation per
+// lane, applied in the scalar loop's order, so the vector body and the
+// scalar loop agree bit for bit (a NaN result's payload aside). Gemm and
+// GemmTA share one micro-kernel that holds a 16-column tile of a C row in
+// registers for the whole k walk; the asm checks no bounds, so their
+// wrappers, and SpGemmOneHot's, send any shape whose extents or indices
+// fall outside the slices to the Go loops. MatchCountsU16 (AVX2) compares
+// 16 lanes per instruction; its counts are integers, equal to the SWAR
+// loop's.
 // Go may fuse `x*y + z` into one multiply-add (arm64 does), which skips
 // the product's rounding. Every product that feeds an addition is therefore
 // wrapped in an explicit float64 conversion, which the Go spec says forbids
@@ -117,11 +122,21 @@ func GemvT(y []float64, a []float64, lda int, x []float64, m, n int) {
 }
 
 // Gemm accumulates C += A·B for row-major A (m×k, lda), B (k×n, ldb), and
-// C (m×n, ldc). The loop nest is i-blocked two rows at a time (both share
-// each streamed B row) with the j loop 4x-unrolled inside Axpy; the k loop
-// stays outermost-per-element and ascending, so every C[i,j] accumulates its
-// k terms in exactly the order of the scalar dot-product loop.
+// C (m×n, ldc). Every C[i,j] accumulates its k terms in ascending k order,
+// exactly the order of the scalar dot-product loop. Where the CPU and OS
+// support AVX, the amd64 micro-kernel (gemmAVX) runs the 4-column tiles of
+// C and the Go tail the last n%4 columns; gemmGo runs everywhere else, and
+// on any shape gemmFits turns away, where its slice bounds panic as before.
 func Gemm(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n, k int) {
+	if !gemmVec(c, ldc, a, lda, 1, b, ldb, m, n, k) {
+		gemmGo(c, ldc, a, lda, b, ldb, m, n, k)
+	}
+}
+
+// gemmGo is the Go Gemm loop. It is i-blocked two rows at a time (both
+// share each streamed B row) with the j loop 4x-unrolled inside Axpy; the k
+// loop stays outermost-per-element and ascending.
+func gemmGo(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n, k int) {
 	if n <= smallGemmN {
 		gemmSmallN(c, ldc, a, lda, b, ldb, m, n, k)
 		return
@@ -161,7 +176,7 @@ func Gemm(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n
 	}
 }
 
-// smallGemmN is the C width at or below which Gemm switches to the
+// smallGemmN is the C width at or below which gemmGo switches to the
 // register-accumulator kernel. Narrow C is the serving tail's shape (a wide
 // hidden layer funneling into a few output units): the streaming kernel
 // loads and stores every C element once per k step, so for n this small the
@@ -246,10 +261,19 @@ func gemmSmallN(c []float64, ldc int, a []float64, lda int, b []float64, ldb int
 
 // GemmTA accumulates C += Aᵀ·B for row-major A (k×m, lda), B (k×n, ldb), and
 // C (m×n, ldc) — the shape of a batch's weight-gradient accumulation
-// (activationsᵀ · deltas). The k loop is outermost, so every C[u,v] sums its
-// per-example terms in ascending example order, exactly as the historical
-// example-at-a-time loop accumulated them.
+// (activationsᵀ · deltas). Every C[u,v] sums its per-example terms in
+// ascending example order, exactly as the historical example-at-a-time loop
+// accumulated them. It runs Gemm's micro-kernel with A read down its
+// columns where the CPU has AVX (see Gemm), and gemmTAGo elsewhere.
 func GemmTA(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n, k int) {
+	if !gemmVec(c, ldc, a, 1, lda, b, ldb, m, n, k) {
+		gemmTAGo(c, ldc, a, lda, b, ldb, m, n, k)
+	}
+}
+
+// gemmTAGo is the Go GemmTA loop: the k loop is outermost, so each C[u,v]
+// gains its terms in ascending k order.
+func gemmTAGo(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n, k int) {
 	for kk := 0; kk < k; kk++ {
 		ak := a[kk*lda : kk*lda+m]
 		bk := b[kk*ldb : kk*ldb+n]
@@ -302,8 +326,19 @@ func GatherSum(init float64, w []float64, idx []int32) float64 {
 // ldc), and bias has length h. C rows are overwritten, not accumulated.
 //
 // With h == 1 the kernel degenerates to the linear models' batched scorer:
-// c[i*ldc] = bias[0] + Σ_j w[idx[i,j]].
+// c[i*ldc] = bias[0] + Σ_j w[idx[i,j]]. Where the CPU and OS support AVX,
+// the amd64 body (spGemmOneHotAVX) runs the 4-column tiles of h > 1 and the
+// Go tail the last h%4 columns; spGemmOneHotGo runs everywhere else, and on
+// any shape or index oneHotFits turns away, where its slice bounds panic as
+// before.
 func SpGemmOneHot(c []float64, ldc int, idx []int32, ldi int, w []float64, ldw int, m, d, h int, bias []float64) {
+	if !oneHotVec(c, ldc, idx, ldi, w, ldw, m, d, h, bias) {
+		spGemmOneHotGo(c, ldc, idx, ldi, w, ldw, m, d, h, bias)
+	}
+}
+
+// spGemmOneHotGo is the Go SpGemmOneHot loop.
+func spGemmOneHotGo(c []float64, ldc int, idx []int32, ldi int, w []float64, ldw int, m, d, h int, bias []float64) {
 	if h == 1 {
 		b := bias[0]
 		for i := 0; i < m; i++ {

@@ -124,29 +124,9 @@ func checkKernels(t *testing.T, seed uint64, m, n, k, lda, ldb, ldc int) {
 	}
 	r := rng.New(seed)
 	a := make([]float64, m*lda+1)
-	b := make([]float64, k*ldb+1)
 	fillRand(r, a)
-	fillRand(r, b)
-	c0 := make([]float64, m*ldc+1)
-	fillRand(r, c0)
-	c1 := append([]float64(nil), c0...)
-	Gemm(c0, ldc, a, lda, b, ldb, m, n, k)
-	naiveGemm(c1, ldc, a, lda, b, ldb, m, n, k)
-	bitsEqual(t, "Gemm", c0, c1)
-
-	// GemmTA: A is k×m with leading dimension ldta.
-	ldta := lda
-	if ldta < m {
-		ldta = m
-	}
-	at := make([]float64, k*ldta+1)
-	fillRand(r, at)
-	c0 = make([]float64, m*ldc+1)
-	fillRand(r, c0)
-	c1 = append([]float64(nil), c0...)
-	GemmTA(c0, ldc, at, ldta, b, ldb, m, n, k)
-	naiveGemmTA(c1, ldc, at, ldta, b, ldb, m, n, k)
-	bitsEqual(t, "GemmTA", c0, c1)
+	// Gemm and GemmTA through every body.
+	checkGemm(t, r, m, n, k, lda, ldb, ldc)
 
 	// Gemv / GemvT over the m×k matrix a.
 	x := make([]float64, k)
@@ -193,30 +173,10 @@ func checkKernels(t *testing.T, seed uint64, m, n, k, lda, ldb, ldc int) {
 	}
 	bitsEqual(t, "Axpy", ax0, ax1)
 
-	// SpGemmOneHot: the weight table has m*k rows so any idx < m*k is valid;
-	// exercise both the h>1 row-add path and the h==1 scalar path.
-	d := k
-	wrows := m*k + 1
+	// SpGemmOneHot over d = k active indices, with the h > 1 row-add path at
+	// h = n and the h == 1 scalar path.
 	for _, h := range []int{1, n} {
-		if h == 0 {
-			continue
-		}
-		ldw := h
-		w := make([]float64, wrows*ldw)
-		fillRand(r, w)
-		bias := make([]float64, h)
-		fillRand(r, bias)
-		idx := make([]int32, m*d+1)
-		for i := range idx {
-			idx[i] = int32(r.Intn(wrows))
-		}
-		s0 := make([]float64, m*ldc+1)
-		s1 := make([]float64, m*ldc+1)
-		fillRand(r, s0)
-		copy(s1, s0)
-		SpGemmOneHot(s0, ldc, idx, d, w, ldw, m, d, h, bias)
-		naiveSpGemmOneHot(s1, ldc, idx, d, w, ldw, m, d, h, bias)
-		bitsEqual(t, "SpGemmOneHot", s0, s1)
+		checkOneHot(t, r, m, k, h, k+lda%3, h+ldb%3, max(ldc, h))
 	}
 
 	// GatherSum against the plain loop, continuing from a bias term.
@@ -269,6 +229,122 @@ func checkKernels(t *testing.T, seed uint64, m, n, k, lda, ldb, ldc int) {
 	// padded last panel and a == b included) over every list shape.
 	if panels := (n + 3) / 4; panels > 0 {
 		checkFold(t, r, n, [][2]int{{r.Intn(panels), r.Intn(panels)}, {panels - 1, panels - 1}})
+	}
+}
+
+// fillGemm fills dst for the Gemm and one-hot checks: ordinary values with
+// ±0, subnormals and large magnitudes mixed in, and ±Inf or NaN in about one
+// entry of poison, so special values meet the kernels while most sums stay
+// finite.
+func fillGemm(r *rng.RNG, dst []float64, poison int) {
+	for i := range dst {
+		if r.Intn(poison) == 0 {
+			switch r.Intn(3) {
+			case 0:
+				dst[i] = math.Inf(1 - 2*r.Intn(2))
+			default:
+				dst[i] = math.Float64frombits(0x7ff8000000000000 | uint64(r.Intn(2))<<63 | uint64(r.Intn(1<<20)))
+			}
+			continue
+		}
+		switch r.Intn(8) {
+		case 0:
+			dst[i] = 0
+		case 1:
+			dst[i] = math.Copysign(0, -1)
+		case 2:
+			dst[i] = float64(r.Intn(1<<20)-1<<19) * math.SmallestNonzeroFloat64
+		case 3:
+			dst[i] = r.NormFloat64() * 1e150
+		case 4:
+			dst[i] = r.NormFloat64() * 1e-160
+		default:
+			dst[i] = r.NormFloat64()
+		}
+	}
+}
+
+// checkGemm runs Gemm and GemmTA, their Go loops and (where the CPU has it)
+// the vector micro-kernel directly, with A read along its rows (sI, sK) =
+// (lda, 1) for Gemm and down its columns (1, lda) for GemmTA, on an m×n
+// block of C with k terms per element. Strides are raised to the block's
+// widths. Every body must match the naive loop bit for bit, NaN payloads
+// aside, over the block (the vector body over its first n&^3 columns) and
+// leave every other cell of C as it found it.
+func checkGemm(t *testing.T, r *rng.RNG, m, n, k, lda, ldb, ldc int) {
+	t.Helper()
+	ldb, ldc = max(ldb, n), max(ldc, n)
+	poison := 4 * (k + 2)
+	b := make([]float64, k*ldb+1)
+	fillGemm(r, b, poison)
+	c := make([]float64, m*ldc+3)
+	fillGemm(r, c, poison)
+	type body struct {
+		name string
+		fn   func(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n, k int)
+		cols int // columns the body updates
+	}
+	for _, ta := range []bool{false, true} {
+		name, sI, sK, rows, naive := "Gemm", max(lda, k), 1, m, naiveGemm
+		bodies := []body{{"Gemm", Gemm, n}, {"gemmGo", gemmGo, n}}
+		if ta {
+			name, sI, sK, rows, naive = "GemmTA", 1, max(lda, m), k, naiveGemmTA
+			bodies = []body{{"GemmTA", GemmTA, n}, {"gemmTAGo", gemmTAGo, n}}
+		}
+		ld := max(sI, sK) // A's leading dimension
+		if vectorGemm != nil {
+			bodies = append(bodies, body{"gemmAVX", func(c []float64, ldc int, a []float64, _ int, b []float64, ldb int, m, n, k int) {
+				vectorGemm(c, ldc, a, sI, sK, b, ldb, m, n, k)
+			}, n &^ 3})
+		}
+		a := make([]float64, rows*ld+1)
+		fillGemm(r, a, poison)
+		for _, bd := range bodies {
+			want := slices.Clone(c)
+			naive(want, ldc, a, ld, b, ldb, m, bd.cols, k)
+			got := slices.Clone(c)
+			bd.fn(got, ldc, a, ld, b, ldb, m, n, k)
+			sameOrNaN(t, fmt.Sprintf("%s (%s) m=%d n=%d k=%d lda=%d ldb=%d ldc=%d", bd.name, name, m, n, k, ld, ldb, ldc), got, want)
+		}
+	}
+}
+
+// checkOneHot runs SpGemmOneHot, its Go loop and (where the CPU has it) the
+// vector body directly on an m×h block of C with d active indices per row
+// into a W table of m·d+1 rows (leading dimension ldw, which may be below
+// h, so rows overlap). Every body must match the naive loop bit for bit,
+// NaN payloads aside, over the block (the vector body over its first h&^3
+// columns) and leave every other cell of C as it found it.
+func checkOneHot(t *testing.T, r *rng.RNG, m, d, h, ldi, ldw, ldc int) {
+	t.Helper()
+	ldi, ldc = max(ldi, d), max(ldc, h)
+	poison := 4 * (d + 2)
+	wrows := m*d + 1
+	w := make([]float64, (wrows-1)*ldw+h)
+	fillGemm(r, w, poison)
+	bias := make([]float64, h)
+	fillGemm(r, bias, poison)
+	idx := make([]int32, m*ldi+1)
+	for i := range idx {
+		idx[i] = int32(r.Intn(wrows))
+	}
+	c := make([]float64, m*ldc+3)
+	fillGemm(r, c, poison)
+	type body struct {
+		name string
+		fn   func(c []float64, ldc int, idx []int32, ldi int, w []float64, ldw int, m, d, h int, bias []float64)
+		cols int // columns the body writes
+	}
+	bodies := []body{{"SpGemmOneHot", SpGemmOneHot, h}, {"spGemmOneHotGo", spGemmOneHotGo, h}}
+	if vectorOneHot != nil && h != 1 {
+		bodies = append(bodies, body{"spGemmOneHotAVX", vectorOneHot, h &^ 3})
+	}
+	for _, bd := range bodies {
+		want := slices.Clone(c)
+		naiveSpGemmOneHot(want, ldc, idx, ldi, w, ldw, m, d, bd.cols, bias)
+		got := slices.Clone(c)
+		bd.fn(got, ldc, idx, ldi, w, ldw, m, d, h, bias)
+		sameOrNaN(t, fmt.Sprintf("%s m=%d d=%d h=%d ldi=%d ldw=%d ldc=%d", bd.name, m, d, h, ldi, ldw, ldc), got, want)
 	}
 }
 
@@ -404,7 +480,10 @@ func sameOrNaN(t *testing.T, name string, got, want []float64) {
 		if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
 			continue
 		}
-		bitsEqual(t, name, got[i:i+1], want[i:i+1])
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d diverged: got %v (%#x) want %v (%#x)",
+				name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
 	}
 }
 
@@ -589,6 +668,44 @@ func TestMatchCountsU16RejectsShortOperands(t *testing.T) {
 	}
 }
 
+// TestDenseKernelsRejectShortOperands requires Gemm, GemmTA and
+// SpGemmOneHot to panic, as their Go loops' slice bounds do, on an operand
+// too short for a shape the vector bodies could otherwise take (its
+// capacity cut too, since the Go loops may reslice up to it), or on an
+// index naming no W row, instead of reading or writing past it.
+func TestDenseKernelsRejectShortOperands(t *testing.T) {
+	const m, n, k = 3, 16, 5
+	c, a, b := make([]float64, m*n), make([]float64, m*k), make([]float64, k*n)
+	w, bias := make([]float64, 4*n), make([]float64, n)
+	idx := make([]int32, m*k)
+	bad := func(v int32) []int32 {
+		out := slices.Clone(idx)
+		out[len(out)-1] = v
+		return out
+	}
+	for name, call := range map[string]func(){
+		"Gemm c":                func() { Gemm(c[:m*n-1:m*n-1], n, a, k, b, n, m, n, k) },
+		"Gemm a":                func() { Gemm(c, n, a[:m*k-1:m*k-1], k, b, n, m, n, k) },
+		"Gemm b":                func() { Gemm(c, n, a, k, b[:k*n-1:k*n-1], n, m, n, k) },
+		"GemmTA a":              func() { GemmTA(c, n, a[:m*k-1:m*k-1], m, b, n, m, n, k) },
+		"GemmTA b":              func() { GemmTA(c, n, a, m, b[:k*n-1:k*n-1], n, m, n, k) },
+		"SpGemmOneHot c":        func() { SpGemmOneHot(c[:m*n-1:m*n-1], n, idx, k, w, n, m, k, n, bias) },
+		"SpGemmOneHot idx":      func() { SpGemmOneHot(c, n, idx[:m*k-1:m*k-1], k, w, n, m, k, n, bias) },
+		"SpGemmOneHot bias":     func() { SpGemmOneHot(c, n, idx, k, w, n, m, k, n, bias[:n-1:n-1]) },
+		"SpGemmOneHot past W":   func() { SpGemmOneHot(c, n, bad(4), k, w, n, m, k, n, bias) },
+		"SpGemmOneHot negative": func() { SpGemmOneHot(c, n, bad(-1), k, w, n, m, k, n, bias) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s out of range did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 func TestPackU16RowsRejectsWideCodes(t *testing.T) {
 	dst := make([]uint64, PackedWords(3))
 	if PackU16Rows(dst, []int32{1, 70000, 2}, 1, 3) {
@@ -636,6 +753,20 @@ func TestKernelsMatchNaive(t *testing.T) {
 		}
 	}
 
+	// Gemm, GemmTA and SpGemmOneHot at every width 0–40, so every 4-column
+	// tail follows each 16-column tile count, on 0–5 rows with 0, 1, 2 or
+	// 17 terms (active indices) per element, strides wider than the block
+	// and, for the one-hot W table, rows that overlap.
+	r = rng.New(29)
+	for n := 0; n <= 40; n++ {
+		for m := 0; m <= 5; m++ {
+			for _, k := range []int{0, 1, 2, 17} {
+				checkGemm(t, r, m, n, k, k+r.Intn(3), n+r.Intn(3), n+r.Intn(3))
+				checkOneHot(t, r, m, k, n, k+r.Intn(3), max(n-2+r.Intn(5), 0), n+r.Intn(3))
+			}
+		}
+	}
+
 	// MatchCountsU16 at every row length 1–72 (up to two whole 32-byte
 	// chunks, then every 16- and 8-byte tail and padding width) against
 	// 0–9 rows, with m > 1 and a dst stride wider than n.
@@ -660,9 +791,10 @@ func TestKernelsMatchNaive(t *testing.T) {
 // FuzzMatEquivalence fuzzes every mat kernel against its naive reference,
 // pinning bit-identical outputs across random shapes, strides, and value
 // mixes (row lengths up to 72, so MatchCountsU16 reaches two whole 32-byte
-// chunks and every tail; Adam: lengths 0–23, L2 on and off, steps up to
-// 500; FoldPanels: 0–23 columns, random panel pairs and lists) — the CI
-// fuzz smoke runs it alongside the codec fuzzers.
+// chunks and every tail; widths up to 40, so Gemm, GemmTA and SpGemmOneHot
+// reach two 16-column tiles and every 4-column tail; Adam: lengths 0–40, L2
+// on and off, steps up to 500; FoldPanels: 0–40 columns, random panel pairs
+// and lists) — the CI fuzz smoke runs it alongside the codec fuzzers.
 func FuzzMatEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(3), uint8(4), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(7), uint8(1), uint8(1), uint8(1), uint8(5), uint8(5), uint8(5))
@@ -670,7 +802,7 @@ func FuzzMatEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, m, n, k, sa, sb, sc uint8) {
 		// Bound extents so a fuzz iteration stays tiny; strides are offsets
 		// on top of the minimum legal leading dimension.
-		mi, ni, ki := int(m%24), int(n%24), int(k%73)
+		mi, ni, ki := int(m%24), int(n%41), int(k%73)
 		checkKernels(t, seed, mi, ni, ki, ki+int(sa%5), ni+int(sb%5), ni+int(sc%5))
 	})
 }
