@@ -10,11 +10,11 @@ SHELL := /bin/bash
 # The benchmarks the regression gate watches: join pipeline, the five
 # learner fits, the serving paths, the SVM Gram build, the GEMM-vs-scalar
 # batched ANN serving pair, the tree's constant-feature skip, the
-# segmented-vs-slab parity pair, and the concurrent-serving quartet
-# (uncoalesced vs coalesced vs factorized-linear vs the hardened entry —
-# admission gate + panic recovery — under 64 clients). cmd/benchgate's
+# segmented-vs-slab parity pair, and the concurrent-serving trio (MLP
+# gather vs factorized-linear vs the hardened entry — admission gate + panic
+# recovery — under 64 clients). cmd/benchgate's
 # defaultGate must match it; a benchgate test reads this line to check.
-BENCH_REGEX = Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|Serve(Factorized|Joined)|SVMKernelCacheGemm|ServeBatch(Scalar|Gemm)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$$
+BENCH_REGEX = Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|Serve(Factorized|Joined)|SVMKernelCacheGemm|ServeBatch(Scalar|Gemm)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|ServeConcurrent(Scalar|Factorized|Hardened))$$
 # Time-based benchtime so every bench accumulates several iterations per
 # sample — the nanosecond-scale Serve* benches get millions, the ~100ms Fit
 # benches get a handful — and -count 5 gives benchgate a median that shrugs
@@ -44,9 +44,8 @@ bench-baseline:
 # bench-gate reproduces CI's benchmark-regression gate: >20% median ns/op
 # regression on any gated benchmark vs bench_baseline.txt fails, as does any
 # pair group without a winner — segment-per-task scan parity at >=0.95x vs
-# the single-slab scan, and a >=2x coalesced-vs-scalar concurrent-serving
-# win — and so does any non-zero
-# allocs/op on the coalesced, factorized-linear and hardened serving paths.
+# the single-slab scan — and so does any non-zero allocs/op on the
+# factorized-linear and hardened serving paths.
 #
 # BENCH_JSON=<path> additionally writes the gated medians (ns/op, allocs/op)
 # as a machine-readable JSON digest — the committed BENCH_<n>.json artifacts.
@@ -57,7 +56,7 @@ bench-gate:
 # load runs the closed-loop serving load harness against a freshly trained
 # artifact: train Naive Bayes on the Movies sample, start hamletd, drive it
 # at the default 64 connections for a short burst, and print the latency
-# quantiles, throughput, allocation rate, and coalescer fill report.
+# quantiles, throughput and allocation rate.
 # Override duration/conns with LOAD_FLAGS="-duration 30s -conns 128"; the
 # default -scrape adds the server's own /metrics view: counter deltas and
 # bucket-derived latency quantiles next to the client-side percentiles.

@@ -619,8 +619,8 @@ func BenchmarkServeJoined(b *testing.B) {
 }
 
 // benchServeEngineANN binds an MLP artifact to the Movies schema — a
-// gather-path model whose per-request forward pass is the allocation-heavy
-// cost the batched GEMM serving path eliminates — plus a request stream.
+// gather-path model whose per-request forward pass allocates both hidden
+// layers — plus a request stream.
 func benchServeEngineANN(b *testing.B) (*serve.Engine, [][]relational.Value) {
 	o := benchOptions()
 	spec, err := dataset.SpecByName("Movies")
@@ -678,9 +678,11 @@ func BenchmarkServeBatchScalar(b *testing.B) {
 }
 
 // BenchmarkServeBatchGemm scores the same stream through PredictBatch: the
-// morsel-parallel chunks only assemble joined rows, and one batched GEMM
-// forward pass (ml.BatchPredictor) classifies the entire batch with
-// identical classes.
+// stream fans out in morsels across the worker pool, and each request in a
+// morsel is gathered and scored by the MLP's own Predict, so the answers are
+// Predict's bit for bit. It measures that morsel fan-out of gather plus
+// Predict; the name (and its gated baseline) is kept from when the batch
+// path ended in a GEMM forward pass.
 func BenchmarkServeBatchGemm(b *testing.B) {
 	engine, reqs := benchServeEngineANN(b)
 	b.ReportAllocs()
@@ -693,11 +695,9 @@ func BenchmarkServeBatchGemm(b *testing.B) {
 }
 
 // benchServeEngineANNWide binds a first-layer-dominant MLP (wide hidden
-// layer over the feature-rich Yelp schema, narrow tail) — the regime
-// factorized serving targets: per-request cost is dominated by the z1
-// gather-and-fold that precomputed per-dimension hidden partials and
-// batched flushes amortize, while the dense tail every path must pay stays
-// small. The ServeConcurrent gate pair measures this shape.
+// layer over the feature-rich Yelp schema, narrow tail): per-request cost is
+// dominated by the gather and the z1 fold, while the dense tail stays small.
+// BenchmarkServeConcurrentScalar measures this shape.
 func benchServeEngineANNWide(b *testing.B) (*serve.Engine, [][]relational.Value) {
 	o := benchOptions()
 	spec, err := dataset.SpecByName("Yelp")
@@ -737,9 +737,8 @@ func benchServeEngineANNWide(b *testing.B) (*serve.Engine, [][]relational.Value)
 	return engine, reqs
 }
 
-// serveConcurrency is the client parallelism of the ServeConcurrent trio:
-// enough concurrent callers to fill coalescer batches, matching the
-// load-harness default.
+// serveConcurrency is the client parallelism of the ServeConcurrent trio,
+// matching the load-harness default.
 const serveConcurrency = 64
 
 // setServeParallelism makes RunParallel drive serveConcurrency goroutines
@@ -749,10 +748,10 @@ func setServeParallelism(b *testing.B) {
 	b.SetParallelism((serveConcurrency + procs - 1) / procs)
 }
 
-// BenchmarkServeConcurrentScalar is the uncoalesced baseline of the serving
-// gate: concurrent clients issuing independent per-request predictions
-// against the MLP artifact, each paying the join gather plus a scalar
-// forward pass (which allocates both hidden layers per call).
+// BenchmarkServeConcurrentScalar is the gather path under concurrency:
+// clients issuing independent per-request predictions against the MLP
+// artifact, each paying the join gather plus a scalar forward pass (which
+// allocates both hidden layers per call).
 func BenchmarkServeConcurrentScalar(b *testing.B) {
 	engine, reqs := benchServeEngineANNWide(b)
 	var ctr atomic.Int64
@@ -771,42 +770,14 @@ func BenchmarkServeConcurrentScalar(b *testing.B) {
 	})
 }
 
-// BenchmarkServeConcurrentCoalesced is the same concurrent client stream
-// through a registry slot's coalescer: callers micro-batch into one
-// factorized-first-layer flush (precomputed per-dimension hidden partials +
-// one dense tail pass), amortizing the forward pass across the batch. The
-// benchgate pair requires ≥2x the scalar baseline's throughput.
-func BenchmarkServeConcurrentCoalesced(b *testing.B) {
-	engine, reqs := benchServeEngineANNWide(b)
-	reg := serve.NewRegistry(serve.DefaultCoalescerConfig())
-	slot, err := reg.Register("m", engine)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ctr atomic.Int64
-	setServeParallelism(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := int(ctr.Add(1)) * 31
-		for pb.Next() {
-			if _, err := slot.Predict(reqs[i%len(reqs)]); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
-}
-
 // BenchmarkServeConcurrentFactorized drives the same concurrency at the
-// linear artifact through the full slot path (snapshot resolve + coalescer
-// fallthrough + factorized score). The gate pins it at 0 allocs/op: the
+// linear artifact through the full slot path (snapshot resolve +
+// Engine.Predict's factorized score). The gate pins it at 0 allocs/op: the
 // whole serving stack on the factorized path is allocation-free, not just
 // the score.
 func BenchmarkServeConcurrentFactorized(b *testing.B) {
 	engine, reqs := benchServeEngine(b)
-	reg := serve.NewRegistry(serve.DefaultCoalescerConfig())
+	reg := serve.NewRegistry()
 	slot, err := reg.Register("m", engine)
 	if err != nil {
 		b.Fatal(err)
@@ -834,7 +805,7 @@ func BenchmarkServeConcurrentFactorized(b *testing.B) {
 // cost the zero-alloc contract.
 func BenchmarkServeConcurrentHardened(b *testing.B) {
 	engine, reqs := benchServeEngine(b)
-	reg := serve.NewRegistry(serve.DefaultCoalescerConfig())
+	reg := serve.NewRegistry()
 	slot, err := reg.Register("m", engine)
 	if err != nil {
 		b.Fatal(err)

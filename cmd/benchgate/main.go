@@ -10,7 +10,7 @@
 //     the machine-independent check that an optional mechanism actually pays
 //     for itself. Groups are ';'-separated lists of pairs; a pair is
 //     name/slowSuffix/fastSuffix, naming Benchmark<name><slowSuffix> and
-//     Benchmark<name><fastSuffix> (e.g. ServeConcurrent/Scalar/Coalesced). A group
+//     Benchmark<name><fastSuffix> (e.g. SegParScan/Slab/Seg). A group
 //     may override the required speedup with an @<ratio> suffix (e.g.
 //     `A/B/C@0.95` — used by the segmented-engine parity group, whose bar is
 //     "no tax vs the slab", not a speedup). Every group must produce at
@@ -40,23 +40,20 @@ import (
 // constant-feature skip, the segmented-vs-slab parity pair, and the
 // concurrent serving paths. The Makefile's BENCH_REGEX must match it
 // (TestMakefileGateMatchesDefault).
-const defaultGate = `^Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|Serve(Factorized|Joined)|SVMKernelCacheGemm|ServeBatch(Scalar|Gemm)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$`
+const defaultGate = `^Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|Serve(Factorized|Joined)|SVMKernelCacheGemm|ServeBatch(Scalar|Gemm)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|ServeConcurrent(Scalar|Factorized|Hardened))$`
 
-// defaultPairs is the speedup requirement. The first group is the
-// segmented-scan parity bar at @0.95: a segment-per-task scan must not lose
-// to one sequential pass over the single-slab table (within noise on one
-// core; the pair scales with cores). The second is the request coalescer's
-// bar over uncoalesced concurrent serving.
-const defaultPairs = `SegParScan/Slab/Seg@0.95;ServeConcurrent/Scalar/Coalesced@2.0`
+// defaultPairs is the speedup requirement: one group, the segmented-scan
+// parity bar at @0.95 — a segment-per-task scan must not lose to one
+// sequential pass over the single-slab table (within noise on one core; the
+// pair scales with cores).
+const defaultPairs = `SegParScan/Slab/Seg@0.95`
 
 // defaultZeroAlloc names the benchmarks whose steady state must allocate
-// nothing: the factorized-linear serving path end to end, the coalesced
-// path's per-request amortized count (its per-batch setup divides below one
-// allocation per request), and the hardened in-process entry (admission
-// gate + panic recovery on top of the factorized path). A matched benchmark
-// lacking an allocs/op sample fails the gate — the bench run must use
-// -benchmem.
-const defaultZeroAlloc = `^BenchmarkServeConcurrent(Coalesced|Factorized|Hardened)$`
+// nothing: the factorized-linear serving path end to end, and the hardened
+// in-process entry (admission gate + panic recovery on top of the
+// factorized path). A matched benchmark lacking an allocs/op sample fails
+// the gate — the bench run must use -benchmem.
+const defaultZeroAlloc = `^BenchmarkServeConcurrent(Factorized|Hardened)$`
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {

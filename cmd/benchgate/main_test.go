@@ -18,17 +18,19 @@ BenchmarkServeFactorized-8    	     100	      500 ns/op	    0 B/op	 0 allocs/op
 PASS
 `
 
-// pairLines satisfies every group of the default pair gate: the parity
-// pair at 1.0 (enough for the group's @0.95 bar) and the coalescer at 2.2x
-// (enough for its @2.0 bar).
+// pairLines puts the parity pair at 2.22x: enough for the default group's
+// @0.95 bar and for both groups of twoGroups.
 const pairLines = `
 BenchmarkTreeSplitZoneSkip     	      10	  1200000 ns/op
-BenchmarkSegParScanSlab        	      10	  1000000 ns/op
-BenchmarkSegParScanSeg         	      10	  1000000 ns/op
+BenchmarkSegParScanSlab        	      10	  2000000 ns/op
+BenchmarkSegParScanSeg         	      10	   900000 ns/op
 BenchmarkServeConcurrentScalar 	      10	  2000000 ns/op	    1056 B/op	       2 allocs/op
-BenchmarkServeConcurrentCoalesced	      10	   900000 ns/op	      44 B/op	       0 allocs/op
 BenchmarkServeConcurrentFactorized	     100	       20 ns/op	       0 B/op	       0 allocs/op
 `
+
+// twoGroups is a -pairs value with two groups over the same pair: a parity
+// bar at @0.95 and a 2x bar.
+const twoGroups = "SegParScan/Slab/Seg@0.95;SegParScan/Slab/Seg@2.0"
 
 func writeTemp(t *testing.T, name, content string) string {
 	t.Helper()
@@ -74,8 +76,7 @@ BenchmarkServeFactorized-4    	     100	      510 ns/op
 	}
 	for _, want := range []string{
 		"ok   BenchmarkNBFitColumnar: 1100000 -> 1150000 ns/op",
-		"pair ServeConcurrent/Scalar/Coalesced: fast side 2.22x",
-		"pair SegParScan/Slab/Seg: fast side 1.00x",
+		"pair SegParScan/Slab/Seg: fast side 2.22x",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("missing %q:\n%s", want, sb.String())
@@ -84,21 +85,20 @@ BenchmarkServeFactorized-4    	     100	      510 ns/op
 }
 
 func TestPairGroupsEachRequireAWinner(t *testing.T) {
-	// Every other group clears its bar but the coalescer sits at 1.1x, short
-	// of its @2.0 bar — the gate must fail: another group's win cannot carry
-	// it.
-	slowCoalesced := strings.Replace(pairLines, "BenchmarkServeConcurrentCoalesced\t      10\t   900000", "BenchmarkServeConcurrentCoalesced\t      10\t  1818182", 1)
-	if slowCoalesced == pairLines {
+	// At 1.1x the parity group clears its @0.95 bar but the 2x group does
+	// not — the gate must fail: one group's win cannot carry another.
+	slowSeg := strings.Replace(pairLines, "BenchmarkSegParScanSeg         \t      10\t   900000", "BenchmarkSegParScanSeg         \t      10\t  1818182", 1)
+	if slowSeg == pairLines {
 		t.Fatal("fixture edit missed")
 	}
 	var sb strings.Builder
-	err := run([]string{"-current", writeTemp(t, "cur.txt", slowCoalesced)}, &sb)
+	err := run([]string{"-current", writeTemp(t, "cur.txt", slowSeg), "-pairs", twoGroups}, &sb)
 	if err == nil || !strings.Contains(sb.String(), "FAIL pairs") {
-		t.Fatalf("coalescer group at 1.1x must fail (err %v):\n%s", err, sb.String())
+		t.Fatalf("2x group at 1.1x must fail (err %v):\n%s", err, sb.String())
 	}
-	// With the coalescer back at 2.2x the same run passes.
+	// With the pair back at 2.2x the same run passes.
 	sb.Reset()
-	if err := run([]string{"-current", writeTemp(t, "cur2.txt", pairLines)}, &sb); err != nil {
+	if err := run([]string{"-current", writeTemp(t, "cur2.txt", pairLines), "-pairs", twoGroups}, &sb); err != nil {
 		t.Fatalf("gate must pass with a winner in every group: %v\n%s", err, sb.String())
 	}
 }
@@ -164,13 +164,13 @@ BenchmarkServeFactorized    	     100	      500 ns/op
 
 func TestGateFailsWithoutPairSpeedup(t *testing.T) {
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkSegParScanSlab          	      10	  1000000 ns/op
-BenchmarkSegParScanSeg           	      10	   900000 ns/op
-BenchmarkServeConcurrentScalar   	      10	  1000000 ns/op
-BenchmarkServeConcurrentCoalesced	      10	  1100000 ns/op
+BenchmarkSegParScanSlab	      10	  1000000 ns/op
+BenchmarkSegParScanSeg 	      10	   900000 ns/op
+BenchmarkServeBatchScalar	      10	  1000000 ns/op
+BenchmarkServeBatchGemm	      10	  1100000 ns/op
 `)
 	var sb strings.Builder
-	err := run([]string{"-current", cur, "-pairs", "SegParScan/Slab/Seg,ServeConcurrent/Scalar/Coalesced"}, &sb)
+	err := run([]string{"-current", cur, "-pairs", "SegParScan/Slab/Seg,ServeBatch/Scalar/Gemm"}, &sb)
 	if err == nil || !strings.Contains(sb.String(), "FAIL pairs") {
 		t.Fatalf("pair gate must fail at 1.11x best speedup (err %v):\n%s", err, sb.String())
 	}
@@ -290,9 +290,9 @@ func TestJSONSummary(t *testing.T) {
 	if nb.NsPerOp != 1100000 || nb.Samples != 3 || nb.AllocsPerOp == nil || *nb.AllocsPerOp != 1 {
 		t.Fatalf("NBFitColumnar summary %+v", nb)
 	}
-	co := got.Benchmarks["BenchmarkServeConcurrentCoalesced"]
-	if co.AllocsPerOp == nil || *co.AllocsPerOp != 0 {
-		t.Fatalf("Coalesced summary %+v", co)
+	fz := got.Benchmarks["BenchmarkServeConcurrentFactorized"]
+	if fz.AllocsPerOp == nil || *fz.AllocsPerOp != 0 {
+		t.Fatalf("Factorized summary %+v", fz)
 	}
 	seg, ok := got.Benchmarks["BenchmarkSegParScanSlab"]
 	if !ok || seg.AllocsPerOp != nil {

@@ -24,10 +24,9 @@
 // {"model":"default","version":N} rolls back. Linear-family models
 // (Naive Bayes, logistic regression, linear SVM) are served factorized — one
 // precomputed partial-score lookup per dimension table per request; others
-// fall back to per-request gather through the join view, with concurrent
-// /predict calls micro-batched by the request coalescer (tune with
-// -coalesce-window/-coalesce-batch). A ?mode=factorized|joined query
-// parameter pins the path for A/B comparisons.
+// fall back to per-request gather through the join view. Every request,
+// single or batched, gets exactly the answer Engine.Predict gives. A
+// ?mode=factorized|joined query parameter pins the path for A/B comparisons.
 //
 // The daemon exits non-zero when the listen address cannot be bound, and
 // drains in-flight connections for up to -drain on SIGINT/SIGTERM.
@@ -128,10 +127,6 @@ func build(args []string, out *os.File) (*daemon, error) {
 	scale := fs.Int("scale", 0, "dataset scale divisor (default: artifact metadata)")
 	seed := fs.Uint64("seed", 0, "dataset generation seed (default: artifact metadata)")
 	drain := fs.Duration("drain", 5*time.Second, "connection drain timeout on shutdown")
-	window := fs.Duration("coalesce-window", serve.DefaultCoalescerConfig().Window,
-		"request coalescer wait window (0 disables coalescing)")
-	coalesceBatch := fs.Int("coalesce-batch", serve.DefaultCoalescerConfig().MaxBatch,
-		"request coalescer max batch size")
 	maxBody := fs.Int64("max-body", serve.DefaultServerConfig().MaxBodyBytes,
 		"max request body bytes (oversized requests get 413)")
 	maxBatch := fs.Int("max-batch", serve.DefaultServerConfig().MaxBatchLen,
@@ -200,7 +195,7 @@ func build(args []string, out *os.File) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := serve.NewRegistry(serve.CoalescerConfig{MaxBatch: *coalesceBatch, Window: *window})
+	reg := serve.NewRegistry()
 	if _, err := reg.Register("default", engine); err != nil {
 		return nil, err
 	}

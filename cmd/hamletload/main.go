@@ -13,8 +13,8 @@
 // loop (-rate N) dispatches N requests per second from a pacer regardless of
 // completions, the arrival process that actually exposes queueing delay
 // (coordinated omission is what closed loops hide). In both modes the report
-// gives req/s, p50/p99/p999/max latency, the server's mallocs-per-request
-// delta (from /stats), and the coalescer's batch counters.
+// gives req/s, p50/p99/p999/max latency, and the server's
+// mallocs-per-request delta (from /stats).
 //
 // -min-rps sets a throughput floor: the run exits non-zero below it, which
 // is what lets CI gate serving regressions with a one-line smoke job.
@@ -119,7 +119,6 @@ type modelsResponse struct {
 		Version    int    `json:"version"`
 		Kind       string `json:"kind"`
 		Factorized bool   `json:"factorized"`
-		Batched    bool   `json:"batched"`
 		Inputs     []struct {
 			Name        string `json:"name"`
 			Cardinality int    `json:"cardinality"`
@@ -129,14 +128,9 @@ type modelsResponse struct {
 
 // statsSnapshot is the slice of GET /stats the report needs.
 type statsSnapshot struct {
-	Mallocs   uint64 `json:"mallocs"`
-	Examples  int64  `json:"examples"`
-	Errors    int64  `json:"errors"`
-	Coalescer map[string]struct {
-		Batches   uint64 `json:"batches"`
-		Coalesced uint64 `json:"coalesced"`
-		Direct    uint64 `json:"direct"`
-	} `json:"coalescer"`
+	Mallocs  uint64 `json:"mallocs"`
+	Examples int64  `json:"examples"`
+	Errors   int64  `json:"errors"`
 }
 
 func getJSON(c *http.Client, url string, v any) error {
@@ -187,8 +181,8 @@ func synthesize(cfg config, models modelsResponse) ([][]byte, string, error) {
 		buf.WriteString("}}")
 		bodies[i] = append([]byte(nil), buf.Bytes()...)
 	}
-	return bodies, fmt.Sprintf("%s v%d (%s, factorized=%v, batched=%v)",
-		m.Name, m.Version, m.Kind, m.Factorized, m.Batched), nil
+	return bodies, fmt.Sprintf("%s v%d (%s, factorized=%v)",
+		m.Name, m.Version, m.Kind, m.Factorized), nil
 }
 
 // scrapeMetrics fetches /metrics and returns every sample keyed by its fully
@@ -527,19 +521,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "server: %.1f mallocs/req (%d mallocs over %d served)\n",
 			float64(after.Mallocs-before.Mallocs)/float64(served),
 			after.Mallocs-before.Mallocs, served)
-	}
-	var batches, coalesced, direct uint64
-	for name, c := range after.Coalescer {
-		b := before.Coalescer[name]
-		batches += c.Batches - b.Batches
-		coalesced += c.Coalesced - b.Coalesced
-		direct += c.Direct - b.Direct
-	}
-	if batches > 0 {
-		fmt.Fprintf(out, "coalescer: %d batches, %d coalesced (avg batch %.1f), %d direct\n",
-			batches, coalesced, float64(coalesced)/float64(batches), direct)
-	} else {
-		fmt.Fprintf(out, "coalescer: 0 batches, %d direct\n", direct)
 	}
 	if errs := after.Errors - before.Errors; errs > 0 {
 		fmt.Fprintf(out, "server: %d errored requests during run\n", errs)

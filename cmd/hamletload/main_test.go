@@ -54,7 +54,7 @@ func TestLoadClosedLoop(t *testing.T) {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"req/s", "latency: p50", "mallocs/req", "coalescer:"} {
+	for _, want := range []string{"req/s", "latency: p50", "mallocs/req"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q:\n%s", want, got)
 		}

@@ -76,25 +76,14 @@ func FromParams(features []ml.Feature, p Params) (*MLP, error) {
 	return m, nil
 }
 
-// ExportHiddenLinear implements ml.HiddenLinearExporter: the MLP's input
-// layer is exactly the exported form — one Hidden1-wide embedding row per
-// one-hot dimension plus the layer bias — and everything after it is a dense
-// function of that hidden vector. The returned slices are copies.
-func (m *MLP) ExportHiddenLinear(features []ml.Feature) ([]float64, []float64, int, bool) {
-	if m.enc == nil || len(features) != len(m.enc.Offsets) || ml.NewEncoder(features).Dims != m.enc.Dims {
-		return nil, nil, 0, false
-	}
-	return append([]float64(nil), m.b1...), append([]float64(nil), m.w1...), m.cfg.Hidden1, true
-}
-
-// ClassifyHidden implements ml.HiddenLinearExporter: given n first-layer
-// pre-activations packed row-major in z (clobbered as scratch), it applies
-// ReLU, the dense layers (mat.Gemm/Gemv, whose sequential k-accumulation
-// makes each output element bit-identical to Probability's loops for
-// identical z), and classifies by Predict's own test, sigmoid(z3) >= 0.5.
-// The logit's sign is not that test: for z3 in (-2^-54, 0), math.Exp(z3)
-// rounds to 1 and the sigmoid to exactly 0.5, which Predict calls class 1.
-// It is the MLP's one dense tail: PredictBatch ends in it too.
+// ClassifyHidden classifies n examples from their first-layer
+// pre-activations, packed row-major in z (n rows of Hidden1, clobbered as
+// scratch): it applies ReLU, the dense layers (mat.Gemm/Gemv, whose
+// sequential k-accumulation makes each output element bit-identical to
+// Probability's loops for identical z), and classifies by Predict's own
+// test, sigmoid(z3) >= 0.5. The logit's sign is not that test: for z3 in
+// (-2^-54, 0), math.Exp(z3) rounds to 1 and the sigmoid to exactly 0.5,
+// which Predict calls class 1. It is the dense tail of PredictBatch.
 func (m *MLP) ClassifyHidden(dst []int8, z []float64, n int) {
 	if n == 0 {
 		return

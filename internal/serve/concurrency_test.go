@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,9 +14,9 @@ import (
 	"repro/internal/relational"
 )
 
-// moviesEngines trains one linear (NB) and one hidden-factorized (MLP)
-// engine on the same Movies star schema and returns them with a deck of
-// valid requests drawn from the fact table.
+// moviesEngines trains one linear (NB) and one gather-path (MLP) engine on
+// the same Movies star schema and returns them with a deck of valid requests
+// drawn from the fact table.
 func moviesEngines(t testing.TB) (*Engine, *Engine, [][]relational.Value) {
 	t.Helper()
 	ss := star(t, "Movies", 2048)
@@ -36,21 +35,20 @@ func moviesEngines(t testing.TB) (*Engine, *Engine, [][]relational.Value) {
 		t.Fatal(err)
 	}
 
-	mlp := ann.New(ann.Config{Hidden1: 32, Hidden2: 16, LearningRate: 1e-2, Epochs: 2, Seed: 7})
-	if err := mlp.Fit(train); err != nil {
+	net := ann.New(ann.Config{Hidden1: 32, Hidden2: 16, LearningRate: 1e-2, Epochs: 2, Seed: 7})
+	if err := net.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	annm, err := model.New(mlp, train.Features, nil)
+	annm, err := model.New(net, train.Features, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hid, err := NewEngine(annm, ss)
+	mlp, err := NewEngine(annm, ss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hid.HiddenFactorized() || !hid.BatchServeable() {
-		t.Fatalf("MLP engine not hidden-factorized (hidden=%v batch=%v)",
-			hid.HiddenFactorized(), hid.BatchServeable())
+	if mlp.Factorized() {
+		t.Fatal("MLP engine claims a factorized form")
 	}
 
 	n := min(ss.Fact.NumRows(), 512)
@@ -58,179 +56,11 @@ func moviesEngines(t testing.TB) (*Engine, *Engine, [][]relational.Value) {
 	for i := range reqs {
 		reqs[i] = lin.RequestFromFactRow(make([]relational.Value, len(lin.InputFeatures())), ss.Fact.Row(i))
 	}
-	return lin, hid, reqs
-}
-
-// TestHiddenFactorizedMatchesPredict pins the factorized-first-layer batch
-// path to the per-request gather path: for every request, PredictBatch's
-// class (precomputed per-dimension hidden partials + dense tail) must equal
-// PredictJoined's (full gather + the model's own Predict).
-func TestHiddenFactorizedMatchesPredict(t *testing.T) {
-	_, hid, reqs := moviesEngines(t)
-	got, err := hid.PredictBatch(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ones := 0
-	for i, req := range reqs {
-		want, err := hid.PredictJoined(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].Class != want.Class {
-			t.Fatalf("request %d: batch class %d, per-request class %d", i, got[i].Class, want.Class)
-		}
-		ones += int(want.Class)
-	}
-	if ones == 0 || ones == len(reqs) {
-		t.Fatalf("degenerate predictions (%d/%d positive) — test has no discriminating power", ones, len(reqs))
-	}
-}
-
-// TestCoalescerDeterminism drives many concurrent predicts through the
-// coalescer and requires every response — class, score, scoredness, and the
-// encoded response bytes — to be identical to the sequential Predict of the
-// same request. Runs both engine families: the linear engine exercises the
-// direct fallthrough, the MLP the batched flush.
-func TestCoalescerDeterminism(t *testing.T) {
-	lin, hid, reqs := moviesEngines(t)
-	for name, e := range map[string]*Engine{"linear": lin, "hidden": hid} {
-		t.Run(name, func(t *testing.T) {
-			want := make([]Prediction, len(reqs))
-			wantBytes := make([][]byte, len(reqs))
-			for i, req := range reqs {
-				p, err := e.Predict(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[i] = p
-				wantBytes[i] = appendPredictResponse(nil, p, e.Factorized())
-			}
-			c := NewCoalescer(DefaultCoalescerConfig())
-			snap := &Snapshot{Name: name, Version: 1, Engine: e}
-			const workers = 32
-			var wg sync.WaitGroup
-			errs := make(chan error, workers)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for r := 0; r < 4; r++ {
-						for i := w; i < len(reqs); i += workers {
-							got, err := c.Predict(snap, reqs[i])
-							if err != nil {
-								errs <- fmt.Errorf("request %d: %v", i, err)
-								return
-							}
-							if got != want[i] {
-								errs <- fmt.Errorf("request %d: coalesced %+v, sequential %+v", i, got, want[i])
-								return
-							}
-							if gb := appendPredictResponse(nil, got, e.Factorized()); string(gb) != string(wantBytes[i]) {
-								errs <- fmt.Errorf("request %d: response bytes %q != %q", i, gb, wantBytes[i])
-								return
-							}
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-			st := c.Stats()
-			if st.Batches+st.Direct == 0 {
-				t.Fatal("coalescer served nothing")
-			}
-			t.Logf("%s: %d batches, %d coalesced, %d direct", name, st.Batches, st.Coalesced, st.Direct)
-		})
-	}
-}
-
-// TestCoalescerLowLoadFallthrough: a lone request must take the direct path
-// (no window wait), and a linear engine must never be batched at all.
-func TestCoalescerLowLoadFallthrough(t *testing.T) {
-	lin, hid, reqs := moviesEngines(t)
-	for name, e := range map[string]*Engine{"linear": lin, "hidden": hid} {
-		c := NewCoalescer(CoalescerConfig{MaxBatch: 64, Window: time.Hour})
-		snap := &Snapshot{Engine: e}
-		start := time.Now()
-		if _, err := c.Predict(snap, reqs[0]); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start); d > time.Second {
-			t.Fatalf("%s: lone request waited %s — fell into the window", name, d)
-		}
-		st := c.Stats()
-		if st.Direct != 1 || st.Batches != 0 {
-			t.Fatalf("%s: lone request stats %+v, want direct=1 batches=0", name, st)
-		}
-	}
-}
-
-// TestCoalescerDisabledWindow: Window <= 0 must disable batching entirely.
-func TestCoalescerDisabledWindow(t *testing.T) {
-	_, hid, reqs := moviesEngines(t)
-	c := NewCoalescer(CoalescerConfig{MaxBatch: 64, Window: 0})
-	snap := &Snapshot{Engine: hid}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < 64; i += 8 {
-				if _, err := c.Predict(snap, reqs[i]); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if st := c.Stats(); st.Batches != 0 || st.Direct != 64 {
-		t.Fatalf("disabled coalescer stats %+v", st)
-	}
-}
-
-// TestCoalescerInvalidRequestIsolation: malformed requests must fail with
-// the engine's validation error without poisoning concurrent valid traffic.
-func TestCoalescerInvalidRequestIsolation(t *testing.T) {
-	_, hid, reqs := moviesEngines(t)
-	c := NewCoalescer(DefaultCoalescerConfig())
-	snap := &Snapshot{Engine: hid}
-	bad := make([]relational.Value, len(reqs[0]))
-	bad[0] = -1
-	var wg sync.WaitGroup
-	var badErrs, goodErrs atomic.Int64
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 32; i++ {
-				if (w+i)%3 == 0 {
-					if _, err := c.Predict(snap, bad); err != nil {
-						badErrs.Add(1)
-					}
-					continue
-				}
-				if _, err := c.Predict(snap, reqs[(w*32+i)%len(reqs)]); err != nil {
-					goodErrs.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if goodErrs.Load() != 0 {
-		t.Fatalf("%d valid requests failed alongside invalid ones", goodErrs.Load())
-	}
-	if badErrs.Load() == 0 {
-		t.Fatal("invalid requests did not error")
-	}
+	return lin, mlp, reqs
 }
 
 // TestRegistryHotSwapRace is the snapshot-consistency test: workers hammer a
-// slot through the full serving path (snapshot resolve + coalescer) while
+// slot through the full serving path (snapshot resolve + Engine.Predict) while
 // the main goroutine swaps between two models and rolls back, under -race.
 // Every response must exactly equal one model's sequential answer for that
 // request — a response that matches neither would mean a request was scored
@@ -289,7 +119,7 @@ func TestRegistryHotSwapRace(t *testing.T) {
 		t.Fatal("the two models answer identically — race test has no power")
 	}
 
-	reg := NewRegistry(DefaultCoalescerConfig())
+	reg := NewRegistry()
 	slot, err := reg.Register("m", ea)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +182,7 @@ func TestRegistryHotSwapRace(t *testing.T) {
 // the typed error paths.
 func TestRegistrySemantics(t *testing.T) {
 	lin, _, _ := moviesEngines(t)
-	reg := NewRegistry(DefaultCoalescerConfig())
+	reg := NewRegistry()
 	if _, err := reg.Register("", lin); err == nil {
 		t.Fatal("empty name accepted")
 	}
@@ -401,8 +231,8 @@ func TestRegistrySemantics(t *testing.T) {
 // TestPredictBatchErrors pins the batch error contract: the first invalid
 // request fails the whole batch with its index, and nothing is returned.
 func TestPredictBatchErrors(t *testing.T) {
-	lin, hid, reqs := moviesEngines(t)
-	for name, e := range map[string]*Engine{"linear": lin, "hidden": hid} {
+	lin, mlp, reqs := moviesEngines(t)
+	for name, e := range map[string]*Engine{"linear": lin, "mlp": mlp} {
 		t.Run(name, func(t *testing.T) {
 			bad := append([]relational.Value(nil), reqs[0]...)
 			bad[0] = -1
@@ -416,11 +246,6 @@ func TestPredictBatchErrors(t *testing.T) {
 			short := reqs[0][:len(reqs[0])-1]
 			if _, err := e.PredictBatch([][]relational.Value{short}); err == nil {
 				t.Fatal("short request accepted")
-			}
-			var bs batchScratch
-			dst := make([]Prediction, 3)
-			if err := e.predictBatchInto(dst, [][]relational.Value{reqs[0], bad, reqs[1]}, &bs); err == nil {
-				t.Fatal("predictBatchInto accepted invalid request")
 			}
 			if out, err := e.PredictBatch(nil); err != nil || len(out) != 0 {
 				t.Fatalf("empty batch: out=%v err=%v", out, err)
@@ -439,15 +264,16 @@ func contains(s, sub string) bool {
 }
 
 // TestServeAllocations is the zero-alloc proof: the factorized linear path
-// allocates nothing per request — neither directly nor through the slot's
-// coalescer — and the pooled gather/batched paths amortize to well under one
-// allocation per request in steady state (a GC clearing the pool may force
-// an occasional refill, hence the <1 bound rather than ==0).
+// allocates nothing per request — neither directly nor through the slot —
+// and the pooled gather path amortizes to well under one allocation per
+// request in steady state (a GC clearing the pool may force an occasional
+// refill, hence the <1 bound rather than ==0). The MLP's direct path is
+// pinned at the count its model's own Predict makes.
 func TestServeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are proven in the non-race run")
 	}
-	lin, hid, reqs := moviesEngines(t)
+	lin, mlp, reqs := moviesEngines(t)
 	req := reqs[0]
 
 	if avg := testing.AllocsPerRun(1000, func() {
@@ -458,7 +284,7 @@ func TestServeAllocations(t *testing.T) {
 		t.Errorf("PredictFactorized: %v allocs/op, want 0", avg)
 	}
 
-	reg := NewRegistry(DefaultCoalescerConfig())
+	reg := NewRegistry()
 	slot, err := reg.Register("lin", lin)
 	if err != nil {
 		t.Fatal(err)
@@ -472,8 +298,7 @@ func TestServeAllocations(t *testing.T) {
 	}
 
 	// The gather path's scratch is pooled; the linear engine isolates that
-	// (the MLP's per-row Predict allocates inside the model itself, which is
-	// exactly why the batched hidden path below exists).
+	// (the MLP's Predict allocates inside the model itself).
 	if avg := testing.AllocsPerRun(1000, func() {
 		if _, err := lin.PredictJoined(req); err != nil {
 			t.Fatal(err)
@@ -482,14 +307,19 @@ func TestServeAllocations(t *testing.T) {
 		t.Errorf("PredictJoined (pooled scratch): %v allocs/op, want <1", avg)
 	}
 
-	var bs batchScratch
-	dst := make([]Prediction, len(reqs))
-	if avg := testing.AllocsPerRun(100, func() {
-		if err := hid.predictBatchInto(dst, reqs, &bs); err != nil {
+	// The MLP through its slot: the pooled gather adds nothing, and
+	// Probability allocates its two hidden layers per call. Any allocation
+	// the serving layer adds on top moves the count off 2.
+	mslot, err := reg.Register("mlp", mlp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		if _, err := mslot.Predict(req); err != nil {
 			t.Fatal(err)
 		}
-	}); avg/float64(len(reqs)) >= 1 {
-		t.Errorf("predictBatchInto (hidden): %v allocs per batch of %d", avg, len(reqs))
+	}); avg != 2 {
+		t.Errorf("slot.Predict (MLP): %v allocs/op, want 2", avg)
 	}
 
 	// The instrumented hot path: exactly the telemetry sequence handlePredict

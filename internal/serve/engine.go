@@ -74,9 +74,6 @@ type dimGroup struct {
 	fkInput  int
 	feats    []dimFeat
 	partials []float64
-	// hpartial is the hidden-factorized sibling of partials: row r holds the
-	// dimension's h-wide contribution to the first-layer pre-activation.
-	hpartial []float64
 }
 
 // Engine scores requests against one model over one star schema. It is
@@ -101,18 +98,6 @@ type Engine struct {
 	bias   float64
 	w      []float64
 	enc    *ml.Encoder
-
-	// hidden marks the factorized-first-layer path for models whose input
-	// layer is linear in the one-hot features (the MLP): hb/hw are the
-	// exported layer (bias + one hwidth-wide row per one-hot dimension) and
-	// each dimGroup.hpartial hoists a dimension's whole first-layer
-	// contribution into a per-row vector, so a batched forward pass never
-	// gathers dimension rows at all.
-	hidden bool
-	hf     ml.HiddenLinearExporter
-	hb     []float64
-	hw     []float64
-	hwidth int
 
 	scratchPool sync.Pool
 }
@@ -282,36 +267,6 @@ func NewEngine(m *model.Model, ss *relational.StarSchema) (*Engine, error) {
 		}
 	}
 
-	// Hidden-factorized mode: the same per-dimension hoist one layer into a
-	// network whose *input* layer is linear in the features (the MLP). Each
-	// dimension row's embedding-row sum collapses into one precomputed
-	// hwidth-vector, folded in model order per group — the first-layer
-	// analogue of the linear partials. Only taken for pure classifiers
-	// (no Scorer): the batched forward emits classes, and dropping a score
-	// the per-request path would have carried must never depend on load.
-	if !e.linear && e.scorer == nil {
-		if hf, ok := cls.(ml.HiddenLinearExporter); ok {
-			if hb, hw, h, ok := hf.ExportHiddenLinear(m.Features); ok && h > 0 {
-				e.hidden = true
-				e.hf = hf
-				e.hb, e.hw, e.hwidth = hb, hw, h
-				e.enc = ml.NewEncoder(m.Features)
-				for gi := range e.groups {
-					g := &e.groups[gi]
-					g.hpartial = make([]float64, g.dim.NumRows()*h)
-					for r := 0; r < g.dim.NumRows(); r++ {
-						row := g.hpartial[r*h : (r+1)*h]
-						for _, f := range g.feats {
-							w := e.hw[(e.enc.Offsets[f.modelIdx]+int(g.dim.At(r, f.dimCol)))*h:][:h]
-							for u := range row {
-								row[u] += w[u]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
 	e.inputIndex = make(map[string]int, len(e.inputs))
 	for i, f := range e.inputs {
 		e.inputIndex[f.Name] = i
@@ -339,19 +294,6 @@ func (e *Engine) Model() *model.Model { return e.mdl }
 // Factorized reports whether the engine scores through precomputed
 // per-dimension partials (linear models) rather than per-request gathers.
 func (e *Engine) Factorized() bool { return e.linear }
-
-// HiddenFactorized reports whether batched scoring folds precomputed
-// per-dimension first-layer partials (the MLP path) instead of gathering
-// dimension rows per request.
-func (e *Engine) HiddenFactorized() bool { return e.hidden }
-
-// BatchServeable reports whether batching concurrent requests into one call
-// buys this engine anything: only a factorized first layer (the MLP) does.
-// Linear engines are excluded on purpose — their factorized score is a
-// handful of adds, far cheaper than any batching handoff — as are the gather
-// fallbacks (tree, kNN, non-linear SVM). The coalescer scores any engine
-// correctly; this is the routing hint for when it should be in the path.
-func (e *Engine) BatchServeable() bool { return e.hidden }
 
 // InputFeatures returns the request layout: one value per entry, in order.
 func (e *Engine) InputFeatures() []InputFeature { return e.inputs }
@@ -549,19 +491,12 @@ const predictBatchMorsel = 64
 // up front; the first invalid request fails the whole batch and nothing is
 // scored.
 //
-// Linear models keep the per-request scalar fold: the factorized score is
-// already one addend per fact feature plus one per dimension, and batching
-// it through an index-matrix kernel was measured strictly slower (two extra
-// memory operations per addend; see the ServeBatch bench pair's history).
-// The batch win lands on the MLP instead: its first layer is built from
-// hoisted per-dimension partials and one dense tail pass (ClassifyHidden)
-// classifies each chunk, replacing a per-request Probability call that
-// allocates both hidden layers per row. That is not bit-identical to
-// Predict: the partials fold each dimension group's first-layer rows before
-// adding them, while Probability folds every row in sequence, so z1 can
-// differ in the last bits and a logit within rounding of zero can flip
-// class. The serving equivalence tests pin the classes on their data.
-// Every other model takes the per-request gather path.
+// Each request takes the path Predict would: the factorized scalar fold for
+// linear models, and for every other model (the MLP included) a gather
+// through one pooled scratch per chunk plus the classifier's own Predict. So
+// every batched answer equals Predict's, score bits included. The linear fold
+// stays scalar because batching it through an index-matrix kernel was
+// measured slower (two extra memory operations per addend).
 func (e *Engine) PredictBatch(reqs [][]relational.Value) ([]Prediction, error) {
 	for i, req := range reqs {
 		if err := e.Validate(req); err != nil {
@@ -570,24 +505,6 @@ func (e *Engine) PredictBatch(reqs [][]relational.Value) ([]Prediction, error) {
 	}
 	out := make([]Prediction, len(reqs))
 	chunks := (len(reqs) + predictBatchMorsel - 1) / predictBatchMorsel
-	if e.hidden {
-		// Factorized first layer: each chunk builds its block of first-layer
-		// pre-activations straight from the request vectors (bias + fact
-		// embedding rows + one hoisted partial vector per dimension — no
-		// gather), then one dense tail pass classifies the block.
-		ml.ParallelFor(chunks, func(c int) {
-			lo := c * predictBatchMorsel
-			hi := min(lo+predictBatchMorsel, len(reqs))
-			z := make([]float64, (hi-lo)*e.hwidth)
-			cls := make([]int8, hi-lo)
-			e.buildHiddenInto(z, reqs, lo, hi)
-			e.hf.ClassifyHidden(cls, z, hi-lo)
-			for i := lo; i < hi; i++ {
-				out[i] = Prediction{Class: cls[i-lo]}
-			}
-		})
-		return out, nil
-	}
 	ml.ParallelFor(chunks, func(c int) {
 		lo := c * predictBatchMorsel
 		hi := min(lo+predictBatchMorsel, len(reqs))
@@ -605,107 +522,4 @@ func (e *Engine) PredictBatch(reqs [][]relational.Value) ([]Prediction, error) {
 		e.putScratch(sc)
 	})
 	return out, nil
-}
-
-// buildHiddenInto fills dst with the first-layer pre-activations of requests
-// [lo, hi): for each, the layer bias, the embedding rows of the fact-local
-// features in model order, then one precomputed hpartial vector per
-// dimension group — the canonical grouped fold, hoisted per dimension row
-// exactly like scoreFactorized's scalar partials.
-func (e *Engine) buildHiddenInto(dst []float64, reqs [][]relational.Value, lo, hi int) {
-	h := e.hwidth
-	fused := len(e.factFeats)+len(e.groups) == 4
-	for i := lo; i < hi; i++ {
-		row := dst[(i-lo)*h : (i-lo+1)*h]
-		req := reqs[i]
-		if fused {
-			// The star-schema common case: four embedding rows to fold
-			// (fact-local features plus one hpartial per dimension group,
-			// e.g. two of each). Collecting them and summing in one fused
-			// pass does 5 loads and 1 store per element instead of the
-			// copy-then-add-each chain's 9 loads and 5 stores — this loop
-			// is a top cost of a batch flush. The element-wise sum
-			// associates left to right in exactly the sequential fold
-			// order, so every result bit matches the general path below.
-			var srcs [4][]float64
-			ns := 0
-			for _, fs := range e.factFeats {
-				srcs[ns] = e.hw[(e.enc.Offsets[fs.modelIdx]+int(req[fs.input]))*h:][:h]
-				ns++
-			}
-			for gi := range e.groups {
-				g := &e.groups[gi]
-				srcs[ns] = g.hpartial[int(req[g.fkInput])*h:][:h]
-				ns++
-			}
-			s0, s1, s2, s3 := srcs[0], srcs[1][:h], srcs[2][:h], srcs[3][:h]
-			for u := range row {
-				row[u] = e.hb[u] + s0[u] + s1[u] + s2[u] + s3[u]
-			}
-			continue
-		}
-		copy(row, e.hb)
-		for _, fs := range e.factFeats {
-			w := e.hw[(e.enc.Offsets[fs.modelIdx]+int(req[fs.input]))*h:][:h]
-			for u := range row {
-				row[u] += w[u]
-			}
-		}
-		for gi := range e.groups {
-			g := &e.groups[gi]
-			p := g.hpartial[int(req[g.fkInput])*h:][:h]
-			for u := range row {
-				row[u] += p[u]
-			}
-		}
-	}
-}
-
-// batchScratch carries the reusable buffers of predictBatchInto so a
-// steady-state coalescer flush allocates nothing on the factorized paths.
-type batchScratch struct {
-	z   []float64
-	cls []int8
-}
-
-// predictBatchInto is the coalescer's flush kernel: it scores reqs into dst
-// (len(dst) >= len(reqs)) sequentially — micro-batches are far below the
-// fan-out's break-even — choosing the same path per engine as PredictBatch.
-// Requests are validated up front; the first invalid one fails the whole
-// batch and nothing is scored (the coalescer pre-validates at enqueue, so a
-// mixed batch of strangers can never be poisoned by one bad request).
-func (e *Engine) predictBatchInto(dst []Prediction, reqs [][]relational.Value, bs *batchScratch) error {
-	for i, req := range reqs {
-		if err := e.Validate(req); err != nil {
-			return fmt.Errorf("serve: request %d: %w", i, err)
-		}
-	}
-	n := len(reqs)
-	switch {
-	case e.linear:
-		for i := 0; i < n; i++ {
-			s := e.scoreFactorized(reqs[i])
-			dst[i] = Prediction{Class: classOf(s), Score: s, Scored: true}
-		}
-	case e.hidden:
-		if need := n * e.hwidth; cap(bs.z) < need {
-			bs.z = make([]float64, need)
-		}
-		if cap(bs.cls) < n {
-			bs.cls = make([]int8, n)
-		}
-		z, cls := bs.z[:n*e.hwidth], bs.cls[:n]
-		e.buildHiddenInto(z, reqs, 0, n)
-		e.hf.ClassifyHidden(cls, z, n)
-		for i := 0; i < n; i++ {
-			dst[i] = Prediction{Class: cls[i]}
-		}
-	default:
-		sc := e.getScratch()
-		for i := 0; i < n; i++ {
-			dst[i] = e.predictJoinedInto(sc, reqs[i])
-		}
-		e.putScratch(sc)
-	}
-	return nil
 }

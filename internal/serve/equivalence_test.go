@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/ann"
@@ -13,6 +16,7 @@ import (
 	"repro/internal/nb"
 	"repro/internal/relational"
 	"repro/internal/svm"
+	"repro/internal/tree"
 )
 
 // star generates one of the paper's star schemas at a test-friendly scale.
@@ -201,46 +205,131 @@ func TestBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSingleANN pins the batched-forward gather path (the MLP
-// implements ml.BatchPredictor, so PredictBatch assembles rows and runs one
-// GEMM forward) to the per-request Predict path, class for class.
-func TestBatchMatchesSingleANN(t *testing.T) {
+// TestServedAnswersMatchPredict pins every serving entry to Engine.Predict,
+// bit for bit, for the engines without a factorized form: the MLP, a tree and
+// a quadratic-kernel SVM (the one that carries a score on the gather path).
+// For every request, PredictBatch, Slot.Predict, Server.Predict, /predict and
+// /predict_batch must each return Predict's class, scoredness and score bits.
+func TestServedAnswersMatchPredict(t *testing.T) {
 	ss := star(t, "Movies", 1024)
 	train, _ := joinAllDataset(t, ss)
-	mlp := ann.New(ann.Config{Hidden1: 8, Hidden2: 4, LearningRate: 1e-2, Epochs: 2, Seed: 5})
-	if err := mlp.Fit(train); err != nil {
+	net := ann.New(ann.Config{Hidden1: 8, Hidden2: 4, LearningRate: 1e-2, Epochs: 2, Seed: 5})
+	if err := net.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	m, err := model.New(mlp, train.Features, nil)
+	tr := tree.New(tree.Config{Criterion: tree.Gini, MinSplit: 4, CP: 1e-3})
+	if err := tr.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	quad, err := svm.New(svm.Config{Kernel: svm.Quadratic, C: 1, Gamma: 0.1, Seed: 3, SubsampleCap: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := NewEngine(m, ss)
-	if err != nil {
+	if err := quad.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	if engine.Factorized() {
-		t.Fatal("MLP must serve through the gather path")
-	}
-	n := min(ss.Fact.NumRows(), 200)
-	reqs := make([][]relational.Value, n)
-	for i := range reqs {
-		reqs[i] = engine.RequestFromFactRow(make([]relational.Value, len(engine.InputFeatures())), ss.Fact.Row(i))
-	}
-	batch, err := engine.PredictBatch(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, req := range reqs {
-		p, err := engine.Predict(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch[i].Class != p.Class {
-			t.Fatalf("request %d: batch class %d != single class %d", i, batch[i].Class, p.Class)
-		}
-		if batch[i].Scored {
-			t.Fatalf("request %d: MLP predictions must not carry scores", i)
-		}
+
+	reg := NewRegistry()
+	srv := NewRegistryServer(reg, DefaultServerConfig())
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	for _, c := range []struct {
+		name   string
+		cls    ml.Classifier
+		scored bool
+	}{{"mlp", net, false}, {"tree", tr, false}, {"svm-quadratic", quad, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := model.New(c.cls, train.Features, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine, err := NewEngine(m, ss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if engine.Factorized() {
+				t.Fatalf("%s claims a factorized form", c.name)
+			}
+			slot, err := reg.Register(c.name, engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := min(ss.Fact.NumRows(), 200)
+			reqs := make([][]relational.Value, n)
+			inputs := make([]map[string]int32, n)
+			want := make([]Prediction, n)
+			ones := 0
+			for i := range reqs {
+				reqs[i] = engine.RequestFromFactRow(make([]relational.Value, len(engine.InputFeatures())), ss.Fact.Row(i))
+				inputs[i] = inputObject(engine, ss.Fact.Row(i))
+				if want[i], err = engine.Predict(reqs[i]); err != nil {
+					t.Fatal(err)
+				}
+				if want[i].Scored != c.scored {
+					t.Fatalf("request %d: Predict scored = %v, want %v", i, want[i].Scored, c.scored)
+				}
+				ones += int(want[i].Class)
+			}
+			if ones == 0 || ones == n {
+				t.Fatalf("degenerate predictions (%d/%d positive): the test has no discriminating power", ones, n)
+			}
+			same := func(path string, i int, got Prediction) {
+				t.Helper()
+				w := want[i]
+				if got.Class != w.Class || got.Scored != w.Scored || math.Float64bits(got.Score) != math.Float64bits(w.Score) {
+					t.Fatalf("request %d: %s %+v != Predict %+v", i, path, got, w)
+				}
+			}
+
+			batch, err := engine.PredictBatch(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, req := range reqs {
+				same("PredictBatch", i, batch[i])
+				p, err := slot.Predict(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("Slot.Predict", i, p)
+				if p, err = srv.Predict(slot, req); err != nil {
+					t.Fatal(err)
+				}
+				same("Server.Predict", i, p)
+
+				resp, body := postJSON(t, hs.URL+"/predict?model="+c.name, map[string]any{"input": inputs[i]})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("/predict %d: status %d: %s", i, resp.StatusCode, body)
+				}
+				var pr predictResponse
+				if err := json.Unmarshal(body, &pr); err != nil {
+					t.Fatal(err)
+				}
+				p = Prediction{Class: pr.Prediction, Scored: pr.Score != nil}
+				if p.Scored {
+					p.Score = *pr.Score
+				}
+				same("/predict", i, p)
+			}
+
+			resp, body := postJSON(t, hs.URL+"/predict_batch?model="+c.name, map[string]any{"inputs": inputs})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/predict_batch: status %d: %s", resp.StatusCode, body)
+			}
+			var br batchResponse
+			if err := json.Unmarshal(body, &br); err != nil {
+				t.Fatal(err)
+			}
+			if br.N != n || len(br.Predictions) != n || (c.scored && len(br.Scores) != n) || (!c.scored && br.Scores != nil) {
+				t.Fatalf("/predict_batch: n=%d, %d predictions, %d scores for %d requests", br.N, len(br.Predictions), len(br.Scores), n)
+			}
+			for i := range reqs {
+				p := Prediction{Class: br.Predictions[i], Scored: c.scored}
+				if c.scored {
+					p.Score = br.Scores[i]
+				}
+				same("/predict_batch", i, p)
+			}
+		})
 	}
 }

@@ -35,10 +35,10 @@ import (
 //
 // Every request resolves its slot's Snapshot exactly once and scores
 // entirely against it, so a concurrent /swap never mixes model versions
-// inside one response. Single predicts flow through the slot's coalescer;
-// steady-state handling reuses pooled scratch (request vectors, decode maps,
-// response buffers) so the serving tier itself allocates almost nothing on
-// top of the score.
+// inside one response. Single predicts are scored by the snapshot's
+// Engine.Predict; steady-state handling reuses pooled scratch (request
+// vectors, decode maps, response buffers) so the serving tier itself
+// allocates almost nothing on top of the score.
 type Server struct {
 	reg      *Registry
 	maxBody  int64
@@ -103,7 +103,7 @@ type hscratch struct {
 // NewServer wraps a single engine in a fresh registry (slot "default") with
 // default limits — the one-artifact deployment cmd/hamletd boots into.
 func NewServer(e *Engine) *Server {
-	reg := NewRegistry(DefaultCoalescerConfig())
+	reg := NewRegistry()
 	if _, err := reg.Register("default", e); err != nil {
 		panic(err) // fresh registry; unreachable
 	}
@@ -210,9 +210,9 @@ var ErrShed = errors.New("serve: server at capacity")
 
 // Predict scores one request through the hardened in-process path: the same
 // admission gate and panic-to-error recovery the HTTP predict handlers run
-// behind, plus the slot's coalescer, without HTTP parsing. It is the entry
-// the hardened zero-alloc benchmark drives — the steady-state path must add
-// no allocations over the bare coalescer.
+// behind, then the slot's live Engine.Predict, without HTTP parsing. It is
+// the entry the hardened zero-alloc benchmark drives — the gate and the
+// recovery must add no allocations over Engine.Predict.
 func (s *Server) Predict(slot *Slot, req []relational.Value) (p Prediction, err error) {
 	if s.gate != nil {
 		select {
@@ -231,11 +231,7 @@ func (s *Server) Predict(slot *Slot, req []relational.Value) (p Prediction, err 
 			err = fmt.Errorf("serve: recovered panic: %v", rec)
 		}
 	}()
-	snap := slot.Snapshot()
-	if snap.Engine.Factorized() {
-		return snap.Engine.PredictFactorized(req)
-	}
-	return slot.Coalescer().Predict(snap, req)
+	return slot.Predict(req)
 }
 
 // Engine returns the default slot's live engine.
@@ -312,28 +308,29 @@ func (s *Server) failRead(w http.ResponseWriter, sc *hscratch, err error) {
 	s.fail(w, sc, http.StatusBadRequest, "reading body: %v", err)
 }
 
-// resolve picks the request's slot and snapshot, and the forced scoring mode
-// if any. Everything downstream uses the snapshot, never the slot's current.
-func (s *Server) resolve(r *http.Request) (*Slot, *Snapshot, bool, error) {
+// resolve picks the request's snapshot and whether it is scored factorized
+// (false under a forced joined mode). Everything downstream uses the
+// snapshot, never the slot's current.
+func (s *Server) resolve(r *http.Request) (*Snapshot, bool, error) {
 	q := r.URL.Query()
 	slot, ok := s.reg.Slot(q.Get("model"))
 	if !ok {
-		return nil, nil, false, fmt.Errorf("%w: %q", ErrUnknownModel, q.Get("model"))
+		return nil, false, fmt.Errorf("%w: %q", ErrUnknownModel, q.Get("model"))
 	}
 	snap := slot.Snapshot()
 	e := snap.Engine
 	switch m := q.Get("mode"); m {
 	case "":
-		return slot, snap, e.Factorized(), nil
+		return snap, e.Factorized(), nil
 	case "factorized":
 		if !e.Factorized() {
-			return nil, nil, false, fmt.Errorf("model kind %q has no factorized form", e.Model().Kind)
+			return nil, false, fmt.Errorf("model kind %q has no factorized form", e.Model().Kind)
 		}
-		return slot, snap, true, nil
+		return snap, true, nil
 	case "joined":
-		return slot, snap, false, nil
+		return snap, false, nil
 	default:
-		return nil, nil, false, fmt.Errorf("unknown mode %q (want factorized or joined)", m)
+		return nil, false, fmt.Errorf("unknown mode %q (want factorized or joined)", m)
 	}
 }
 
@@ -396,7 +393,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, sc, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
-	slot, snap, factorized, err := s.resolve(r)
+	snap, factorized, err := s.resolve(r)
 	if err != nil {
 		s.failResolve(w, sc, err)
 		return
@@ -408,26 +405,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	tDec := time.Now()
 	var p Prediction
-	switch {
-	case factorized:
-		p, err = snap.Engine.PredictFactorized(sc.req)
-	case snap.Engine.Factorized() || r.URL.Query().Get("mode") == "joined":
-		// Forced joined mode really exercises the gather path.
+	if factorized == snap.Engine.Factorized() {
+		p, err = snap.Engine.Predict(sc.req)
+	} else {
+		// Forced joined mode on a linear engine really exercises the gather
+		// path.
 		p, err = snap.Engine.PredictJoined(sc.req)
-	default:
-		// Default path for non-factorized engines: through the coalescer,
-		// which micro-batches concurrent callers when the engine benefits.
-		// The request context rides along: a waiter whose client gave up
-		// abandons its batch slot instead of blocking a dead connection.
-		p, err = slot.Coalescer().PredictCtx(r.Context(), snap, sc.req)
 	}
 	if err != nil {
-		if r.Context().Err() != nil {
-			// The client is gone or out of time; 503 documents the abort in
-			// the error counters (the body rarely reaches anyone).
-			s.fail(w, sc, http.StatusServiceUnavailable, "request abandoned: %v", err)
-			return
-		}
 		s.fail(w, sc, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -541,7 +526,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, sc, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	_, snap, factorized, err := s.resolve(r)
+	snap, factorized, err := s.resolve(r)
 	if err != nil {
 		s.failResolve(w, sc, err)
 		return
@@ -620,7 +605,6 @@ type modelInfo struct {
 	Version    int         `json:"version"`
 	Kind       string      `json:"kind"`
 	Factorized bool        `json:"factorized"`
-	Batched    bool        `json:"batched"`
 	Inputs     []inputInfo `json:"inputs"`
 	Versions   []int       `json:"versions"`
 	Swapped    time.Time   `json:"swapped"`
@@ -649,7 +633,6 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Version:    snap.Version,
 			Kind:       e.Model().Kind,
 			Factorized: e.Factorized(),
-			Batched:    e.BatchServeable(),
 			Swapped:    snap.Swapped,
 		}
 		for _, f := range e.InputFeatures() {
@@ -743,10 +726,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	slot, _ := s.reg.Slot("")
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	coal := map[string]CoalescerStats{}
 	history := map[string][]int{}
 	for _, sl := range s.reg.Slots() {
-		coal[sl.Name()] = sl.Coalescer().Stats()
 		var versions []int
 		for _, h := range sl.Versions() {
 			versions = append(versions, h.Version)
@@ -768,7 +749,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"batch_max":   s.batchMax.Load(),
 		"uptime_ms":   time.Since(s.start).Milliseconds(),
 		"mallocs":     ms.Mallocs,
-		"coalescer":   coal,
 		"meta":        e.Model().Meta,
 		"history":     history,
 		"swaps":       s.m.swaps.Value(),
@@ -788,7 +768,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the Prometheus text exposition: the registry's
-// serving metrics (per-endpoint latency, coalescer, registry transitions)
+// serving metrics (per-endpoint latency, robustness, registry transitions)
 // followed by the process-wide obs.Default (segment cache, training-phase
 // spans). One scrape covers all three layers.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -257,7 +257,7 @@ func TestHTTPSwapUnderLoad(t *testing.T) {
 // errors, and the stream decoder rejects malformed framing.
 func TestHTTPRequestLimits(t *testing.T) {
 	_, engine, ss := testServer(t)
-	reg := NewRegistry(DefaultCoalescerConfig())
+	reg := NewRegistry()
 	if _, err := reg.Register("default", engine); err != nil {
 		t.Fatal(err)
 	}

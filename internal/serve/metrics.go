@@ -34,15 +34,8 @@ type Metrics struct {
 	panics *obs.Counter
 
 	// Per-endpoint request latency, total plus decode/score/encode phases.
-	// Queue wait (coalescer residency) is observed separately per batch.
 	predictTotal, predictDecode, predictScore, predictEncode *obs.Histogram
 	batchTotal, batchDecode, batchScore, batchEncode         *obs.Histogram
-
-	// Coalescer behavior: time a batch stays open, how full it got, and why
-	// it flushed.
-	coalWait                          *obs.Histogram
-	coalFill                          *obs.Histogram
-	flushFull, flushWindow, flushSwap *obs.Counter
 
 	// Registry lifecycle events.
 	swaps, rollbacks *obs.Counter
@@ -77,21 +70,12 @@ func newMetrics() *Metrics {
 
 		predictTotal:  h(`hamlet_http_request_ns{endpoint="predict"}`, "request wall time, nanoseconds"),
 		predictDecode: h(`hamlet_http_phase_ns{endpoint="predict",phase="decode"}`, "read body + JSON parse + input layout"),
-		predictScore:  h(`hamlet_http_phase_ns{endpoint="predict",phase="score"}`, "engine scoring (includes any coalescer wait)"),
+		predictScore:  h(`hamlet_http_phase_ns{endpoint="predict",phase="score"}`, "engine scoring"),
 		predictEncode: h(`hamlet_http_phase_ns{endpoint="predict",phase="encode"}`, "response encode + write"),
 		batchTotal:    h(`hamlet_http_request_ns{endpoint="predict_batch"}`, "request wall time, nanoseconds"),
 		batchDecode:   h(`hamlet_http_phase_ns{endpoint="predict_batch",phase="decode"}`, "read body + JSON parse + input layout"),
 		batchScore:    h(`hamlet_http_phase_ns{endpoint="predict_batch",phase="score"}`, "engine scoring"),
 		batchEncode:   h(`hamlet_http_phase_ns{endpoint="predict_batch",phase="encode"}`, "response encode + write"),
-
-		coalWait: h("hamlet_coalescer_wait_ns", "batch residency: open to flush"),
-		coalFill: h("hamlet_coalescer_batch_fill", "requests per flushed batch"),
-		flushFull: c(`hamlet_coalescer_flushes_total{reason="full"}`,
-			"batch flushes by trigger"),
-		flushWindow: c(`hamlet_coalescer_flushes_total{reason="window"}`,
-			"batch flushes by trigger"),
-		flushSwap: c(`hamlet_coalescer_flushes_total{reason="swap"}`,
-			"batch flushes by trigger"),
 
 		swaps:     c(`hamlet_registry_transitions_total{kind="swap"}`, "slot version transitions"),
 		rollbacks: c(`hamlet_registry_transitions_total{kind="rollback"}`, "slot version transitions"),

@@ -43,7 +43,6 @@ type Snapshot struct {
 type Slot struct {
 	name string
 	cur  atomic.Pointer[Snapshot]
-	coal *Coalescer
 
 	mu      sync.Mutex
 	nextVer int
@@ -57,13 +56,10 @@ func (s *Slot) Name() string { return s.name }
 // score against it indefinitely even across swaps.
 func (s *Slot) Snapshot() *Snapshot { return s.cur.Load() }
 
-// Coalescer returns the slot's request coalescer.
-func (s *Slot) Coalescer() *Coalescer { return s.coal }
-
-// Predict resolves the live snapshot once and scores the request against it
-// through the slot's coalescer.
+// Predict resolves the live snapshot once and scores the request against its
+// engine.
 func (s *Slot) Predict(req []relational.Value) (Prediction, error) {
-	return s.coal.Predict(s.cur.Load(), req)
+	return s.cur.Load().Engine.Predict(req)
 }
 
 // install makes snap the live version and trims history to the bound.
@@ -91,21 +87,22 @@ type Registry struct {
 	mu      sync.Mutex
 	slots   atomic.Pointer[map[string]*Slot]
 	def     atomic.Pointer[Slot]
-	ccfg    CoalescerConfig
 	metrics *Metrics
 }
 
-// NewRegistry builds an empty registry whose slots will coalesce requests
-// under cfg.
-func NewRegistry(cfg CoalescerConfig) *Registry {
-	r := &Registry{ccfg: cfg, metrics: newMetrics()}
+// NewRegistry builds an empty registry. It takes no configuration; the
+// variadic parameter only keeps the perfbench call
+// NewRegistry(DefaultCoalescerConfig()) compiling (see the residue block
+// below).
+func NewRegistry(_ ...CoalescerConfig) *Registry {
+	r := &Registry{metrics: newMetrics()}
 	empty := map[string]*Slot{}
 	r.slots.Store(&empty)
 	return r
 }
 
-// Metrics returns the registry's serving telemetry (shared by its slots'
-// coalescers and the HTTP front end).
+// Metrics returns the registry's serving telemetry (shared with the HTTP
+// front end).
 func (r *Registry) Metrics() *Metrics { return r.metrics }
 
 // Register adds a new slot serving e as version 1. The first slot registered
@@ -122,9 +119,7 @@ func (r *Registry) Register(name string, e *Engine) (*Slot, error) {
 	if _, ok := old[name]; ok {
 		return nil, fmt.Errorf("serve: model %q already registered", name)
 	}
-	coal := NewCoalescer(r.ccfg)
-	coal.m = r.metrics
-	s := &Slot{name: name, coal: coal, nextVer: 2}
+	s := &Slot{name: name, nextVer: 2}
 	s.install(&Snapshot{Name: name, Version: 1, Engine: e, Swapped: time.Now()})
 	next := make(map[string]*Slot, len(old)+1)
 	for k, v := range old {
@@ -206,3 +201,29 @@ func (r *Registry) Rollback(name string, version int) (*Snapshot, error) {
 	r.metrics.rollbacks.Inc()
 	return snap, nil
 }
+
+// The declarations below are residue of the deleted request coalescer. They
+// do nothing: perfbench/serve.go still names them and perfbench/ changes
+// only with the benchmark, so they stay until the benchmark change of
+// ROADMAP item 6.1 moves perfbench off them and deletes this block. Until
+// then perfbench's serve.coalescer_mean_batch reads 0.
+
+// CoalescerConfig is empty; NewRegistry ignores it.
+type CoalescerConfig struct{}
+
+// DefaultCoalescerConfig returns the empty CoalescerConfig.
+func DefaultCoalescerConfig() CoalescerConfig { return CoalescerConfig{} }
+
+// CoalescerStats is the counter shape perfbench reads; it is always zero.
+type CoalescerStats struct {
+	Batches, Coalesced, Direct uint64
+}
+
+// Coalescer has no state; Slot.Coalescer returns a nil one.
+type Coalescer struct{}
+
+// Stats returns zero counters, also on a nil Coalescer.
+func (*Coalescer) Stats() CoalescerStats { return CoalescerStats{} }
+
+// Coalescer returns nil: every request is scored by Engine.Predict.
+func (s *Slot) Coalescer() *Coalescer { return nil }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,7 +34,7 @@ func hardenedServer(t *testing.T, cfg ServerConfig) (*Server, *Engine, [][]relat
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(DefaultCoalescerConfig())
+	reg := NewRegistry()
 	if _, err := reg.Register("default", e); err != nil {
 		t.Fatal(err)
 	}
@@ -178,76 +177,12 @@ func TestServerPredictHardened(t *testing.T) {
 	}
 }
 
-// TestPredictCtxAbandonment: a waiter whose context expires while its batch
-// is pending returns ctx.Err() promptly, the batch still flushes on its
-// window, and a co-waiter with a background context gets the correct result.
-func TestPredictCtxAbandonment(t *testing.T) {
-	_, hid, reqs := moviesEngines(t)
-	want, err := hid.Predict(reqs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCoalescer(CoalescerConfig{MaxBatch: 64, Window: 300 * time.Millisecond})
-	snap := &Snapshot{Name: "m", Version: 1, Engine: hid}
-	// Force the next call past the direct-path heuristic so it opens a batch.
-	c.mu.Lock()
-	c.streak = c.probeAt
-	c.mu.Unlock()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	abandoned := make(chan error, 1)
-	go func() {
-		_, err := c.PredictCtx(ctx, snap, reqs[0])
-		abandoned <- err
-	}()
-	// Wait until the abandoner has opened the batch, then join it with a
-	// background-context waiter.
-	for {
-		c.mu.Lock()
-		open := c.cur != nil
-		c.mu.Unlock()
-		if open {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	followed := make(chan Prediction, 1)
-	go func() {
-		p, err := c.Predict(snap, reqs[1])
-		if err != nil {
-			t.Error(err)
-		}
-		followed <- p
-	}()
-	// Give the follower time to enqueue, then expire the abandoner.
-	time.Sleep(20 * time.Millisecond)
-	start := time.Now()
-	cancel()
-	select {
-	case err := <-abandoned:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("abandoned waiter err = %v, want context.Canceled", err)
-		}
-	case <-time.After(200 * time.Millisecond):
-		t.Fatal("abandoned waiter did not return before the batch window")
-	}
-	if d := time.Since(start); d > 150*time.Millisecond {
-		t.Fatalf("abandonment took %s — waited out the window instead", d)
-	}
-	if p := <-followed; p != want {
-		t.Fatalf("co-waiter got %+v, want %+v — abandonment corrupted the batch", p, want)
-	}
-	if st := c.Stats(); st.Batches != 1 || st.Coalesced != 2 {
-		t.Fatalf("stats %+v, want 1 batch of 2", st)
-	}
-}
-
 // TestRegistryErrorPaths pins the typed registry errors: rolling back a
 // fresh slot (history holds only the live version), swapping or rolling
 // back an unknown slot, and rolling back to a never-existed version.
 func TestRegistryErrorPaths(t *testing.T) {
 	lin, _, _ := moviesEngines(t)
-	reg := NewRegistry(DefaultCoalescerConfig())
+	reg := NewRegistry()
 	slot, err := reg.Register("m", lin)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +219,7 @@ func TestRegistryErrorPaths(t *testing.T) {
 // must succeed.
 func TestRegistryConcurrentSwapRollback(t *testing.T) {
 	lin, _, reqs := moviesEngines(t)
-	reg := NewRegistry(DefaultCoalescerConfig())
+	reg := NewRegistry()
 	slot, err := reg.Register("m", lin)
 	if err != nil {
 		t.Fatal(err)
